@@ -17,6 +17,10 @@ lane loudly instead of shipping as a slower table:
   factor of sequential wall-clock on in-process SQLite, where per-statement
   overhead is negligible by construction.
 
+* **Enumeration.** Generating a query's interpretation space must construct
+  exactly as many ``Interpretation`` objects as it returns (a count, not a
+  timing): no candidate is built, validated and discarded.
+
 Run with ``-s`` to see the tables:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_engine.py -s
@@ -564,3 +568,47 @@ def test_bench_engine_sharded_statement_ratio(tmp_path):
         f"{sharded_statements} statements "
         f"({executed_total / sharded_statements:.1f}x)"
     )
+
+
+def test_bench_engine_enumeration_constructs_only_what_it_returns(monkeypatch):
+    """Interpretation enumeration: no candidate is built to be thrown away.
+
+    The guard of the prune-as-you-go enumeration, as a count so a slow runner
+    cannot flake it: over the bundled IMDB workload, the number of
+    ``Interpretation`` objects constructed while generating a query's space
+    equals the size of the space.  (Generate-and-test built about ten
+    candidates per interpretation kept.)
+    """
+    from repro.core.interpretation import Interpretation
+    from repro.core.keywords import KeywordQuery
+    from repro.datasets.workload import imdb_workload
+
+    engine = QueryEngine(build_imdb(**BUILD_KWARGS), config=EngineConfig(cache_results=False))
+    constructed = 0
+    original_init = Interpretation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal constructed
+        constructed += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpretation, "__init__", counting_init)
+    texts = QUERIES + [
+        str(item.query) for item in imdb_workload(engine.backend, n_queries=40, seed=3)
+    ]
+    kept = 0
+    per_query: list[list[str]] = []
+    for text in texts:
+        before = constructed
+        space = engine.generator.interpretations(KeywordQuery.parse(text))
+        assert constructed - before == len(space), (
+            f"{text!r}: built {constructed - before} candidates for "
+            f"{len(space)} interpretations"
+        )
+        kept += len(space)
+        per_query.append([text, f"{len(space)}", f"{constructed - before}"])
+    assert kept > len(texts), "the workload produced no ambiguity to enumerate"
+
+    print()
+    print(format_table(["query", "interpretations", "constructed"], per_query[:8]))
+    print(f"{len(texts)} queries: {kept} interpretations, {constructed} constructed")

@@ -53,8 +53,8 @@ class QueryHierarchy:
         self.generator = generator
         self.model = model
         self.max_frontier = max_frontier
-        self.keywords: list[Keyword] = generator.effective_keywords(query)
-        self._atom_map = {k: generator.keyword_atoms(k) for k in self.keywords}
+        self._atom_map = generator.atom_map(query)
+        self.keywords: list[Keyword] = list(self._atom_map)
         self.level = 0
         #: Count of nodes ever generated — the scalability measure of §3.8.5.
         self.generated_nodes = 0

@@ -95,11 +95,7 @@ class LabeledGenerator(InterpretationGenerator):
     """Interpretation generation with label constraints applied per keyword."""
 
     def __init__(self, base: InterpretationGenerator, labeled: LabeledQuery):
-        # Share the base generator's database, templates and config.
-        self.database = base.database
-        self.config = base.config
-        self.templates = base.templates
-        self._index = base.database.require_index()
+        self._adopt(base)
         self._labeled = labeled
 
     def keyword_atoms(self, keyword: Keyword) -> list[Atom]:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from repro.core.interpretation import (
@@ -30,7 +32,6 @@ from repro.core.interpretation import (
     OperatorAtom,
     TableAtom,
     ValueAtom,
-    atom_sort_key,
 )
 from repro.core.templates import QueryTemplate
 
@@ -66,6 +67,20 @@ def normalize(weights: Sequence[float]) -> list[float]:
         n = len(weights)
         return [1.0 / n] * n if n else []
     return [w / total for w in weights]
+
+
+def _product_weight(model: "ProbabilityModel", interpretation: Interpretation) -> float:
+    """Eq. 3.5: the template prior times every bound atom's weight.
+
+    ``assignment`` is already in canonical atom order (one atom per keyword,
+    sorted by :func:`~repro.core.interpretation.atom_sort_key`), so the
+    factors multiply in one fixed order and the float is reproducible.
+    """
+    template = interpretation.template
+    weight = model.template_prior(template)
+    for atom, _slot in interpretation.assignment:
+        weight *= model.atom_weight(atom, template)
+    return weight
 
 
 def entropy(probabilities: Iterable[float]) -> float:
@@ -165,10 +180,7 @@ class ATFModel:
         return self.catalog.prior(template)
 
     def interpretation_weight(self, interpretation: Interpretation) -> float:
-        weight = self.template_prior(interpretation.template)
-        for atom in sorted(interpretation.atoms, key=atom_sort_key):
-            weight *= self.atom_weight(atom, interpretation.template)
-        return weight
+        return _product_weight(self, interpretation)
 
 
 @dataclass
@@ -201,10 +213,7 @@ class TFIDFModel:
         return self.catalog.prior(template)
 
     def interpretation_weight(self, interpretation: Interpretation) -> float:
-        weight = self.template_prior(interpretation.template)
-        for atom in sorted(interpretation.atoms, key=atom_sort_key):
-            weight *= self.atom_weight(atom, interpretation.template)
-        return weight
+        return _product_weight(self, interpretation)
 
 
 @dataclass
@@ -263,11 +272,20 @@ class DivQModel:
 def rank_interpretations(
     interpretations: Sequence[Interpretation], model: ProbabilityModel
 ) -> list[tuple[Interpretation, float]]:
-    """Rank a space by normalized ``P(Q | K)``, best first, deterministically."""
+    """Rank a space by normalized ``P(Q | K)``, best first, deterministically.
+
+    Equal probabilities are ordered by ``describe()``, which is rendered for
+    the tied interpretations only.
+    """
     weights = [model.interpretation_weight(i) for i in interpretations]
     probabilities = normalize(weights)
-    ranked = sorted(
-        zip(interpretations, probabilities),
-        key=lambda pair: (-pair[1], pair[0].describe()),
+    by_probability = sorted(
+        zip(interpretations, probabilities), key=lambda pair: -pair[1]
     )
+    ranked: list[tuple[Interpretation, float]] = []
+    for _probability, tied in groupby(by_probability, key=itemgetter(1)):
+        group = list(tied)
+        if len(group) > 1:
+            group.sort(key=lambda pair: pair[0].describe())
+        ranked.extend(group)
     return ranked

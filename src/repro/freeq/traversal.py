@@ -42,8 +42,8 @@ class BestFirstExplorer:
         self.query = query
         self.generator = generator
         self.model = model
-        self.keywords = generator.effective_keywords(query)
-        self._atom_map = {k: generator.keyword_atoms(k) for k in self.keywords}
+        self._atom_map = generator.atom_map(query)
+        self.keywords = list(self._atom_map)
         #: Partial interpretations popped from the heap — the work measure
         #: Fig. 5.5's response times scale with.
         self.pops = 0

@@ -16,9 +16,9 @@ Routes (:data:`ROUTES`):
   across transports (and to ``repro query``).
 * ``GET /healthz`` — liveness/readiness: ``200`` while serving, ``503``
   once draining (load balancers stop routing before the socket closes).
-* ``GET /stats`` — admission counters, the engine pool's size and the
+* ``GET /stats`` — admission counters, the engine pool's size, the
   aggregated per-request :class:`~repro.core.topk.TopKStatistics` work
-  counters, as JSON.
+  counters and the summed per-stage engine seconds, as JSON.
 
 Protocol error codes map onto HTTP statuses (:data:`STATUS_BY_ERROR`):
 ``malformed-request`` → 400, ``unknown-dataset`` → 404, ``timeout`` → 408,
@@ -477,6 +477,10 @@ class HTTPQueryServer:
                 "read_pool_leases": stats.engine_read_pool_leases,
                 "read_pool_waits": stats.engine_read_pool_waits,
                 "read_pool_peak_concurrency": stats.engine_read_pool_peak,
+            },
+            "stages": {
+                "requests": stats.requests_served,
+                "seconds": dict(stats.stage_seconds),
             },
         }
 

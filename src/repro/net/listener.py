@@ -108,6 +108,9 @@ class ListenerStats:
     engine_read_pool_leases: int = 0
     engine_read_pool_waits: int = 0
     engine_read_pool_peak: int = 0
+    #: Engine seconds per pipeline stage (``EngineContext.stage_timings``)
+    #: summed over served requests, in pipeline order.
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 class TCPQueryServer:
@@ -330,6 +333,9 @@ class TCPQueryServer:
             self.stats.engine_read_pool_peak = max(
                 self.stats.engine_read_pool_peak, pool.get("peak_concurrency", 0)
             )
+        stage_seconds = self.stats.stage_seconds
+        for stage, seconds in response.context.stage_timings.items():
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
         return protocol.ok_payload(dataset, request.query, k, response)
 
     # -- connection handling (the TCP line transport) ------------------------

@@ -495,6 +495,26 @@ class TestHTTPWireBehavior:
                 assert payload["engine"]["sql_statements"] >= 1
                 assert payload["engine_pool"]["pooled_engines"] == 1
                 assert payload["draining"] is False
+                # Per-stage engine seconds, summed over served requests.
+                stages = payload["stages"]
+                assert stages["requests"] == 1
+                assert list(stages["seconds"]) == [
+                    "segment", "generate", "rank", "execute"
+                ]
+                first = dict(stages["seconds"])
+                assert all(seconds >= 0.0 for seconds in first.values())
+                await ask(front, encode_query_request("hanks 2001", k=3))
+                _status, payload = await ask(front, get("/stats"))
+                assert payload["stages"]["requests"] == 2
+                assert all(
+                    payload["stages"]["seconds"][stage] >= first[stage]
+                    for stage in first
+                )
+                # The benchmark reads "engine"/"listener" as flat numbers.
+                for block in ("engine", "listener"):
+                    assert all(
+                        isinstance(value, int) for value in payload[block].values()
+                    )
 
         asyncio.run(drive())
 

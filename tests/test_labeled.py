@@ -94,3 +94,30 @@ class TestLabeledGenerator:
         gen = LabeledGenerator(base, labeled)
         # "hanks" never occurs in a company table here: keyword excluded.
         assert gen.effective_keywords(labeled.query) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        ["actor:hanks 2001", "movie.title:hanks 2001", "actor:hanks movie:london", "hanks 2001"],
+    )
+    def test_labeled_space_is_the_admitted_part_of_the_base_space(self, mini_db, text):
+        """Labels filter the base space; they never reorder or extend it."""
+        base = InterpretationGenerator(mini_db, max_template_joins=4)
+        labeled = parse_labeled(text)
+        gen = LabeledGenerator(base, labeled)
+        admitted = [
+            interp
+            for interp in base.interpretations(labeled.query)
+            if all(
+                label is None or label.admits(atom)
+                for atom, _slot in interp.assignment
+                for label in [labeled.label_of(atom.keyword)]
+            )
+        ]
+        assert admitted
+        assert gen.interpretations_for() == admitted
+
+    def test_shares_every_piece_of_base_state(self, mini_db):
+        base = InterpretationGenerator(mini_db, max_template_joins=2)
+        gen = LabeledGenerator(base, parse_labeled("actor:hanks"))
+        for name, value in vars(base).items():
+            assert getattr(gen, name) is value, name

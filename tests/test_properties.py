@@ -281,3 +281,208 @@ class TestHierarchyProperties:
         assert any(
             intended.matches(i) for i in h.complete_interpretations()
         ), "truthful pruning lost the intended interpretation"
+
+
+# -- interpretation enumeration vs. the brute-force oracle ------------------------
+
+
+def oracle_space(generator, query):
+    """Generate-and-test reference: every placement, built, then validated."""
+    from itertools import product
+
+    from repro.core.interpretation import Interpretation
+    from repro.core.keywords import KeywordQuery
+
+    atom_map = {}
+    for keyword in query.keywords:
+        atoms = generator.keyword_atoms(keyword)
+        if atoms:
+            atom_map[keyword] = atoms
+    if not atom_map:
+        return []
+    effective = KeywordQuery(keywords=tuple(atom_map), text=str(query))
+    space = []
+    for template in generator.templates:
+        per_keyword = [
+            [(atom, slot) for atom in atoms for slot in template.positions_of(atom.table)]
+            for atoms in atom_map.values()
+        ]
+        for combination in product(*per_keyword):
+            interpretation = Interpretation.build(effective, template, combination)
+            try:
+                interpretation.validate()
+            except ValueError:
+                continue
+            space.append(interpretation)
+            if len(space) >= generator.config.max_interpretations:
+                return space
+    return space
+
+
+def oracle_ranking(space, model, weight):
+    """Reference ranking: every ``describe()`` rendered, one composite sort key."""
+    probabilities = normalize([weight(model, i) for i in space])
+    return sorted(zip(space, probabilities), key=lambda pair: (-pair[1], pair[0].describe()))
+
+
+def product_weight(model, interpretation):
+    """Eq. 3.5 with the atoms re-sorted into canonical order."""
+    from repro.core.interpretation import atom_sort_key
+
+    weight = model.template_prior(interpretation.template)
+    for atom in sorted(interpretation.atoms, key=atom_sort_key):
+        weight *= model.atom_weight(atom, interpretation.template)
+    return weight
+
+
+def models_with_reference_weights(generator):
+    from repro.core.probability import (
+        ATFModel,
+        DivQModel,
+        TemplateCatalog,
+        TFIDFModel,
+        UniformModel,
+    )
+
+    index = generator.database.require_index()
+    logged = TemplateCatalog(generator.templates)
+    for n, template in enumerate(generator.templates[:5]):
+        logged.record_usage(template, count=n + 1)
+    return [
+        (UniformModel(), lambda model, interpretation: 1.0),
+        (ATFModel(index, TemplateCatalog(generator.templates)), product_weight),
+        (ATFModel(index, logged), product_weight),
+        (TFIDFModel(index, logged), product_weight),
+        # DivQ's joint-frequency formula is untouched; only its ranking moved.
+        (DivQModel(index, logged), lambda model, i: model.interpretation_weight(i)),
+    ]
+
+
+def assert_matches_oracle(generator, query):
+    from repro.core.probability import rank_interpretations
+
+    expected = oracle_space(generator, query)
+    assert generator.interpretations(query) == expected
+    for interpretation in expected:
+        interpretation.validate()
+    for model, weight in models_with_reference_weights(generator):
+        ranked = rank_interpretations(expected, model)
+        reference = oracle_ranking(expected, model, weight)
+        assert ranked == reference
+        assert [p.hex() for _i, p in ranked] == [p.hex() for _i, p in reference]
+
+
+VOCABULARY = ["ann", "bob", "cid", "dee"]
+TABLE_POOL = ["t0", "t1", "t2", "t3"]
+#: Query words: values, table names (metadata matches), operator words and a
+#: word nothing matches.
+QUERY_WORDS = VOCABULARY + TABLE_POOL + ["count", "number", "zzz"]
+
+
+@st.composite
+def small_generators(draw):
+    """A generator over a random 2-4 table schema with a handful of rows.
+
+    The tables form a chain, so four joins produce the palindromic self-join
+    templates; extra edges may repeat a pair of tables (several foreign keys:
+    one template per edge combination).
+    """
+    from repro.core.generator import GeneratorConfig, InterpretationGenerator
+    from repro.db.backends import create_backend
+    from repro.db.schema import Attribute, Schema, Table
+
+    tables = TABLE_POOL[: draw(st.integers(2, 4))]
+    schema = Schema()
+    for name in tables:
+        attributes = ["x", "y"][: draw(st.integers(1, 2))]
+        schema.add_table(Table(name, [Attribute(a) for a in attributes]))
+    pairs = [(a, b) for a in tables for b in tables if a < b]
+    chain = list(zip(tables, tables[1:]))
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    for n, (source, target) in enumerate(chain + extra):
+        schema.link(source, target, source_attr=f"fk{n}")
+    db = create_backend("memory", schema)
+    for name in tables:
+        rows = draw(
+            st.lists(
+                st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=2),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        for key, words in enumerate(rows, start=1):
+            row = {"id": key}
+            for attribute in schema.table(name).textual_attributes():
+                row[attribute.name] = " ".join(words)
+                words = words[::-1]
+            db.insert(name, row)
+    db.build_indexes()
+    config = GeneratorConfig(
+        max_interpretations=draw(st.sampled_from([1, 5, 20_000, 20_000, 20_000])),
+        max_atoms_per_keyword=draw(st.sampled_from([2, 16])),
+    )
+    return InterpretationGenerator(
+        db, config=config, max_template_joins=draw(st.sampled_from([1, 2, 4, 4]))
+    )
+
+
+@st.composite
+def keyword_queries(draw):
+    """1-4 keywords; positions are distinct but need not ascend."""
+    from repro.core.keywords import KeywordQuery
+
+    terms = draw(st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=4))
+    positions = draw(st.permutations(range(len(terms))))
+    return KeywordQuery(
+        keywords=tuple(Keyword(p, t) for p, t in zip(positions, terms)),
+        text=" ".join(terms),
+    )
+
+
+class TestEnumerationAgainstOracle:
+    """The pruning enumeration yields exactly what generate-and-test yields."""
+
+    @given(small_generators(), keyword_queries())
+    @settings(max_examples=120, deadline=None)
+    def test_generated_schemas(self, generator, query):
+        assert_matches_oracle(generator, query)
+
+    @given(small_generators(), keyword_queries(), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_enumeration_is_lazy_and_resumable(self, generator, query, taken):
+        """Pulling a prefix costs a prefix; the cap cuts the same list short."""
+        from itertools import islice
+
+        expected = oracle_space(generator, query)
+        assert list(islice(generator.enumerate(query), taken)) == expected[:taken]
+        assert generator.space_size(query) == len(expected)
+
+    def test_bundled_datasets(self, imdb_db, lyrics_db):
+        from repro.core.generator import InterpretationGenerator
+        from repro.core.keywords import KeywordQuery
+        from repro.datasets.workload import imdb_workload, lyrics_workload
+
+        extras = ["number hanks count", "london london", "movie 2001 zzz", "love love night"]
+        for db, workload in ((imdb_db, imdb_workload), (lyrics_db, lyrics_workload)):
+            generator = InterpretationGenerator(db, max_template_joins=4)
+            texts = [str(item.query) for item in workload(db, n_queries=25, seed=5)]
+            for text in texts + extras:
+                assert_matches_oracle(generator, KeywordQuery.parse(text))
+
+    def test_require_nonempty_filters_the_same_space(self, imdb_db):
+        from repro.core.generator import GeneratorConfig, InterpretationGenerator
+        from repro.core.keywords import KeywordQuery
+
+        query = KeywordQuery.parse("hanks 2001")
+        everything = InterpretationGenerator(imdb_db, max_template_joins=4)
+        nonempty = InterpretationGenerator(
+            imdb_db,
+            templates=everything.templates,
+            config=GeneratorConfig(require_nonempty=True, max_interpretations=3),
+        )
+        kept = [
+            i
+            for i in oracle_space(everything, query)
+            if i.to_structured_query().has_results(imdb_db)
+        ]
+        assert nonempty.interpretations(query) == kept[:3]
