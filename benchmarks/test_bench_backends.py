@@ -90,3 +90,65 @@ def test_bench_backends(benchmark, tmp_path):
             rows + [["sqlite (reopened)", "-", f"{reload_time * 1000:.1f}", f"{reopened_latency:.2f}"]],
         )
     )
+
+
+def test_sharded_scatter_statements_stay_linear(tmp_path):
+    """Counts, not timings: a join path costs ``slots × shards`` probes.
+
+    The 5-slot ``actor–acts–movie–acts–actor`` path at 3 shards used to hand
+    SQLite a join over all-shards unions, which its flattener distributes
+    into ``3 ** 4`` five-way joins per scatter member (a 726-node ``EXPLAIN
+    QUERY PLAN`` on bundled IMDB; thousands at IMDB x10).  The semi-join
+    chain is ``5 × 3`` single-table probes plus one five-way join over the
+    reduced relations; the bound below leaves room for a different SQLite's
+    node bookkeeping, none for anything exponential.  And a scatter slot
+    whose keys all route to one shard opens exactly one statement.
+    """
+    from repro.db.backends.sharded import shard_of_key
+
+    shards, slots = 3, 5
+    db = build_imdb(
+        **BUILD_KWARGS, backend="sqlite-sharded", shards=shards,
+        db_path=tmp_path / "imdb.sqlite",
+    )
+    reference = build_imdb(**BUILD_KWARGS, backend="sqlite")
+    by_target = {fk.target: fk for fk in db.schema.foreign_keys if fk.source == "acts"}
+    path = ["actor", "acts", "movie", "acts", "actor"]
+    edges = [by_target["actor"], by_target["movie"], by_target["movie"], by_target["actor"]]
+
+    # Name terms by the shards their actors route to: one that scatters to
+    # every shard, one whose keys all live on a single shard.
+    touched: dict[str, set[int]] = {}
+    for actor in reference.relation("actor"):
+        for term in actor.get("name").split():
+            touched.setdefault(term, set()).add(shard_of_key(actor.key, shards))
+    spread = next(term for term, on in touched.items() if len(on) == shards)
+    lone = next(term for term, on in touched.items() if len(on) == 1)
+
+    for term, expected in ((spread, shards), (lone, 1)):
+        selections = {0: [("name", (term,))]}
+        plan = db._prepare_plan(db.plan_path_spec(path, edges, selections, limit=10))
+        assert plan.scatter_position == 0
+        keys = db.selection_keys("actor", selections[0])
+        live = sorted({shard_of_key(key, shards) for key in keys})
+        assert len(live) == expected
+        for shard in live:
+            statement = db._shard_compilers()[shard].compile_path(
+                plan, project_order_keys=True
+            )
+            nodes = db._conn.execute(
+                "EXPLAIN QUERY PLAN " + statement.sql, statement.params
+            ).fetchall()
+            assert len(nodes) <= 6 * slots * shards, len(nodes)
+        spec = (path, edges, selections)
+        streamed = db.execute_paths_streamed([spec], limit=10)
+        rows = list(streamed.stream)
+        assert rows and rows == list(
+            reference.execute_paths_streamed([spec], limit=10).stream
+        )
+        # One statement (and reader lease, and prefetch thread) per shard
+        # holding a scatter key — the others never hear of the plan.
+        assert streamed.statements == expected
+        assert streamed.scatter_slots[0].endswith(f"→ {expected} of {shards} shards")
+    db.close()
+    reference.close()

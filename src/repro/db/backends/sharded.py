@@ -12,9 +12,14 @@ shard-layout record that makes mismatched reopens fail fast.
 Execution is **scatter-gather** over the shared planner/compiler layer
 (:mod:`repro.db.backends.sql`): every :class:`~repro.db.backends.sql.
 PathPlan` compiles once per shard under a :class:`~repro.db.backends.sql.
-ShardedSQLiteDialect` — the scatter slot (position 0) reads that shard's
-partition, every other slot joins an all-shards ``UNION ALL`` subselect, so
-the per-shard result streams are disjoint and their union is complete.  Each
+ShardedSQLiteDialect` — the plan's scatter slot reads that shard's partition
+only, so the per-shard result streams are disjoint and their union complete,
+and every other slot reaches all partitions through a linear semi-join chain
+(``WITH r<slot> AS MATERIALIZED``; soundness argument on :meth:`~repro.db.
+backends.sql.PlanCompiler.reduction_chain`).  Selection keys are routed by
+partition once per plan, so every probe binds only the keys its partition
+holds and a shard holding none of the scatter slot's keys gets no statement,
+reader lease or prefetch thread at all.  Each
 statement projects its ORDER BY keys, the gather step merges the streams
 under exactly those keys and truncates at the plan's limit, which keeps the
 rows, order and truncation byte-identical to the unsharded backend (pinned
@@ -38,12 +43,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import queue
+import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.db.backends import sql as sqlc
 from repro.db.backends.base import StreamedExecution, normalize_value
@@ -65,6 +71,9 @@ from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 
 #: The hidden per-partition column carrying the store-global insertion order.
 ROWSEQ_COLUMN = "_rowseq"
+
+#: Scatter statements use ``WITH ... AS MATERIALIZED`` (SQLite 3.35, 2021).
+MIN_SQLITE_VERSION = (3, 35, 0)
 
 
 class _EndOfStream:
@@ -233,6 +242,12 @@ class ShardedSQLiteBackend(SQLiteBackend):
         shards = self.DEFAULT_SHARDS if shards is None else shards
         if shards < 1:
             raise ValueError("shards must be positive")
+        if sqlite3.sqlite_version_info < MIN_SQLITE_VERSION:
+            required = ".".join(map(str, MIN_SQLITE_VERSION))
+            raise DatabaseError(
+                f"the 'sqlite-sharded' backend needs SQLite >= {required} "
+                f"(AS MATERIALIZED); this Python links {sqlite3.sqlite_version}"
+            )
         self.shards = shards
         self._shard_compilers_cache: list[PlanCompiler] | None = None
         self._scatter_pool_instance: ThreadPoolExecutor | None = None
@@ -355,8 +370,16 @@ class ShardedSQLiteBackend(SQLiteBackend):
 
     # -- scatter-gather execution --------------------------------------------
 
-    def _statements_per_plan(self) -> int:
-        return self.shards
+    def _statements_per_plan(self, plans: Sequence[PathPlan]) -> int:
+        return len(self._live_shards(plans))
+
+    def _live_shards(self, plans: Sequence[PathPlan]) -> list[int]:
+        """The shards where routing leaves some plan's scatter slot a key."""
+        return [
+            shard
+            for shard in range(self.shards)
+            if any(plan.scatters_to(shard) for plan in plans)
+        ]
 
     def _shard_compilers(self) -> list[PlanCompiler]:
         """One compiler per scatter member, each under its shard's dialect."""
@@ -473,24 +496,32 @@ class ShardedSQLiteBackend(SQLiteBackend):
             return self._scatter_pool_instance
 
     def _prepare_plan(self, plan: PathPlan) -> PathPlan:
-        """Pick the most selective partitioned slot as the scatter position.
+        """Route the plan's keys and pick its most selective scatter slot.
 
-        The scatter slot reads one partition per member (probes can use the
-        per-partition indexes directly); every other slot joins an all-shards
-        union subselect SQLite cannot always push probes into.  Any slot is
-        *correct* — each result network has exactly one tuple per slot, so
-        per-shard streams stay disjoint and complete under any choice, and
-        the ORDER BY terms never change — so the chooser minimizes the
-        slot's estimated *post-filter* cardinality: a slot whose selections
-        resolved to a primary-key set costs ``len(keys)`` however large its
-        relation (the signal PR 5 flagged as better than raw row counts),
-        and unfiltered slots fall back to catalog row counts, then to a
+        Routing — :func:`shard_of_key` over every inline key set, once per
+        plan — lets each scatter member bind only the keys its partitions
+        hold, and spares a shard without any scatter-slot key its statement.
+        The scatter slot reads one partition per member and seeds the
+        member's semi-join chain, which bounds every other slot's reduced
+        relation by the join fan-out from it.  Any slot is *correct* — each
+        result network has exactly one tuple per slot, so per-shard streams
+        stay disjoint and complete under any choice, and the ORDER BY terms
+        never change — so the chooser minimizes the slot's estimated
+        *post-filter* cardinality: a slot whose selections resolved to a
+        primary-key set costs ``len(keys)`` however large its relation, and
+        unfiltered slots fall back to catalog row counts, then to a
         ``COUNT(*)``.  Ties keep the lowest position, i.e. the historical
-        slot-0 default.  With ``cost_planning`` off the raw-row-count
-        chooser of PR 5 is kept bit-for-bit — the control arm the planner
-        benchmarks compare against.
+        slot-0 default.  With ``cost_planning`` off the raw-row-count chooser
+        of PR 5 is kept bit-for-bit — the planner benchmarks' control arm.
         """
         plan = super()._prepare_plan(plan)  # annotate estimate, reorder joins
+        routed = []
+        for position, keys in plan.inline_filters:
+            keys_by_shard: list[list[Any]] = [[] for _ in range(self.shards)]
+            for key in keys:  # repr-sorted, so every partition's share is too
+                keys_by_shard[shard_of_key(key, self.shards)].append(key)
+            routed.append((position, tuple(map(tuple, keys_by_shard))))
+        plan = replace(plan, shard_filters=tuple(routed))
         if len(plan.path) < 2:
             return plan
         if self.cost_planning:
@@ -522,7 +553,10 @@ class ShardedSQLiteBackend(SQLiteBackend):
             detail = f"{len(keys)} selection keys"
         else:
             detail = f"{self._table_count(table)} rows"
-        label = f"t{slot} ({table}, {detail})"
+        label = (
+            f"t{slot} ({table}, {detail}) → "
+            f"{len(self._live_shards([plan]))} of {self.shards} shards"
+        )
         if slot != 0 and self.cost_planning:
             label += " [cost-chosen over default t0]"
         return label
@@ -551,21 +585,22 @@ class ShardedSQLiteBackend(SQLiteBackend):
         bit-for-bit and the merge can truncate at the plan's limit instead
         of sorting everything first.
         """
+        live = self._live_shards([plan])
         compilers = self._shard_compilers()
         statements = [
             compilers[shard].compile_path(plan, project_order_keys=True)
-            for shard in range(self.shards)
+            for shard in live
         ]
         per_shard = self._scatter(statements)
         relations = [self.relation(name) for name in plan.path]
         width = len(plan.path)
         results: list[tuple[Tuple, ...]] = []
-        for _key, shard, row in merge_shard_streams(per_shard, width):
+        for _key, stream, row in merge_shard_streams(per_shard, width):
             network = self._decode_network(relations, row, offset=width)
             if not plan.keeps(network):
                 continue
             if shard_rows is not None:
-                shard_rows[shard] = shard_rows.get(shard, 0) + 1
+                shard_rows[live[stream]] = shard_rows.get(live[stream], 0) + 1
             results.append(network)
             if plan.limit is not None and len(results) >= plan.limit:
                 break
@@ -584,10 +619,9 @@ class ShardedSQLiteBackend(SQLiteBackend):
         ORDER BY — and re-applies each spec's limit (a per-shard LIMIT is
         only an upper bound on the merged stream).
         """
+        live = self._live_shards([plan for _index, plan in members])
         compilers = self._shard_compilers()
-        statements = [
-            compilers[shard].compile_union(members) for shard in range(self.shards)
-        ]
+        statements = [compilers[shard].compile_union(members) for shard in live]
         ord_width, _data_width = self.compiler.union_widths(members)
         per_shard = self._scatter(statements)
         member_relations = {
@@ -598,7 +632,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
         grouped: dict[int, list[tuple[Tuple, ...]]] = {
             index: [] for index, _plan in members
         }
-        for _key, shard, row in merge_shard_streams(per_shard, 1 + ord_width):
+        for _key, stream, row in merge_shard_streams(per_shard, 1 + ord_width):
             index = row[0]
             if limits[index] is not None and len(grouped[index]) >= limits[index]:
                 continue
@@ -608,7 +642,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
                 )
             )
             if shard_rows is not None:
-                shard_rows[shard] = shard_rows.get(shard, 0) + 1
+                shard_rows[live[stream]] = shard_rows.get(live[stream], 0) + 1
         return grouped
 
     # -- streamed scatter-gather ---------------------------------------------
@@ -761,22 +795,23 @@ class ShardedSQLiteBackend(SQLiteBackend):
         self, plan: PathPlan, execution: StreamedExecution
     ) -> "Iterator[tuple[Tuple, ...]]":
         """One plan as a lazy k-way merge over per-shard cursor streams."""
+        live = self._live_shards([plan])
         compilers = self._shard_compilers()
         statements = [
             compilers[shard].compile_path(plan, project_order_keys=True)
-            for shard in range(self.shards)
+            for shard in live
         ]
-        execution.statements += self.shards
+        execution.statements += len(statements)
         relations = [self.relation(name) for name in plan.path]
         width = len(plan.path)
         with self._shard_stream_sources(statements, execution) as sources:
             produced = 0
-            for _key, shard, row in merge_shard_streams(sources, width):
+            for _key, stream, row in merge_shard_streams(sources, width):
                 network = self._decode_network(relations, row, offset=width)
                 if not plan.keeps(network):
                     continue
-                execution.shard_rows[shard] = (
-                    execution.shard_rows.get(shard, 0) + 1
+                execution.shard_rows[live[stream]] = (
+                    execution.shard_rows.get(live[stream], 0) + 1
                 )
                 yield network
                 produced += 1
@@ -787,12 +822,11 @@ class ShardedSQLiteBackend(SQLiteBackend):
         self, members: list[tuple[int, PathPlan]], execution: StreamedExecution
     ) -> "Iterator[tuple[int, tuple]]":
         """The tagged UNION ALL as a lazy merge of per-shard cursor streams."""
+        live = self._live_shards([plan for _index, plan in members])
         compilers = self._shard_compilers()
-        statements = [
-            compilers[shard].compile_union(members) for shard in range(self.shards)
-        ]
+        statements = [compilers[shard].compile_union(members) for shard in live]
         ord_width, _data_width = self.compiler.union_widths(members)
-        execution.statements += self.shards
+        execution.statements += len(statements)
         member_relations = {
             index: [self.relation(name) for name in plan.path]
             for index, plan in members
@@ -800,7 +834,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
         limits = {index: plan.limit for index, plan in members}
         counts = {index: 0 for index, _plan in members}
         with self._shard_stream_sources(statements, execution) as sources:
-            for _key, shard, row in merge_shard_streams(sources, 1 + ord_width):
+            for _key, stream, row in merge_shard_streams(sources, 1 + ord_width):
                 index = row[0]
                 if limits[index] is not None and counts[index] >= limits[index]:
                     continue  # per-shard LIMIT overshoot beyond the true cap
@@ -808,8 +842,8 @@ class ShardedSQLiteBackend(SQLiteBackend):
                     member_relations[index], row, offset=1 + ord_width
                 )
                 counts[index] += 1
-                execution.shard_rows[shard] = (
-                    execution.shard_rows.get(shard, 0) + 1
+                execution.shard_rows[live[stream]] = (
+                    execution.shard_rows.get(live[stream], 0) + 1
                 )
                 yield index, network
 

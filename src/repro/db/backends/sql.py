@@ -15,8 +15,9 @@ string building inside each backend:
    :class:`CompiledStatement` (SQL text + bound parameters).  All physical
    naming goes through a :class:`SQLiteDialect`, so the same compiler emits
    plain single-file statements and per-shard member statements
-   (:class:`ShardedSQLiteDialect` rewrites table sources and insertion-order
-   terms) without the plans changing.
+   (:class:`ShardedSQLiteDialect` names partitions and insertion-order
+   terms; multi-slot plans become a semi-join reduction chain, see
+   :meth:`PlanCompiler.reduction_chain`) without the plans changing.
 3. **Execution** stays in the backend: it owns connections, decodes result
    rows and applies the plan's post filters.
 
@@ -87,7 +88,9 @@ class PathPlan:
     ``tests/test_plan_rewrites``).  ``estimated_rows`` is the cost model's
     calibrated cardinality estimate (``None`` when statistics are missing or
     cost planning is off) — an annotation for sizing and ``--explain``,
-    never a semantic input.
+    never a semantic input.  ``shard_filters`` is the third physical hint:
+    the inline key sets as ``(position, per-shard keys)``, routed once per
+    plan by a partitioning backend (``None``: never routed).
     """
 
     path: tuple[str, ...]
@@ -98,6 +101,7 @@ class PathPlan:
     scatter_position: int = 0
     join_order: tuple[int, ...] | None = None
     estimated_rows: float | None = None
+    shard_filters: tuple[tuple[int, tuple[tuple[Any, ...], ...]], ...] | None = None
 
     @property
     def filtered_positions(self) -> frozenset[int]:
@@ -110,6 +114,14 @@ class PathPlan:
     def sql_limit(self) -> int | None:
         """The LIMIT the statement may carry (None when post-filtering)."""
         return self.limit if not self.post_filters else None
+
+    def scatters_to(self, shard: int) -> bool:
+        """False when routing proves the scatter slot holds no key in ``shard``
+        (that scatter member is empty and needs no statement)."""
+        for position, keys_by_shard in self.shard_filters or ():
+            if position == self.scatter_position:
+                return bool(keys_by_shard[shard])
+        return True
 
     def keeps(self, network: Sequence) -> bool:
         """Apply the post filters to one decoded result network."""
@@ -430,18 +442,17 @@ class SQLiteDialect:
     def quote(self, identifier: str) -> str:
         return quote_identifier(identifier)
 
-    def table_source(
-        self,
-        table_name: str,
-        position: int | None = None,
-        scatter_position: int | None = None,
-    ) -> str:
+    #: Partition count and the partition this dialect's statements scatter
+    #: to (``None``: one unpartitioned store, plans join their tables directly).
+    shards: int | None = None
+    scatter_shard: int | None = None
+
+    def table_source(self, table_name: str, position: int | None = None) -> str:
         """The FROM/JOIN source of a logical table.
 
         ``position`` is the join slot (``None`` for relation-level CRUD);
-        the sharded dialect resolves the scatter slot — ``scatter_position``
-        when the plan carries one, its own default otherwise — to one
-        partition and every other slot to an all-shards union.
+        the sharded dialect resolves a slot to its scatter shard's partition
+        and a relation-level scan to the all-shards union.
         """
         return self.quote(table_name)
 
@@ -458,21 +469,19 @@ class ShardedSQLiteDialect(SQLiteDialect):
     """One shard's view of a hash-partitioned store.
 
     Every logical table is partitioned across ``shards`` attached databases
-    (``shard0.. shardN-1``).  A statement compiled under this dialect is the
-    *scatter member* of shard ``scatter_shard``: the scatter slot (position
-    0 — every result network has its base tuple in exactly one partition, so
-    the per-shard results are disjoint and complete) reads that shard's
-    partition directly, while every other slot joins against an all-shards
-    ``UNION ALL`` subselect.  Insertion order comes from the explicit
-    ``_rowseq`` column partitions carry (a view over attached files has no
-    usable ``rowid``), which preserves the unsharded backend's global
-    insertion order exactly.
+    (``shard0.. shardN-1``).  A join plan compiled under this dialect is the
+    *scatter member* of shard ``scatter_shard``: the plan's scatter slot reads
+    that shard's partition only — every result network has exactly one tuple
+    there, in exactly one partition, so the members' results are disjoint and
+    complete — and every other slot reads all partitions through the
+    semi-join chain of :meth:`PlanCompiler.reduction_chain`; the all-shards
+    ``UNION ALL`` subselect serves relation-level scans only.  Insertion
+    order comes from the explicit ``_rowseq`` column partitions carry (a view
+    over attached files has no usable ``rowid``), which preserves the
+    unsharded backend's global insertion order exactly.
     """
 
     name = "sqlite-sharded"
-
-    #: The join slot that scatters across partitions.
-    scatter_position = 0
 
     def __init__(self, shards: int, scatter_shard: int | None = None):
         if shards < 1:
@@ -496,16 +505,10 @@ class ShardedSQLiteDialect(SQLiteDialect):
         )
         return f"({arms})"
 
-    def table_source(
-        self,
-        table_name: str,
-        position: int | None = None,
-        scatter_position: int | None = None,
-    ) -> str:
-        target = self.scatter_position if scatter_position is None else scatter_position
-        if position == target and self.scatter_shard is not None:
-            return self.partition_source(table_name, self.scatter_shard)
-        return self.union_source(table_name)
+    def table_source(self, table_name: str, position: int | None = None) -> str:
+        if position is None or self.scatter_shard is None:
+            return self.union_source(table_name)
+        return self.partition_source(table_name, self.scatter_shard)
 
     def insertion_order_term(self, alias: str, table_name: str) -> str:
         return f'{alias}.{self.quote("_rowseq")}'
@@ -531,16 +534,23 @@ class PlanCompiler:
 
     # -- join-path pieces ----------------------------------------------------
 
-    def join_lines(self, plan: PathPlan) -> list[str]:
+    def join_lines(
+        self, plan: PathPlan, sources: Sequence[str] | None = None
+    ) -> list[str]:
         """``FROM``/``JOIN`` clauses of one join path (aliases ``t0..tN``).
 
         Aliases always name the plan's *slot* (``t{i}`` = ``plan.path[i]``),
         so projection, predicates and ORDER BY never care about the physical
         introduction order: a ``plan.join_order`` only permutes which slot
         anchors the FROM clause and which FK edge each JOIN line consumes.
+        ``sources`` overrides the per-slot table sources (the reduction
+        chain's ``r<slot>`` relations).
         """
         dialect = self.dialect
-        scatter = plan.scatter_position
+        if sources is None:
+            sources = [
+                dialect.table_source(name, slot) for slot, name in enumerate(plan.path)
+            ]
         order = plan.join_order or tuple(range(len(plan.path)))
         if sorted(order) != list(range(len(plan.path))):
             raise ValueError(
@@ -548,10 +558,7 @@ class PlanCompiler:
                 f"{len(plan.path)} join slots"
             )
         first = order[0]
-        lines = [
-            f"FROM {dialect.table_source(plan.path[first], first, scatter)} "
-            f"AS t{first}"
-        ]
+        lines = [f"FROM {sources[first]} AS t{first}"]
         introduced = {first}
         for slot in order[1:]:
             if slot - 1 in introduced:
@@ -566,13 +573,92 @@ class PlanCompiler:
                 plan.edges[min(slot, anchor)], plan.path[anchor], plan.path[slot]
             )
             lines.append(
-                f"JOIN {dialect.table_source(plan.path[slot], slot, scatter)} "
-                f"AS t{slot} "
+                f"JOIN {sources[slot]} AS t{slot} "
                 f"ON t{anchor}.{dialect.quote(bound_attr)} "
                 f"= t{slot}.{dialect.quote(probe_attr)}"
             )
             introduced.add(slot)
         return lines
+
+    def reduction_chain(self, plan: PathPlan) -> tuple[list[str], list[Any]]:
+        """``WITH`` entries + parameters reducing every slot of a scatter member.
+
+        ``r<slot>`` holds the rows of ``slot`` that can still be part of one
+        of this member's result networks.  The chain starts at the scatter
+        slot — one partition, filtered by the keys routed to it — and walks
+        outward: every later slot is the ``UNION ALL`` of its partitions, each
+        arm an indexed probe ``probe IN (SELECT bound FROM r<anchor>)`` against
+        its already-reduced neighbour, restricted to the inline keys that
+        partition holds (arms holding none disappear).  Sound by induction
+        from the scatter slot: a network's tuple there is in the first
+        relation, and each further tuple joins its neighbour and passes its
+        own key filter, so it survives its semi-join; the final join over the
+        ``r``-relations re-applies every FK predicate, so the statement
+        returns exactly the plan's rows — from ``slots × shards`` single-table
+        probes where a join against all-shards unions is distributed by
+        SQLite's flattener over ``shards ** slots`` join arms.
+        """
+        dialect = self.dialect
+        if plan.shard_filters is None:
+            raise ValueError("scatter members compile routed plans (shard_filters)")
+        routed = dict(plan.shard_filters)
+        scatter = plan.scatter_position
+        entries: list[str] = []
+        params: list[Any] = []
+        for slot in [*range(scatter, len(plan.path)), *range(scatter - 1, -1, -1)]:
+            table_name = plan.path[slot]
+            if slot == scatter:
+                partitions: Iterable[int] = [dialect.scatter_shard]
+                semi_join = []
+            else:
+                partitions = range(dialect.shards)
+                anchor = slot - 1 if slot > scatter else slot + 1
+                bound_attr, probe_attr = _edge_attrs(
+                    plan.edges[min(slot, anchor)], plan.path[anchor], table_name
+                )
+                semi_join = [
+                    f"{dialect.quote(probe_attr)} IN "
+                    f"(SELECT {dialect.quote(bound_attr)} FROM r{anchor})"
+                ]
+            pk = dialect.quote(self.primary_key(table_name))
+            arms: list[str] = []
+            for shard in partitions:
+                predicates = list(semi_join)
+                if slot in routed:
+                    keys = routed[slot][shard]
+                    if not keys:
+                        continue  # none of the slot's keys lives in this partition
+                    predicates.append(f"{pk} IN ({', '.join('?' for _ in keys)})")
+                    params.extend(keys)
+                arm = f"SELECT * FROM {dialect.partition_source(table_name, shard)}"
+                if predicates:
+                    arm += " WHERE " + " AND ".join(predicates)
+                arms.append(arm)
+            entries.append(
+                f"r{slot} AS MATERIALIZED (\n" + "\nUNION ALL\n".join(arms) + "\n)"
+            )
+        return entries, params
+
+    def select_lines(
+        self, plan: PathPlan, select_list: Sequence[str]
+    ) -> tuple[list[str], list[Any]]:
+        """``[WITH …] SELECT … FROM … JOIN … [WHERE …]`` of one plan + parameters.
+
+        Unpartitioned and single-slot plans join their tables directly under
+        the inline key predicates; a partitioned multi-slot plan joins its
+        reduction chain, whose entries already applied them.
+        """
+        select = "SELECT " + ", ".join(select_list)
+        if self.dialect.shards is not None and len(plan.path) > 1:
+            entries, params = self.reduction_chain(plan)
+            sources = [f"r{slot}" for slot in range(len(plan.path))]
+            chain = "WITH " + ",\n".join(entries)
+            return [chain, select, *self.join_lines(plan, sources)], params
+        lines = [select, *self.join_lines(plan)]
+        predicates, params = self.inline_predicates(plan)
+        if predicates:
+            lines.append("WHERE " + " AND ".join(predicates))
+        return lines, params
 
     def inline_predicates(self, plan: PathPlan) -> tuple[list[str], list[Any]]:
         """``pk IN (...)`` predicates + bound parameters per filtered slot."""
@@ -630,11 +716,7 @@ class PlanCompiler:
                 f"t{i}.{self.dialect.quote(column)}"
                 for column in self.columns(table_name)
             )
-        lines = ["SELECT " + ", ".join(select_list)]
-        lines.extend(self.join_lines(plan))
-        predicates, params = self.inline_predicates(plan)
-        if predicates:
-            lines.append("WHERE " + " AND ".join(predicates))
+        lines, params = self.select_lines(plan, select_list)
         lines.append("ORDER BY " + ", ".join(order_terms))
         if plan.sql_limit is not None:
             lines.append("LIMIT ?")
@@ -662,9 +744,12 @@ class PlanCompiler:
         sequential per-path statement.
         """
         ord_width, data_width = self.union_widths(members)
+        shard = self.dialect.scatter_shard
         params: list[Any] = []
         selects: list[str] = []
         for index, plan in members:
+            if shard is not None and not plan.scatters_to(shard):
+                continue  # this member's scatter slot is empty on this shard
             order_terms = self.order_terms(plan)
             select_list = [f"{index} AS __b"]
             select_list.extend(
@@ -681,18 +766,17 @@ class PlanCompiler:
                 )
                 columns += len(names)
             select_list.extend("NULL" for _ in range(columns, data_width))
-            lines = ["SELECT " + ", ".join(select_list)]
-            lines.extend(self.join_lines(plan))
-            predicates, member_params = self.inline_predicates(plan)
+            lines, member_params = self.select_lines(plan, select_list)
             params.extend(member_params)
-            if predicates:
-                lines.append("WHERE " + " AND ".join(predicates))
             if plan.sql_limit is not None:
                 # The per-spec top-k cap must truncate in this member's own
                 # order, inside the member (a compound LIMIT would be global).
                 lines.append("ORDER BY " + ", ".join(order_terms))
                 lines.append("LIMIT ?")
                 params.append(plan.sql_limit)
+            if plan.sql_limit is not None or lines[0].startswith("WITH "):
+                # Neither a LIMIT nor a WITH clause may sit bare in a
+                # compound-select arm: scope them in a subselect.
                 selects.append("SELECT * FROM (\n" + "\n".join(lines) + "\n)")
             else:
                 selects.append("\n".join(lines))

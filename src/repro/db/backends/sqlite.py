@@ -1337,8 +1337,8 @@ class SQLiteBackend(StorageBackend):
 
     supports_batched_execution = True
 
-    def _statements_per_plan(self) -> int:
-        """Physical statements one plan (or shared union) costs to run."""
+    def _statements_per_plan(self, plans: Sequence[PathPlan]) -> int:
+        """Physical statements one plan (or one union of plans) costs to run."""
         return 1
 
     def execute_paths_batched(
@@ -1370,11 +1370,11 @@ class SQLiteBackend(StorageBackend):
         )
         for index, solo_plan in solo:
             rows_per_spec[index] = self._run_plan(solo_plan, shard_rows)
-            statements += self._statements_per_plan()
+            statements += self._statements_per_plan([solo_plan])
         if members:
             for index, rows in self._run_union(members, shard_rows).items():
                 rows_per_spec[index] = rows
-            statements += self._statements_per_plan()
+            statements += self._statements_per_plan([plan for _index, plan in members])
         return BatchedExecution(
             rows=[rows if rows is not None else [] for rows in rows_per_spec],
             statements=statements,
@@ -1597,7 +1597,7 @@ class SQLiteBackend(StorageBackend):
         """
         statement = self.compiler.compile_path(plan)
         relations = [self.relation(name) for name in plan.path]
-        execution.statements += self._statements_per_plan()
+        execution.statements += 1
         produced = 0
         with self._lease_read_connection() as conn:
             rows = self._iter_cursor(conn, statement, execution)
@@ -1628,7 +1628,7 @@ class SQLiteBackend(StorageBackend):
             index: [self.relation(name) for name in plan.path]
             for index, plan in members
         }
-        execution.statements += self._statements_per_plan()
+        execution.statements += 1
         with self._lease_read_connection() as conn:
             rows = self._iter_cursor(conn, statement, execution)
             try:

@@ -486,3 +486,137 @@ class TestEnumerationAgainstOracle:
             if i.to_structured_query().has_results(imdb_db)
         ]
         assert nonempty.interpretations(query) == kept[:3]
+
+
+# -- sharded scatter statements vs sqlite vs memory ---------------------------
+#
+# Generated stores and join paths: the sharded backend's semi-join chain, its
+# key routing and its shard pruning must return the rows of the single-file
+# backend and of the in-memory nested loop, in their order, for every scatter
+# slot.  Nothing here may depend on PYTHONHASHSEED (routing is a SHA-256 of
+# the key's repr) — CI runs this class under seeds 0, 1 and 2.
+
+CHAIN_TABLES = ["a", "l", "m", "n"]
+#: Primary keys, pairwise distinct under Python ``==`` and under SQLite's
+#: comparison alike: ints, integral floats, strings (``"3"`` is not ``3``).
+KEY_POOL = [1, 2, 3.0, 4, 5.0, "a", "b", "3"]
+
+
+def other_form(key):
+    """The same key as SQLite sees it, spelled differently (``3`` / ``3.0``)."""
+    if isinstance(key, float):
+        return int(key)
+    return float(key) if isinstance(key, int) else key
+
+
+@st.composite
+def chain_stores(draw):
+    """``(schema, inserts)``: 2-4 tables in a chain, each FK pointing either way."""
+    from repro.db.schema import Attribute, Schema, Table
+
+    tables = CHAIN_TABLES[: draw(st.integers(2, 4))]
+    schema = Schema()
+    for name in tables:
+        schema.add_table(Table(name, [Attribute("x")]))
+    for left, right in zip(tables, tables[1:]):
+        source, target = draw(st.sampled_from([(left, right), (right, left)]))
+        schema.link(source, target)
+    keys = {
+        name: draw(
+            st.lists(st.sampled_from(KEY_POOL), unique=True, min_size=2, max_size=7)
+        )
+        for name in tables
+    }
+    words = st.lists(st.sampled_from(VOCABULARY[:3]), min_size=1, max_size=2)
+    inserts = []
+    for name in tables:
+        for key in keys[name]:
+            row = {"id": key, "x": " ".join(draw(words))}
+            for fk in schema.foreign_keys:
+                if fk.source == name:
+                    targets = keys[fk.target]  # mostly live, in either spelling
+                    row[fk.source_attr] = draw(
+                        st.sampled_from(
+                            [None, 99, "zz", *targets * 2, *map(other_form, targets)]
+                        )
+                    )
+            inserts.append((name, row))
+    return schema, draw(st.permutations(inserts))
+
+
+@st.composite
+def chain_specs(draw, schema):
+    """1-3 join paths of 1-5 slots: walks over the chain that may turn back
+    (``a–l–m–l–a``), each slot unfiltered, filtered or provably empty."""
+    tables = list(schema.table_names)
+    specs = []
+    for _spec in range(draw(st.sampled_from([2, 1, 3]))):
+        at = draw(st.integers(0, len(tables) - 1))
+        path, edges = [tables[at]], []
+        for _hop in range(draw(st.sampled_from([4, 2, 3, 1, 0]))):
+            step = draw(st.sampled_from([s for s in (-1, 1) if 0 <= at + s < len(tables)]))
+            edges.append(schema.join_edges(tables[at], tables[at + step])[0])
+            at += step
+            path.append(tables[at])
+        selections = {}
+        for position in range(len(path)):
+            terms = draw(
+                st.sampled_from([None] * 4 + [("ann",), ("bob",), ("cid",), ("zzz",)])
+            )
+            if terms is not None:
+                selections[position] = [("x", terms)]
+        specs.append((path, edges, selections))
+    return specs
+
+
+def _network_reprs(networks):
+    """Rows as text: ``3`` and ``3.0`` compare equal but must not be swapped."""
+    return [[(t.table, repr(t.key), repr(t.values)) for t in network] for network in networks]
+
+
+class TestShardedChainAgainstOracles:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_stores(self, data):
+        from dataclasses import replace
+
+        from repro.db.backends import create_backend
+
+        schema, inserts = data.draw(chain_stores())
+        shards = data.draw(st.sampled_from([3, 2, 4, 1]))
+        stores = [
+            create_backend("memory", schema),
+            create_backend("sqlite", schema),
+            create_backend("sqlite-sharded", schema, shards=shards),
+        ]
+        try:
+            for db in stores:
+                for name, row in inserts:
+                    db.insert(name, dict(row))
+                db.build_indexes()
+            memory, _sqlite, sharded = stores
+            specs = data.draw(chain_specs(schema))
+            limit = data.draw(st.sampled_from([None, 3, 1, None, 0]))
+            # Every slot takes its turn as the scatter position, not only the
+            # one the cost model would pick.
+            forced = data.draw(st.integers(0, 4))
+            prepare = sharded._prepare_plan
+            sharded._prepare_plan = lambda plan: replace(
+                prepare(plan), scatter_position=min(forced, len(plan.path) - 1)
+            )
+            expected = [
+                _network_reprs(memory.execute_path(*spec, limit=limit)) for spec in specs
+            ]
+            for db in stores:
+                batched = db.execute_paths_batched(specs, limit=limit)
+                assert [_network_reprs(rows) for rows in batched.rows] == expected
+                with db.execute_paths_streamed(specs, limit=limit).stream as stream:
+                    streamed = [[] for _spec in specs]
+                    for index, network in stream:
+                        streamed[index].append(network)
+                assert [_network_reprs(rows) for rows in streamed] == expected
+                for spec, rows in zip(specs, expected):  # every plan solo as well
+                    assert _network_reprs(db.execute_path(*spec, limit=limit)) == rows
+        finally:
+            for db in stores:
+                db.close()

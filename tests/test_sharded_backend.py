@@ -39,6 +39,11 @@ def _mini_specs(db, query_text):
     return [interp.to_structured_query().path_spec() for interp, _p in ranked]
 
 
+def _prepared_plans(db, specs, limit):
+    """``(solo plans, union members)`` exactly as execution would plan them."""
+    return db._plan_specs(specs, [None] * len(specs), {}, {}, {}, {}, limit)
+
+
 class TestShardedRelations:
     """Relation-level reads over partitions match the unsharded backend."""
 
@@ -141,8 +146,14 @@ class TestShardedExecution:
         reference = ref.execute_paths_batched(specs, limit=10)
         assert batched.rows == reference.rows
         assert batched.fallbacks.keys() == reference.fallbacks.keys()
-        # Every fallback spec scatters too: shards statements per spec.
-        assert batched.statements == reference.statements * db.shards
+        # Every fallback spec scatters too: one statement per shard its
+        # scatter slot's keys route to (the label names that count).
+        touched = sum(
+            int(label.split("→ ")[1].split(" of ")[0])
+            for label in batched.scatter_slots.values()
+        )
+        assert reference.statements < touched <= reference.statements * db.shards
+        assert batched.statements == touched
 
     def test_provably_empty_spec_costs_no_statement(self):
         db = build_mini_db("sqlite-sharded")
@@ -152,6 +163,73 @@ class TestShardedExecution:
         batched = db.execute_paths_batched([empty_spec], limit=10)
         assert batched.rows == [[]]
         assert batched.statements == 0
+
+
+class TestJoinCompilation:
+    """What scatter members compile to — and what the unsharded dialect
+    keeps compiling to."""
+
+    def test_no_join_slot_reads_an_all_shards_union(self):
+        db = build_mini_db("sqlite-sharded")
+        union = db.dialect.union_source("acts")
+        checked = 0
+        for query_text in ("hanks 2001", "london"):
+            specs = _mini_specs(db, query_text)
+            solo, members = _prepared_plans(db, specs, 10)
+            for compiler in db._shard_compilers():
+                shard = compiler.dialect.scatter_shard
+                statements = [
+                    compiler.compile_path(plan, project_order_keys=True)
+                    for _index, plan in [*solo, *members]
+                    if plan.scatters_to(shard)
+                ]
+                if any(plan.scatters_to(shard) for _index, plan in members):
+                    statements.append(compiler.compile_union(members))
+                for statement in statements:
+                    assert union not in statement.sql
+                    assert statement.sql.count("?") == len(statement.params)
+                    checked += " AS MATERIALIZED (" in statement.sql
+        assert checked >= 4  # chains were compiled, solo and inside unions
+        # Relation-level scans are what the union is still for.
+        assert union in db.relation("acts")._scan_sql
+
+    def test_unrouted_plans_are_rejected(self):
+        db = build_mini_db("sqlite-sharded")
+        path, edges, selections = _mini_specs(db, "hanks 2001")[0]
+        plan = db.plan_path_spec(path, edges, selections)  # never prepared
+        assert len(plan.path) > 1
+        with pytest.raises(ValueError, match="routed plans"):
+            db._run_plan(plan)
+
+    def test_unsharded_sql_is_byte_identical_to_pr12(self):
+        """Every statement ``SQLiteDialect`` compiles over the bundled IMDB
+        workload — each plan solo, each batch as its UNION ALL — hashes to
+        the digest recorded at the parent commit: the sharded rewrite
+        touched nothing the single-file backend executes."""
+        import hashlib
+
+        from repro.datasets.workload import imdb_workload
+
+        db = build_imdb(backend="sqlite")
+        engine = QueryEngine(db, config=EngineConfig(cache_results=False))
+        digest = hashlib.sha256()
+        for item in imdb_workload(build_imdb(), n_queries=40, seed=5):
+            specs = [
+                interp.to_structured_query().path_spec()
+                for interp, _p in engine.rank(str(item.query))
+            ]
+            solo, members = _prepared_plans(db, specs, 5)
+            compiled = [
+                db.compiler.compile_path(plan) for _index, plan in [*solo, *members]
+            ]
+            if members:
+                compiled.append(db.compiler.compile_union(members))
+            for statement in compiled:
+                digest.update(statement.sql.encode("utf-8"))
+                digest.update(repr(statement.params).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "37eeec57fc5754abe1f9c5251d0722cc869e3df14f8e1c6e278c2ad6bb282de3"
+        )
 
 
 class TestShardedEngineParity:
@@ -297,6 +375,16 @@ class TestShardedStoreLifecycle:
             create_backend("sqlite-sharded", mini_schema(), path=path, shards=5)
         # The rejected open must not leave stray shard files behind.
         assert not (tmp_path / "mini.sqlite.shard4").exists()
+
+    def test_old_sqlite_fails_fast_without_debris(self, tmp_path, monkeypatch):
+        """Scatter statements need ``AS MATERIALIZED`` (SQLite 3.35): an
+        older library is refused before any file or ATTACH exists."""
+        import sqlite3
+
+        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 34, 1))
+        with pytest.raises(DatabaseError, match=r"SQLite >= 3\.35\.0"):
+            create_backend("sqlite-sharded", mini_schema(), path=tmp_path / "m.sqlite")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_partition_file_fails_fast(self, tmp_path):
         """Only the catalog survived (e.g. a partial backup): refuse to open
