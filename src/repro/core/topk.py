@@ -21,15 +21,30 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.interpretation import Interpretation
-from repro.db.backends.base import StorageBackend
-
-#: "No lookahead row pulled yet" marker of the streamed consumer (``None``
-#: means the stream is exhausted, so it cannot double as the marker).
-_PENDING = object()
+from repro.db.backends.base import StorageBackend, StreamedExecution
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a core <-> engine import cycle
     from repro.core.query import StructuredQuery
     from repro.engine.cache import ResultCache
+
+#: "No lookahead row pulled yet" marker of the stream consumer (``None``
+#: means the stream is exhausted, so it cannot double as the marker).
+_PENDING = object()
+
+#: Interpretations per execution batch on backends that serve several join
+#: paths per statement (``supports_batched_execution``).
+BATCH_WIDTH = 16
+
+
+def batch_width(backend: StorageBackend) -> int:
+    """Interpretations one backend stream should cover.
+
+    Derived, not configured: a backend that batches specs into one statement
+    gets :data:`BATCH_WIDTH` of them per stream; everywhere else a stream
+    executes spec by spec, so width 1 keeps the TA bound checked before every
+    single execution — no interpretation past the stopping point ever runs.
+    """
+    return BATCH_WIDTH if backend.supports_batched_execution else 1
 
 
 @dataclass(frozen=True)
@@ -52,9 +67,9 @@ class TopKStatistics:
     interpretation whose rows come out of the result cache costs no execution
     and shows up in ``cache_hits`` instead.  ``sql_statements`` counts the
     physical statements those executions needed, as reported by the backend
-    (a provably-empty selection costs none) — at most one per interpretation
-    sequentially, (much) smaller when the backend batches several
-    interpretations per ``UNION ALL`` statement.
+    (a provably-empty selection costs none) — at most one per interpretation,
+    (much) smaller when the backend batches several interpretations per
+    ``UNION ALL`` statement.
     """
 
     interpretations_executed: int = 0
@@ -64,19 +79,18 @@ class TopKStatistics:
     cache_misses: int = 0
     #: Physical query statements issued against the backend.
     sql_statements: int = 0
-    #: Number of batched execution rounds (0 = sequential execution).
+    #: Number of backend streams opened (fully cache-served batches open none).
     batches: int = 0
-    #: Rows consumed from backend cursor streams (streaming execution only;
-    #: the materializing strategies leave it 0).
+    #: Rows consumed from backend streams.
     rows_streamed: int = 0
     #: Rows the backend had already produced (materialized by a fallback,
     #: prefetched into a cursor chunk) that the TA bound never consumed — a
     #: lower bound of the work streaming avoided, since rows a closed cursor
     #: never computed cannot be counted at all.
     rows_short_circuited: int = 0
-    #: Size of the streaming strategy's first execution batch (None outside
-    #: streaming execution) — shrunk below min(batch, k) when observed
-    #: selectivity says fewer interpretations will satisfy the TA bound.
+    #: Size of the first execution batch (None when nothing ran, i.e. k = 0)
+    #: — shrunk below min(batch, k) when observed selectivity says fewer
+    #: interpretations will satisfy the TA bound.
     first_batch_size: int | None = None
     #: Rows contributed per 1-based interpretation rank (execution only —
     #: cache hits do not appear here), for ``--explain`` attribution.
@@ -135,28 +149,30 @@ class TopKStatistics:
         return sum(self.attribution.values()) / self.interpretations_executed
 
     def _merge_execution(
-        self, executed, rank_of: "dict[int, int] | None" = None
+        self,
+        executed: StreamedExecution,
+        rank_of: dict[int, int],
+        last_consumed: int,
     ) -> None:
-        """Fold one ``BatchedExecution``/``StreamedExecution``'s bookkeeping
-        into the statistics.
+        """Fold one closed stream's bookkeeping into the statistics.
 
         ``rank_of`` maps the execution's spec positions to 1-based
-        interpretation ranks (identity-on-rank-1 for single-spec calls).
+        interpretation ranks.  Specs past ``last_consumed`` were planned but
+        never consumed: like the executed/missed counters, their per-spec
+        explain entries must not report work that never happened
+        (statements are already counted lazily).
         """
         self.sql_statements += executed.statements
-        self.rows_short_circuited += getattr(executed, "rows_short_circuited", 0)
-        for index, reason in executed.fallbacks.items():
-            rank = rank_of[index] if rank_of is not None else index + 1
-            self.fallback_reasons[rank] = reason
-        for index, label in executed.scatter_slots.items():
-            rank = rank_of[index] if rank_of is not None else index + 1
-            self.scatter_slots[rank] = label
-        for index, estimate in executed.estimated_rows.items():
-            rank = rank_of[index] if rank_of is not None else index + 1
-            self.estimated_rows[rank] = estimate
-        for index, label in executed.plan_labels.items():
-            rank = rank_of[index] if rank_of is not None else index + 1
-            self.plan_choices[rank] = label
+        self.rows_short_circuited += executed.rows_short_circuited
+        for per_spec, per_rank in (
+            (executed.fallbacks, self.fallback_reasons),
+            (executed.scatter_slots, self.scatter_slots),
+            (executed.estimated_rows, self.estimated_rows),
+            (executed.plan_labels, self.plan_choices),
+        ):
+            for index, value in per_spec.items():
+                if index <= last_consumed:
+                    per_rank[rank_of[index]] = value
         for shard, rows in executed.shard_rows.items():
             self.shard_rows[shard] = self.shard_rows.get(shard, 0) + rows
 
@@ -165,14 +181,13 @@ class TopKStatistics:
 class TopKExecutor:
     """Executes a ranked interpretation list with TA-style early stopping.
 
-    With ``batch_size`` set (> 1), :meth:`execute` works through the ranked
-    list in batches instead of one interpretation per round-trip: each batch's
-    cache misses travel together through the backend's
-    ``execute_paths_batched`` — one ``UNION ALL`` statement on backends with
-    native batching, a transparent per-path fallback elsewhere — and the
-    early-stopping bound is checked at batch boundaries.  The returned top-k
-    rows are identical to sequential execution either way (a batch can only
-    add rows that sort *after* the already-confirmed top-k).
+    One loop serves every backend: the ranked list is worked through in
+    batches of :func:`batch_width` interpretations, each batch's cache misses
+    travel together through the backend's ``execute_paths_streamed`` — one
+    ``UNION ALL`` cursor on backends with native batching, one lazy
+    ``execute_path`` per interpretation elsewhere — and the early-stopping
+    bound is checked before every interpretation, so it stops *consuming*
+    the stream instead of discarding fetched rows.
     """
 
     database: StorageBackend
@@ -181,39 +196,10 @@ class TopKExecutor:
     #: Optional cross-session result cache (see ``repro.engine.cache``):
     #: interpretations whose rows are cached are never re-executed.
     cache: "ResultCache | None" = None
-    #: Interpretations per execution batch; ``None``/``1`` = sequential.
-    batch_size: int | None = None
-    #: Consume batches through ``execute_paths_streamed`` cursors instead of
-    #: materialized lists: the TA bound then *stops consuming* — rows of
-    #: interpretations past the stopping point are never fetched or decoded.
-    #: Results are identical to the materializing strategies by construction.
-    streaming: bool = False
     #: Observed rows-per-interpretation selectivity from earlier queries on
-    #: this store (fed by the engine); sizes the first streaming batch.
+    #: this store (fed by the engine); sizes the first batch.
     expected_rows_per_interpretation: float | None = None
     statistics: TopKStatistics = field(default_factory=TopKStatistics)
-
-    def _rows_for(self, interpretation: Interpretation, rank: int = 1) -> list[tuple]:
-        """Result rows of one interpretation, through the cache when present."""
-        query = interpretation.to_structured_query()
-        if self.cache is not None:
-            rows = self.cache.get(query, self.per_query_limit)
-            if rows is not None:
-                self.statistics.cache_hits += 1
-                return rows
-            self.statistics.cache_misses += 1
-        self.statistics.interpretations_executed += 1
-        # A single-spec batch, so ``statements`` stays physically accurate on
-        # every backend (e.g. a provably-empty selection costs SQLite no
-        # statement) — the same currency the batched strategy reports.
-        executed = self.database.execute_paths_batched(
-            [query.path_spec()], limit=self.per_query_limit
-        )
-        self.statistics._merge_execution(executed, rank_of={0: rank})
-        rows = executed.rows[0]
-        if self.cache is not None:
-            self.cache.put(query, self.per_query_limit, rows)
-        return rows
 
     def execute(
         self,
@@ -228,29 +214,15 @@ class TopKExecutor:
         """
         if k < 0:
             raise ValueError("k must be non-negative")
-        self.statistics = TopKStatistics()
-        baseline = self._semantic_baseline()
-        try:
-            if k == 0:
-                return []
-            if self.batch_size is not None and self.batch_size > 1:
-                if self.streaming:
-                    return self._execute_streamed(ranked, k)
-                return self._execute_batched(ranked, k)
-            results: list[TopKResult] = []
-            seen_rows: set[tuple] = set()
-            for position, (interpretation, score) in enumerate(ranked):
-                # Early stop: the next interpretation's score is the upper
-                # bound on every future row; if k rows already meet it, we
-                # are done.
-                if len(results) >= k and results[k - 1].score >= score:
-                    self.statistics.stopped_early = True
-                    break
-                rows = self._rows_for(interpretation, rank=position + 1)
-                self._merge_rows(results, seen_rows, rows, score, rank=position + 1)
-            return results[:k]
-        finally:
-            self._settle_semantic(baseline)
+        return self._run(ranked, k, bounded=True)
+
+    def execute_naive(
+        self,
+        ranked: list[tuple[Interpretation, float]],
+        k: int,
+    ) -> list[TopKResult]:
+        """The baseline: run every interpretation, union, sort, cut at k."""
+        return self._run(ranked, k, bounded=False)
 
     def _semantic_baseline(self) -> tuple[int, int, int] | None:
         """Snapshot of the cache's subsumption counters before this query.
@@ -287,8 +259,7 @@ class TopKExecutor:
 
         The single definition of the result order — dedup on row identity
         across interpretations, then the ``(-score, rank, row identity)``
-        total order — shared by every execution strategy, so the byte-parity
-        the streaming/batching tests pin cannot drift between them.
+        total order.
         """
         self.statistics.rows_materialized += len(rows)
         for row in rows:
@@ -301,109 +272,35 @@ class TopKExecutor:
             )
         results.sort(key=lambda r: (-r.score, r.interpretation_rank, r.row_uids()))
 
-    def _execute_batched(
-        self,
-        ranked: list[tuple[Interpretation, float]],
-        k: int,
-    ) -> list[TopKResult]:
-        """Batched execution: same top-k as :meth:`execute`, fewer statements.
-
-        The threshold check moves to batch boundaries, so up to
-        ``batch_size - 1`` extra interpretations may execute per query — but
-        any row they produce scores at or below the confirmed ``k``-th result
-        (and ties break on interpretation rank), so the returned top-k cannot
-        change.  Cache hits are resolved first; only misses reach the backend.
-        """
-        assert self.batch_size is not None
-        results: list[TopKResult] = []
-        seen_rows: set[tuple] = set()
-        position = 0
-        # The first batch covers the k interpretations a worst-case top-k
-        # needs; later batches (rare — most queries stop after one) use the
-        # full configured size.  Keeps over-execution past the TA stopping
-        # point small without giving up the one-statement common case.
-        batch_size = self._first_batch_size(k)
-        while position < len(ranked):
-            if len(results) >= k and results[k - 1].score >= ranked[position][1]:
-                self.statistics.stopped_early = True
-                break
-            batch = ranked[position : position + batch_size]
-            batch_size = self.batch_size
-            rows_by_offset: dict[int, list[tuple]] = {}
-            pending: list[tuple[int, "StructuredQuery"]] = []
-            for offset, (interpretation, _score) in enumerate(batch):
-                query = interpretation.to_structured_query()
-                if self.cache is not None:
-                    rows = self.cache.get(query, self.per_query_limit)
-                    if rows is not None:
-                        self.statistics.cache_hits += 1
-                        rows_by_offset[offset] = rows
-                        continue
-                    self.statistics.cache_misses += 1
-                pending.append((offset, query))
-            if pending:
-                executed = self.database.execute_paths_batched(
-                    [query.path_spec() for _offset, query in pending],
-                    limit=self.per_query_limit,
-                )
-                self.statistics.batches += 1
-                self.statistics._merge_execution(
-                    executed,
-                    rank_of={
-                        i: position + offset + 1
-                        for i, (offset, _query) in enumerate(pending)
-                    },
-                )
-                self.statistics.interpretations_executed += len(pending)
-                for (offset, query), rows in zip(pending, executed.rows):
-                    rows_by_offset[offset] = rows
-                    self.statistics.attribution[position + offset + 1] = len(rows)
-                    if self.cache is not None:
-                        self.cache.put(query, self.per_query_limit, rows)
-            for offset, (_interpretation, score) in enumerate(batch):
-                self._merge_rows(
-                    results,
-                    seen_rows,
-                    rows_by_offset[offset],
-                    score,
-                    rank=position + offset + 1,
-                )
-            position += len(batch)
-        return results[:k]
-
     def _first_batch_size(
         self,
         k: int,
-        ranked: "list[tuple[Interpretation, float]] | None" = None,
+        ranked: "list[tuple[Interpretation, float]]",
+        width: int,
     ) -> int:
         """Interpretations the first execution batch covers.
 
-        The legacy bound — min(batch, k) interpretations, enough for a
+        The legacy bound — min(width, k) interpretations, enough for a
         worst-case top-k where every interpretation yields one row — shrinks
-        further under streaming when observed selectivity says fewer will do:
-        with ~r rows per executed interpretation, ceil(k / r) of them are
-        expected to satisfy the TA bound, and under-shooting costs only one
-        more (smaller) statement because a streamed batch's unconsumed rows
-        were never fetched anyway.  With ``ranked`` given (the streamed
-        strategy passes it), the backend's per-interpretation cardinality
+        further when observed selectivity says fewer will do: with ~r rows
+        per executed interpretation, ceil(k / r) of them are expected to
+        satisfy the TA bound, and under-shooting costs only one more
+        (smaller) statement because a batch's unconsumed rows were never
+        fetched anyway.  The backend's per-interpretation cardinality
         estimates refine the global EWMA the same direction: walk the ranked
-        prefix until the estimates cumulatively cover ``k``.  The
-        materializing strategy keeps the legacy bound: there an extra batch
-        means an extra fully materialized statement, which the shrink could
-        easily cost more than it saves.
+        prefix until the estimates cumulatively cover ``k``.  At width 1
+        there is nothing to size, and no estimate is asked for.
         """
-        assert self.batch_size is not None
-        base = max(2, min(self.batch_size, k))
-        if not self.streaming:
-            return base
+        if width == 1:
+            return 1
+        base = max(2, min(width, k))
         size = base
         estimate = self.expected_rows_per_interpretation
         if estimate and estimate > 0:
             size = min(size, math.ceil(k / estimate))
-        if ranked is not None:
-            cost_size = self._cost_batch_size(ranked, k, base)
-            if cost_size is not None:
-                size = min(size, cost_size)
+        cost_size = self._cost_batch_size(ranked, k, base)
+        if cost_size is not None:
+            size = min(size, cost_size)
         return max(1, size)
 
     def _cost_batch_size(
@@ -419,14 +316,13 @@ class TopKExecutor:
         gap, or when even the legacy-bound prefix is not expected to reach
         ``k`` — means the estimates cannot justify a smaller first batch.
         """
-        estimated_path_rows = getattr(self.database, "estimated_path_rows", None)
-        if estimated_path_rows is None:
-            return None
         total = 0.0
         walked = 0
         for interpretation, _score in ranked[:base]:
             spec = interpretation.to_structured_query().path_spec()
-            estimate = estimated_path_rows(*spec, limit=self.per_query_limit)
+            estimate = self.database.estimated_path_rows(
+                *spec, limit=self.per_query_limit
+            )
             if estimate is None:
                 return None
             walked += 1
@@ -435,39 +331,63 @@ class TopKExecutor:
                 return walked
         return None
 
-    def _execute_streamed(
+    def _run(
         self,
         ranked: list[tuple[Interpretation, float]],
         k: int,
+        bounded: bool,
     ) -> list[TopKResult]:
-        """Streaming execution: the TA bound stops *consuming* the cursor.
+        """Fresh statistics, then :meth:`_consume` (``bounded=False``: the
+        naive baseline — every interpretation runs)."""
+        self.statistics = TopKStatistics()
+        baseline = self._semantic_baseline()
+        try:
+            if k == 0:
+                return []
+            return self._consume(ranked, k, bounded)
+        finally:
+            self._settle_semantic(baseline)
 
-        Batches plan exactly like :meth:`_execute_batched`, but rows arrive
-        through one backend cursor stream in rank order and the threshold is
-        re-checked between interpretations *inside* the batch: once k results
-        beat the next interpretation's upper bound, the stream closes and the
-        remaining interpretations' rows are never fetched, decoded or
-        deduplicated — they count as neither executed nor missed.  Returned
-        rows are identical to sequential execution: an interpretation, once
+    def _consume(
+        self,
+        ranked: list[tuple[Interpretation, float]],
+        k: int,
+        bounded: bool,
+    ) -> list[TopKResult]:
+        """The one execution loop: the TA bound stops *consuming* the stream.
+
+        Rows arrive through one backend stream per batch, in rank order, and
+        the threshold is checked before every interpretation — at batch
+        boundaries and *inside* the batch: once k results beat the next
+        interpretation's upper bound, the stream closes and the remaining
+        interpretations' rows are never fetched, decoded or deduplicated —
+        they count as neither executed nor missed.  An interpretation, once
         started, is always drained completely (its own rows tie-break among
         themselves by row identity, so a partial drain could change the
         top-k), and interpretations past the stopping point can only
-        contribute rows sorting after the confirmed top-k.
+        contribute rows sorting after the confirmed top-k — so the returned
+        rows do not depend on the batch width.  ``bounded=False`` disables
+        the threshold: every interpretation runs (the naive baseline).
         """
-        assert self.batch_size is not None
+        width = batch_width(self.database)
         self.statistics.first_batch_size = batch_size = self._first_batch_size(
-            k, ranked
+            k, ranked, width
         )
         results: list[TopKResult] = []
         seen_rows: set[tuple] = set()
+
+        def satisfied(score: float) -> bool:
+            """k results already score no lower than anything still to come."""
+            return bounded and len(results) >= k and results[k - 1].score >= score
+
         position = 0
         stopped = False
         while position < len(ranked) and not stopped:
-            if len(results) >= k and results[k - 1].score >= ranked[position][1]:
+            if satisfied(ranked[position][1]):
                 self.statistics.stopped_early = True
                 break
             batch = ranked[position : position + batch_size]
-            batch_size = self.batch_size
+            batch_size = width
             # Cache peek: hits resolve without touching the backend; the
             # rest stay pending and are only booked as misses if the TA
             # bound actually reaches them — an interpretation whose rows
@@ -493,7 +413,7 @@ class TopKExecutor:
             try:
                 for offset, (_interpretation, score) in enumerate(batch):
                     rank = position + offset + 1
-                    if len(results) >= k and results[k - 1].score >= score:
+                    if satisfied(score):
                         self.statistics.stopped_early = True
                         stopped = True
                         break
@@ -522,11 +442,11 @@ class TopKExecutor:
                                 break  # this interpretation is drained
                             rows.append(lookahead[1])
                             lookahead = _PENDING
-                        self.statistics.cache_misses += 1
                         self.statistics.interpretations_executed += 1
                         self.statistics.rows_streamed += len(rows)
                         self.statistics.attribution[rank] = len(rows)
                         if self.cache is not None:
+                            self.statistics.cache_misses += 1
                             self.cache.put(
                                 pending[spec][1], self.per_query_limit, rows
                             )
@@ -534,23 +454,11 @@ class TopKExecutor:
             finally:
                 if execution is not None:
                     execution.stream.close()
-                    # Specs past the stopping point were planned but never
-                    # consumed: like executed/missed counters, their
-                    # per-spec explain entries must not report work that
-                    # never happened (statements are already counted lazily).
-                    for annotations in (
-                        execution.fallbacks,
-                        execution.scatter_slots,
-                        execution.estimated_rows,
-                        execution.plan_labels,
-                    ):
-                        for spec in [
-                            s for s in annotations if s > last_spec_consumed
-                        ]:
-                            del annotations[spec]
                     # Statements, shard attribution and short-circuit counts
                     # settle only once the stream is closed.
-                    self.statistics._merge_execution(execution, rank_of=rank_of_spec)
+                    self.statistics._merge_execution(
+                        execution, rank_of_spec, last_spec_consumed
+                    )
                     if lookahead is not _PENDING and lookahead is not None:
                         # The row pulled to detect the previous
                         # interpretation's boundary belongs to one the bound
@@ -558,29 +466,4 @@ class TopKExecutor:
                         # in shard_rows), never merged into results.
                         self.statistics.rows_short_circuited += 1
             position += len(batch)
-        return results[:k]
-
-    def execute_naive(
-        self,
-        ranked: list[tuple[Interpretation, float]],
-        k: int,
-    ) -> list[TopKResult]:
-        """The baseline: run every interpretation, union, sort, cut at k."""
-        self.statistics = TopKStatistics()
-        baseline = self._semantic_baseline()
-        results: list[TopKResult] = []
-        seen_rows: set[tuple] = set()
-        for position, (interpretation, score) in enumerate(ranked):
-            rows = self._rows_for(interpretation, rank=position + 1)
-            self.statistics.rows_materialized += len(rows)
-            for row in rows:
-                uids = tuple(t.uid for t in row)
-                if uids in seen_rows:
-                    continue
-                seen_rows.add(uids)
-                results.append(
-                    TopKResult(score=score, interpretation_rank=position + 1, row=row)
-                )
-        results.sort(key=lambda r: (-r.score, r.interpretation_rank, r.row_uids()))
-        self._settle_semantic(baseline)
         return results[:k]

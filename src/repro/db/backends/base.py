@@ -28,7 +28,7 @@ import abc
 import hashlib
 import json
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Any,
     ClassVar,
@@ -53,7 +53,7 @@ Selection = tuple[str, tuple[str, ...]]
 SelectionsByPosition = dict[int, Sequence[Selection]]
 
 #: One :meth:`StorageBackend.execute_path` call, reified so several of them
-#: can travel together through :meth:`StorageBackend.execute_paths_batched`:
+#: can travel together through :meth:`StorageBackend.execute_paths_streamed`:
 #: ``(path, edges, selections)``.
 PathSpec = tuple[
     Sequence[str], Sequence["ForeignKey"], "SelectionsByPosition | None"
@@ -64,9 +64,10 @@ PathSpec = tuple[
 class BatchedExecution:
     """The outcome of one :meth:`StorageBackend.execute_paths_batched` call.
 
-    ``rows[i]`` are the result networks of ``specs[i]`` — identical to what a
-    plain ``execute_path(*specs[i], limit=limit)`` call returns, so callers
-    (and caches) can treat batched and sequential execution interchangeably.
+    A fully drained :class:`StreamedExecution`: ``rows[i]`` are the result
+    networks of ``specs[i]`` — identical to what a plain
+    ``execute_path(*specs[i], limit=limit)`` call returns — and every other
+    field is the stream's, read after the drain.
     ``statements`` counts the physical query statements the backend issued to
     serve the whole batch: a backend with real batching support serves many
     specs per statement, the generic fallback issues one per spec.
@@ -98,10 +99,9 @@ class BatchedExecution:
 class RowStream:
     """A closable cursor over ``(spec index, network)`` pairs.
 
-    The streaming counterpart of :class:`BatchedExecution.rows`: pairs come
-    out in ascending spec order, and within one spec in exactly the rows and
-    order the list-returning API would produce — so draining a stream and
-    grouping by index is byte-identical to ``execute_paths_batched``.  The
+    Pairs come out in ascending spec order, and within one spec in exactly
+    the rows and order ``execute_path`` produces — draining a stream and
+    grouping by index *is* ``execute_paths_batched``.  The
     point of the cursor shape is that a consumer may *stop*: ``close()``
     (or the context manager) releases every underlying backend cursor
     without fetching the remaining rows — the top-k executor's TA bound uses
@@ -142,8 +142,8 @@ class RowStream:
 class StreamedExecution:
     """The outcome of one :meth:`StorageBackend.execute_paths_streamed` call.
 
-    Mirrors :class:`BatchedExecution` with the rows behind a :class:`RowStream`
-    cursor instead of materialized lists.  The bookkeeping fields fill in
+    The rows sit behind a :class:`RowStream` cursor (assigned by the backend
+    once its generator exists).  The bookkeeping fields fill in
     *lazily* as the stream executes and is consumed — ``statements`` counts
     only statements whose cursors were actually opened (an unconsumed stream
     costs none), ``shard_rows`` attributes only delivered rows, and
@@ -153,7 +153,7 @@ class StreamedExecution:
     or closed, not before.
     """
 
-    stream: RowStream
+    stream: RowStream = field(default_factory=lambda: RowStream(iter(())))
     statements: int = 0
     batched_indexes: list[int] = field(default_factory=list)
     fallbacks: dict[int, str] = field(default_factory=dict)
@@ -698,29 +698,10 @@ class StorageBackend(abc.ABC):
             f"foreign key {edge} does not connect {current_table!r} and {next_table!r}"
         )
 
-    #: True when :meth:`execute_paths_batched` can serve several join paths
+    #: True when :meth:`execute_paths_streamed` can serve several join paths
     #: with fewer statements than one per path (e.g. a SQL ``UNION ALL``).
-    #: The generic fallback below keeps the contract on every backend.
+    #: The top-k executor derives its batch width from this flag.
     supports_batched_execution: ClassVar[bool] = False
-
-    def execute_paths_batched(
-        self,
-        specs: Sequence[PathSpec],
-        limit: int | None = None,
-    ) -> BatchedExecution:
-        """Execute several join paths, preferably in fewer statements.
-
-        ``limit`` applies *per spec* (each path's top-k cap), exactly as in
-        :meth:`execute_path`.  Results are attributed back to their spec by
-        position, and must be identical — rows, order, truncation — to
-        executing each spec sequentially; backends without a native batch
-        strategy inherit this per-path fallback.
-        """
-        rows = [
-            self.execute_path(path, edges, selections, limit=limit)
-            for path, edges, selections in specs
-        ]
-        return BatchedExecution(rows=rows, statements=len(specs))
 
     def execute_paths_streamed(
         self,
@@ -729,30 +710,28 @@ class StorageBackend(abc.ABC):
     ) -> StreamedExecution:
         """Execute several join paths as one :class:`RowStream` cursor.
 
-        The streaming face of :meth:`execute_paths_batched`: pairs stream in
-        ascending spec order, rows within a spec identical (content, order,
-        truncation) to the list-returning call, so a fully drained stream is
-        byte-for-byte the batched result.  This generic fallback materializes
-        through ``execute_paths_batched`` *lazily* — nothing executes until
-        the first row is pulled, so a consumer that never starts (e.g. a
-        fully cache-served query) costs zero statements — and reports rows
-        left unconsumed at close time as ``rows_short_circuited``.  Backends
-        with real cursors (SQLite) override this to never materialize at all.
+        The single primitive through which rows leave a backend: pairs
+        stream in ascending spec order, rows within a spec identical
+        (content, order, truncation) to ``execute_path(*spec, limit=limit)``,
+        and ``limit`` applies *per spec*.  This generic fallback runs
+        :meth:`execute_path` lazily, **one spec per pull**: nothing executes
+        until the first row is wanted, and a spec the consumer never reaches
+        is never executed — a single-spec stream is exactly one sequential
+        ``execute_path`` call.  Rows of a started spec the consumer left
+        behind count as ``rows_short_circuited``.  Backends with real
+        cursors (SQLite) override this to batch specs per statement and
+        never materialize at all.
         """
         specs = list(specs)
-        execution = StreamedExecution(stream=RowStream(iter(())))
+        execution = StreamedExecution()
 
         def generate() -> Iterator[tuple[int, tuple[Tuple, ...]]]:
-            executed = self.execute_paths_batched(specs, limit=limit)
-            execution.statements = executed.statements
-            execution.batched_indexes = list(executed.batched_indexes)
-            execution.fallbacks.update(executed.fallbacks)
-            execution.shard_rows.update(executed.shard_rows)
-            execution.scatter_slots.update(executed.scatter_slots)
-            produced = sum(len(rows) for rows in executed.rows)
-            delivered = 0
+            produced = delivered = 0
             try:
-                for index, rows in enumerate(executed.rows):
+                for index, (path, edges, selections) in enumerate(specs):
+                    rows = self.execute_path(path, edges, selections, limit=limit)
+                    execution.statements += 1
+                    produced += len(rows)
                     for network in rows:
                         # Count *before* yielding: a consumer that takes this
                         # row and then closes leaves the generator suspended
@@ -765,6 +744,35 @@ class StorageBackend(abc.ABC):
 
         execution.stream = RowStream(generate())
         return execution
+
+    def execute_paths_batched(
+        self,
+        specs: Sequence[PathSpec],
+        limit: int | None = None,
+    ) -> BatchedExecution:
+        """:meth:`execute_paths_streamed`, drained and grouped by spec index.
+
+        Not overridden anywhere: a backend changes how rows are produced by
+        overriding the stream, and this list-returning face follows.  The
+        stream is closed in this thread whatever happens, so an exception
+        mid-drain leaves no cursor, reader lease or prefetch thread behind.
+        """
+        specs = list(specs)
+        execution = self.execute_paths_streamed(specs, limit=limit)
+        rows: list[list[tuple[Tuple, ...]]] = [[] for _ in specs]
+        try:
+            for index, network in execution.stream:
+                rows[index].append(network)
+        finally:
+            execution.stream.close()
+        return BatchedExecution(
+            rows=rows,
+            **{
+                f.name: getattr(execution, f.name)
+                for f in fields(BatchedExecution)
+                if f.name != "rows"
+            },
+        )
 
     def count_path(
         self,

@@ -24,12 +24,12 @@ statement projects its ORDER BY keys, the gather step merges the streams
 under exactly those keys and truncates at the plan's limit, which keeps the
 rows, order and truncation byte-identical to the unsharded backend (pinned
 by ``tests/test_sharded_backend.py``).  On file-backed stores the scatter
-fans out over readers leased from the inherited read-connection pool (each
-with every partition ATTACHed, sized ``shards × read_pool_size``) on a
-small thread pool, and the *streamed* gather prefetches per-shard cursor
-chunks on producer threads when the pool allows more than one gather's
-worth of readers; a ``":memory:"`` store (whose attached shards exist only
-inside the one connection) degrades to serial scatter transparently.
+reads through readers leased from the inherited read-connection pool (each
+with every partition ATTACHed, sized ``shards × read_pool_size``), and the
+gather prefetches per-shard cursor chunks on the producer threads of a small
+pool when the read pool allows more than one gather's worth of readers; a
+``":memory:"`` store (whose attached shards exist only inside the one
+connection) degrades to serial cursors transparently.
 
 Insertion order — what the in-memory engine's scans and the unsharded
 backend's ``rowid`` provide — is preserved by an explicit ``_rowseq``
@@ -99,10 +99,9 @@ def merge_shard_streams(
     yields ``(key, shard index, raw row)`` in global ``(key, shard)`` order.
     Ties on the full key resolve to the lower shard index — exactly what the
     former stable materialize-then-sort gather produced — and since the heap
-    holds at most one row per stream, raw rows are never compared.  Works for
-    lists (the parallel scatter) and lazy cursors (the streamed gather)
-    alike; callers owning lazy sources must close them on early exit —
-    ``heapq.merge`` does not.
+    holds at most one row per stream, raw rows are never compared.  Callers
+    owning lazy sources must close them on early exit — ``heapq.merge`` does
+    not.
     """
     def decorate(shard: int, rows: "Iterable[tuple]") -> Iterator[tuple]:
         # A real function, not a genexp inside the comprehension: a genexp
@@ -370,9 +369,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
 
     # -- scatter-gather execution --------------------------------------------
 
-    def _statements_per_plan(self, plans: Sequence[PathPlan]) -> int:
-        return len(self._live_shards(plans))
-
     def _live_shards(self, plans: Sequence[PathPlan]) -> list[int]:
         """The shards where routing leaves some plan's scatter slot a key."""
         return [
@@ -399,9 +395,9 @@ class ShardedSQLiteBackend(SQLiteBackend):
 
         ``read_pool_size=1`` still pools here: the capacity below collapses
         to one connection per shard — exactly the legacy dedicated-reader
-        layout the scatter has fanned out over since PR 4 — so the control
-        arm keeps its parallel scatter.  ``":memory:"`` stores own their
-        attached shards inside the single main connection and cannot pool.
+        layout the scatter has read through since PR 4.  ``":memory:"``
+        stores own their attached shards inside the single main connection
+        and cannot pool.
         """
         return (
             self.is_persistent
@@ -439,43 +435,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
                     self._scatter_pool_instance.shutdown(wait=True)
                     self._scatter_pool_instance = None
 
-    # -- scatter execution ----------------------------------------------------
-
-    def _scatter(self, statements: list[CompiledStatement]) -> list[list[tuple]]:
-        """Run one statement per shard; returns raw rows in shard order.
-
-        File-backed stores fan out on the scatter pool, each task leasing a
-        pooled reader for its one statement (readers only ever SELECT, so
-        they need no cross-connection serialization — SQLite's file locking
-        plus the commit below give them a consistent view).  ``":memory:"``
-        stores own their attached shards inside the single main connection,
-        so they execute serially there.
-        """
-        if not self.is_persistent or self.shards == 1:
-            with self._lock:
-                return [
-                    list(self._conn.execute(s.sql, s.params)) for s in statements
-                ]
-        # Everything inserted so far must be visible to the readers.
-        self._conn.commit()
-        pool = self._scatter_pool()
-        futures = [pool.submit(self._fetch_all, s) for s in statements]
-        return [future.result() for future in futures]
-
-    def _fetch_all(self, statement: CompiledStatement) -> list[tuple]:
-        """One scatter member's rows, on a reader leased for the statement.
-
-        Single leases never wait while holding a connection, so scatter
-        tasks cannot deadlock the pool however many queries fan out at once.
-        """
-        with self._lease_read_connection() as reader:
-            with reader.lock:  # one in-flight statement per connection
-                cursor = reader.execute(statement.sql, statement.params)
-                try:
-                    return cursor.fetchall()
-                finally:
-                    cursor.close()
-
     def _scatter_pool(self) -> ThreadPoolExecutor:
         """The backend-owned shard fan-out pool.
 
@@ -484,8 +443,8 @@ class ShardedSQLiteBackend(SQLiteBackend):
         queries on the same pool would deadlock under load.  The server's
         engine pool keys on the shard count instead, so every sharded engine
         brings its own fan-out lanes.  Sized to the read pool's capacity
-        (floor: one worker per shard) so concurrent gathers' scatter tasks
-        and streamed-prefetch producers don't starve each other.
+        (floor: one worker per shard) so concurrent gathers' prefetch
+        producers don't starve each other.
         """
         with self._lock:
             if self._scatter_pool_instance is None:
@@ -572,80 +531,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
         self._table_counts.pop(table_name, None)
         return super().insert(table_name, row)
 
-    def _run_plan(
-        self, plan: PathPlan, shard_rows: dict[int, int] | None = None
-    ) -> list[tuple[Tuple, ...]]:
-        """Scatter one path plan across the shards and gather in plan order.
-
-        Every member statement projects its ORDER BY keys (``__o0..``), so
-        the gather is a k-way :func:`merge_shard_streams` over exactly the
-        keys SQLite ordered by — types agree per column across shards, and
-        the key tuple is a total order (each slot contributes its tuple's
-        identity), so merged rows reproduce the unsharded statement's order
-        bit-for-bit and the merge can truncate at the plan's limit instead
-        of sorting everything first.
-        """
-        live = self._live_shards([plan])
-        compilers = self._shard_compilers()
-        statements = [
-            compilers[shard].compile_path(plan, project_order_keys=True)
-            for shard in live
-        ]
-        per_shard = self._scatter(statements)
-        relations = [self.relation(name) for name in plan.path]
-        width = len(plan.path)
-        results: list[tuple[Tuple, ...]] = []
-        for _key, stream, row in merge_shard_streams(per_shard, width):
-            network = self._decode_network(relations, row, offset=width)
-            if not plan.keeps(network):
-                continue
-            if shard_rows is not None:
-                shard_rows[live[stream]] = shard_rows.get(live[stream], 0) + 1
-            results.append(network)
-            if plan.limit is not None and len(results) >= plan.limit:
-                break
-        return results
-
-    def _run_union(
-        self,
-        members: list[tuple[int, PathPlan]],
-        shard_rows: dict[int, int] | None = None,
-    ) -> dict[int, list[tuple[Tuple, ...]]]:
-        """Scatter the tagged UNION ALL and gather per spec.
-
-        Each shard runs the same tagged statement over its partition of the
-        scatter slot; the gather k-way-merges the streams under
-        ``(discriminator, projected order keys)`` — the statements' global
-        ORDER BY — and re-applies each spec's limit (a per-shard LIMIT is
-        only an upper bound on the merged stream).
-        """
-        live = self._live_shards([plan for _index, plan in members])
-        compilers = self._shard_compilers()
-        statements = [compilers[shard].compile_union(members) for shard in live]
-        ord_width, _data_width = self.compiler.union_widths(members)
-        per_shard = self._scatter(statements)
-        member_relations = {
-            index: [self.relation(name) for name in plan.path]
-            for index, plan in members
-        }
-        limits = {index: plan.limit for index, plan in members}
-        grouped: dict[int, list[tuple[Tuple, ...]]] = {
-            index: [] for index, _plan in members
-        }
-        for _key, stream, row in merge_shard_streams(per_shard, 1 + ord_width):
-            index = row[0]
-            if limits[index] is not None and len(grouped[index]) >= limits[index]:
-                continue
-            grouped[index].append(
-                self._decode_network(
-                    member_relations[index], row, offset=1 + ord_width
-                )
-            )
-            if shard_rows is not None:
-                shard_rows[live[stream]] = shard_rows.get(live[stream], 0) + 1
-        return grouped
-
-    # -- streamed scatter-gather ---------------------------------------------
+    # -- the scatter-gather cursor seams ---------------------------------------
 
     #: Row chunks each prefetch producer may buffer ahead of the merge
     #: (beyond the one chunk it holds while a full queue blocks it): deep
@@ -794,7 +680,16 @@ class ShardedSQLiteBackend(SQLiteBackend):
     def _stream_plan(
         self, plan: PathPlan, execution: StreamedExecution
     ) -> "Iterator[tuple[Tuple, ...]]":
-        """One plan as a lazy k-way merge over per-shard cursor streams."""
+        """One plan as a lazy k-way merge over per-shard cursor streams.
+
+        Every member statement projects its ORDER BY keys (``__o0..``), so
+        the gather is a :func:`merge_shard_streams` over exactly the keys
+        SQLite ordered by — types agree per column across shards, and the
+        key tuple is a total order (each slot contributes its tuple's
+        identity), so merged rows reproduce the unsharded statement's order
+        bit-for-bit and the merge truncates at the plan's limit instead of
+        sorting everything first.
+        """
         live = self._live_shards([plan])
         compilers = self._shard_compilers()
         statements = [
@@ -821,7 +716,14 @@ class ShardedSQLiteBackend(SQLiteBackend):
     def _stream_union(
         self, members: list[tuple[int, PathPlan]], execution: StreamedExecution
     ) -> "Iterator[tuple[int, tuple]]":
-        """The tagged UNION ALL as a lazy merge of per-shard cursor streams."""
+        """The tagged UNION ALL as a lazy merge of per-shard cursor streams.
+
+        Each shard runs the same tagged statement over its partition of the
+        scatter slot; the gather merges the streams under ``(discriminator,
+        projected order keys)`` — the statements' global ORDER BY — and
+        re-applies each spec's limit (a per-shard LIMIT is only an upper
+        bound on the merged stream).
+        """
         live = self._live_shards([plan for _index, plan in members])
         compilers = self._shard_compilers()
         statements = [compilers[shard].compile_union(members) for shard in live]

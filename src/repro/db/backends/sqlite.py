@@ -15,26 +15,26 @@ bit-identical to the in-memory engine.
 
 Every SQL statement this backend runs comes out of the shared
 planner/compiler layer (:mod:`repro.db.backends.sql`): this module owns
-connection management, row decoding and the execution seams
-(:meth:`SQLiteBackend._run_plan` / :meth:`SQLiteBackend._run_union`) that
-the sharded backend overrides with scatter-gather — it builds no SQL text of
-its own.
+connection management, row decoding and the two cursor seams
+(:meth:`SQLiteBackend._stream_plan` / :meth:`SQLiteBackend._stream_union`)
+that the sharded backend overrides with scatter-gather — it builds no SQL
+text of its own.  Rows leave through :meth:`SQLiteBackend.
+execute_paths_streamed` only; the list-returning calls drain it.
 
 File-backed stores serve reads through a **read-connection pool**
 (:class:`_ReadConnectionPool`): the single locked writer connection keeps
 DDL, inserts and side-table flushes serialized, while every read-only
-execution path (:meth:`SQLiteBackend._run_plan` / ``_run_union``, the
-streamed variants, relation point lookups) leases a per-thread reader
-connection, so concurrent queries exploit WAL's readers-don't-block
-property *inside* one process instead of only across forked server
-workers.  ``read_pool_size`` caps the pool (default
+execution path (the two cursor seams, relation point lookups) leases a
+per-thread reader connection, so concurrent queries exploit WAL's
+readers-don't-block property *inside* one process instead of only across
+forked server workers.  ``read_pool_size`` caps the pool (default
 :data:`SQLiteBackend.DEFAULT_READ_POOL_SIZE`); ``1`` disables it and
 restores the single-connection path bit-for-bit.  The writer→readers
 visibility barrier is the write epoch: every writer commit bumps it, and
 because pooled readers run in WAL mode with every read transaction closed
 at cursor end, a reader's next statement always observes at least the
-epoch's committed state — streamed and batched execution stay
-byte-identical to sequential single-connection runs.
+epoch's committed state — pooled execution stays byte-identical to
+sequential single-connection runs.
 
 Standard library only (``sqlite3``); no new dependencies.
 """
@@ -53,7 +53,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.backends import sql as sqlc
 from repro.db.backends.base import (
-    BatchedExecution,
     PathSpec,
     RowStream,
     SelectionsByPosition,
@@ -1238,18 +1237,23 @@ class SQLiteBackend(StorageBackend):
         The whole candidate network becomes one SELECT: FK joins run inside
         SQLite, keyword selections become primary-key IN-predicates resolved
         through the inverted index, and ``limit`` becomes SQL ``LIMIT``.
+        The list is a drained :meth:`_stream_plan` — the same cursor seam
+        :meth:`execute_paths_streamed` runs solo plans through.
         """
         selections = selections or {}
         self._validate_path(path, edges, selections, limit)
         if limit == 0:
             return []
 
-        key_filters = self._resolve_key_filters(path, selections)
+        key_filters = self.resolve_key_filters(path, selections)
         if key_filters is None:
             return []
-        return self._run_plan(
-            self._prepare_plan(sqlc.plan_path(path, edges, key_filters, limit))
-        )
+        plan = self._prepare_plan(sqlc.plan_path(path, edges, key_filters, limit))
+        rows = self._stream_plan(plan, StreamedExecution())
+        try:
+            return list(rows)
+        finally:
+            rows.close()  # the read lease and cursor go back in this thread
 
     def _prepare_plan(self, plan: PathPlan) -> PathPlan:
         """Backend-physical plan adjustments before compilation.
@@ -1281,36 +1285,6 @@ class SQLiteBackend(StorageBackend):
             parts.append(f"join order {chosen} (default {default})")
         return ", ".join(parts) if parts else None
 
-    def _run_plan(
-        self, plan: PathPlan, shard_rows: dict[int, int] | None = None
-    ) -> list[tuple[Tuple, ...]]:
-        """Execute one compiled path plan: fetch, decode, post-filter.
-
-        ``shard_rows``, when given, accumulates per-shard row attribution —
-        a no-op here (one unsharded statement), filled in by the sharded
-        scatter-gather override.
-        """
-        statement = self.compiler.compile_path(plan)
-        relations = [self.relation(name) for name in plan.path]
-        results: list[tuple[Tuple, ...]] = []
-        with self._lease_read_connection() as conn:
-            with conn.lock:  # statement + fetch: one serialized read cycle
-                cursor = conn.execute(statement.sql, statement.params)
-                try:
-                    for row in cursor:
-                        network = self._decode_network(relations, row)
-                        if not plan.keeps(network):
-                            continue
-                        results.append(network)
-                        if plan.limit is not None and len(results) >= plan.limit:
-                            break
-                finally:
-                    # Reset before the lease releases: a cursor left open by
-                    # the early break would pin this reader's WAL snapshot
-                    # into the next lease.
-                    cursor.close()
-        return results
-
     def _decode_network(
         self, relations: Sequence[SQLiteRelation], row: Sequence[Any], offset: int = 0
     ) -> tuple[Tuple, ...]:
@@ -1322,109 +1296,44 @@ class SQLiteBackend(StorageBackend):
             offset += width
         return tuple(network)
 
-    def _resolve_key_filters(
-        self, path: Sequence[str], selections: SelectionsByPosition
-    ) -> dict[int, set[Any]] | None:
-        """Per-position primary-key sets of the selections, via the index.
-
-        ``None`` means some position matched nothing — the whole path result
-        is provably empty and no SQL needs to run.  Resolution itself is
-        backend-independent and shared on the base class.
-        """
-        return self.resolve_key_filters(path, selections)
-
-    # -- batched join-path execution ---------------------------------------
+    # -- join-path execution: the row stream --------------------------------
 
     supports_batched_execution = True
-
-    def _statements_per_plan(self, plans: Sequence[PathPlan]) -> int:
-        """Physical statements one plan (or one union of plans) costs to run."""
-        return 1
-
-    def execute_paths_batched(
-        self,
-        specs: Sequence[PathSpec],
-        limit: int | None = None,
-    ) -> BatchedExecution:
-        """Execute many join paths in one tagged ``UNION ALL`` statement.
-
-        Planning (:func:`repro.db.backends.sql.plan_batch`) decides which
-        specs share the statement: specs whose selections are provably empty
-        never reach SQL, and specs whose inline-key footprint exceeds the
-        statement's parameter budget fall back to their own plan — the
-        reason travels back on ``BatchedExecution.fallbacks`` so ``--explain``
-        can show it.  ``statements`` reports the physical statement count
-        either way (the sharded backend multiplies it by its shard fan-out).
-        """
-        specs = list(specs)
-        rows_per_spec: list[list[tuple[Tuple, ...]] | None] = [None] * len(specs)
-        statements = 0
-        fallbacks: dict[int, str] = {}
-        shard_rows: dict[int, int] = {}
-        scatter_slots: dict[int, str] = {}
-        estimated_rows: dict[int, float] = {}
-        plan_labels: dict[int, str] = {}
-        solo, members = self._plan_specs(
-            specs, rows_per_spec, fallbacks, scatter_slots,
-            estimated_rows, plan_labels, limit,
-        )
-        for index, solo_plan in solo:
-            rows_per_spec[index] = self._run_plan(solo_plan, shard_rows)
-            statements += self._statements_per_plan([solo_plan])
-        if members:
-            for index, rows in self._run_union(members, shard_rows).items():
-                rows_per_spec[index] = rows
-            statements += self._statements_per_plan([plan for _index, plan in members])
-        return BatchedExecution(
-            rows=[rows if rows is not None else [] for rows in rows_per_spec],
-            statements=statements,
-            batched_indexes=[index for index, _plan in members],
-            fallbacks=fallbacks,
-            shard_rows=shard_rows,
-            scatter_slots=scatter_slots,
-            estimated_rows=estimated_rows,
-            plan_labels=plan_labels,
-        )
 
     def _plan_specs(
         self,
         specs: Sequence[PathSpec],
-        rows_per_spec: list,
-        fallbacks: dict[int, str],
-        scatter_slots: dict[int, str],
-        estimated_rows: dict[int, float],
-        plan_labels: dict[int, str],
+        execution: StreamedExecution,
         limit: int | None,
     ) -> tuple[list[tuple[int, PathPlan]], list[tuple[int, PathPlan]]]:
-        """The shared planning front half of batched and streamed execution.
+        """The planning front half of :meth:`execute_paths_streamed`.
 
-        Validates every spec, marks the provably-empty ones directly in
-        ``rows_per_spec``, splits the rest between solo plans (budget
-        fallbacks — the reason lands in ``fallbacks`` — plus the union-of-one
-        case, which brings tagging overhead and no statement saving) and the
-        members of one shared ``UNION ALL`` statement.  Every returned plan
-        has been through :meth:`_prepare_plan`, with its chosen scatter slot
-        named in ``scatter_slots`` (sharding backends only).
+        Validates every spec, drops the provably-empty ones (they get no
+        plan, hence no rows and no SQL), splits the rest between solo plans
+        (budget fallbacks — the reason lands in ``execution.fallbacks`` —
+        plus the union-of-one case, which brings tagging overhead and no
+        statement saving) and the members of one shared ``UNION ALL``
+        statement.  Every returned plan has been through
+        :meth:`_prepare_plan`, with its per-spec ``--explain`` annotations
+        (scatter slot, estimate, cost-pass label) filled into ``execution``.
         """
         resolved: list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]] = []
         for index, (path, edges, selections) in enumerate(specs):
             selections = selections or {}
             self._validate_path(path, edges, selections, limit)
             if limit == 0:
-                rows_per_spec[index] = []
                 continue
-            key_filters = self._resolve_key_filters(path, selections)
+            key_filters = self.resolve_key_filters(path, selections)
             if key_filters is None:
-                rows_per_spec[index] = []  # provably empty, no SQL at all
-                continue
+                continue  # provably empty, no SQL at all
             resolved.append((index, path, edges, key_filters))
         batch = sqlc.plan_batch(resolved, limit, estimator=self.plan_estimator())
         solo: list[tuple[int, PathPlan]] = []
         for index, solo_plan, reason in batch.fallbacks:
-            # Too selective to inline in the shared statement (_run_plan has
-            # the Python-side post-filter machinery for that).
+            # Too selective to inline in the shared statement (_stream_plan
+            # has the Python-side post-filter machinery for that).
             solo.append((index, self._prepare_plan(solo_plan)))
-            fallbacks[index] = reason
+            execution.fallbacks[index] = reason
         members = [
             (index, self._prepare_plan(plan)) for index, plan in batch.members
         ]
@@ -1434,44 +1343,14 @@ class SQLiteBackend(StorageBackend):
         for index, plan in [*solo, *members]:
             label = self._scatter_slot_label(plan)
             if label is not None:
-                scatter_slots[index] = label
+                execution.scatter_slots[index] = label
             if plan.estimated_rows is not None:
-                estimated_rows[index] = plan.estimated_rows
+                execution.estimated_rows[index] = plan.estimated_rows
             plan_label = self._plan_label(plan)
             if plan_label is not None:
-                plan_labels[index] = plan_label
+                execution.plan_labels[index] = plan_label
+        execution.batched_indexes = [index for index, _plan in members]
         return solo, members
-
-    def _run_union(
-        self,
-        members: list[tuple[int, PathPlan]],
-        shard_rows: dict[int, int] | None = None,
-    ) -> dict[int, list[tuple[Tuple, ...]]]:
-        """Compile + run the UNION ALL statement; rows keyed by spec index."""
-        statement = self.compiler.compile_union(members)
-        ord_width, _data_width = self.compiler.union_widths(members)
-        member_relations = {
-            index: [self.relation(name) for name in plan.path]
-            for index, plan in members
-        }
-        grouped: dict[int, list[tuple[Tuple, ...]]] = {
-            index: [] for index, _plan in members
-        }
-        with self._lease_read_connection() as conn:
-            with conn.lock:  # statement + fetch: one serialized read cycle
-                cursor = conn.execute(statement.sql, statement.params)
-                try:
-                    for row in cursor:
-                        grouped[row[0]].append(
-                            self._decode_network(
-                                member_relations[row[0]], row, offset=1 + ord_width
-                            )
-                        )
-                finally:
-                    cursor.close()
-        return grouped
-
-    # -- streamed join-path execution ---------------------------------------
 
     #: Rows fetched per lock-guarded cursor step of a streamed statement:
     #: small enough that an early-stopping consumer leaves little behind,
@@ -1485,24 +1364,21 @@ class SQLiteBackend(StorageBackend):
     ) -> StreamedExecution:
         """Stream many join paths through real SQLite cursors.
 
-        Planning is identical to :meth:`execute_paths_batched` — same
-        statements, same fallback decisions — but nothing executes until the
-        consumer pulls the first row: every statement's cursor opens lazily
-        when the stream reaches it (``statements`` counts only opened ones),
-        rows are fetched in :data:`STREAM_CHUNK` steps under the connection
-        lock and decoded one at a time, and closing the stream mid-iteration
-        releases the cursors without fetching the rest.  Spec order is the
-        stream order; a fully drained stream is byte-identical to the
-        batched rows.
+        Planning (:func:`repro.db.backends.sql.plan_batch`) decides which
+        specs share one tagged ``UNION ALL`` statement: specs whose
+        selections are provably empty never reach SQL, and specs whose
+        inline-key footprint exceeds the statement's parameter budget fall
+        back to their own plan — the reason travels back on ``fallbacks`` so
+        ``--explain`` can show it.  Planning is eager, but nothing executes
+        until the consumer pulls the first row: every statement's cursor
+        opens lazily when the stream reaches it (``statements`` counts only
+        opened ones), rows are fetched in :data:`STREAM_CHUNK` steps under
+        the connection lock and decoded one at a time, and closing the
+        stream mid-iteration releases the cursors without fetching the rest.
+        Spec order is the stream order.
         """
-        specs = list(specs)
-        rows_per_spec: list[list | None] = [None] * len(specs)
-        execution = StreamedExecution(stream=RowStream(iter(())))
-        solo, members = self._plan_specs(
-            specs, rows_per_spec, execution.fallbacks, execution.scatter_slots,
-            execution.estimated_rows, execution.plan_labels, limit,
-        )
-        execution.batched_indexes = [index for index, _plan in members]
+        execution = StreamedExecution()
+        solo, members = self._plan_specs(specs, execution, limit)
         solo_plans = dict(solo)
         member_indexes = {index for index, _plan in members}
 

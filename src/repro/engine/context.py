@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.interpretation import Interpretation
 from repro.core.keywords import KeywordQuery
-from repro.core.topk import TopKResult, TopKStatistics
+from repro.core.topk import TopKResult, TopKStatistics, batch_width
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.backends.base import StorageBackend
@@ -47,17 +47,6 @@ class EngineConfig:
     warm_workload: int = 0
     #: How many top-ranked interpretations ``--explain`` renders as SQL.
     explain_sql_limit: int = 5
-    #: Batch interpretation execution on backends that support it (one
-    #: ``UNION ALL`` statement per batch instead of one statement per
-    #: interpretation).  Results are identical either way.
-    batch_execution: bool = True
-    #: Interpretations per execution batch when batching is on.
-    execution_batch_size: int = 16
-    #: Consume execution batches as backend cursor streams: the top-k bound
-    #: stops *fetching* rows instead of discarding materialized ones, and the
-    #: first batch shrinks with observed selectivity.  Requires (and only
-    #: applies on top of) ``batch_execution``; results are identical.
-    streaming_execution: bool = True
     #: Let the backend's cost model drive physical planning: scatter-position
     #: choice by estimated post-filter cardinality, join reordering, batch
     #: eviction order and first-batch sizing, with estimated-vs-actual
@@ -125,7 +114,7 @@ class EngineContext:
             f"  sql statements: {stats.sql_statements}"
             + (
                 f" ({stats.batches} batch(es), batch size "
-                f"{self.config.execution_batch_size})"
+                f"{batch_width(self.backend)})"
                 if stats.batches
                 else ""
             )

@@ -68,33 +68,22 @@ class RankStage:
 class ExecuteStage:
     """TA-style top-k execution, optionally through the result cache.
 
-    On backends with native batching support (SQLite), cache-missing
-    interpretations execute in ``UNION ALL`` batches — typically one SQL
-    statement for the whole query — invisibly to every caller; other backends
-    keep the sequential one-statement-per-interpretation path.  With
-    streaming on (the default), batches are consumed as backend cursor
-    streams: the TA bound stops fetching instead of discarding materialized
-    rows, and the engine's observed selectivity shrinks the first batch on
-    later queries.  Rows are identical under every strategy.
+    Cache-missing interpretations execute through backend row streams: on
+    backends with native batching support (SQLite) a batch is one
+    ``UNION ALL`` cursor — typically one SQL statement for the whole query —
+    elsewhere one lazy ``execute_path`` per interpretation.  The TA bound
+    stops fetching instead of discarding materialized rows, and the engine's
+    observed selectivity shrinks the first batch on later queries.
     """
 
     name = "execute"
 
     def run(self, engine: "QueryEngine", context: "EngineContext") -> None:
-        batchable = (
-            context.config.batch_execution
-            and context.backend.supports_batched_execution
-        )
-        streaming = batchable and context.config.streaming_execution
         executor = TopKExecutor(
             context.backend,
             per_query_limit=context.config.per_query_limit,
             cache=engine.cache,
-            batch_size=context.config.execution_batch_size if batchable else None,
-            streaming=streaming,
-            expected_rows_per_interpretation=(
-                engine.observed_selectivity if streaming else None
-            ),
+            expected_rows_per_interpretation=engine.observed_selectivity,
         )
         pool_before = context.backend.read_pool_stats()
         context.results = executor.execute(context.ranked, k=context.k)
@@ -114,8 +103,7 @@ class ExecuteStage:
         warming = getattr(engine, "warming", None)
         if warming is not None:
             context.executor_statistics.warmed_queries = warming.queries_replayed
-        if streaming:
-            engine.record_selectivity(executor.statistics.rows_per_interpretation())
+        engine.record_selectivity(executor.statistics.rows_per_interpretation())
         stats = executor.statistics
         for rank, actual in stats.attribution.items():
             # Estimated-vs-actual feedback: calibrate the backend's cost

@@ -16,6 +16,7 @@ from repro.datasets.freebase import build_freebase
 from repro.datasets.imdb import build_imdb
 from repro.datasets.lyrics import build_lyrics
 from repro.db.backends import StorageBackend, create_backend
+from repro.db.backends.base import StreamedExecution
 from repro.db.database import Database
 from repro.db.schema import Attribute, Schema, Table
 
@@ -57,6 +58,16 @@ def build_mini_db(
     db.insert("acts", {"id": 4, "actor_id": 3, "movie_id": 3, "role": "writer"})
     db.build_indexes()
     return db
+
+
+def drain_plan(db, plan) -> list:
+    """Rows of one prepared ``PathPlan`` through a SQL backend's cursor seam
+    (``_stream_plan``) — the same drain ``execute_path`` performs."""
+    rows = db._stream_plan(plan, StreamedExecution())
+    try:
+        return list(rows)
+    finally:
+        rows.close()
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
-"""Batched (UNION ALL) execution parity with sequential execution.
+"""Batched (UNION ALL) execution parity with per-interpretation execution.
 
 The contract under test: for any ranked interpretation list,
-``execute_paths_batched`` / the executor's batched strategy return *exactly*
-the rows, scores and order of sequential per-interpretation execution — on
-the SQLite backend (native tagged-UNION pushdown) and on backends inheriting
-the generic per-path fallback — while the SQLite path issues a single SQL
-statement per batch.
+``execute_paths_batched`` and the executor return *exactly* the rows, scores
+and order of the one reference — per-spec ``execute_path`` / a cache-free
+``MemoryBackend`` engine, which runs one lazy ``execute_path`` per
+interpretation — while the SQLite path issues a single SQL statement per
+batch.
 """
 
 from __future__ import annotations
@@ -142,30 +142,29 @@ class TestBackendBatchedContract:
         assert batched.rows[1] == expected
 
 
-class TestExecutorBatchedStrategy:
-    """TopKExecutor.execute with batch_size set: same rows, fewer statements."""
+class TestExecutorBatching:
+    """TopKExecutor on a batching backend: fewer statements, same loop (row
+    parity against the memory reference: ``tests/test_streaming.py``)."""
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_batched_equals_sequential(self, backend, k):
-        db = build_mini_db(backend)
-        engine = QueryEngine(db, config=EngineConfig(cache_results=False))
-        for query_text in QUERIES:
-            ranked = engine.rank(query_text)
-            sequential = TopKExecutor(db, per_query_limit=100)
-            batched = TopKExecutor(db, per_query_limit=100, batch_size=4)
-            expected = sequential.execute(ranked, k=k)
-            actual = batched.execute(ranked, k=k)
-            assert [
-                (r.score, r.interpretation_rank, r.row_uids()) for r in actual
-            ] == [(r.score, r.interpretation_rank, r.row_uids()) for r in expected]
+    def test_naive_runs_every_interpretation_through_the_same_loop(self):
+        for backend in ("memory", "sqlite"):
+            db = build_mini_db(backend)
+            engine = QueryEngine(db, config=EngineConfig(cache_results=False))
+            ranked = engine.rank("hanks 2001")
+            executor = TopKExecutor(db, per_query_limit=100)
+            bounded = executor.execute(ranked, k=1)
+            assert executor.statistics.stopped_early
+            naive = executor.execute_naive(ranked, k=1)
+            assert executor.statistics.interpretations_executed == len(ranked)
+            assert not executor.statistics.stopped_early
+            assert [r.row_uids() for r in naive] == [r.row_uids() for r in bounded]
 
     def test_sqlite_batch_is_one_statement(self):
         db = build_mini_db("sqlite")
         engine = QueryEngine(db, config=EngineConfig(cache_results=False))
         ranked = engine.rank("hanks 2001")
         assert len(ranked) >= 2
-        executor = TopKExecutor(db, per_query_limit=100, batch_size=16)
+        executor = TopKExecutor(db, per_query_limit=100)
         executor.execute(ranked, k=5)
         stats = executor.statistics
         assert stats.interpretations_executed >= 2
@@ -182,7 +181,7 @@ class TestExecutorBatchedStrategy:
         ranked = engine.rank("hanks 2001")
         warm = ranked[0][0].to_structured_query()
         cache.put(warm, 100, warm.execute(db, limit=100))
-        executor = TopKExecutor(db, per_query_limit=100, cache=cache, batch_size=16)
+        executor = TopKExecutor(db, per_query_limit=100, cache=cache)
         executor.execute(ranked, k=5)
         stats = executor.statistics
         assert stats.cache_hits == 1
@@ -190,43 +189,23 @@ class TestExecutorBatchedStrategy:
         assert stats.sql_statements == stats.batches == 1
         assert 1 not in stats.attribution  # the warm rank executed nothing
 
-    def test_batched_populates_the_cache(self):
-        db = build_mini_db("sqlite")
-        cache = ResultCache(db)
-        engine = QueryEngine(db, cache=cache)
-        ranked = engine.rank("hanks 2001")
-        first = TopKExecutor(db, per_query_limit=100, cache=cache, batch_size=16)
-        expected = first.execute(ranked, k=5)
-        second = TopKExecutor(db, per_query_limit=100, cache=cache, batch_size=16)
-        actual = second.execute(ranked, k=5)
-        assert second.statistics.interpretations_executed == 0
-        assert second.statistics.sql_statements == 0
-        assert second.statistics.cache_hits > 0
-        assert [r.row_uids() for r in actual] == [r.row_uids() for r in expected]
-
 
 class TestEnginePipelineParity:
-    """End-to-end: batched engines answer exactly like sequential engines."""
+    """End-to-end: SQLite engines answer exactly like the memory reference."""
 
     @pytest.mark.parametrize("dataset", ["imdb", "lyrics"])
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_batched_engine_matches_sequential_engine(self, dataset, backend):
-        sequential = QueryEngine.for_dataset(
-            dataset,
-            backend=backend,
-            config=EngineConfig(cache_results=False, batch_execution=False),
+    def test_sqlite_engine_matches_memory_engine(self, dataset):
+        reference = QueryEngine.for_dataset(
+            dataset, backend="memory", config=EngineConfig(cache_results=False)
         )
         batched = QueryEngine.for_dataset(
-            dataset,
-            backend=backend,
-            config=EngineConfig(cache_results=False, batch_execution=True),
+            dataset, backend="sqlite", config=EngineConfig(cache_results=False)
         )
         for query_text in QUERIES:
-            expected = sequential.run(query_text, k=5)
+            expected = reference.run(query_text, k=5)
             actual = batched.run(query_text, k=5)
             assert _result_rows(actual) == _result_rows(expected), (
                 dataset,
-                backend,
                 query_text,
             )
 
@@ -242,14 +221,21 @@ class TestEnginePipelineParity:
         assert stats.batches == 1
         assert sum(stats.attribution.values()) == stats.rows_materialized
 
-    def test_memory_engine_stays_sequential(self):
+    def test_memory_engine_executes_one_spec_per_stream(self):
+        """Width 1 off batching backends: one stream, one ``execute_path``,
+        one statement per executed interpretation — and no planner call."""
         engine = QueryEngine.for_dataset(
             "imdb", backend="memory", config=EngineConfig(cache_results=False)
         )
+        planned = []
+        engine.backend.plan_path_spec = lambda *a, **kw: planned.append(a)
         context = engine.run("hanks 2001", k=5)
         stats = context.executor_statistics
-        assert stats.batches == 0
+        assert stats.first_batch_size == 1
+        assert stats.batches == stats.interpretations_executed > 1
         assert stats.sql_statements == stats.interpretations_executed
+        assert stats.rows_short_circuited == 0
+        assert planned == []
 
     def test_explain_shows_batching(self):
         engine = QueryEngine.for_dataset(

@@ -20,7 +20,7 @@ from repro.db.backends import sql as sqlc
 from repro.db.backends.sql import PathPlan, plan_batch, plan_path, reorder_joins
 from repro.engine.context import EngineConfig
 from repro.engine.engine import QueryEngine
-from tests.conftest import build_mini_db, mini_schema
+from tests.conftest import build_mini_db, drain_plan, mini_schema
 
 QUERIES = ["hanks 2001", "london", "hanks", "2001", "stone hill", "summer"]
 
@@ -97,10 +97,10 @@ class TestJoinOrderCompilation:
 
     def test_every_connected_order_returns_identical_rows(self, db):
         plan = self._plan(db, {2: [("title", ("hanks",))]})
-        baseline = _keys(db._run_plan(plan))
+        baseline = _keys(drain_plan(db, plan))
         assert baseline  # the parity assertion must witness real rows
         for order in [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)]:
-            rows = _keys(db._run_plan(replace(plan, join_order=order)))
+            rows = _keys(drain_plan(db, replace(plan, join_order=order)))
             assert rows == baseline, f"join order {order} changed the rows"
 
     def test_disconnected_order_is_rejected(self, db):
@@ -119,7 +119,7 @@ class TestJoinOrderCompilation:
         # cards = [3 actors, 4 acts, 1 selected movie]: anchor at the movie.
         assert prepared.join_order == (2, 1, 0)
         assert prepared.estimated_rows is not None
-        assert _keys(db._run_plan(prepared)) == _keys(db._run_plan(plan))
+        assert _keys(drain_plan(db, prepared)) == _keys(drain_plan(db, plan))
 
     def test_cost_planning_off_prepares_nothing(self, db):
         plan = self._plan(db, {2: [("title", ("hanks",))]})
@@ -168,8 +168,8 @@ class TestScatterPositionChoice:
 
     def test_both_scatter_choices_return_identical_rows(self, db):
         plan = db._prepare_plan(self._skewed_plan(db))  # routed; scatters on t1
-        rows = _keys(db._run_plan(replace(plan, scatter_position=0)))
-        assert rows == _keys(db._run_plan(plan))
+        rows = _keys(drain_plan(db, replace(plan, scatter_position=0)))
+        assert rows == _keys(drain_plan(db, plan))
         assert rows  # must witness real rows
 
     def test_scatter_label_names_the_cost_choice(self, db):

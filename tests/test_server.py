@@ -88,7 +88,7 @@ class TestEnginePool:
         assert [key[3] for key in built_keys] == [default_count, 4]
 
     def test_engine_config_reaches_the_pool(self):
-        config = EngineConfig(k=3, batch_execution=False)
+        config = EngineConfig(k=3, cache_results=False)
         with QueryServer(max_workers=1, engine_config=config) as server:
             engine = server.engine_for("imdb")
             assert engine.config is config

@@ -17,7 +17,8 @@ from repro.db.backends import ShardedSQLiteBackend, create_backend
 from repro.db.backends.sharded import shard_of_key
 from repro.db.errors import DatabaseError, IntegrityError
 from repro.engine import EngineConfig, QueryEngine, ResultCache
-from tests.conftest import build_mini_db, mini_schema
+from repro.db.backends.base import StreamedExecution
+from tests.conftest import build_mini_db, drain_plan, mini_schema
 
 QUERIES = ["hanks 2001", "london", "hanks", "2001", "stone hill", "summer"]
 
@@ -41,7 +42,7 @@ def _mini_specs(db, query_text):
 
 def _prepared_plans(db, specs, limit):
     """``(solo plans, union members)`` exactly as execution would plan them."""
-    return db._plan_specs(specs, [None] * len(specs), {}, {}, {}, {}, limit)
+    return db._plan_specs(specs, StreamedExecution(), limit)
 
 
 class TestShardedRelations:
@@ -199,7 +200,7 @@ class TestJoinCompilation:
         plan = db.plan_path_spec(path, edges, selections)  # never prepared
         assert len(plan.path) > 1
         with pytest.raises(ValueError, match="routed plans"):
-            db._run_plan(plan)
+            drain_plan(db, plan)
 
     def test_unsharded_sql_is_byte_identical_to_pr12(self):
         """Every statement ``SQLiteDialect`` compiles over the bundled IMDB
@@ -255,26 +256,11 @@ class TestShardedEngineParity:
             )
 
     def test_shard_attribution_reaches_explain(self):
-        engine = QueryEngine.for_dataset(
-            "imdb",
-            backend="sqlite-sharded",
-            shards=3,
-            config=EngineConfig(cache_results=False, streaming_execution=False),
-        )
-        context = engine.run("london", k=5, explain=True)
-        stats = context.executor_statistics
-        assert stats.rows_materialized > 0
-        # The materializing gather delivers exactly the consumed rows.
-        assert sum(stats.shard_rows.values()) == stats.rows_materialized
-        text = "\n".join(context.explain_lines())
-        assert "rows per shard: " in text
-        assert "shard2:" in text  # all three shards contributed on "london"
-
-    def test_shard_attribution_under_streaming(self):
-        """Streamed gather: shard_rows counts *delivered* rows — everything
-        the executor consumed plus at most two boundary-lookahead rows per
-        batch (the executor's and the union stream's, both booked as
-        short-circuited, never merged into results)."""
+        """``shard_rows`` counts *delivered* rows — everything the executor
+        consumed plus at most two boundary-lookahead rows per batch (the
+        executor's and the union stream's, both booked as short-circuited,
+        never merged into results).  A full drain attributes exactly the
+        returned rows (``test_batched_matches_unsharded_with_shard_statements``)."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
@@ -291,50 +277,54 @@ class TestShardedEngineParity:
         assert delivered - stats.rows_materialized <= stats.rows_short_circuited
         text = "\n".join(context.explain_lines())
         assert "rows per shard: " in text
+        assert "shard2:" in text  # all three shards contributed on "london"
         assert "scatter slot #" in text  # the chooser names every consumed slot
 
     def test_statement_reduction_holds_under_sharding(self):
-        """One scatter statement per shard per batch — still far below one
-        statement per interpretation (pinned on the materializing batched
-        strategy; the streaming strategy executes even fewer
-        interpretations, asserted separately below)."""
+        """At most one scatter statement per shard per batch — still below
+        one statement per interpretation, which is what the memory reference
+        pays for the same executed set."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
             shards=2,
-            config=EngineConfig(cache_results=False, streaming_execution=False),
+            config=EngineConfig(cache_results=False),
         )
-        context = engine.run("london", k=5)
-        stats = context.executor_statistics
+        reference = QueryEngine.for_dataset(
+            "imdb", backend="memory", config=EngineConfig(cache_results=False)
+        )
+        stats = engine.run("hanks 2001", k=5).executor_statistics
+        sequential = reference.run("hanks 2001", k=5).executor_statistics
         assert stats.interpretations_executed >= 3
         assert stats.batches == 1
         assert stats.sql_statements == 2  # == shards
-        assert stats.sql_statements < stats.interpretations_executed
+        assert sequential.sql_statements == sequential.interpretations_executed
+        assert stats.sql_statements < sequential.sql_statements
 
-    def test_streaming_consumes_fewer_interpretations(self):
-        """The streamed gather stops consuming at the TA bound: never more
-        interpretations (or statements) than the materializing strategy,
-        identical rows."""
-        materializing = QueryEngine.for_dataset(
-            "imdb",
-            backend="sqlite-sharded",
-            shards=2,
-            config=EngineConfig(cache_results=False, streaming_execution=False),
+    def test_executes_exactly_the_sequential_interpretations(self):
+        """The bound is checked before every interpretation inside a batch,
+        so the sharded stream runs precisely the interpretations the memory
+        reference (one lazy ``execute_path`` per pull) runs — identical
+        rows, never more statements than shards per batch."""
+        reference = QueryEngine.for_dataset(
+            "imdb", backend="memory", config=EngineConfig(cache_results=False)
         )
-        streaming = QueryEngine.for_dataset(
+        sharded = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
             shards=2,
             config=EngineConfig(cache_results=False),
         )
         for query_text in QUERIES:
-            expected = materializing.run(query_text, k=5)
-            actual = streaming.run(query_text, k=5)
+            expected = reference.run(query_text, k=5)
+            actual = sharded.run(query_text, k=5)
             assert _result_rows(actual) == _result_rows(expected), query_text
             stats = actual.executor_statistics
-            reference = expected.executor_statistics
-            assert stats.interpretations_executed <= reference.interpretations_executed
-            assert stats.sql_statements <= reference.sql_statements
+            sequential = expected.executor_statistics
+            assert (
+                stats.interpretations_executed == sequential.interpretations_executed
+            )
+            assert stats.sql_statements <= 2 * stats.batches
 
 
 class TestShardedStoreLifecycle:

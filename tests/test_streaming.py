@@ -3,17 +3,18 @@
 The contract under test, layer by layer:
 
 * ``StorageBackend.execute_paths_streamed`` (native SQLite cursors, the
-  sharded k-way merge, and the generic materializing fallback) streams
-  **byte-identical** rows to the list-returning batched API, on the mini
-  store and on both bundled datasets (the acceptance pin).
+  sharded k-way merge, and the generic lazy per-spec fallback) streams
+  **byte-identical** rows to the list-returning API that drains it, on the
+  mini store and on both bundled datasets (the acceptance pin).
 * Streams abandoned mid-iteration release their cursors: the backend stays
   fully usable, sharded reader connections do not leak, and close() is
   idempotent.
 * ``merge_shard_streams`` is a stable k-way merge: ORDER BY ties across
   shards resolve to the lower shard, empty partitions are transparent.
-* The streaming ``TopKExecutor`` returns exactly the sequential strategy's
-  rows while *consuming* strictly less from the backend on early-stopping
-  queries, and counts only consumed interpretations as executed/missed.
+* ``TopKExecutor`` on the SQL backends returns exactly the memory
+  reference's rows while *consuming* strictly less from the backend than a
+  full drain on early-stopping queries, and counts only consumed
+  interpretations as executed/missed.
 """
 
 from __future__ import annotations
@@ -102,19 +103,30 @@ class TestBackendStreamContract:
         # ...while the batched call on the same specs costs one.
         assert db.execute_paths_batched(specs, limit=10).statements == 1
 
-    def test_fallback_counts_short_circuited_rows(self):
-        """The generic fallback reports exactly the unconsumed rows."""
+    def test_fallback_executes_one_spec_per_pull(self, monkeypatch):
+        """The generic fallback is lazy per spec: a spec the consumer never
+        reaches is never executed, and only the rows of a *started* spec the
+        consumer left behind count as short-circuited."""
         db = build_mini_db("memory")
         specs = _specs(db, "hanks 2001")
-        total = sum(
-            len(rows) for rows in db.execute_paths_batched(specs, limit=10).rows
+        per_spec = [len(db.execute_path(*spec, limit=10)) for spec in specs]
+        first = next(i for i, n in enumerate(per_spec) if n >= 2)
+        assert first < len(specs) - 1  # something lies past the stop
+        calls = []
+        execute_path = db.execute_path
+        monkeypatch.setattr(
+            db,
+            "execute_path",
+            lambda *a, **kw: calls.append(a) or execute_path(*a, **kw),
         )
-        assert total >= 2
         execution = db.execute_paths_streamed(specs, limit=10)
-        next(execution.stream)
+        assert calls == []  # nothing runs before the first pull
+        assert next(execution.stream)[0] == first
         execution.stream.close()
+        assert len(calls) == first + 1
+        assert execution.statements == first + 1
         assert execution.stream.rows_delivered == 1
-        assert execution.rows_short_circuited == total - 1
+        assert execution.rows_short_circuited == per_spec[first] - 1
 
     def test_post_filter_fallback_streams_identically(self, monkeypatch):
         """Solo fallback plans (inline cap overflow) stream like they batch."""
@@ -236,42 +248,52 @@ class TestEmptyPartitions:
 
 
 class TestStreamingExecutor:
-    """TopKExecutor(streaming=True): same rows, less consumption."""
+    """TopKExecutor over SQL streams: reference rows, less consumption."""
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite", "sqlite-sharded"])
+    @pytest.mark.parametrize("backend", ["sqlite", "sqlite-sharded"])
     @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_streaming_equals_sequential(self, backend, k):
+    def test_streaming_equals_memory_reference(self, backend, k):
         db = build_mini_db(backend)
-        engine = QueryEngine(db, config=EngineConfig(cache_results=False))
+        reference_db = build_mini_db("memory")
+        engine = QueryEngine(reference_db, config=EngineConfig(cache_results=False))
         for query_text in QUERIES:
             ranked = engine.rank(query_text)
-            sequential = TopKExecutor(db, per_query_limit=100)
-            streamed = TopKExecutor(
-                db, per_query_limit=100, batch_size=4, streaming=True
-            )
-            expected = sequential.execute(ranked, k=k)
+            reference = TopKExecutor(reference_db, per_query_limit=100)
+            streamed = TopKExecutor(db, per_query_limit=100)
+            expected = reference.execute(ranked, k=k)
             actual = streamed.execute(ranked, k=k)
             assert [
                 (r.score, r.interpretation_rank, r.row_uids()) for r in actual
             ] == [
                 (r.score, r.interpretation_rank, r.row_uids()) for r in expected
             ], (backend, k, query_text)
+            # The bound is checked before every interpretation on both, so
+            # the batch width never changes *which* interpretations run.
+            assert (
+                streamed.statistics.interpretations_executed
+                == reference.statistics.interpretations_executed
+            )
 
     def test_streaming_consumes_fewer_rows_on_k1(self):
-        """k=1: the second interpretation's rows are never fetched."""
+        """k=1: the second interpretation's rows are never fetched, where a
+        full drain of the un-shrunk first batch (max(2, min(16, k)) = 2
+        interpretations) materializes all of them."""
         db = build_mini_db("sqlite")
-        engine = QueryEngine(db, config=EngineConfig(cache_results=False))
+        cache = ResultCache(db)
+        engine = QueryEngine(db, cache=cache)
         ranked = engine.rank("hanks 2001")
         assert len(ranked) >= 2
-        materializing = TopKExecutor(db, per_query_limit=100, batch_size=16)
-        streamed = TopKExecutor(
-            db, per_query_limit=100, batch_size=16, streaming=True
-        )
-        expected = materializing.execute(ranked, k=1)
+        streamed = TopKExecutor(db, per_query_limit=100, cache=cache)
         actual = streamed.execute(ranked, k=1)
-        assert [r.row_uids() for r in actual] == [r.row_uids() for r in expected]
         stats = streamed.statistics
-        assert stats.rows_streamed < materializing.statistics.rows_materialized
+        first_batch = [
+            interp.to_structured_query().path_spec() for interp, _p in ranked[:2]
+        ]
+        drained = db.execute_paths_batched(first_batch, limit=100)
+        assert [r.row_uids() for r in actual] == [
+            tuple(t.uid for t in drained.rows[0][0])
+        ]
+        assert stats.rows_streamed < sum(len(rows) for rows in drained.rows)
         assert stats.interpretations_executed == 1  # never reached rank 2
         assert stats.cache_misses == 1  # unconsumed interps are not misses
         assert stats.stopped_early
@@ -352,13 +374,9 @@ class TestStreamingExecutor:
         cache = Cache(db)
         engine = QueryEngine(db, cache=cache)
         ranked = engine.rank("hanks 2001")
-        first = TopKExecutor(
-            db, per_query_limit=100, cache=cache, batch_size=16, streaming=True
-        )
+        first = TopKExecutor(db, per_query_limit=100, cache=cache)
         expected = first.execute(ranked, k=5)
-        second = TopKExecutor(
-            db, per_query_limit=100, cache=cache, batch_size=16, streaming=True
-        )
+        second = TopKExecutor(db, per_query_limit=100, cache=cache)
         actual = second.execute(ranked, k=5)
         assert second.statistics.interpretations_executed == 0
         assert second.statistics.sql_statements == 0
