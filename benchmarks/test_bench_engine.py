@@ -1,4 +1,4 @@
-"""QueryEngine perf guards: cold opens, warm result cache, batched execution.
+"""QueryEngine perf guards: cold opens, warm result cache, per-interpretation execution.
 
 Not a thesis figure — this benchmark *asserts* the storage/execution
 optimizations the engine seam hosts, so a regression fails the bench-smoke CI
@@ -10,11 +10,11 @@ lane loudly instead of shipping as a slower table:
 * **Warm cache.** A second engine session over an unchanged store must serve
   identical top-k rows while executing zero interpretations, and the whole
   warm pass must beat the cold pass (the asserted speedup ratio).
-* **Batched execution.** Every multi-interpretation query must collapse to
-  one ``UNION ALL`` statement (the asserted statement-reduction ratio — the
-  round-trip currency that matters on a networked RDB: one statement per
-  executed interpretation is what a backend without batching pays) with rows
-  identical to the memory reference.
+* **Per-interpretation execution.** Over the bundled workload the specs
+  handed to the backend must equal the interpretations executed, with nothing
+  produced and then short-circuited (counts that repeat exactly): the TA
+  bound decides what SQLite prepares and evaluates, not only what Python
+  decodes — with rows identical to the memory reference.
 
 * **Enumeration.** Generating a query's interpretation space must construct
   exactly as many ``Interpretation`` objects as it returns (a count, not a
@@ -249,65 +249,80 @@ def test_bench_engine_semantic_cache_zero_statement_reuse(tmp_path):
     )
 
 
-def test_bench_engine_batched_vs_sequential(tmp_path):
-    """Batched UNION execution: assert the statement reduction + parity.
+def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
+    """Per-interpretation execution: the backend is handed what the bound ran.
 
-    The sequential cost needs no second engine: it is one statement per
-    executed interpretation — what the memory reference reports for the same
-    query, and what any backend without batching pays.  On in-process SQLite
-    the *wall-clock* win of batching is bounded by the tiny per-statement
-    overhead, so the asserted ratio is the statement count (deterministic,
-    and exactly what batching optimizes).
+    One claim, as counts that repeat exactly: over the bundled workload on
+    sqlite and sqlite-sharded, the specs handed to ``execute_paths_streamed``
+    equal the interpretations executed — one per stream — and no row is
+    produced and then short-circuited.  Statements follow: at most one per
+    executed interpretation on one store, one per shard on a sharded one.
+    Rows and executed interpretations match the memory reference.
     """
-    path = tmp_path / "imdb.sqlite"
-    build_imdb(**BUILD_KWARGS, backend="sqlite", db_path=path).close()
-    db, _ = _timed_open(path, persist_index=True)
-    batched = QueryEngine(db, config=EngineConfig(cache_results=False))
+    from repro.db.backends.sharded import ShardedSQLiteBackend
+
+    shards = 2
     reference = QueryEngine(
         build_imdb(**BUILD_KWARGS), config=EngineConfig(cache_results=False)
     )
-
     rows_of = lambda context: [r.row_uids() for r in context.results]  # noqa: E731
-    executed_total = batched_statements = 0
     per_query: list[list[str]] = []
-    for query_text in QUERIES:
-        start = time.perf_counter()
-        context = batched.run(query_text, k=5)
-        seconds = time.perf_counter() - start
-        reference_context = reference.run(query_text, k=5)
-        assert rows_of(context) == rows_of(reference_context)
-        stats = context.executor_statistics
-        sequential = reference_context.executor_statistics
-        assert stats.interpretations_executed == sequential.interpretations_executed
-        assert sequential.sql_statements == sequential.interpretations_executed
-        if stats.interpretations_executed > 1:
-            # The headline win: k interpretations, one statement.
-            assert stats.sql_statements == 1, (
-                f"{query_text!r}: expected one batched statement, got "
-                f"{stats.sql_statements}"
-            )
-        executed_total += stats.interpretations_executed
-        batched_statements += stats.sql_statements
-        per_query.append(
-            [
-                query_text,
-                f"{stats.interpretations_executed}",
-                f"{stats.sql_statements}",
-                f"{seconds * 1000:.2f}",
-            ]
-        )
-    db.close()
+    for backend, fan_out in (("sqlite", 1), ("sqlite-sharded", shards)):
+        path = tmp_path / f"{backend}.sqlite"
+        kwargs = {"shards": shards} if fan_out > 1 else {}
+        build_imdb(**BUILD_KWARGS, backend=backend, db_path=path, **kwargs).close()
+        if fan_out > 1:
+            db = ShardedSQLiteBackend(imdb_schema(), path=path, shards=shards)
+        else:
+            db = SQLiteBackend(imdb_schema(), path=path)
+        db.build_indexes()
+        engine = QueryEngine(db, config=EngineConfig(cache_results=False))
+        handed: list[int] = []
+        open_stream = db.execute_paths_streamed
 
-    assert batched_statements < executed_total, (
-        f"batched execution must issue fewer statements than executed "
-        f"interpretations ({batched_statements} vs {executed_total})"
-    )
+        def spy(specs, limit=None):
+            handed.append(len(specs))
+            return open_stream(specs, limit=limit)
+
+        db.execute_paths_streamed = spy
+        executed_total = 0
+        for query_text in [*QUERIES, "hanks"]:
+            before = len(handed)
+            context = engine.run(query_text, k=5)
+            reference_context = reference.run(query_text, k=5)
+            assert rows_of(context) == rows_of(reference_context)
+            stats = context.executor_statistics
+            sequential = reference_context.executor_statistics
+            assert stats.interpretations_executed == sequential.interpretations_executed
+            assert handed[before:] == [1] * stats.interpretations_executed, (
+                f"{backend} {query_text!r}: backend was handed {handed[before:]} "
+                f"specs for {stats.interpretations_executed} executed"
+            )
+            assert stats.rows_short_circuited == 0
+            assert stats.sql_statements <= fan_out * stats.interpretations_executed
+            assert sum(stats.shard_rows.values()) == (
+                stats.rows_materialized if fan_out > 1 else 0
+            )
+            executed_total += stats.interpretations_executed
+            per_query.append(
+                [
+                    backend,
+                    query_text,
+                    f"{len(context.ranked)}",
+                    f"{stats.interpretations_executed}",
+                    f"{sum(handed[before:])}",
+                    f"{stats.sql_statements}",
+                ]
+            )
+        db.close()
+        assert sum(handed) == executed_total > 0
 
     print()
-    print(format_table(["query", "interps executed", "stmts", "ms"], per_query))
     print(
-        f"statement reduction: {executed_total} -> {batched_statements} "
-        f"({executed_total / batched_statements:.1f}x)"
+        format_table(
+            ["backend", "query", "ranked", "executed", "specs handed", "stmts"],
+            per_query,
+        )
     )
 
 
@@ -315,11 +330,9 @@ def test_bench_engine_streaming_row_consumption(tmp_path):
     """Streaming execution: the TA bound stops *consuming* the backend.
 
     On a single-answer (k=1) query the executor must pull strictly fewer
-    rows out of the backend than a full drain of the same un-shrunk first
-    batch (``execute_paths_batched`` over max(2, min(16, k)) = 2
-    interpretations) materializes — the rows of interpretations past the
-    stopping point are simply never fetched.  Also asserts the adaptive
-    first batch shrinks once selectivity has been observed.
+    rows out of the backend than a full drain of the top two interpretations
+    (``execute_paths_batched``) materializes — the rows of interpretations
+    past the stopping point are simply never fetched.
     """
     path = tmp_path / "imdb.sqlite"
     build_imdb(**BUILD_KWARGS, backend="sqlite", db_path=path).close()
@@ -329,17 +342,17 @@ def test_bench_engine_streaming_row_consumption(tmp_path):
     per_query: list[list[str]] = []
     wins = 0
     for query_text in QUERIES:
-        first_batch = [
+        top_two = [
             interp.to_structured_query().path_spec()
             for interp, _p in streaming.rank(query_text)[:2]
         ]
         drained = db.execute_paths_batched(
-            first_batch, limit=streaming.config.per_query_limit
+            top_two, limit=streaming.config.per_query_limit
         )
         materialized = sum(len(rows) for rows in drained.rows)
         stream = streaming.run(query_text, k=1).executor_statistics
         assert stream.rows_streamed <= materialized
-        if len(first_batch) == 2 and all(drained.rows):
+        if len(top_two) == 2 and all(drained.rows):
             # The headline claim: k=1 consumes strictly fewer backend rows.
             assert stream.rows_streamed < materialized, (
                 f"{query_text!r}: streaming consumed {stream.rows_streamed} "
@@ -347,42 +360,26 @@ def test_bench_engine_streaming_row_consumption(tmp_path):
             )
             wins += 1
         per_query.append(
-            [
-                query_text,
-                f"{materialized}",
-                f"{stream.rows_streamed}",
-                f"{stream.first_batch_size}",
-            ]
+            [query_text, f"{materialized}", f"{stream.rows_streamed}"]
         )
     assert wins > 0, "no query had two non-empty interpretations"
-    # With selectivity observed, a later k=1 query's first batch must shrink
-    # below the legacy max(2, min(batch, k)) == 2 floor.
-    final = streaming.run(QUERIES[0], k=1)
-    assert final.executor_statistics.first_batch_size == 1
-    assert streaming.observed_selectivity is not None
     db.close()
 
     print()
-    print(
-        format_table(
-            ["query (k=1)", "drained rows", "streamed rows", "first batch"],
-            per_query,
-        )
-    )
+    print(format_table(["query (k=1)", "drained rows", "streamed rows"], per_query))
 
 
-def test_bench_engine_cost_based_row_reduction(tmp_path):
+def test_bench_engine_cost_based_never_fetches_more(tmp_path):
     """Cost-based planning: never fetch more rows than the default planner.
 
-    The win-rate guard of the cost model, on a deliberately skewed store
-    (many movies, few actors — raw row counts mislead exactly where the
+    The guard of the cost model, on a deliberately skewed store (many
+    movies, few actors — raw row counts mislead exactly where the
     selection-key statistics do not).  Per query the cost-based engine's
-    backend row consumption — streamed union rows plus per-shard gather
-    rows — must never exceed the default planner's, and over the workload
-    it must be strictly lower (the estimator-sized first batch stops the
-    shard merge from looking ahead past the top-k bound), with
-    byte-identical result rows and the estimated-vs-actual cardinalities
-    visible in ``--explain``.
+    backend row consumption — streamed rows plus per-shard gather rows —
+    must never exceed the default planner's, with byte-identical result rows
+    and the estimated-vs-actual cardinalities visible in ``--explain``.
+    (The strict saving this used to assert was the estimator-sized first
+    batch's shorter look-ahead; no arm looks ahead any more.)
     """
     path = tmp_path / "imdb.sqlite"
     build_imdb(
@@ -438,10 +435,6 @@ def test_bench_engine_cost_based_row_reduction(tmp_path):
         )
     total_cost = sum(cost_consumed.values())
     total_default = sum(default_consumed.values())
-    assert total_cost < total_default, (
-        f"cost-based planning fetched {total_cost} rows over the workload, "
-        f"no better than the default planner's {total_default}"
-    )
     # The feedback loop must be visible: the last cost-based run's explain
     # carries per-interpretation estimated-vs-actual cardinalities.
     explain = "\n".join(cost_context.explain_lines())
@@ -456,86 +449,6 @@ def test_bench_engine_cost_based_row_reduction(tmp_path):
         )
     )
     print(f"workload row consumption: {total_default} -> {total_cost}")
-
-
-def test_bench_engine_sharded_statement_ratio(tmp_path):
-    """Sharded scatter-gather: row parity + the statement ratio under shards.
-
-    The batched statement reduction must survive sharding: a batch costs at
-    most one scatter statement *per shard* instead of one per interpretation,
-    so with S shards the asserted bound is ``statements <= S * batches`` —
-    strictly below the memory reference's one-per-interpretation whenever a
-    batch covers more interpretations than there are shards.
-    """
-    shards = 2
-    path = tmp_path / "imdb.sqlite"
-    build_imdb(
-        **BUILD_KWARGS, backend="sqlite-sharded", db_path=path, shards=shards
-    ).close()
-    from repro.db.backends.sharded import ShardedSQLiteBackend
-
-    db = ShardedSQLiteBackend(imdb_schema(), path=path, shards=shards)
-    db.build_indexes()
-    reference = QueryEngine(
-        build_imdb(**BUILD_KWARGS), config=EngineConfig(cache_results=False)
-    )
-    sharded = QueryEngine(db, config=EngineConfig(cache_results=False))
-
-    rows_of = lambda context: [r.row_uids() for r in context.results]  # noqa: E731
-    executed_total = sharded_statements = reductions = 0
-    per_query: list[list[str]] = []
-    for query_text in QUERIES:
-        reference_context = reference.run(query_text, k=5)
-        sharded_context = sharded.run(query_text, k=5)
-        assert rows_of(sharded_context) == rows_of(reference_context)
-        stats = sharded_context.executor_statistics
-        sequential = reference_context.executor_statistics
-        assert stats.interpretations_executed == sequential.interpretations_executed
-        assert 0 < stats.sql_statements <= shards * stats.batches, (
-            f"{query_text!r}: expected at most {shards} statements per batch, "
-            f"got {stats.sql_statements} over {stats.batches} batch(es)"
-        )
-        # Delivered rows: the consumed ones plus at most two boundary
-        # lookaheads per batch, each booked as short-circuited.
-        delivered = sum(stats.shard_rows.values())
-        assert stats.rows_materialized <= delivered
-        assert delivered - stats.rows_materialized <= stats.rows_short_circuited
-        if stats.interpretations_executed > shards:
-            # The reduction claim: fewer statements than interpretations
-            # whenever the query needs more interpretations than the shard
-            # fan-out (a query the bound stops after one interpretation pays
-            # up to S statements where the reference pays one).
-            assert stats.sql_statements < stats.interpretations_executed, (
-                f"{query_text!r}: sharded batching lost the statement reduction"
-            )
-            reductions += 1
-        executed_total += stats.interpretations_executed
-        sharded_statements += stats.sql_statements
-        per_query.append(
-            [
-                query_text,
-                f"{stats.interpretations_executed}",
-                f"{stats.sql_statements}",
-                ", ".join(
-                    f"s{shard}:{rows}"
-                    for shard, rows in sorted(stats.shard_rows.items())
-                ),
-            ]
-        )
-    db.close()
-
-    assert reductions > 0, "no query executed more interpretations than shards"
-    print()
-    print(
-        format_table(
-            ["query", "interps executed", f"stmts ({shards} shards)", "rows/shard"],
-            per_query,
-        )
-    )
-    print(
-        f"statements under sharding: {executed_total} executions -> "
-        f"{sharded_statements} statements"
-    )
 
 
 def test_bench_engine_enumeration_constructs_only_what_it_returns(monkeypatch):

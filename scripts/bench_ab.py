@@ -22,8 +22,10 @@ won, and a verdict by the rule of the choosing-metrics guide (section 8):
 * ``same`` — neither, within the bound.
 
 ``--trace 1`` compares the per-layer metrics of the traced replay instead
-(they have no bounds: only ``better`` or ``-`` is printed).  Report only: the
-exit code is 0 whenever at least one pair produced a result on both sides.
+(they have no bounds: only ``better`` or ``-`` is printed).  Each side's
+failed operations and row-oracle verdicts (``correct: n/n``) follow the table.
+The verdicts are report only; the exit code is 1 when no pair produced a
+result on both sides or when any run's rows were not ``correct``.
 """
 
 from __future__ import annotations
@@ -166,11 +168,17 @@ def main(argv: list[str] | None = None) -> int:
     widths = [max(len(row[column]) for row in rows) for column in range(len(header))]
     for row in rows:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    all_correct = True
     for side in ("base", "head"):
         attempted = sum(run["attempted"] for run in results[side])
         failed = sum(run["failed"] for run in results[side])
-        print(f"{side}: {failed} of {attempted} operations failed")
-    return 0
+        correct = sum(run["correct"] is True for run in results[side])
+        all_correct = all_correct and correct == pairs
+        print(
+            f"{side}: {failed} of {attempted} operations failed, "
+            f"correct: {correct}/{pairs}"
+        )
+    return 0 if all_correct else 1
 
 
 if __name__ == "__main__":

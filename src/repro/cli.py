@@ -674,8 +674,8 @@ def _add_storage_options(parser: argparse.ArgumentParser) -> None:
         action="store_false",
         dest="cost_planning",
         help="disable cost-model-driven physical planning (scatter-position "
-        "choice, join reordering, batch eviction order, first-batch sizing) "
-        "and restore the raw-row-count planner; rows are identical either way",
+        "choice, join reordering) and restore the raw-row-count planner; "
+        "rows are identical either way",
     )
 
 

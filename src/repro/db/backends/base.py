@@ -104,8 +104,7 @@ class RowStream:
     grouping by index *is* ``execute_paths_batched``.  The
     point of the cursor shape is that a consumer may *stop*: ``close()``
     (or the context manager) releases every underlying backend cursor
-    without fetching the remaining rows — the top-k executor's TA bound uses
-    this to stop consuming instead of post-filtering a materialized batch.
+    without fetching the remaining rows.
     """
 
     def __init__(self, iterator: "Iterator[tuple[int, tuple[Tuple, ...]]]"):
@@ -233,8 +232,8 @@ class StorageBackend(abc.ABC):
         #: :meth:`content_fingerprint`).  Persistent backends save/restore it
         #: so the chain continues across reopens.
         self._content_digest: str = ""
-        #: Apply cost-based plan rewrites (scatter choice, join order, batch
-        #: sizing).  Off, every physical choice falls back to the pre-cost
+        #: Apply cost-based plan rewrites (scatter choice, join order, union
+        #: eviction).  Off, every physical choice falls back to the pre-cost
         #: defaults — the ``--no-cost-planning`` escape hatch and the control
         #: arm of the win-rate benchmarks.
         self.cost_planning: bool = True
@@ -556,31 +555,6 @@ class StorageBackend(abc.ABC):
             return None
         return self.cardinality_estimator()
 
-    def estimated_path_rows(
-        self,
-        path: Sequence[str],
-        edges: Sequence[ForeignKey],
-        selections: SelectionsByPosition | None = None,
-        limit: int | None = None,
-    ) -> float | None:
-        """Estimated result rows of one path spec, without executing it.
-
-        ``0.0`` for provably empty specs, ``None`` on any estimator gap
-        (missing statistics, cost planning disabled, invalid spec — errors
-        surface at execution time, never during estimation).  The top-k
-        executor sizes its first batch with this.
-        """
-        estimator = self.plan_estimator()
-        if estimator is None:
-            return None
-        try:
-            plan = self.plan_path_spec(path, edges, selections, limit)
-        except Exception:
-            return None
-        if plan is None:
-            return 0.0
-        return estimator.estimate(plan)
-
     def observe_estimate(self, estimated: float, actual: int) -> None:
         """Feed one estimated-vs-actual row count into estimator calibration."""
         estimator = self.cardinality_estimator()
@@ -697,11 +671,6 @@ class StorageBackend(abc.ABC):
         raise ValueError(
             f"foreign key {edge} does not connect {current_table!r} and {next_table!r}"
         )
-
-    #: True when :meth:`execute_paths_streamed` can serve several join paths
-    #: with fewer statements than one per path (e.g. a SQL ``UNION ALL``).
-    #: The top-k executor derives its batch width from this flag.
-    supports_batched_execution: ClassVar[bool] = False
 
     def execute_paths_streamed(
         self,

@@ -1298,8 +1298,6 @@ class SQLiteBackend(StorageBackend):
 
     # -- join-path execution: the row stream --------------------------------
 
-    supports_batched_execution = True
-
     def _plan_specs(
         self,
         specs: Sequence[PathSpec],

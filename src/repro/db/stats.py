@@ -23,8 +23,7 @@ validated to return byte-identical rows (see ``tests/test_plan_rewrites``),
 and any gap in the catalog makes the estimator return ``None``, which makes
 every consumer keep the unrewritten plan.  The estimator self-tunes under
 live traffic: the engine feeds estimated-vs-actual row counts back through
-:meth:`CardinalityEstimator.observe`, an EWMA with the same ``alpha`` as
-``QueryEngine.observed_selectivity``.
+:meth:`CardinalityEstimator.observe`, an EWMA.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.backends.sql import PathPlan
     from repro.db.schema import Schema
 
-#: EWMA smoothing for estimator calibration — deliberately the same constant
-#: as ``QueryEngine.record_selectivity`` so both feedback loops converge at
-#: the same rate.
+#: EWMA smoothing for estimator calibration: recent queries dominate, so a
+#: workload shift re-calibrates within a few queries.
 EWMA_ALPHA = 0.5
 
 #: Calibration is a multiplicative correction; clamp it so a few pathological

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.interpretation import Interpretation
 from repro.core.keywords import KeywordQuery
-from repro.core.topk import TopKResult, TopKStatistics, batch_width
+from repro.core.topk import TopKResult, TopKStatistics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.backends.base import StorageBackend
@@ -48,11 +48,10 @@ class EngineConfig:
     #: How many top-ranked interpretations ``--explain`` renders as SQL.
     explain_sql_limit: int = 5
     #: Let the backend's cost model drive physical planning: scatter-position
-    #: choice by estimated post-filter cardinality, join reordering, batch
-    #: eviction order and first-batch sizing, with estimated-vs-actual
-    #: feedback calibrating the estimator.  Rows are byte-identical either
-    #: way (every rewrite is parity-pinned); off restores the PR 5 planner
-    #: bit-for-bit (CLI: ``--no-cost-planning``).
+    #: choice by estimated post-filter cardinality and join reordering, with
+    #: estimated-vs-actual feedback calibrating the estimator.  Rows are
+    #: byte-identical either way (every rewrite is parity-pinned); off
+    #: restores the PR 5 planner bit-for-bit (CLI: ``--no-cost-planning``).
     cost_based_planning: bool = True
     #: Reader connections the storage backend may lease for concurrent
     #: read-only execution (CLI: ``--read-pool-size``).  ``None`` keeps the
@@ -110,21 +109,11 @@ class EngineContext:
             f"{stats.interpretations_executed} executed"
             + (", stopped early" if stats.stopped_early else "")
         )
+        lines.append(f"  sql statements: {stats.sql_statements}")
         lines.append(
-            f"  sql statements: {stats.sql_statements}"
-            + (
-                f" ({stats.batches} batch(es), batch size "
-                f"{batch_width(self.backend)})"
-                if stats.batches
-                else ""
-            )
+            f"  streaming: {stats.rows_streamed} row(s) streamed, "
+            f"{stats.rows_short_circuited} short-circuited"
         )
-        if stats.first_batch_size is not None:
-            lines.append(
-                f"  streaming: first batch {stats.first_batch_size}, "
-                f"{stats.rows_streamed} row(s) streamed, "
-                f"{stats.rows_short_circuited} short-circuited"
-            )
         if stats.attribution:
             contributions = ", ".join(
                 f"#{rank}:{rows}" for rank, rows in sorted(stats.attribution.items())
@@ -142,7 +131,7 @@ class EngineContext:
             )
             lines.append(f"  estimated vs actual rows: {estimates}")
         for rank, reason in sorted(stats.fallback_reasons.items()):
-            lines.append(f"  batch fallback #{rank}: {reason}")
+            lines.append(f"  fallback #{rank}: {reason}")
         for rank, label in sorted(stats.scatter_slots.items()):
             lines.append(f"  scatter slot #{rank}: {label}")
         for rank, label in sorted(stats.plan_choices.items()):

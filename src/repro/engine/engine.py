@@ -67,7 +67,7 @@ class QueryEngine:
         if not self.config.cost_based_planning:
             # The gate lives on the backend (where planning happens); flipping
             # it restores the PR 5 planner — raw-row-count scatter choice,
-            # default join order, spec-order batch eviction — bit-for-bit.
+            # default join order — bit-for-bit.
             backend.cost_planning = False
         # None keeps the backend's default pool size; backends without
         # supports_read_pool (memory) ignore the call entirely.
@@ -97,26 +97,6 @@ class QueryEngine:
         #: warmed); ``--explain`` surfaces it per query.
         self.warming: WarmingReport | None = None
         self.stages: list[Stage] = list(stages or DEFAULT_STAGES)
-        #: Exponentially weighted rows-per-executed-interpretation over this
-        #: engine's queries — the selectivity signal that sizes the first
-        #: streaming batch (None until the first query that executed).
-        self.observed_selectivity: float | None = None
-
-    def record_selectivity(self, sample: float | None) -> None:
-        """Fold one query's observed rows-per-interpretation into the EWMA.
-
-        Called by ``ExecuteStage`` after every run that executed something.
-        Recent queries dominate (alpha 0.5), so a workload shift re-adapts
-        within a few queries; concurrent server queries may interleave
-        updates, which at worst blurs the estimate — never correctness,
-        since the estimate only sizes the first streaming batch.
-        """
-        if sample is None:
-            return
-        if self.observed_selectivity is None:
-            self.observed_selectivity = sample
-        else:
-            self.observed_selectivity = 0.5 * self.observed_selectivity + 0.5 * sample
 
     # -- construction helpers ----------------------------------------------
 

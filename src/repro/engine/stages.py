@@ -68,12 +68,10 @@ class RankStage:
 class ExecuteStage:
     """TA-style top-k execution, optionally through the result cache.
 
-    Cache-missing interpretations execute through backend row streams: on
-    backends with native batching support (SQLite) a batch is one
-    ``UNION ALL`` cursor — typically one SQL statement for the whole query —
-    elsewhere one lazy ``execute_path`` per interpretation.  The TA bound
-    stops fetching instead of discarding materialized rows, and the engine's
-    observed selectivity shrinks the first batch on later queries.
+    Every cache-missing interpretation the TA bound reaches executes
+    through its own single-spec backend row stream — one statement on
+    SQLite, one scatter statement per routed shard on the sharded backend —
+    so nothing is planned or prepared past the stopping point.
     """
 
     name = "execute"
@@ -83,7 +81,6 @@ class ExecuteStage:
             context.backend,
             per_query_limit=context.config.per_query_limit,
             cache=engine.cache,
-            expected_rows_per_interpretation=engine.observed_selectivity,
         )
         pool_before = context.backend.read_pool_stats()
         context.results = executor.execute(context.ranked, k=context.k)
@@ -103,7 +100,6 @@ class ExecuteStage:
         warming = getattr(engine, "warming", None)
         if warming is not None:
             context.executor_statistics.warmed_queries = warming.queries_replayed
-        engine.record_selectivity(executor.statistics.rows_per_interpretation())
         stats = executor.statistics
         for rank, actual in stats.attribution.items():
             # Estimated-vs-actual feedback: calibrate the backend's cost

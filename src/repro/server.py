@@ -7,8 +7,7 @@ pool.  Isolation falls out of the engine design — every query gets its own
 :class:`~repro.engine.EngineContext`, stages are stateless, and the shared
 layers (the SQLite connection, the cross-session result cache) serialize
 internally — so concurrent queries return exactly what sequential queries
-would, while batched ``UNION ALL`` execution keeps each one at a single SQL
-statement on backends that support it.
+would.
 
 Typical use::
 
@@ -402,7 +401,7 @@ def benchmark_serve(
         )
         # Expected rows come from a cache-free sibling engine and the process
         # cache starts the concurrent phase cold: the clients must *execute*
-        # (concurrent batched SQL, cache fills under contention), not replay
+        # (concurrent SQL, cache fills under contention), not replay
         # answers the warm-up already parked in the shared cache — otherwise
         # the verification would only exercise the cache dictionary.
         reference = QueryEngine(

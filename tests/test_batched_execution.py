@@ -1,11 +1,11 @@
 """Batched (UNION ALL) execution parity with per-interpretation execution.
 
-The contract under test: for any ranked interpretation list,
-``execute_paths_batched`` and the executor return *exactly* the rows, scores
-and order of the one reference — per-spec ``execute_path`` / a cache-free
-``MemoryBackend`` engine, which runs one lazy ``execute_path`` per
-interpretation — while the SQLite path issues a single SQL statement per
-batch.
+The contract under test: for any list of path specs, a direct
+``execute_paths_batched`` call returns *exactly* the rows and order of
+per-spec ``execute_path`` while the SQLite path issues a single SQL
+statement for the batch; and the executor — which hands the backend one
+interpretation per stream — returns exactly the rows of a cache-free
+``MemoryBackend`` engine at one statement per executed interpretation.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ import pytest
 
 from repro.core.topk import TopKExecutor
 from repro.db.backends.base import BatchedExecution
-from repro.db.backends.memory import MemoryBackend
-from repro.db.backends.sqlite import SQLiteBackend
 from repro.engine import EngineConfig, QueryEngine, ResultCache
-from tests.conftest import build_mini_db, mini_schema
+from tests.conftest import build_mini_db
 
 QUERIES = ["hanks 2001", "london", "hanks", "2001", "stone hill", "summer"]
 
@@ -125,7 +123,6 @@ class TestBackendBatchedContract:
 
     def test_memory_backend_inherits_per_path_fallback(self):
         db = build_mini_db("memory")
-        assert not MemoryBackend.supports_batched_execution
         specs, queries = _specs(db, "hanks 2001")
         batched = db.execute_paths_batched(specs, limit=10)
         assert batched.statements == len(specs)
@@ -142,9 +139,10 @@ class TestBackendBatchedContract:
         assert batched.rows[1] == expected
 
 
-class TestExecutorBatching:
-    """TopKExecutor on a batching backend: fewer statements, same loop (row
-    parity against the memory reference: ``tests/test_streaming.py``)."""
+class TestExecutorStatements:
+    """TopKExecutor on SQLite: one statement per executed interpretation (row
+    parity against the memory reference: ``tests/test_streaming.py``; the
+    one-spec-per-stream spy: ``tests/test_topk_per_interpretation.py``)."""
 
     def test_naive_runs_every_interpretation_through_the_same_loop(self):
         for backend in ("memory", "sqlite"):
@@ -159,7 +157,7 @@ class TestExecutorBatching:
             assert not executor.statistics.stopped_early
             assert [r.row_uids() for r in naive] == [r.row_uids() for r in bounded]
 
-    def test_sqlite_batch_is_one_statement(self):
+    def test_sqlite_runs_one_statement_per_executed_interpretation(self):
         db = build_mini_db("sqlite")
         engine = QueryEngine(db, config=EngineConfig(cache_results=False))
         ranked = engine.rank("hanks 2001")
@@ -168,13 +166,12 @@ class TestExecutorBatching:
         executor.execute(ranked, k=5)
         stats = executor.statistics
         assert stats.interpretations_executed >= 2
-        assert stats.sql_statements == 1
-        assert stats.batches == 1
+        assert stats.sql_statements == stats.interpretations_executed
         assert set(stats.attribution) == set(
             range(1, stats.interpretations_executed + 1)
         )
 
-    def test_cache_hits_leave_the_batch(self):
+    def test_cache_hits_cost_no_statement(self):
         db = build_mini_db("sqlite")
         cache = ResultCache(db)
         engine = QueryEngine(db, cache=cache)
@@ -186,7 +183,7 @@ class TestExecutorBatching:
         stats = executor.statistics
         assert stats.cache_hits == 1
         assert stats.interpretations_executed >= 1
-        assert stats.sql_statements == stats.batches == 1
+        assert stats.sql_statements == stats.interpretations_executed
         assert 1 not in stats.attribution  # the warm rank executed nothing
 
 
@@ -209,21 +206,22 @@ class TestEnginePipelineParity:
                 query_text,
             )
 
-    def test_acceptance_one_statement_for_k_interpretations(self):
-        """The headline criterion: k interpretations, 1 SQL statement."""
+    def test_acceptance_one_statement_per_executed_interpretation(self):
+        """The headline criterion: statements == interpretations the TA bound
+        let through, and nothing fetched that was not merged."""
         engine = QueryEngine.for_dataset(
             "imdb", backend="sqlite", config=EngineConfig(cache_results=False)
         )
-        context = engine.run("hanks 2001", k=5)
+        context = engine.run("london", k=10)
         stats = context.executor_statistics
-        assert stats.interpretations_executed >= 2
-        assert stats.sql_statements == 1
-        assert stats.batches == 1
+        assert 2 <= stats.interpretations_executed < len(context.ranked)
+        assert stats.sql_statements == stats.interpretations_executed
+        assert stats.rows_short_circuited == 0
         assert sum(stats.attribution.values()) == stats.rows_materialized
 
     def test_memory_engine_executes_one_spec_per_stream(self):
-        """Width 1 off batching backends: one stream, one ``execute_path``,
-        one statement per executed interpretation — and no planner call."""
+        """The memory backend: one ``execute_path``, one statement per
+        executed interpretation — and no planner call."""
         engine = QueryEngine.for_dataset(
             "imdb", backend="memory", config=EngineConfig(cache_results=False)
         )
@@ -231,25 +229,27 @@ class TestEnginePipelineParity:
         engine.backend.plan_path_spec = lambda *a, **kw: planned.append(a)
         context = engine.run("hanks 2001", k=5)
         stats = context.executor_statistics
-        assert stats.first_batch_size == 1
-        assert stats.batches == stats.interpretations_executed > 1
-        assert stats.sql_statements == stats.interpretations_executed
+        assert stats.sql_statements == stats.interpretations_executed > 1
         assert stats.rows_short_circuited == 0
         assert planned == []
 
-    def test_explain_shows_batching(self):
+    def test_explain_counts_statements_without_a_batch_suffix(self):
         engine = QueryEngine.for_dataset(
             "imdb", backend="sqlite", config=EngineConfig(cache_results=False)
         )
-        context = engine.run("hanks 2001", k=5, explain=True)
-        text = "\n".join(context.explain_lines())
-        assert "sql statements: 1 (1 batch(es)" in text
+        context = engine.run("london", k=10, explain=True)
+        lines = context.explain_lines()
+        executed = context.executor_statistics.interpretations_executed
+        assert executed >= 2
+        assert f"  sql statements: {executed}" in lines
+        text = "\n".join(lines)
         assert "rows per executed interpretation" in text
-        assert "batch fallback" not in text  # nothing overflowed
+        assert "batch" not in text
+        assert "fallback #" not in text  # nothing overflowed
 
     def test_explain_shows_fallback_causes(self, monkeypatch):
-        """When the parameter budget overflows, --explain names the ranks
-        that fell back and why (the former silent-fallback blind spot)."""
+        """When a key set overflows the inline cap, --explain names the
+        ranks that fell back to post-filtering and why."""
         from repro.db.backends import sql as sql_module
 
         monkeypatch.setattr(sql_module, "MAX_INLINE_KEYS", 1)
@@ -266,11 +266,4 @@ class TestEnginePipelineParity:
         )
         text = "\n".join(context.explain_lines())
         for rank, reason in stats.fallback_reasons.items():
-            assert f"batch fallback #{rank}: {reason}" in text
-
-
-def test_schema_and_backend_flags():
-    """The capability flag matches the implementations."""
-    assert SQLiteBackend.supports_batched_execution
-    assert not MemoryBackend.supports_batched_execution
-    assert mini_schema().table_names  # conftest helper stays importable
+            assert f"fallback #{rank}: {reason}" in text

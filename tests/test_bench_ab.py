@@ -22,8 +22,10 @@ with open(root.parent / "order.log", "a") as log:
 qps = json.loads((root / "qps.json").read_text())
 if qps is None:
     sys.exit(2)
+wrong_seed = json.loads((root / "wrong_seed.json").read_text())
 print("noise before the result line")
-print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+print(json.dumps({"correct": seed != wrong_seed, "attempted": 10,
+                  "failed": int(seed == wrong_seed), "metrics": {
     "throughput_qps": {"value": qps + seed, "unit": "1/s"},
     "ok_share": {"value": 1.0, "unit": "ratio"}}}))
 '''
@@ -49,12 +51,16 @@ def _load_script():
 bench_ab = _load_script()
 
 
-def _fake_checkout(parent: Path, name: str, qps: float | None) -> Path:
+def _fake_checkout(
+    parent: Path, name: str, qps: float | None, wrong_seed: int | None = None
+) -> Path:
+    """``wrong_seed``: the run with that seed reports ``"correct": false``."""
     tree = parent / name
     (tree / "benchmarks" / "layered").mkdir(parents=True)
     (tree / "benchmarks" / "layered" / "run.py").write_text(_FAKE_RUN)
     (tree / "BENCHMARK.json").write_text(json.dumps(_DECLARED))
     (tree / "qps.json").write_text(json.dumps(qps))
+    (tree / "wrong_seed.json").write_text(json.dumps(wrong_seed))
     return tree
 
 
@@ -69,9 +75,23 @@ def test_pairs_alternate_and_a_clear_gain_reads_better(tmp_path, capsys):
     assert order == [
         "slow 5", "fast 5", "fast 6", "slow 6", "slow 7", "fast 7", "fast 8", "slow 8"
     ]
-    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines() if line}
+    out = capsys.readouterr().out
+    rows = {line.split()[0]: line.split() for line in out.splitlines() if line}
     assert rows["throughput_qps"][-2:] == ["4/4", "better"]
     assert rows["ok_share"][-1] == "same"
+    assert "base: 0 of 40 operations failed, correct: 4/4" in out
+    assert "head: 0 of 40 operations failed, correct: 4/4" in out
+
+
+def test_a_wrong_answer_on_either_side_fails_the_comparison(tmp_path, capsys):
+    base = _fake_checkout(tmp_path, "base", 100.0)
+    wrong = _fake_checkout(tmp_path, "wrong", 300.0, wrong_seed=2)
+    arguments = ["--workload", "w", "--pairs", "3"]
+    assert bench_ab.main([str(base), str(wrong), *arguments]) == 1
+    out = capsys.readouterr().out
+    assert "base: 0 of 30 operations failed, correct: 3/3" in out
+    assert "head: 1 of 30 operations failed, correct: 2/3" in out
+    assert bench_ab.main([str(wrong), str(base), *arguments]) == 1
 
 
 def test_a_refused_run_drops_its_pair(tmp_path, capsys):

@@ -17,7 +17,6 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core.topk import BATCH_WIDTH, batch_width
 from repro.db.backends import ShardedSQLiteBackend, sql as sqlc
 from repro.db.backends.base import BatchedExecution
 from repro.engine import EngineConfig, QueryEngine
@@ -71,7 +70,7 @@ def test_three_faces_of_one_stream(store, limit, forced_fallback, tmp_path, monk
                         query_text,
                         f.name,
                     )
-            if db.supports_batched_execution:
+            if store != "memory":
                 planned = {
                     index
                     for index, spec in enumerate(specs)
@@ -91,12 +90,6 @@ def test_three_faces_of_one_stream(store, limit, forced_fallback, tmp_path, monk
                 assert batched.statements == len(specs)  # one execute_path each
     finally:
         db.close()
-
-
-def test_batch_width_is_derived_from_the_backend():
-    assert batch_width(build_mini_db("memory")) == 1
-    assert batch_width(build_mini_db("sqlite")) == BATCH_WIDTH
-    assert batch_width(build_mini_db("sqlite-sharded")) == BATCH_WIDTH
 
 
 class TestDrainsCloseWhatTheyOpen:

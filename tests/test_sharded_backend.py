@@ -256,11 +256,8 @@ class TestShardedEngineParity:
             )
 
     def test_shard_attribution_reaches_explain(self):
-        """``shard_rows`` counts *delivered* rows — everything the executor
-        consumed plus at most two boundary-lookahead rows per batch (the
-        executor's and the union stream's, both booked as short-circuited,
-        never merged into results).  A full drain attributes exactly the
-        returned rows (``test_batched_matches_unsharded_with_shard_statements``)."""
+        """``shard_rows`` counts *delivered* rows, and the executor drains
+        every interpretation it starts: exactly the rows it merged."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
@@ -270,20 +267,16 @@ class TestShardedEngineParity:
         context = engine.run("london", k=5, explain=True)
         stats = context.executor_statistics
         assert stats.rows_materialized > 0
-        delivered = sum(stats.shard_rows.values())
-        assert stats.rows_materialized <= delivered
-        assert delivered <= stats.rows_materialized + 2 * stats.batches
-        # Every delivered-but-unconsumed row is accounted as short-circuited.
-        assert delivered - stats.rows_materialized <= stats.rows_short_circuited
+        assert sum(stats.shard_rows.values()) == stats.rows_materialized
+        assert stats.rows_short_circuited == 0
         text = "\n".join(context.explain_lines())
         assert "rows per shard: " in text
         assert "shard2:" in text  # all three shards contributed on "london"
         assert "scatter slot #" in text  # the chooser names every consumed slot
 
-    def test_statement_reduction_holds_under_sharding(self):
-        """At most one scatter statement per shard per batch — still below
-        one statement per interpretation, which is what the memory reference
-        pays for the same executed set."""
+    def test_statements_are_bounded_by_shards_per_interpretation(self):
+        """At most one scatter statement per shard per executed
+        interpretation, where the memory reference pays exactly one."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
@@ -296,16 +289,17 @@ class TestShardedEngineParity:
         stats = engine.run("hanks 2001", k=5).executor_statistics
         sequential = reference.run("hanks 2001", k=5).executor_statistics
         assert stats.interpretations_executed >= 3
-        assert stats.batches == 1
-        assert stats.sql_statements == 2  # == shards
+        assert 0 < stats.sql_statements <= 2 * stats.interpretations_executed
+        # One scatter-slot line per planned interpretation, none for more.
+        assert set(stats.scatter_slots) <= set(stats.attribution)
         assert sequential.sql_statements == sequential.interpretations_executed
-        assert stats.sql_statements < sequential.sql_statements
+        assert stats.interpretations_executed == sequential.interpretations_executed
 
     def test_executes_exactly_the_sequential_interpretations(self):
-        """The bound is checked before every interpretation inside a batch,
-        so the sharded stream runs precisely the interpretations the memory
-        reference (one lazy ``execute_path`` per pull) runs — identical
-        rows, never more statements than shards per batch."""
+        """The bound is checked before every interpretation, so the sharded
+        backend runs precisely the interpretations the memory reference
+        runs — identical rows, never more statements than shards per
+        executed interpretation."""
         reference = QueryEngine.for_dataset(
             "imdb", backend="memory", config=EngineConfig(cache_results=False)
         )
@@ -324,7 +318,7 @@ class TestShardedEngineParity:
             assert (
                 stats.interpretations_executed == sequential.interpretations_executed
             )
-            assert stats.sql_statements <= 2 * stats.batches
+            assert stats.sql_statements <= 2 * stats.interpretations_executed
 
 
 class TestShardedStoreLifecycle:

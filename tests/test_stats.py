@@ -205,28 +205,6 @@ class TestCalibration:
         assert mini_db.cardinality_estimator().observations == 1
 
 
-class TestEstimatedPathRows:
-    def test_gated_by_cost_planning(self, mini_db):
-        assert mini_db.estimated_path_rows(["actor"], []) == pytest.approx(3.0)
-        mini_db.cost_planning = False
-        assert mini_db.estimated_path_rows(["actor"], []) is None
-
-    def test_selection_resolves_before_estimating(self, mini_db):
-        estimate = mini_db.estimated_path_rows(
-            ["actor"], [], {0: [("name", ("hanks",))]}
-        )
-        assert estimate == pytest.approx(2.0)  # tom hanks + colin hanks
-
-    def test_provably_empty_spec_estimates_zero(self, mini_db):
-        estimate = mini_db.estimated_path_rows(
-            ["actor"], [], {0: [("name", ("zzzz",))]}
-        )
-        assert estimate == 0.0
-
-    def test_invalid_spec_is_a_gap_not_an_error(self, mini_db):
-        assert mini_db.estimated_path_rows(["actor"], [object()]) is None
-
-
 def _raise_on_collect(monkeypatch):
     def boom(cls, backend):  # pragma: no cover - the assertion is the point
         raise AssertionError("statistics were rescanned on a warm reopen")

@@ -13,8 +13,8 @@ The contract under test, layer by layer:
   shards resolve to the lower shard, empty partitions are transparent.
 * ``TopKExecutor`` on the SQL backends returns exactly the memory
   reference's rows while *consuming* strictly less from the backend than a
-  full drain on early-stopping queries, and counts only consumed
-  interpretations as executed/missed.
+  full drain on early-stopping queries, and counts only the interpretations
+  the bound reached as executed/missed.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ class TestStreamingExecutor:
                 (r.score, r.interpretation_rank, r.row_uids()) for r in expected
             ], (backend, k, query_text)
             # The bound is checked before every interpretation on both, so
-            # the batch width never changes *which* interpretations run.
+            # the backend never changes *which* interpretations run.
             assert (
                 streamed.statistics.interpretations_executed
                 == reference.statistics.interpretations_executed
@@ -276,8 +276,7 @@ class TestStreamingExecutor:
 
     def test_streaming_consumes_fewer_rows_on_k1(self):
         """k=1: the second interpretation's rows are never fetched, where a
-        full drain of the un-shrunk first batch (max(2, min(16, k)) = 2
-        interpretations) materializes all of them."""
+        full drain of the top two interpretations materializes all of them."""
         db = build_mini_db("sqlite")
         cache = ResultCache(db)
         engine = QueryEngine(db, cache=cache)
@@ -286,20 +285,20 @@ class TestStreamingExecutor:
         streamed = TopKExecutor(db, per_query_limit=100, cache=cache)
         actual = streamed.execute(ranked, k=1)
         stats = streamed.statistics
-        first_batch = [
+        top_two = [
             interp.to_structured_query().path_spec() for interp, _p in ranked[:2]
         ]
-        drained = db.execute_paths_batched(first_batch, limit=100)
+        drained = db.execute_paths_batched(top_two, limit=100)
         assert [r.row_uids() for r in actual] == [
             tuple(t.uid for t in drained.rows[0][0])
         ]
         assert stats.rows_streamed < sum(len(rows) for rows in drained.rows)
         assert stats.interpretations_executed == 1  # never reached rank 2
-        assert stats.cache_misses == 1  # unconsumed interps are not misses
+        assert stats.cache_misses == 1  # unreached interps are not misses
         assert stats.stopped_early
 
     def test_warm_run_opens_no_statement(self, tmp_path):
-        """Fully cache-served queries never open the stream."""
+        """Fully cache-served queries never open a stream."""
         engine = QueryEngine.for_dataset(
             "imdb", backend="sqlite", db_path=tmp_path / "imdb.sqlite"
         )
@@ -316,26 +315,23 @@ class TestStreamingExecutor:
         ]
         engine.backend.close()
 
-    def test_adaptive_first_batch_shrinks_with_selectivity(self):
-        engine = QueryEngine.for_dataset(
-            "imdb",
-            backend="sqlite",
-            # Cost planning off: only the selectivity EWMA sizes batches, so
-            # the legacy bounds are pinned exactly.
-            config=EngineConfig(cache_results=False, cost_based_planning=False),
-        )
-        first = engine.run("london", k=5)
-        # No observations yet: the legacy max(2, min(batch, k)) bound.
-        assert first.executor_statistics.first_batch_size == 5
-        assert engine.observed_selectivity is not None
-        assert engine.observed_selectivity >= 1
-        second = engine.run("london", k=1)
-        # One row suffices and interpretations yield >= 1 row on average.
-        assert second.executor_statistics.first_batch_size == 1
+    def test_history_never_changes_what_a_query_executes(self):
+        """No state carries over between queries: the same query executes the
+        same interpretations and statements whatever ran before it."""
+        config = EngineConfig(cache_results=False)
+        fresh = QueryEngine.for_dataset("imdb", backend="sqlite", config=config)
+        used = QueryEngine.for_dataset("imdb", backend="sqlite", config=config)
+        for query in QUERIES:
+            used.run(query, k=50)
+        expected = fresh.run("london", k=1).executor_statistics
+        actual = used.run("london", k=1).executor_statistics
+        assert actual.interpretations_executed == 1
+        assert actual.sql_statements == 1
+        assert actual.attribution == expected.attribution
 
-    def test_cost_estimates_only_shrink_the_first_batch(self):
-        """Cardinality estimates may shrink the first batch below the legacy
-        bound — never grow it — and the returned rows stay identical."""
+    def test_cost_planning_never_changes_what_executes(self):
+        """Cardinality estimates choose join order and scatter slot — never
+        which interpretations run, how many statements, or the rows."""
         cost = QueryEngine.for_dataset(
             "imdb", backend="sqlite", config=EngineConfig(cache_results=False)
         )
@@ -348,8 +344,12 @@ class TestStreamingExecutor:
             with_cost = cost.run(query, k=5)
             baseline = legacy.run(query, k=5)
             assert (
-                with_cost.executor_statistics.first_batch_size
-                <= baseline.executor_statistics.first_batch_size
+                with_cost.executor_statistics.attribution
+                == baseline.executor_statistics.attribution
+            )
+            assert (
+                with_cost.executor_statistics.sql_statements
+                == baseline.executor_statistics.sql_statements
             )
             assert [r.row_uids() for r in with_cost.results] == [
                 r.row_uids() for r in baseline.results
@@ -362,10 +362,10 @@ class TestStreamingExecutor:
         context = engine.run("london", k=5, explain=True)
         stats = context.executor_statistics
         assert stats.rows_streamed == stats.rows_materialized > 0
-        text = "\n".join(context.explain_lines())
-        assert f"streaming: first batch {stats.first_batch_size}" in text
-        assert f"{stats.rows_streamed} row(s) streamed" in text
-        assert "short-circuited" in text
+        assert (
+            f"  streaming: {stats.rows_streamed} row(s) streamed, "
+            f"{stats.rows_short_circuited} short-circuited"
+        ) in context.explain_lines()
 
     def test_streaming_fills_the_result_cache(self):
         db = build_mini_db("sqlite")
