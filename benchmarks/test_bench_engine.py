@@ -19,6 +19,10 @@ lane loudly instead of shipping as a slower table:
 * **Enumeration.** Generating a query's interpretation space must construct
   exactly as many ``Interpretation`` objects as it returns (a count, not a
   timing): no candidate is built, validated and discarded.
+* **Front-half memo.** Answering a query text a second time must construct
+  **no** ``Interpretation`` at all: a cache-enabled engine serves the ranked
+  space of a repeated keyword tuple from its memo instead of re-enumerating
+  and re-ranking it (the same count, so a slow runner cannot flake it).
 
 Run with ``-s`` to see the tables:
 
@@ -451,6 +455,21 @@ def test_bench_engine_cost_based_never_fetches_more(tmp_path):
     print(f"workload row consumption: {total_default} -> {total_cost}")
 
 
+def _count_constructions(monkeypatch) -> list[int]:
+    """A one-cell counter of every ``Interpretation`` constructed from now on."""
+    from repro.core.interpretation import Interpretation
+
+    constructed = [0]
+    original_init = Interpretation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed[0] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpretation, "__init__", counting_init)
+    return constructed
+
+
 def test_bench_engine_enumeration_constructs_only_what_it_returns(monkeypatch):
     """Interpretation enumeration: no candidate is built to be thrown away.
 
@@ -460,36 +479,69 @@ def test_bench_engine_enumeration_constructs_only_what_it_returns(monkeypatch):
     equals the size of the space.  (Generate-and-test built about ten
     candidates per interpretation kept.)
     """
-    from repro.core.interpretation import Interpretation
     from repro.core.keywords import KeywordQuery
     from repro.datasets.workload import imdb_workload
 
     engine = QueryEngine(build_imdb(**BUILD_KWARGS), config=EngineConfig(cache_results=False))
-    constructed = 0
-    original_init = Interpretation.__init__
-
-    def counting_init(self, *args, **kwargs):
-        nonlocal constructed
-        constructed += 1
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Interpretation, "__init__", counting_init)
+    constructed = _count_constructions(monkeypatch)
     texts = QUERIES + [
         str(item.query) for item in imdb_workload(engine.backend, n_queries=40, seed=3)
     ]
     kept = 0
     per_query: list[list[str]] = []
     for text in texts:
-        before = constructed
+        before = constructed[0]
         space = engine.generator.interpretations(KeywordQuery.parse(text))
-        assert constructed - before == len(space), (
-            f"{text!r}: built {constructed - before} candidates for "
+        assert constructed[0] - before == len(space), (
+            f"{text!r}: built {constructed[0] - before} candidates for "
             f"{len(space)} interpretations"
         )
         kept += len(space)
-        per_query.append([text, f"{len(space)}", f"{constructed - before}"])
+        per_query.append([text, f"{len(space)}", f"{constructed[0] - before}"])
     assert kept > len(texts), "the workload produced no ambiguity to enumerate"
 
     print()
     print(format_table(["query", "interpretations", "constructed"], per_query[:8]))
-    print(f"{len(texts)} queries: {kept} interpretations, {constructed} constructed")
+    print(f"{len(texts)} queries: {kept} interpretations, {constructed[0]} constructed")
+
+
+def test_bench_engine_repeated_query_is_not_enumerated_again(monkeypatch):
+    """Front-half memo: the second answer to a text constructs nothing.
+
+    Over the bundled IMDB workload on a cache-enabled engine, pass one builds
+    each query's space once (exactly its size); passes two and three build
+    **zero** ``Interpretation`` objects, return the same ranked spaces and
+    rows, and are all memo hits.  A count, not a timing.
+    """
+    from repro.datasets.workload import imdb_workload
+
+    ResultCache.clear_process_cache()
+    engine = QueryEngine(build_imdb(**BUILD_KWARGS))
+    constructed = _count_constructions(monkeypatch)
+    texts = list(dict.fromkeys(QUERIES + [
+        str(item.query) for item in imdb_workload(engine.backend, n_queries=40, seed=3)
+    ]))
+    first = [engine.run(text) for text in texts]
+    spaces = sum(len(context.interpretations) for context in first)
+    assert constructed[0] == spaces > len(texts)
+    for _pass in range(2):
+        for text, cold in zip(texts, first):
+            warm = engine.run(text)
+            assert warm.ranked == cold.ranked
+            assert [r.row_uids() for r in warm.results] == [
+                r.row_uids() for r in cold.results
+            ]
+    assert constructed[0] == spaces, (
+        f"repeated queries re-enumerated: {constructed[0] - spaces} "
+        "interpretations constructed on passes 2-3"
+    )
+    memo = engine.memo
+    assert (memo.misses, memo.hits) == (len(texts), 2 * len(texts))
+    assert memo.resident == spaces
+
+    print()
+    print(
+        f"{len(texts)} queries x 3 passes: {spaces} interpretations constructed "
+        f"on pass 1, 0 on passes 2-3; memo {memo.hits} hits / {memo.misses} misses, "
+        f"{memo.resident}/{memo.budget} interpretations resident"
+    )

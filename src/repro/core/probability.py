@@ -41,7 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ProbabilityModel(Protocol):
-    """Anything that can weight interpretations and atoms."""
+    """Anything that can weight interpretations and atoms.
+
+    A model attached to a :class:`~repro.engine.QueryEngine` is treated as
+    immutable — the engine memoises the spaces it ranked, keyed on store
+    content and catalog ``version`` only.  Change parameters by attaching a
+    new model with ``engine.with_model(...)``, which gets its own memo.
+    """
 
     def atom_weight(self, atom: Atom, template: QueryTemplate) -> float:
         """Unnormalized ``P(A_i : k_i | T ∩ A_i)``."""
@@ -104,16 +110,20 @@ class TemplateCatalog:
     alpha: float = 1.0
     _counts: Counter = field(default_factory=Counter)
     _total: int = 0
+    #: Bumped by every log update; caches of ``prior()``-derived values key on it.
+    version: int = field(default=0, init=False)
 
     def record_usage(self, template: QueryTemplate, count: int = 1) -> None:
         """Register ``count`` occurrences of ``template`` in the query log."""
         self._counts[template.identifier] += count
         self._total += count
+        self.version += 1
 
     def record_log(self, identifiers: Iterable[str]) -> None:
         for identifier in identifiers:
             self._counts[identifier] += 1
             self._total += 1
+        self.version += 1
 
     @property
     def has_log(self) -> bool:

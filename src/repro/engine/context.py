@@ -77,6 +77,12 @@ class EngineContext:
     interpretations: list[Interpretation] = field(default_factory=list)
     ranked: list[tuple[Interpretation, float]] = field(default_factory=list)
     results: list[TopKResult] = field(default_factory=list)
+    #: ``GenerateStage``'s memo lookup: the token it used (None: the engine has
+    #: no memo) and the ``(interpretations, ranked)`` entry it found, if any.
+    memo_token: tuple | None = None
+    memo_entry: tuple[tuple, tuple] | None = None
+    #: The memo's (hits, misses, resident, budget) once ``RankStage`` is done.
+    memo_counters: tuple[int, int, int, int] | None = None
 
     # Observability.
     stage_timings: dict[str, float] = field(default_factory=dict)
@@ -151,6 +157,12 @@ class EngineContext:
                 f"(size {pool.get('size', 0)})"
             )
         lines.append(f"  rows materialized: {stats.rows_materialized}")
+        if self.memo_counters is not None:
+            outcome = "miss" if self.memo_entry is None else "hit"
+            lines.append(
+                "  plan memo: %s (%d hit(s), %d miss(es), %d/%d interpretations resident)"
+                % (outcome, *self.memo_counters)
+            )
         cache_line = (
             f"  result cache: {stats.cache_hits} hit(s), {stats.cache_misses} miss(es)"
         )

@@ -32,6 +32,7 @@ from repro.core.topk import TopKResult
 from repro.db.backends.base import StorageBackend
 from repro.engine.cache import ResultCache
 from repro.engine.context import EngineConfig, EngineContext
+from repro.engine.memo import InterpretationMemo
 from repro.engine.semcache import SemanticResultCache, WarmingReport, warm_engine
 from repro.engine.stages import DEFAULT_STAGES, Stage
 
@@ -93,6 +94,9 @@ class QueryEngine:
             self.cache = cache_class(backend, capacity=self.config.result_cache_size)
         else:
             self.cache = None
+        #: Ranked spaces of queries already answered.  Rides on the result
+        #: cache's switch (``cache_results``): a cache-free engine recomputes.
+        self.memo = InterpretationMemo() if self.cache is not None else None
         #: The last workload-warming pass over this engine (None = never
         #: warmed); ``--explain`` surfaces it per query.
         self.warming: WarmingReport | None = None
@@ -179,6 +183,11 @@ class QueryEngine:
             stages=self.stages,
             cache=self.cache,
         )
+
+    def memo_token(self) -> tuple:
+        """Everything a memoised ranked space depends on besides its keywords."""
+        catalog = getattr(self.model, "catalog", None) or self.catalog
+        return (self.backend.content_fingerprint(), catalog.version, self.model, self.generator)
 
     # -- the pipeline -------------------------------------------------------
 

@@ -47,22 +47,44 @@ class SegmentStage:
 
 
 class GenerateStage:
-    """Interpretation-space enumeration (Def. 3.5.5) via the generator."""
+    """Interpretation-space enumeration (Def. 3.5.5) via the generator.
+
+    A keyword tuple the engine's memo holds is not enumerated again; callers
+    get their own lists, so nothing they do reaches the next request.
+    """
 
     name = "generate"
 
     def run(self, engine: "QueryEngine", context: "EngineContext") -> None:
         assert context.query is not None, "SegmentStage must run first"
+        if engine.memo is not None:
+            # Taken before enumeration: a store mutated meanwhile voids the token.
+            context.memo_token = token = engine.memo_token()
+            context.memo_entry = engine.memo.lookup(token, context.query.keywords)
+            if context.memo_entry is not None:
+                context.interpretations = list(context.memo_entry[0])
+                return
         context.interpretations = engine.generator.interpretations(context.query)
 
 
 class RankStage:
-    """Probabilistic ranking by the engine's model (Eq. 3.5)."""
+    """Probabilistic ranking by the engine's model (Eq. 3.5).
+
+    Served from ``GenerateStage``'s memo hit; after a miss it fills the memo.
+    """
 
     name = "rank"
 
     def run(self, engine: "QueryEngine", context: "EngineContext") -> None:
-        context.ranked = rank_interpretations(context.interpretations, engine.model)
+        memo, token, query = engine.memo, context.memo_token, context.query
+        if context.memo_entry is not None:
+            context.ranked = list(context.memo_entry[1])
+        else:
+            context.ranked = rank_interpretations(context.interpretations, engine.model)
+            if token is not None:
+                memo.store(token, query.keywords, context.interpretations, context.ranked)
+        if memo is not None:
+            context.memo_counters = (memo.hits, memo.misses, memo.resident, memo.budget)
 
 
 class ExecuteStage:

@@ -477,6 +477,7 @@ class HTTPQueryServer:
                 "read_pool_leases": stats.engine_read_pool_leases,
                 "read_pool_waits": stats.engine_read_pool_waits,
                 "read_pool_peak_concurrency": stats.engine_read_pool_peak,
+                **core.server.memo_counters(),
             },
             "stages": {
                 "requests": stats.requests_served,

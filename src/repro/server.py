@@ -171,6 +171,16 @@ class QueryServer:
         with self._engines_lock:
             return len(self._engines)
 
+    def memo_counters(self) -> dict[str, int]:
+        """Front-half memo activity summed over the pooled engines."""
+        with self._engines_lock:
+            memos = [e.memo for e in self._engines.values() if e.memo is not None]
+        return {
+            "memo_hits": sum(memo.hits for memo in memos),
+            "memo_misses": sum(memo.misses for memo in memos),
+            "memo_resident_interpretations": sum(memo.resident for memo in memos),
+        }
+
     # -- serving ------------------------------------------------------------
 
     def submit(

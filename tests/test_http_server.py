@@ -510,6 +510,12 @@ class TestHTTPWireBehavior:
                     payload["stages"]["seconds"][stage] >= first[stage]
                     for stage in first
                 )
+                # The front-half memo: two distinct texts missed, a repeat hits.
+                await ask(front, encode_query_request("london", k=3))
+                _status, payload = await ask(front, get("/stats"))
+                engine = payload["engine"]
+                assert (engine["memo_hits"], engine["memo_misses"]) == (1, 2)
+                assert engine["memo_resident_interpretations"] > 0
                 # The benchmark reads "engine"/"listener" as flat numbers.
                 for block in ("engine", "listener"):
                     assert all(
