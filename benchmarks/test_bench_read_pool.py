@@ -19,16 +19,20 @@ sequential execution.
 
 Both arms run on ONE shared store (built once, reopened), with the result
 cache off so every request actually reads the backend, and every response is
-verified row-for-row by ``benchmark_serve`` itself — the guard cannot pass
-on wrong rows.  Each arm takes its best-of-N to shed scheduler noise.
+verified row-for-row against the engine's own sequential answers — the guard
+cannot pass on wrong rows.  Each arm takes its best-of-N to shed scheduler
+noise.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from itertools import cycle, islice
 
+from repro.datasets.workload import workload_texts
 from repro.engine import EngineConfig
-from repro.server import benchmark_serve
+from repro.server import QueryServer
 
 CLIENTS = 8
 QUERIES_PER_CLIENT = 12
@@ -39,46 +43,44 @@ ATTEMPTS = 3
 SINGLE_CORE_OVERHEAD_FACTOR = 0.60
 
 
-def _best_run(db_path, read_pool_size: int):
-    best = None
-    for _attempt in range(ATTEMPTS):
-        report = benchmark_serve(
-            "imdb",
-            backend="sqlite",
-            db_path=db_path,
-            clients=CLIENTS,
-            queries_per_client=QUERIES_PER_CLIENT,
-            k=5,
-            seed=13,
-            engine_config=EngineConfig(
-                cache_results=False, read_pool_size=read_pool_size
-            ),
-        )
-        assert report.ok, (
-            f"read_pool_size={read_pool_size}: "
-            f"{report.mismatches} mismatch(es) vs sequential execution"
-        )
-        if best is None or report.seconds < best.seconds:
-            best = report
+def _best_qps(db_path, read_pool_size: int) -> float:
+    """Best-of-N throughput of CLIENTS x QUERIES_PER_CLIENT verified requests."""
+    storage = dict(backend="sqlite", db_path=db_path)
+    config = EngineConfig(cache_results=False, read_pool_size=read_pool_size)
+    best = 0.0
+    with QueryServer(max_workers=CLIENTS, engine_config=config) as server:
+        engine = server.engine_for("imdb", **storage)
+        texts = workload_texts(engine.backend, "imdb")
+        expected = {
+            text: [result.row_uids() for result in engine.run(text, k=5).results]
+            for text in texts
+        }
+        requests = list(islice(cycle(texts), CLIENTS * QUERIES_PER_CLIENT))
+        for _attempt in range(ATTEMPTS):
+            started = time.perf_counter()
+            futures = [server.submit("imdb", text, k=5, **storage) for text in requests]
+            responses = [future.result() for future in futures]
+            seconds = time.perf_counter() - started
+            for response in responses:  # verified after the clock stopped
+                assert response.result_uids() == expected[response.query], (
+                    f"read_pool_size={read_pool_size}: {response.query!r} differs "
+                    "from sequential execution"
+                )
+            best = max(best, len(requests) / seconds)
     return best
 
 
 def test_pooled_readers_vs_single_connection(tmp_path):
     db_path = tmp_path / "read-pool-bench.sqlite"
-    pooled = _best_run(db_path, read_pool_size=CLIENTS)
-    serial = _best_run(db_path, read_pool_size=1)
+    pooled = _best_qps(db_path, read_pool_size=CLIENTS)
+    serial = _best_qps(db_path, read_pool_size=1)
     cores = os.cpu_count() or 1
     print(
-        f"\n[{cores} core(s)] read pool {CLIENTS}: "
-        f"{pooled.throughput_qps:.1f} q/s ({pooled.seconds:.3f} s)   "
-        f"read pool 1: {serial.throughput_qps:.1f} q/s ({serial.seconds:.3f} s)   "
-        f"ratio x{pooled.throughput_qps / serial.throughput_qps:.2f}"
+        f"\n[{cores} core(s)] read pool {CLIENTS}: {pooled:.1f} q/s   "
+        f"read pool 1: {serial:.1f} q/s   ratio x{pooled / serial:.2f}"
     )
-    assert (
-        pooled.throughput_qps >= SINGLE_CORE_OVERHEAD_FACTOR * serial.throughput_qps
-    ), (
+    assert pooled >= SINGLE_CORE_OVERHEAD_FACTOR * serial, (
         f"pool overhead exceeds the budget on {cores} core(s): "
-        f"{pooled.throughput_qps:.1f} q/s pooled vs "
-        f"{serial.throughput_qps:.1f} q/s serial "
+        f"{pooled:.1f} q/s pooled vs {serial:.1f} q/s serial "
         f"(floor x{SINGLE_CORE_OVERHEAD_FACTOR})"
     )

@@ -7,9 +7,8 @@ Exposes the library's main flows on the bundled synthetic datasets:
     python -m repro.cli search    --dataset imdb --backend sqlite --db-path imdb.sqlite "hanks 2001"
     python -m repro.cli construct --dataset imdb "hanks 2001" --answers y n y
     python -m repro.cli diversify --dataset lyrics "london" --k 5
-    python -m repro.cli serve     --dataset imdb --workers 8
+    python -m repro.cli serve     --dataset imdb
     python -m repro.cli serve     --dataset imdb --tcp --port 7341
-    python -m repro.cli bench-serve --dataset imdb --clients 8 --queries 25
     python -m repro.cli bench-load --spawn --mode closed --connections 8 --requests 200
     python -m repro.cli report    --chapter 3
 
@@ -19,11 +18,12 @@ Every query flow routes through one :class:`repro.engine.QueryEngine`
 timings and the result-cache hit/miss counters from the engine context.
 ``construct`` runs the IQP dialogue: with ``--answers`` the given y/n
 sequence answers the options (cycling); without it the session is driven
-interactively from stdin.  ``serve --tcp`` swaps the stdin line protocol
-for a real asyncio TCP listener speaking newline-delimited JSON (see
-:mod:`repro.net`), with connection limits, bounded-queue overload
-rejection, per-request timeouts and SIGTERM graceful drain;
-``--tcp-workers N`` forks N serving processes over one listening socket.
+interactively from stdin.  ``serve`` is one server with three transports
+(see :mod:`repro.net`): newline-delimited JSON requests on stdin/stdout by
+default, on a TCP listener with ``--tcp``, over HTTP/1.1 with ``--http`` —
+all behind the same connection limit, bounded-queue overload rejection,
+per-request timeout and SIGTERM graceful drain; ``--tcp-workers N`` forks N
+serving processes over one listening socket.
 ``bench-load`` drives such a server with open- or closed-loop asyncio
 clients and persists latency percentiles plus server CPU/RSS samples as a
 schema-versioned ``BENCH_serve_*.json`` record.
@@ -192,230 +192,28 @@ def cmd_diversify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_served_response(text, response) -> None:
-    """One served line-protocol answer (shared by threaded and async serve)."""
-    statistics = response.context.executor_statistics
-    print(
-        f"[{text}] {len(response.results)} result(s) in "
-        f"{response.seconds * 1000:.1f} ms "
-        f"({statistics.sql_statements} statement(s), "
-        f"{statistics.cache_hits} cache hit(s))",
-        flush=True,
-    )
-    for result in response.results:
-        snippet = make_snippet(response.context.query, result.row)
-        print(f"  [{result.score:.3f}] {snippet.text}", flush=True)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve keyword queries read from stdin, one per line, concurrently.
+    """One server, three transports over one admission core.
 
-    Lines are submitted to the server pool as they arrive; a drainer thread
-    prints each answer in input order the moment it completes, so an
-    interactive client gets its reply without closing stdin — a minimal line
-    protocol that makes the concurrent serving path scriptable
-    (`echo "hanks 2001" | repro serve ...`) and usable as a coprocess.
-    With ``--async`` the same protocol runs on an asyncio event loop (see
-    :func:`_cmd_serve_async`); with ``--tcp`` it becomes a network service
-    (see :func:`_cmd_serve_tcp`).
-    """
-    import queue
-    import threading
-
-    from repro.server import QueryServer
-
-    if args.tcp or args.http:
-        return _cmd_serve_tcp(args)
-    if args.use_async:
-        return _cmd_serve_async(args)
-
-    print_response = _print_served_response
-
-    pending: "queue.SimpleQueue" = queue.SimpleQueue()
-    failures = 0
-    # Set when stdout goes away (e.g. piped into head): the reader stops
-    # submitting — executing queries nobody will see is pure waste.
-    muted = threading.Event()
-
-    def drain() -> None:
-        nonlocal failures
-        while True:
-            item = pending.get()
-            if item is None:
-                return
-            text, future = item
-            try:
-                response = future.result()
-            except Exception as exc:  # noqa: BLE001 - keep serving other lines
-                failures += 1
-                response = None
-                error = exc
-            if muted.is_set():
-                continue
-            try:
-                if response is not None:
-                    print_response(text, response)
-                else:
-                    print(f"[{text}] error: {error}", flush=True)
-            except (BrokenPipeError, ConnectionResetError, ValueError):
-                muted.set()
-
-    with QueryServer(
-        max_workers=args.workers, engine_config=_engine_config(args)
-    ) as server:
-        try:
-            server.engine_for(
-                args.dataset,
-                backend=args.backend,
-                db_path=args.db_path,
-                shards=args.shards,
-            )
-        except (ValueError, DatabaseError) as exc:
-            raise SystemExit(f"error: {exc}") from None
-        print(
-            f"serving dataset={args.dataset} backend={args.backend} "
-            f"workers={args.workers} (one query per line)",
-            flush=True,
-        )
-        drainer = threading.Thread(target=drain, name="repro-serve-print")
-        drainer.start()
-        try:
-            for line in sys.stdin:
-                if muted.is_set():
-                    break  # output is gone; don't execute unread queries
-                text = line.strip()
-                if not text:
-                    continue
-                pending.put(
-                    (
-                        text,
-                        server.submit(
-                            args.dataset,
-                            text,
-                            k=args.k,
-                            backend=args.backend,
-                            db_path=args.db_path,
-                            shards=args.shards,
-                        ),
-                    )
-                )
-        finally:
-            pending.put(None)
-            drainer.join()
-    return 0 if not failures else 1
-
-
-def _cmd_serve_async(args: argparse.Namespace) -> int:
-    """The ``serve --async`` front end: one event loop, zero pinned workers.
-
-    Same line protocol and the same (threaded) engine pool underneath, but
-    the front end — reading stdin, awaiting responses, printing answers in
-    input order — is a single asyncio event loop.  A client that drips its
-    queries or reads its answers slowly keeps exactly zero worker threads
-    waiting on it; workers only ever run engine pipelines.
-    """
-    import asyncio
-
-    from repro.server import QueryServer
-
-    async def run() -> int:
-        failures = 0
-        loop = asyncio.get_running_loop()
-        pending: "asyncio.Queue" = asyncio.Queue()
-        # Set when stdout goes away (e.g. piped into head): the reader stops
-        # submitting, exactly like the threaded front end.
-        muted = False
-
-        async def drain() -> None:
-            nonlocal failures, muted
-            while True:
-                item = await pending.get()
-                if item is None:
-                    return
-                text, response_future = item
-                try:
-                    response = await response_future
-                except Exception as exc:  # noqa: BLE001 - keep serving
-                    failures += 1
-                    response, error = None, exc
-                if muted:
-                    continue
-                try:
-                    if response is not None:
-                        _print_served_response(text, response)
-                    else:
-                        print(f"[{text}] error: {error}", flush=True)
-                except (BrokenPipeError, ConnectionResetError, ValueError):
-                    muted = True
-
-        with QueryServer(
-            max_workers=args.workers, engine_config=_engine_config(args)
-        ) as server:
-            try:
-                server.engine_for(
-                    args.dataset,
-                    backend=args.backend,
-                    db_path=args.db_path,
-                    shards=args.shards,
-                )
-            except (ValueError, DatabaseError) as exc:
-                raise SystemExit(f"error: {exc}") from None
-            print(
-                f"serving dataset={args.dataset} backend={args.backend} "
-                f"workers={args.workers} frontend=asyncio (one query per line)",
-                flush=True,
-            )
-            drainer = asyncio.ensure_future(drain())
-            try:
-                while True:
-                    # stdin has no portable async reader; one executor thread
-                    # feeds the loop line by line.
-                    line = await loop.run_in_executor(None, sys.stdin.readline)
-                    if not line or muted:
-                        break  # input done, or output gone: stop submitting
-                    text = line.strip()
-                    if not text:
-                        continue
-                    future = server.submit(
-                        args.dataset,
-                        text,
-                        k=args.k,
-                        backend=args.backend,
-                        db_path=args.db_path,
-                        shards=args.shards,
-                    )
-                    await pending.put((text, asyncio.wrap_future(future)))
-            finally:
-                await pending.put(None)
-                await drainer
-        return 0 if not failures else 1
-
-    return asyncio.run(run())
-
-
-def _cmd_serve_tcp(args: argparse.Namespace) -> int:
-    """The ``serve --tcp`` front end: a real asyncio TCP listener.
-
-    Newline-delimited JSON over TCP (:mod:`repro.net.protocol`), with the
-    admission control the stdin coprocess never needed — connection cap,
-    bounded in-flight queue with explicit ``overloaded`` rejections,
-    per-request timeouts — and a SIGTERM-driven graceful drain.  The
-    engine pool underneath is the same :class:`repro.server.QueryServer`;
-    ``--tcp-workers N`` binds the socket once and forks N serving
-    processes over it.  ``--http`` adds the HTTP/1.1 front end
-    (:mod:`repro.net.http`) on ``--http-port``, sharing the same
-    admission layer — the TCP listener always serves too.
+    Newline-delimited JSON (:mod:`repro.net.protocol`) through
+    :func:`repro.net.listener.run_tcp_server`: connection cap, bounded
+    in-flight queue with explicit ``overloaded`` rejections, per-request
+    timeouts, and a drain on SIGTERM/SIGINT.  Without ``--tcp``/``--http``
+    no socket is bound and the process's stdin/stdout is the one client
+    connection (request line in, response line out, EOF drains and exits);
+    ``--tcp`` listens on ``--port``, ``--http`` adds the HTTP/1.1 front end
+    (:mod:`repro.net.http`) on ``--http-port`` beside it, and
+    ``--tcp-workers N`` forks N serving processes over the bound sockets.
     """
     from repro.net.listener import TCPServerConfig, run_tcp_server
 
     config = TCPServerConfig(
         host=args.host,
-        port=args.port,
+        port=args.port if args.tcp or args.http else None,
         dataset=args.dataset,
         backend=args.backend,
         db_path=args.db_path,
         shards=args.shards,
-        read_pool_size=args.read_pool_size,
         k=args.k,
         engine_workers=args.workers,
         max_connections=args.max_connections,
@@ -522,29 +320,6 @@ def cmd_bench_load(args: argparse.Namespace) -> int:
     )
     answered = sum(record["outcomes"]["ok"] for record, _path in results)
     return 0 if answered else 1
-
-
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Synthetic concurrent workload: throughput + latency percentiles."""
-    from repro.server import benchmark_serve
-
-    try:
-        report = benchmark_serve(
-            args.dataset,
-            backend=args.backend,
-            db_path=args.db_path,
-            shards=args.shards,
-            clients=args.clients,
-            queries_per_client=args.queries,
-            k=args.k,
-            seed=args.seed,
-            engine_config=_engine_config(args),
-            use_async=args.use_async,
-        )
-    except (ValueError, DatabaseError) as exc:
-        raise SystemExit(f"error: {exc}") from None
-    print("\n".join(report.lines()))
-    return 0 if report.ok else 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -718,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="serve keyword queries from stdin over a concurrent engine pool",
+        help="serve newline-delimited JSON keyword queries over a concurrent "
+        "engine pool: on stdin/stdout by default, on sockets with --tcp/--http",
     )
     p_serve.add_argument("--dataset", default="imdb")
     p_serve.add_argument("--k", type=int, default=5)
@@ -726,17 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=8, help="worker threads in the serving pool"
     )
     p_serve.add_argument(
-        "--async",
-        action="store_true",
-        dest="use_async",
-        help="run the line-protocol front end on an asyncio event loop "
-        "(same engine pool; slow clients pin no worker threads)",
-    )
-    p_serve.add_argument(
         "--tcp",
         action="store_true",
-        help="listen on TCP (newline-delimited JSON requests) instead of "
-        "reading queries from stdin",
+        help="listen on TCP instead of serving stdin/stdout as the one "
+        "client connection",
     )
     p_serve.add_argument(
         "--host", default="127.0.0.1", help="TCP bind address (default: 127.0.0.1)"
@@ -768,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         dest="tcp_workers",
         help="serving processes forked over one listening socket "
-        "(each with its own engine pool; default: 1)",
+        "(each with its own engine pool; needs --tcp or --http; default: 1)",
     )
     p_serve.add_argument(
         "--max-connections",
@@ -899,32 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_storage_options(p_bench_load)
     p_bench_load.set_defaults(func=cmd_bench_load)
-
-    p_bench_serve = sub.add_parser(
-        "bench-serve",
-        help="drive a synthetic concurrent workload; report throughput and "
-        "p50/p95 latency, verifying every result against sequential execution",
-    )
-    p_bench_serve.add_argument("--dataset", default="imdb")
-    p_bench_serve.add_argument("--k", type=int, default=5)
-    p_bench_serve.add_argument(
-        "--clients", type=int, default=8, help="concurrent client threads"
-    )
-    p_bench_serve.add_argument(
-        "--queries", type=int, default=25, help="queries each client issues"
-    )
-    p_bench_serve.add_argument(
-        "--seed", type=int, default=13, help="workload sampling seed"
-    )
-    p_bench_serve.add_argument(
-        "--async",
-        action="store_true",
-        dest="use_async",
-        help="drive the workload with asyncio client tasks instead of "
-        "client threads (same seeds, same queries, same verification)",
-    )
-    _add_storage_options(p_bench_serve)
-    p_bench_serve.set_defaults(func=cmd_bench_serve)
 
     p_stats = sub.add_parser(
         "stats",

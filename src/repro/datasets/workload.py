@@ -283,9 +283,23 @@ def lyrics_workload(
 # -- shared ------------------------------------------------------------------
 
 
-#: Dataset name -> workload sampler, the one map the server's bench workload
-#: and the cache warmer both draw queries from.
+#: Dataset name -> workload sampler, the one map :func:`workload_texts` —
+#: and through it the cache warmer's recorded log — draws queries from.
 WORKLOAD_SAMPLERS = {"imdb": imdb_workload, "lyrics": lyrics_workload}
+
+
+def workload_texts(
+    db: Database, dataset: str, seed: int = 13, n_queries: int = 20
+) -> list[str]:
+    """Store-derived keyword query texts for one dataset (every one answerable)."""
+    try:
+        sampler = WORKLOAD_SAMPLERS[dataset]
+    except KeyError:
+        raise ValueError(
+            f"no workload for unknown dataset {dataset!r} "
+            f"(use {' or '.join(sorted(WORKLOAD_SAMPLERS))})"
+        ) from None
+    return [str(item.query) for item in sampler(db, n_queries=n_queries, seed=seed)]
 
 
 def recorded_query_log(
@@ -306,13 +320,7 @@ def recorded_query_log(
     cache warmer's first step) recovers a stable hot set.  Deterministic
     per ``(db content, dataset, seed)``.
     """
-    try:
-        sampler = WORKLOAD_SAMPLERS[dataset]
-    except KeyError:
-        raise ValueError(
-            f"unknown dataset {dataset!r} (use {' or '.join(sorted(WORKLOAD_SAMPLERS))})"
-        ) from None
-    queries = [str(item.query) for item in sampler(db, n_queries=distinct, seed=seed)]
+    queries = workload_texts(db, dataset, seed=seed, n_queries=distinct)
     if not queries:
         return []
     rng = random.Random(seed * 10_007 + 7)

@@ -1,15 +1,16 @@
 """Network serving and load generation.
 
-The package that takes :class:`repro.server.QueryServer` onto a real
-socket and measures it:
+The one serving stack over :class:`repro.server.QueryServer`, and the
+tools that measure it:
 
 * :mod:`repro.net.protocol` — the newline-delimited JSON wire protocol
   (request/response shapes, error codes, incremental line framing with an
   oversize guard).
-* :mod:`repro.net.listener` — the asyncio TCP listener with admission
+* :mod:`repro.net.listener` — the asyncio listener with admission
   control: connection limits, a bounded in-flight queue with explicit
   overload rejection, per-request timeouts, graceful drain on SIGTERM and
-  a fork-per-worker multi-process mode.
+  a fork-per-worker multi-process mode; its line transport runs over TCP
+  or, with no socket configured, over the process's stdin/stdout.
 * :mod:`repro.net.http` — the HTTP/1.1 front end (``serve --http``):
   a hand-rolled ``Content-Length``-framed parser and a request router
   composing over the same listener admission core, so curl and the TCP

@@ -1,8 +1,10 @@
-"""The asyncio TCP listener over the :class:`repro.server.QueryServer` pool.
+"""The asyncio listener over the :class:`repro.server.QueryServer` pool.
 
 :class:`TCPQueryServer` speaks the newline-delimited JSON protocol of
-:mod:`repro.net.protocol` and adds the admission-control layer a network
-service needs that a stdin coprocess never did:
+:mod:`repro.net.protocol` behind one admission-control layer, whatever
+carries the bytes — TCP connections, the HTTP front end
+(:mod:`repro.net.http`) or, with no socket configured, the process's own
+stdin/stdout as a single client connection:
 
 * **Connection limit** — at most ``max_connections`` concurrent clients;
   the one over the limit receives a ``too-many-connections`` error line and
@@ -28,8 +30,8 @@ fan out across the engine pool's worker threads via
 :class:`repro.server.AsyncQueryFrontend` — the event loop never blocks on
 engine work.
 
-:func:`run_tcp_server` is the process entry point behind ``repro serve
---tcp``.  With ``workers > 1`` it binds the socket once, forks one child
+:func:`run_tcp_server` is the process entry point behind ``repro serve``.
+With ``workers > 1`` it binds the socket once, forks one child
 per worker (every child inherits the socket, so the kernel load-balances
 accepts across their event loops — the classic pre-fork alternative to
 ``SO_REUSEPORT``, with the advantage that one ephemeral port is chosen
@@ -46,8 +48,9 @@ import os
 import signal
 import socket
 import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Awaitable, BinaryIO, Callable, Sequence
 
 from repro.net import protocol
 from repro.server import AsyncQueryFrontend, QueryServer
@@ -58,16 +61,13 @@ class TCPServerConfig:
     """Everything one listener needs: address, storage, admission limits."""
 
     host: str = "127.0.0.1"
-    port: int = 0  # 0 = ephemeral; the bound port is printed/queryable
+    #: 0 = ephemeral (the bound port is printed/queryable); None = no TCP
+    #: socket.  With ``http_port`` None too, stdin/stdout is the connection.
+    port: int | None = 0
     dataset: str = "imdb"
     backend: str = "memory"
     db_path: str | None = None
     shards: int | None = None
-    #: Reader connections each backend may lease for concurrent read-only
-    #: execution (None = backend default; 1 disables the pool).  Merged into
-    #: the pool's :class:`~repro.engine.context.EngineConfig` so every engine
-    #: the listener builds shares the knob (CLI: ``--read-pool-size``).
-    read_pool_size: int | None = None
     k: int = 5
     #: Worker threads in the underlying engine pool (per process).
     engine_workers: int = 8
@@ -114,11 +114,11 @@ class ListenerStats:
 
 
 class TCPQueryServer:
-    """One asyncio TCP listener over one engine pool.
+    """One asyncio listener over one engine pool.
 
     The pool (a :class:`~repro.server.QueryServer`) is passed in, not
-    owned: callers decide its worker count and lifetime (``repro serve
-    --tcp`` wraps both in one context; tests reuse session-scoped engines
+    owned: callers decide its worker count and lifetime (``repro serve``
+    wraps both in one context; tests reuse session-scoped engines
     through an ``engine_factory``).  Only datasets named in ``datasets``
     (default: the config's one) are servable — a request for anything else
     is answered ``unknown-dataset`` *before* it can reach the pool, so an
@@ -178,7 +178,7 @@ class TCPQueryServer:
             self._asyncio_server = await asyncio.start_server(
                 self._handle_connection, sock=sock
             )
-        else:
+        elif self.config.port is not None:
             self._asyncio_server = await asyncio.start_server(
                 self._handle_connection, self.config.host, self.config.port
             )
@@ -338,11 +338,66 @@ class TCPQueryServer:
             stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
         return protocol.ok_payload(dataset, request.query, k, response)
 
-    # -- connection handling (the TCP line transport) ------------------------
+    # -- connection handling (the line transports: TCP and stdio) ------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        async def write(data: bytes) -> None:
+            writer.write(data)
+            await writer.drain()
+
+        self._writers.add(writer)
+        try:
+            await self._serve_lines(lambda: reader.read(8192), write)
+        finally:
+            self._writers.discard(writer)
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    async def serve_stdio(
+        self, stdin: BinaryIO | None = None, stdout: BinaryIO | None = None
+    ) -> None:
+        """Serve stdin/stdout as one client connection, until EOF on ``stdin``
+        or a closed ``stdout``.
+
+        A *daemon* thread does the blocking reads — an executor thread parked
+        on an open stdin is joined at exit and would outlive the drain — on
+        the bare descriptor (a buffered reader's lock, held across exit,
+        aborts the interpreter), one chunk each time the framing loop asks,
+        so a flood on stdin is read no faster than it is served.  Writes
+        block the loop: with no socket there is nobody else to starve.
+        """
+        fd = (stdin or sys.stdin).fileno()
+        stdout = stdout or sys.stdout.buffer
+        loop = asyncio.get_running_loop()
+        chunks: asyncio.Queue[bytes] = asyncio.Queue()
+        asked = threading.Semaphore(0)
+
+        def pump() -> None:
+            with contextlib.suppress(RuntimeError):  # loop closed: nobody to tell
+                while asked.acquire():
+                    loop.call_soon_threadsafe(chunks.put_nowait, os.read(fd, 8192))
+
+        async def read() -> bytes:
+            asked.release()
+            return await chunks.get()
+
+        async def write(data: bytes) -> None:
+            stdout.write(data)
+            stdout.flush()
+
+        threading.Thread(target=pump, name="repro-stdin", daemon=True).start()
+        await self._serve_lines(read, write)
+
+    async def _serve_lines(
+        self,
+        read: Callable[[], Awaitable[bytes]],
+        write: Callable[[bytes], Awaitable[None]],
+    ) -> None:
+        """One connection, admission to close: the framing loop every line
+        transport shares (``read`` returns ``b""`` at end of input)."""
         refusal = self.admit_connection()
         if refusal is not None:
             detail = (
@@ -351,15 +406,12 @@ class TCPQueryServer:
                 else f"connection limit ({self.config.max_connections}) reached"
             )
             with contextlib.suppress(ConnectionError):
-                writer.write(protocol.error_response(refusal, detail))
-                await writer.drain()
-            writer.close()
+                await write(protocol.error_response(refusal, detail))
             return
-        self._writers.add(writer)
         splitter = protocol.LineSplitter(self.config.max_request_bytes)
         try:
             while True:
-                data = await reader.read(8192)
+                data = await read()
                 if not data:
                     break
                 for item in splitter.feed(data):
@@ -375,16 +427,11 @@ class TCPQueryServer:
                             )
                         else:
                             response = await self._serve_line(item)
-                        writer.write(response)
-                        await writer.drain()
+                        await write(response)
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             pass  # mid-request client disconnect: this connection only
         finally:
             self.release_connection()
-            self._writers.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
 
     async def _serve_line(self, line: bytes) -> bytes:
         """One request line to one response line (never raises)."""
@@ -396,22 +443,18 @@ class TCPQueryServer:
         return protocol.encode_line(await self.serve_request(request))
 
 
-# -- process entry point (repro serve --tcp) ----------------------------------
+# -- process entry point (repro serve) ----------------------------------------
 
 
-def _bind(config: TCPServerConfig, port: int | None = None) -> socket.socket:
+def _bind(host: str, port: int) -> socket.socket:
     """A pre-bound listening socket every worker process will share."""
-    sock = socket.create_server(
-        (config.host, config.port if port is None else port),
-        backlog=128,
-        reuse_port=False,
-    )
+    sock = socket.create_server((host, port), backlog=128, reuse_port=False)
     sock.setblocking(False)
     return sock
 
 
 async def _serve_async(
-    sock: socket.socket,
+    sock: socket.socket | None,
     config: TCPServerConfig,
     *,
     http_sock: socket.socket | None = None,
@@ -419,15 +462,7 @@ async def _serve_async(
     engine_factory=None,
     announce: bool = True,
 ) -> int:
-    """One worker's event loop: pool + listener(s) + signal-driven drain."""
-    if config.read_pool_size is not None:
-        from dataclasses import replace
-
-        from repro.engine.context import EngineConfig
-
-        engine_config = replace(
-            engine_config or EngineConfig(), read_pool_size=config.read_pool_size
-        )
+    """One worker's event loop: pool + transport(s) + signal-driven drain."""
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -449,7 +484,11 @@ async def _serve_async(
             front = HTTPQueryServer(tcp)
             await front.start(sock=http_sock)
             http_address = " http={}:{}".format(*front.address)
-        if announce:
+        stdio = None
+        if sock is None and http_sock is None:
+            stdio = asyncio.ensure_future(tcp.serve_stdio())
+            stdio.add_done_callback(lambda _task: stop.set())  # EOF drains too
+        if announce and sock is not None:
             host, port = tcp.address
             print(
                 f"serving dataset={config.dataset} backend={config.backend} "
@@ -460,11 +499,13 @@ async def _serve_async(
             )
         await stop.wait()
         completed = await tcp.drain()
+        if stdio is not None and not stdio.cancel():
+            stdio.result()  # it ended on its own: re-raise what it died of, if any
     return 0 if completed else 1
 
 
 def _run_worker(
-    sock: socket.socket,
+    sock: socket.socket | None,
     config: TCPServerConfig,
     *,
     http_sock: socket.socket | None = None,
@@ -497,21 +538,28 @@ def run_tcp_server(
     kernel's pick), which is the readiness line ``repro bench-load
     --spawn`` and the tests parse; with ``config.http_port`` set, an
     ``http listening on <host>:<port>`` line follows for the HTTP front
-    end's socket.  With ``workers > 1`` the sockets are bound once and one
-    child per worker is forked to serve on them; engine pools are built
+    end's socket.  With neither port set nothing is bound or printed: the
+    process's stdin/stdout is the one connection, and EOF on stdin drains
+    like a signal does.  With ``workers > 1`` the sockets are bound once and
+    one child per worker is forked to serve on them; engine pools are built
     after the fork (each child prewarms its own), and the parent forwards
     termination signals and reaps the group.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    sock = _bind(config)
-    host, port = sock.getsockname()[:2]
-    print(f"listening on {host}:{port}", flush=True)
+    if workers > 1 and config.port is None and config.http_port is None:
+        raise ValueError("stdin is one connection; several workers need a socket")
+    sock: socket.socket | None = None
+    if config.port is not None:
+        sock = _bind(config.host, config.port)
+        host, port = sock.getsockname()[:2]
+        print(f"listening on {host}:{port}", flush=True)
     http_sock: socket.socket | None = None
     if config.http_port is not None:
-        http_sock = _bind(config, port=config.http_port)
+        http_sock = _bind(config.host, config.http_port)
         http_host, http_port = http_sock.getsockname()[:2]
         print(f"http listening on {http_host}:{http_port}", flush=True)
+    sockets = [s for s in (sock, http_sock) if s is not None]
     if workers == 1 or not hasattr(os, "fork"):
         if workers > 1:  # pragma: no cover - no-fork platforms only
             print("fork unavailable; serving with 1 worker", flush=True)
@@ -524,9 +572,8 @@ def run_tcp_server(
                 engine_factory=engine_factory,
             )
         finally:
-            sock.close()
-            if http_sock is not None:
-                http_sock.close()
+            for bound in sockets:
+                bound.close()
 
     pids: list[int] = []
     for index in range(workers):
@@ -545,9 +592,8 @@ def run_tcp_server(
             finally:
                 os._exit(status)
         pids.append(pid)
-    sock.close()
-    if http_sock is not None:
-        http_sock.close()
+    for bound in sockets:
+        bound.close()
 
     def forward(signum: int, _frame) -> None:
         for pid in pids:
@@ -570,7 +616,3 @@ def run_tcp_server(
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-
-
-if __name__ == "__main__":  # pragma: no cover - debugging aid
-    sys.exit(run_tcp_server(TCPServerConfig(port=7341)))

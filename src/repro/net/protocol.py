@@ -1,4 +1,4 @@
-"""The newline-delimited JSON wire protocol of ``repro serve --tcp``.
+"""The newline-delimited JSON wire protocol of ``repro serve``.
 
 One request per line, one response line per request, both UTF-8 JSON
 objects.  A request names a keyword query and optionally a dataset and a
@@ -144,11 +144,6 @@ def ok_payload(dataset: str, query: str, k: int, response: Any) -> dict[str, Any
 def error_payload(code: str, detail: str) -> dict[str, Any]:
     """The response object of one failed request (any transport)."""
     return {"ok": False, "v": PROTOCOL_VERSION, "error": code, "detail": detail}
-
-
-def ok_response(dataset: str, query: str, k: int, response: Any) -> bytes:
-    """Encode one served :class:`repro.server.QueryResponse` as a wire line."""
-    return encode_line(ok_payload(dataset, query, k, response))
 
 
 def error_response(code: str, detail: str) -> bytes:

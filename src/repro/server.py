@@ -16,21 +16,19 @@ Typical use::
         futures = [server.submit("imdb", text) for text in texts]
         for future in futures: future.result()                 # concurrent
 
-``benchmark_serve`` is the synthetic workload driver behind ``repro
-bench-serve``: N client threads replay store-derived keyword queries against
-one server, every response is verified against sequentially computed expected
-rows, and the report carries throughput plus p50/p95 latency.
+The network listener (:mod:`repro.net.listener`) is the one serving stack
+over this pool: stdin, TCP and HTTP requests all reach it through
+:class:`AsyncQueryFrontend`.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.engine import EngineConfig, EngineContext, QueryEngine
 
@@ -260,8 +258,8 @@ class AsyncQueryFrontend:
     queries still execute on the pool's workers — but callers *await*
     responses instead of blocking on futures, so a single event loop can
     multiplex any number of slow clients (stalled sockets, drip-fed stdin)
-    without pinning one worker thread per waiting client.  ``repro serve
-    --async`` and the async ``bench-serve`` transport are built on this.
+    without pinning one worker thread per waiting client.  Every transport
+    of :class:`repro.net.listener.TCPQueryServer` queries through this.
     """
 
     def __init__(self, server: QueryServer):
@@ -284,213 +282,3 @@ class AsyncQueryFrontend:
             dataset, query, k, backend=backend, db_path=db_path, shards=shards
         )
         return await asyncio.wrap_future(future)
-
-
-# -- synthetic workload driver (repro bench-serve) ---------------------------
-
-
-@dataclass
-class BenchServeReport:
-    """Outcome of one ``benchmark_serve`` run.
-
-    ``seconds`` times the serve phase alone — submission through last
-    response; result verification against the sequential expectation happens
-    *after* the clock stops and reports its own ``verify_seconds``, so the
-    throughput/latency numbers measure serving, not the bench harness.
-    """
-
-    dataset: str
-    backend: str
-    clients: int
-    queries_per_client: int
-    distinct_queries: int
-    seconds: float
-    #: Per-request engine latencies, sorted ascending.
-    latencies: list[float] = field(default_factory=list)
-    #: Requests whose rows differed from the sequential expectation.
-    mismatches: int = 0
-    #: How the clients drove the server: "threads" or "asyncio".
-    transport: str = "threads"
-    #: Wall-clock of the untimed post-run verification pass.
-    verify_seconds: float = 0.0
-
-    @property
-    def total_queries(self) -> int:
-        return self.clients * self.queries_per_client
-
-    @property
-    def throughput_qps(self) -> float:
-        return self.total_queries / self.seconds if self.seconds else 0.0
-
-    def latency_at(self, fraction: float) -> float:
-        """Latency percentile (nearest-rank) over the run, in seconds."""
-        if not self.latencies:
-            return 0.0
-        rank = min(len(self.latencies) - 1, int(fraction * len(self.latencies)))
-        return self.latencies[rank]
-
-    @property
-    def ok(self) -> bool:
-        return self.mismatches == 0
-
-    def lines(self) -> list[str]:
-        """The human-readable summary ``repro bench-serve`` prints."""
-        return [
-            f"dataset={self.dataset} backend={self.backend} "
-            f"transport={self.transport} "
-            f"clients={self.clients} queries/client={self.queries_per_client} "
-            f"distinct={self.distinct_queries}",
-            f"serve phase: {self.seconds:.3f} s   "
-            f"throughput: {self.throughput_qps:.1f} q/s",
-            f"latency: p50 {self.latency_at(0.50) * 1000:.2f} ms   "
-            f"p95 {self.latency_at(0.95) * 1000:.2f} ms   "
-            f"max {self.latency_at(1.0) * 1000:.2f} ms",
-            "results: "
-            + ("all verified against sequential execution"
-               if self.ok
-               else f"{self.mismatches} MISMATCH(ES) vs sequential execution")
-            + f" (verification {self.verify_seconds * 1000:.1f} ms, untimed)",
-        ]
-
-
-def workload_texts(engine: QueryEngine, dataset: str, seed: int = 13) -> list[str]:
-    """Store-derived keyword queries for one dataset (every one answerable)."""
-    from repro.datasets.workload import WORKLOAD_SAMPLERS
-
-    try:
-        sampler = WORKLOAD_SAMPLERS[dataset]
-    except KeyError:
-        raise ValueError(
-            f"no workload for dataset {dataset!r} "
-            f"(use {' or '.join(sorted(WORKLOAD_SAMPLERS))})"
-        ) from None
-    sampled = sampler(engine.backend, n_queries=20, seed=seed)
-    return [str(item.query) for item in sampled]
-
-
-def benchmark_serve(
-    dataset: str = "imdb",
-    *,
-    backend: str = "memory",
-    db_path: "str | Path | None" = None,
-    shards: int | None = None,
-    clients: int = 8,
-    queries_per_client: int = 25,
-    k: int = 5,
-    seed: int = 13,
-    engine_config: EngineConfig | None = None,
-    engine_factory: EngineFactory | None = None,
-    texts: Sequence[str] | None = None,
-    use_async: bool = False,
-) -> BenchServeReport:
-    """Drive one :class:`QueryServer` with ``clients`` concurrent clients.
-
-    Each client replays ``queries_per_client`` queries sampled (with a
-    per-client seed) from the store-derived workload — as threads by
-    default, as asyncio tasks over :class:`AsyncQueryFrontend` with
-    ``use_async`` (same per-client seeds, so both transports replay the
-    identical workload).  Expected rows per distinct query are computed
-    sequentially up front on the same engine; every response is verified
-    against them *after* the timed serve phase, so ``mismatches`` stays 0 on
-    a correct server and the clock measures serving alone.
-    """
-    from dataclasses import replace
-
-    from repro.engine import ResultCache
-
-    with QueryServer(
-        max_workers=clients,
-        engine_config=engine_config,
-        engine_factory=engine_factory,
-    ) as server:
-        engine = server.engine_for(
-            dataset, backend=backend, db_path=db_path, shards=shards
-        )
-        distinct = list(texts) if texts is not None else workload_texts(
-            engine, dataset, seed=seed
-        )
-        # Expected rows come from a cache-free sibling engine and the process
-        # cache starts the concurrent phase cold: the clients must *execute*
-        # (concurrent SQL, cache fills under contention), not replay
-        # answers the warm-up already parked in the shared cache — otherwise
-        # the verification would only exercise the cache dictionary.
-        reference = QueryEngine(
-            engine.backend,
-            generator=engine.generator,
-            config=replace(engine.config, cache_results=False),
-        )
-        expected = {
-            text: [result.row_uids() for result in reference.run(text, k=k).results]
-            for text in distinct
-        }
-        ResultCache.clear_process_cache()
-
-        storage = dict(backend=backend, db_path=db_path, shards=shards)
-
-        def client(client_index: int) -> list[tuple[str, float, list[tuple]]]:
-            rng = random.Random(f"{seed}/{client_index}")
-            outcomes = []
-            for _ in range(queries_per_client):
-                text = rng.choice(distinct)
-                response = server.query(dataset, text, k=k, **storage)
-                outcomes.append((text, response.seconds, response.result_uids()))
-            return outcomes
-
-        async def drive_async() -> list[list[tuple[str, float, list[tuple]]]]:
-            import asyncio
-
-            frontend = AsyncQueryFrontend(server)
-
-            async def async_client(client_index: int):
-                rng = random.Random(f"{seed}/{client_index}")
-                outcomes = []
-                for _ in range(queries_per_client):
-                    text = rng.choice(distinct)
-                    response = await frontend.query(dataset, text, k=k, **storage)
-                    outcomes.append(
-                        (text, response.seconds, response.result_uids())
-                    )
-                return outcomes
-
-            return list(
-                await asyncio.gather(
-                    *(async_client(index) for index in range(clients))
-                )
-            )
-
-        started = time.perf_counter()
-        if use_async:
-            import asyncio
-
-            per_client = asyncio.run(drive_async())
-        else:
-            with ThreadPoolExecutor(
-                max_workers=clients, thread_name_prefix="repro-client"
-            ) as clients_pool:
-                per_client = list(clients_pool.map(client, range(clients)))
-        elapsed = time.perf_counter() - started
-
-    # Verification runs after the clock stopped: comparing row identities is
-    # bench-harness work, not serving work, and must not skew the report.
-    verify_started = time.perf_counter()
-    mismatches = sum(
-        uids != expected[text]
-        for outcomes in per_client
-        for text, _seconds, uids in outcomes
-    )
-    verify_seconds = time.perf_counter() - verify_started
-    latencies = sorted(
-        seconds for outcomes in per_client for _t, seconds, _uids in outcomes
-    )
-    return BenchServeReport(
-        dataset=dataset,
-        backend=backend,
-        clients=clients,
-        queries_per_client=queries_per_client,
-        distinct_queries=len(distinct),
-        seconds=elapsed,
-        latencies=latencies,
-        mismatches=mismatches,
-        transport="asyncio" if use_async else "threads",
-        verify_seconds=verify_seconds,
-    )

@@ -19,12 +19,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.interpretation import Interpretation
 from repro.core.probability import ATFModel, TemplateCatalog
+from repro.datasets.workload import workload_texts
 from repro.db.schema import Attribute, Table
 from repro.db.tokenizer import tokenize
 from repro.engine import DEFAULT_STAGES, EngineConfig, QueryEngine, ResultCache
 from repro.engine.memo import MEMO_BUDGET
 from repro.net import protocol
-from repro.server import QueryServer, workload_texts
+from repro.server import QueryServer
 from tests.conftest import build_mini_db
 
 NO_CACHE = EngineConfig(cache_results=False)
@@ -80,7 +81,7 @@ def test_repeated_runs_equal_a_fresh_engine(dataset, backend, tmp_path):
     engine = QueryEngine.for_dataset(dataset, backend=backend, db_path=db_path)
     try:
         fresh = QueryEngine(engine.backend, config=NO_CACHE)
-        texts = workload_texts(engine, dataset)[:12]
+        texts = workload_texts(engine.backend, dataset)[:12]
         for text in texts:
             expected = fresh.run(text, k=5)
             for _run in range(3):
@@ -265,7 +266,7 @@ def test_a_space_ranked_across_a_mutation_is_not_stored(mini_db):
 
 
 def test_eight_threads_share_one_memo_without_changing_an_answer(imdb_db):
-    texts = workload_texts(QueryEngine(imdb_db, config=NO_CACHE), "imdb")
+    texts = workload_texts(imdb_db, "imdb")
     assert len(texts) == 20
     reference = QueryEngine(imdb_db, config=NO_CACHE)
     expected = {text: _answer(reference.run(text, k=5)) for text in texts}

@@ -1,4 +1,4 @@
-"""QueryServer: engine pooling, concurrent isolation, the bench driver.
+"""QueryServer: engine pooling, concurrent isolation, the ``serve`` CLI.
 
 The invariant under test: fanning queries across the server's worker pool
 changes *when* work happens, never *what* comes back — every concurrent
@@ -14,14 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.datasets.workload import workload_texts
 from repro.engine import EngineConfig, QueryEngine, ResultCache
-from repro.server import (
-    AsyncQueryFrontend,
-    BenchServeReport,
-    QueryServer,
-    benchmark_serve,
-    workload_texts,
-)
+from repro.server import AsyncQueryFrontend, QueryServer
 
 QUERIES = ["hanks 2001", "london", "summer", "stone hill", "hanks", "2001"]
 
@@ -154,17 +149,31 @@ class TestConcurrentIsolation:
         workers = {future.result().worker for future in futures}
         assert len(workers) > 1
 
-    def test_concurrent_sqlite_queries_share_one_locked_connection(self, tmp_path):
-        path = tmp_path / "served.sqlite"
-        with QueryServer(max_workers=8) as server:
-            engine = server.engine_for("imdb", backend="sqlite", db_path=path)
+    @pytest.mark.parametrize("read_pool_size", [None, 1, 8])
+    @pytest.mark.parametrize(
+        "backend,shards", [("sqlite", None), ("sqlite-sharded", 3)]
+    )
+    def test_concurrent_sqlite_queries_share_one_locked_connection(
+        self, tmp_path, backend, shards, read_pool_size
+    ):
+        """The 20 store-derived workload queries through 8 workers on a
+        file-backed store, cache off so every request reads the backend:
+        single locked connection (pool size 1), default pool and a reader
+        per worker all answer what sequential execution answers."""
+        storage = dict(
+            backend=backend, db_path=tmp_path / "served.sqlite", shards=shards
+        )
+        config = EngineConfig(cache_results=False, read_pool_size=read_pool_size)
+        with QueryServer(max_workers=8, engine_config=config) as server:
+            engine = server.engine_for("imdb", **storage)
+            texts = workload_texts(engine.backend, "imdb")
+            assert len(texts) == 20
             expected = {
                 text: [r.row_uids() for r in engine.run(text, k=5).results]
-                for text in QUERIES
+                for text in texts
             }
             futures = [
-                server.submit("imdb", text, k=5, backend="sqlite", db_path=path)
-                for text in QUERIES * 6
+                server.submit("imdb", text, k=5, **storage) for text in texts * 3
             ]
             for future in futures:
                 response = future.result()
@@ -206,75 +215,17 @@ class TestTwoEnginesOneFile:
 
 
 class TestBenchDriver:
-    def test_benchmark_serve_verifies_results(self, imdb_factory):
-        report = benchmark_serve(
-            "imdb",
-            clients=8,
-            queries_per_client=3,
-            k=5,
-            seed=3,
-            engine_factory=imdb_factory,
-        )
-        assert isinstance(report, BenchServeReport)
-        assert report.ok
-        assert report.total_queries == 24
-        assert len(report.latencies) == 24
-        assert report.throughput_qps > 0
-        assert report.latency_at(0.50) <= report.latency_at(0.95) <= report.latency_at(1.0)
-        assert any("p95" in line for line in report.lines())
-
-    def test_benchmark_serve_on_sqlite(self, tmp_path):
-        report = benchmark_serve(
-            "imdb",
-            backend="sqlite",
-            db_path=tmp_path / "bench.sqlite",
-            clients=8,
-            queries_per_client=2,
-            k=5,
-        )
-        assert report.ok
-        assert report.total_queries == 16
+    """``workload_texts``: the query pool the concurrency cases replay."""
 
     def test_workload_texts_are_answerable(self, imdb_db):
         engine = QueryEngine(imdb_db)
-        texts = workload_texts(engine, "imdb")
+        texts = workload_texts(imdb_db, "imdb")
         assert len(texts) >= 10
         assert all(engine.rank(text) for text in texts)
 
     def test_workload_texts_unknown_dataset(self, imdb_db):
         with pytest.raises(ValueError, match="no workload"):
-            workload_texts(QueryEngine(imdb_db), "freebase")
-
-    def test_mismatch_counting(self):
-        report = BenchServeReport(
-            dataset="imdb",
-            backend="memory",
-            clients=1,
-            queries_per_client=1,
-            distinct_queries=1,
-            seconds=1.0,
-            latencies=[0.1],
-            mismatches=2,
-        )
-        assert not report.ok
-        assert any("MISMATCH" in line for line in report.lines())
-
-    def test_verification_is_reported_outside_the_serve_phase(self, imdb_factory):
-        """The serve clock stops before verification runs (the former
-        wall-clock-includes-verification bug)."""
-        report = benchmark_serve(
-            "imdb",
-            clients=2,
-            queries_per_client=2,
-            k=5,
-            engine_factory=imdb_factory,
-        )
-        assert report.ok
-        assert report.verify_seconds >= 0.0
-        assert report.transport == "threads"
-        assert any("serve phase" in line for line in report.lines())
-        assert any("untimed" in line for line in report.lines())
-        assert any("transport=threads" in line for line in report.lines())
+            workload_texts(imdb_db, "freebase")
 
 
 class TestAsyncFrontend:
@@ -299,92 +250,42 @@ class TestAsyncFrontend:
         for response in responses:
             assert response.result_uids() == expected[response.query]
 
-    def test_benchmark_serve_async_transport(self, imdb_factory):
-        report = benchmark_serve(
-            "imdb",
-            clients=4,
-            queries_per_client=3,
-            k=5,
-            seed=3,
-            engine_factory=imdb_factory,
-            use_async=True,
-        )
-        assert report.ok
-        assert report.transport == "asyncio"
-        assert report.total_queries == 12
-        assert len(report.latencies) == 12
-        assert any("transport=asyncio" in line for line in report.lines())
-
-    def test_async_and_threaded_replay_the_same_workload(self, imdb_factory):
-        """Same seeds → same sampled queries on both transports."""
-        threaded = benchmark_serve(
-            "imdb", clients=2, queries_per_client=3, k=3, seed=7,
-            engine_factory=imdb_factory,
-        )
-        ResultCache.clear_process_cache()
-        asynchronous = benchmark_serve(
-            "imdb", clients=2, queries_per_client=3, k=3, seed=7,
-            engine_factory=imdb_factory, use_async=True,
-        )
-        assert threaded.ok and asynchronous.ok
-        assert threaded.total_queries == asynchronous.total_queries
-        assert threaded.distinct_queries == asynchronous.distinct_queries
-
 
 class TestServeCLI:
-    def test_serve_reads_stdin(self, monkeypatch, capsys):
-        import io
+    def test_serve_reads_stdin(self, monkeypatch, capsys, tmp_path):
+        """Protocol lines in on stdin, one response line each out on stdout —
+        and nothing else (no banner): stdin is a connection like any other."""
+        import json
 
         from repro.cli import main
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("london\n\nhanks 2001\n"))
-        assert main(["serve", "--dataset", "imdb", "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "serving dataset=imdb" in out
-        assert "[london]" in out
-        assert "[hanks 2001]" in out
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text('{"query": "london", "k": 2}\n\nhanks 2001\n')
+        with requests.open() as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert main(["serve", "--dataset", "imdb", "--workers", "2"]) == 0
+        served, plain_text = map(json.loads, capsys.readouterr().out.splitlines())
+        assert served["ok"] is True and served["query"] == "london"
+        assert len(served["rows"]) == 2
+        assert plain_text["error"] == "malformed-request"  # JSON lines only
 
-    def test_serve_async_reads_stdin(self, monkeypatch, capsys):
-        import io
+    def test_read_pool_size_reaches_the_engine_config_once(self):
+        from repro.cli import _engine_config, build_parser
 
+        args = build_parser().parse_args(["serve", "--tcp", "--read-pool-size", "2"])
+        assert _engine_config(args).read_pool_size == 2
+
+    @pytest.mark.parametrize("argv", [["serve", "--async"], ["bench-serve"]])
+    def test_removed_front_ends_are_argparse_errors(self, argv, capsys):
         from repro.cli import main
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("london\n\nhanks 2001\n"))
-        assert (
-            main(["serve", "--dataset", "imdb", "--workers", "2", "--async"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "frontend=asyncio" in out
-        assert "[london]" in out
-        assert "[hanks 2001]" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
-    def test_bench_serve_cli(self, capsys):
+    def test_several_workers_need_a_socket(self):
         from repro.cli import main
 
-        assert (
-            main(
-                [
-                    "bench-serve",
-                    "--dataset",
-                    "imdb",
-                    "--clients",
-                    "8",
-                    "--queries",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "throughput" in out
-        assert "all verified against sequential execution" in out
-
-    def test_bench_serve_cli_async(self, capsys):
-        from repro.cli import main
-
-        argv = ["bench-serve", "--dataset", "imdb", "--clients", "4",
-                "--queries", "2", "--async"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "transport=asyncio" in out
-        assert "all verified against sequential execution" in out
+        with pytest.raises(SystemExit, match="error: .*workers need a socket"):
+            main(["serve", "--tcp-workers", "2"])

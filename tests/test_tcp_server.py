@@ -1,4 +1,4 @@
-"""The TCP listener: parity over the network, robustness, backpressure, drain.
+"""The listener: parity over the network, robustness, backpressure, drain.
 
 The invariants under test:
 
@@ -16,6 +16,10 @@ The invariants under test:
 * **Drain** — SIGTERM/drain lets in-flight requests complete and answer,
   refuses new connections at the kernel, and answers ``shutting-down`` on
   connections that stay open; the whole server process exits 0.
+* **One stack** — with no socket the process's stdin/stdout is one more
+  connection of the same listener: same lines in, same payloads out, same
+  per-request errors, and EOF, SIGTERM or a vanished stdout all end in the
+  same drain.
 
 No pytest-asyncio: each test drives its own ``asyncio.run``.
 """
@@ -25,13 +29,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 
-from repro.engine import QueryEngine, ResultCache
+from repro.engine import EngineConfig, QueryEngine, ResultCache
 from repro.net import protocol
 from repro.net.listener import TCPQueryServer, TCPServerConfig
 from repro.net.loadgen import spawn_tcp_server
@@ -73,6 +80,31 @@ async def serving(factory, config=None, *, pool_workers=8, datasets=None):
 async def connect(tcp):
     host, port = tcp.address
     return await asyncio.open_connection(host, port)
+
+
+@contextlib.asynccontextmanager
+async def connection(tcp, transport: str = "tcp"):
+    """One client connection as ``(reader, writer)``.  For ``stdio`` a
+    socketpair end stands in for the server process's stdin/stdout, so the
+    stream helpers below drive that transport unchanged."""
+    served = None
+    if transport == "stdio":
+        ours, theirs = socket.socketpair()
+        served = asyncio.ensure_future(
+            tcp.serve_stdio(theirs.makefile("rb"), theirs.makefile("wb"))
+        )
+        reader, writer = await asyncio.open_connection(sock=ours)
+    else:
+        reader, writer = await connect(tcp)
+    try:
+        yield reader, writer
+    finally:
+        writer.close()
+        with contextlib.suppress(Exception):
+            await writer.wait_closed()
+        if served is not None:
+            await asyncio.wait_for(served, 30)  # EOF on "stdin" ends the transport
+            theirs.close()
 
 
 async def roundtrip(reader, writer, payload: bytes) -> dict:
@@ -191,11 +223,10 @@ class TestNetworkParity:
 
 class TestProtocolRobustness:
     def test_bad_requests_error_without_killing_the_connection(self, imdb_factory):
-        async def drive():
+        async def drive(transport):
             config = TCPServerConfig(max_request_bytes=256)
             async with serving(imdb_factory, config) as tcp:
-                reader, writer = await connect(tcp)
-                try:
+                async with connection(tcp, transport) as (reader, writer):
                     bad = await roundtrip(reader, writer, b"not json\n")
                     assert bad == {
                         "ok": False,
@@ -208,17 +239,20 @@ class TestProtocolRobustness:
                     huge = b'{"query": "' + b"x" * 500 + b'"}\n'
                     bad = await roundtrip(reader, writer, huge)
                     assert bad["error"] == protocol.ERR_OVERSIZED
-                    # Same connection still serves real queries afterwards.
+                    bad = await roundtrip(
+                        reader, writer, protocol.encode_request("london", "lyrics")
+                    )
+                    assert bad["error"] == protocol.ERR_UNKNOWN_DATASET
+                    # Same connection still serves real queries afterwards
+                    # (the blank line before this one is skipped, not answered).
                     good = await roundtrip(
-                        reader, writer, protocol.encode_request("london")
+                        reader, writer, b"\n" + protocol.encode_request("london")
                     )
                     assert good["ok"] is True
                     assert tcp.stats.protocol_errors == 3
-                finally:
-                    writer.close()
-                    await writer.wait_closed()
 
-        asyncio.run(drive())
+        for transport in ("tcp", "stdio"):
+            asyncio.run(drive(transport))
 
     def test_unknown_dataset_is_refused_without_building_an_engine(
         self, imdb_factory
@@ -291,6 +325,60 @@ class TestProtocolRobustness:
                     await writer.wait_closed()
 
         asyncio.run(drive())
+
+
+class TestStdioTransport:
+    """stdin/stdout as a connection of the same admission core."""
+
+    LINES = [
+        protocol.encode_request("london", k=2),
+        b"london\n",  # plain text is not a request: JSON lines only
+        protocol.encode_request("london", dataset="lyrics"),
+        protocol.encode_request("hanks 2001"),
+    ]
+
+    def test_stdio_answers_what_tcp_answers(self, imdb_db):
+        """Same request lines, same payloads (cache off, so ``stats`` agree
+        too — everything but the clock)."""
+        engine = QueryEngine(imdb_db, config=EngineConfig(cache_results=False))
+
+        async def drive():
+            answers = {}
+            async with serving(lambda *_key: engine) as tcp:
+                for transport in ("tcp", "stdio"):
+                    async with connection(tcp, transport) as (reader, writer):
+                        answers[transport] = [
+                            await roundtrip(reader, writer, line) for line in self.LINES
+                        ]
+                assert tcp.stats.connections_accepted == 2
+            for payloads in answers.values():
+                for payload in payloads:
+                    payload.get("stats", {}).pop("seconds", None)
+            assert answers["stdio"] == answers["tcp"]
+            assert [p["ok"] for p in answers["stdio"]] == [True, False, False, True]
+
+        asyncio.run(drive())
+
+    def test_sigterm_with_stdin_open_drains_and_exits_zero(self):
+        with _stdio_server() as server:
+            server.stdin.write(self.LINES[0])
+            assert json.loads(server.stdout.readline())["ok"] is True
+            server.send_signal(signal.SIGTERM)  # stdin stays open throughout
+            assert server.wait(TCPServerConfig.drain_timeout) == 0
+            assert server.stderr.read() == b""
+
+    def test_closed_stdout_stops_reading_without_a_traceback(self):
+        with _stdio_server() as server:
+            server.stdin.write(self.LINES[0])
+            assert json.loads(server.stdout.readline())["ok"] is True
+            server.stdout.close()  # e.g. piped into ``head -1``
+            # A flood (``yes ... | repro serve | head -1``): far more than the
+            # pipe holds, so the reader thread has a chunk in hand or in
+            # flight to the loop whenever the connection ends.
+            with contextlib.suppress(BrokenPipeError):  # it may be gone already
+                server.stdin.write(self.LINES[0] * 20_000)
+            assert server.wait(TCPServerConfig.drain_timeout) == 0
+            assert server.stderr.read() == b""
 
 
 class TestBackpressure:
@@ -451,6 +539,25 @@ class TestGracefulDrain:
             asyncio.run(drive())
         finally:
             gate.set()
+
+
+@contextlib.contextmanager
+def _stdio_server():
+    """``repro serve`` with no socket: our (unbuffered) pipes are its one
+    connection."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--dataset", "imdb"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    try:
+        yield server
+    finally:
+        server.kill()
+        server.communicate()
 
 
 def _client_ask(host: str, port: int, payload: bytes, timeout: float = 30) -> dict:
