@@ -146,8 +146,8 @@ def test_sharded_scatter_statements_stay_linear(tmp_path):
         assert rows and rows == list(
             reference.execute_paths_streamed([spec], limit=10).stream
         )
-        # One statement (and reader lease, and prefetch thread) per shard
-        # holding a scatter key — the others never hear of the plan.
+        # One statement (and reader lease) per shard holding a scatter
+        # key — the others never hear of the plan.
         assert streamed.statements == expected
         assert streamed.scatter_slots[0].endswith(f"→ {expected} of {shards} shards")
     db.close()

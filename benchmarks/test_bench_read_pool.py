@@ -1,11 +1,11 @@
-"""Read-pool throughput guard: pooled readers must not lose badly to the
-single locked connection, on rows that verify.
+"""Read-pool throughput guard: a reader per client must not lose badly to a
+pool of one reader, on rows that verify.
 
 The read-connection pool (ISSUE 10) wins on a file-backed store with >= 4
 concurrent server clients because SQLite releases the GIL inside
-``sqlite3_step``: pooled readers let that C-level work overlap across cores,
-while ``read_pool_size=1`` (the exact pre-pool single-``_LockedConnection``
-path) serializes every read behind one RLock.
+``sqlite3_step``: a reader per client lets that C-level work overlap across
+cores, while ``read_pool_size=1`` — a pool of one, on the same code path —
+makes every read wait its turn for the one reader.
 
 That is a scaling claim, and a 0.5 s run cannot carry it: the strict
 ``pooled > serial`` assertion this file used to make on >= 2 cores failed
@@ -14,7 +14,7 @@ measured where runs are long enough to measure it — ``bench-load
 --workers-sweep``.  This guard prints both arms and enforces, at every core
 count, the side of the contract a short run *can* decide: the pool's lease
 bookkeeping stays cheap (throughput within a bounded factor of the
-single-connection arm), and every concurrent response still verifies against
+one-reader arm), and every concurrent response still verifies against
 sequential execution.
 
 Both arms run on ONE shared store (built once, reopened), with the result

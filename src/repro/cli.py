@@ -415,9 +415,9 @@ def _add_storage_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         dest="read_pool_size",
         help="reader connections a file-backed SQLite store may lease for "
-        "concurrent read-only queries (default: backend default, 4 per "
-        "store / 1 per shard; 1 disables the pool and restores the single "
-        "shared connection); rows are identical either way",
+        "concurrent read-only queries (default: backend default, 4; a "
+        "sharded store holds N per shard; 1 is a pool of one reader, on the "
+        "same code path); rows are identical at every size",
     )
     parser.add_argument(
         "--cache-size",

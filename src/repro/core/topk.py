@@ -103,8 +103,8 @@ class TopKStatistics:
     #: Read-connection-pool activity during this query on backends that pool
     #: readers (``leases``/``waits`` are deltas across this execution;
     #: ``peak_concurrency``/``size`` are the backend-lifetime peak and the
-    #: configured cap).  Empty when the backend has no pool (memory, or
-    #: ``read_pool_size=1``).  Concurrent queries on one backend may blur the
+    #: configured cap).  Empty when the store has no pool (memory, or a
+    #: ``":memory:"`` SQLite).  Concurrent queries on one backend may blur the
     #: delta attribution — never totals.
     read_pool: dict[str, int] = field(default_factory=dict)
 

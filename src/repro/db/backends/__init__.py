@@ -90,7 +90,7 @@ def create_backend(
     loss.  ``shards`` is only meaningful for backends with
     ``supports_sharding`` (the partition count of ``"sqlite-sharded"``), and
     ``read_pool_size`` for backends with ``supports_read_pool`` (the
-    reader-connection cap of the SQLite backends; ``1`` disables the pool).
+    reader-connection cap of the SQLite backends; ``1`` is a pool of one).
     Unlike ``path``/``shards``, ``read_pool_size`` *is* accepted alongside an
     existing instance — it is a tunable, not a storage-layout choice.
     """

@@ -724,7 +724,7 @@ class StorageBackend(abc.ABC):
         Not overridden anywhere: a backend changes how rows are produced by
         overriding the stream, and this list-returning face follows.  The
         stream is closed in this thread whatever happens, so an exception
-        mid-drain leaves no cursor, reader lease or prefetch thread behind.
+        mid-drain leaves no cursor or reader lease behind.
         """
         specs = list(specs)
         execution = self.execute_paths_streamed(specs, limit=limit)

@@ -18,18 +18,19 @@ and every other slot reaches all partitions through a linear semi-join chain
 (``WITH r<slot> AS MATERIALIZED``; soundness argument on :meth:`~repro.db.
 backends.sql.PlanCompiler.reduction_chain`).  Selection keys are routed by
 partition once per plan, so every probe binds only the keys its partition
-holds and a shard holding none of the scatter slot's keys gets no statement,
-reader lease or prefetch thread at all.  Each
-statement projects its ORDER BY keys, the gather step merges the streams
-under exactly those keys and truncates at the plan's limit, which keeps the
-rows, order and truncation byte-identical to the unsharded backend (pinned
-by ``tests/test_sharded_backend.py``).  On file-backed stores the scatter
-reads through readers leased from the inherited read-connection pool (each
-with every partition ATTACHed, sized ``shards × read_pool_size``), and the
-gather prefetches per-shard cursor chunks on the producer threads of a small
-pool when the read pool allows more than one gather's worth of readers; a
+holds and a shard holding none of the scatter slot's keys gets no statement
+or reader lease at all.  Each statement projects its ORDER BY keys, the
+gather step merges the streams under exactly those keys and truncates at the
+plan's limit, which keeps the rows, order and truncation byte-identical to
+the unsharded backend (pinned by ``tests/test_sharded_backend.py``).  The
+gather has one shape on every store and pool size: it leases one connection
+per shard statement at once and opens a lazy cursor on each in the caller's
+thread, advanced as the merge pulls — this module starts no thread.  On
+file-backed stores the connections are readers of the inherited pool (each
+with every partition ATTACHed; capacity ``shards × read_pool_size``); on a
 ``":memory:"`` store (whose attached shards exist only inside the one
-connection) degrades to serial cursors transparently.
+connection) and inside an open bulk load they are the writer connection, by
+the inherited lease rule.
 
 Insertion order — what the in-memory engine's scans and the unsharded
 backend's ``rowid`` provide — is preserved by an explicit ``_rowseq``
@@ -42,10 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import queue
 import sqlite3
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -74,19 +72,6 @@ ROWSEQ_COLUMN = "_rowseq"
 
 #: Scatter statements use ``WITH ... AS MATERIALIZED`` (SQLite 3.35, 2021).
 MIN_SQLITE_VERSION = (3, 35, 0)
-
-
-class _EndOfStream:
-    """Queue sentinel ending one prefetched shard stream.
-
-    Carries the producer's error, if any, so the consumer re-raises it in
-    its own thread instead of losing it inside the scatter pool.
-    """
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException | None = None):
-        self.error = error
 
 
 def merge_shard_streams(
@@ -249,7 +234,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
             )
         self.shards = shards
         self._shard_compilers_cache: list[PlanCompiler] | None = None
-        self._scatter_pool_instance: ThreadPoolExecutor | None = None
         #: Cached per-table row counts feeding the scatter-position chooser
         #: (a COUNT(*) over all partitions per miss; invalidated on insert).
         self._table_counts: dict[str, int] = {}
@@ -390,21 +374,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
 
     # -- read-connection pool overrides --------------------------------------
 
-    def _read_pool_enabled(self) -> bool:
-        """File-backed sharded stores always pool their readers.
-
-        ``read_pool_size=1`` still pools here: the capacity below collapses
-        to one connection per shard — exactly the legacy dedicated-reader
-        layout the scatter has read through since PR 4.  ``":memory:"``
-        stores own their attached shards inside the single main connection
-        and cannot pool.
-        """
-        return (
-            self.is_persistent
-            and not self._closed
-            and (self.shards > 1 or self._read_pool_size > 1)
-        )
-
     def _read_pool_capacity(self) -> int:
         """Connections the pool may open: per-shard cursors × pool size.
 
@@ -413,7 +382,7 @@ class ShardedSQLiteBackend(SQLiteBackend):
         ``read_pool_size`` then says how many such gathers (or that many
         independent point reads per shard) may run concurrently.
         """
-        return self.shards * max(1, self._read_pool_size)
+        return self.shards * self._read_pool_size
 
     def _configure_reader(self, reader: _LockedConnection) -> None:
         """Every pooled reader ATTACHes all partitions, so any reader can
@@ -423,36 +392,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
             reader.execute(
                 sqlc.attach_sql(self.dialect.shard_schema(shard)), (shard_path,)
             )
-
-    def configure_read_pool(self, size: int | None) -> None:
-        changed = size is not None and size != self._read_pool_size
-        super().configure_read_pool(size)
-        if changed:
-            # The scatter pool's worker count scales with the pool size;
-            # rebuild it lazily at the new width.
-            with self._lock:
-                if self._scatter_pool_instance is not None:
-                    self._scatter_pool_instance.shutdown(wait=True)
-                    self._scatter_pool_instance = None
-
-    def _scatter_pool(self) -> ThreadPoolExecutor:
-        """The backend-owned shard fan-out pool.
-
-        Deliberately *not* the :class:`~repro.server.QueryServer` worker
-        pool: a query worker blocking on shard subtasks queued behind other
-        queries on the same pool would deadlock under load.  The server's
-        engine pool keys on the shard count instead, so every sharded engine
-        brings its own fan-out lanes.  Sized to the read pool's capacity
-        (floor: one worker per shard) so concurrent gathers' prefetch
-        producers don't starve each other.
-        """
-        with self._lock:
-            if self._scatter_pool_instance is None:
-                workers = max(self.shards, min(32, self._read_pool_capacity()))
-                self._scatter_pool_instance = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-shard"
-                )
-            return self._scatter_pool_instance
 
     def _prepare_plan(self, plan: PathPlan) -> PathPlan:
         """Route the plan's keys and pick its most selective scatter slot.
@@ -533,42 +472,24 @@ class ShardedSQLiteBackend(SQLiteBackend):
 
     # -- the scatter-gather cursor seams ---------------------------------------
 
-    #: Row chunks each prefetch producer may buffer ahead of the merge
-    #: (beyond the one chunk it holds while a full queue blocks it): deep
-    #: enough to overlap shard fetches with merge/decode work, shallow
-    #: enough that an early-stopping consumer leaves little behind.
-    PREFETCH_DEPTH = 2
-
     @contextmanager
     def _shard_stream_sources(
         self, statements: list[CompiledStatement], execution: StreamedExecution
     ) -> Iterator[list[Iterator[tuple]]]:
         """Per-shard row streams of one streamed scatter, cleanup guaranteed.
 
-        Three shapes, chosen by store and pool configuration:
-
-        * pool disabled (``":memory:"`` owns its shards inside the main
-          connection): serial lazy cursors interleaving on the writer —
-          the pre-pool path, bit-for-bit;
-        * ``read_pool_size=1`` (the control arm): one reader per shard,
-          leased **atomically** for the merge's lifetime (incremental
-          leasing could deadlock two gathers each holding half the pool),
-          each serving one serial lazy cursor — the legacy dedicated-reader
-          layout;
-        * ``read_pool_size>1``: true parallel prefetch — one producer per
-          shard on the scatter pool, each leasing its own reader and
-          pushing row chunks into a bounded queue while the consumer
-          merges (:meth:`_prefetch_shard_streams`).
-
-        All three yield streams in shard order with identical row order, so
-        the gather's merge — and therefore the query result — is
-        byte-identical across them.
+        One connection per statement, leased **atomically** for the merge's
+        lifetime (incremental leasing could deadlock two gathers each
+        holding half the pool), each serving one lazy cursor that opens at
+        the merge's first pull and advances, in the consumer's thread, only
+        as the merge pulls it.  Streams come in statement order, so the
+        gather's merge — and therefore the query result — is byte-identical
+        on every store and pool size.
         """
-        pool = self._reader_pool()
-        if pool is None:
+        with self._lease_read_connections(len(statements)) as conns:
             sources = [
-                self._iter_cursor(self._conn, statement, execution)
-                for statement in statements
+                self._iter_cursor(conn, statement, execution)
+                for conn, statement in zip(conns, statements)
             ]
             try:
                 yield sources
@@ -577,105 +498,6 @@ class ShardedSQLiteBackend(SQLiteBackend):
                 # cursor explicitly, however early the consumer stopped.
                 for source in sources:
                     source.close()
-            return
-        self._conn.commit()  # everything inserted so far must be visible
-        if self._read_pool_size <= 1:
-            with pool.lease_many(len(statements)) as readers:
-                sources = [
-                    self._iter_cursor(readers[shard], statement, execution)
-                    for shard, statement in enumerate(statements)
-                ]
-                try:
-                    yield sources
-                finally:
-                    for source in sources:
-                        source.close()
-            return
-        with self._prefetch_shard_streams(statements, execution) as sources:
-            yield sources
-
-    @contextmanager
-    def _prefetch_shard_streams(
-        self, statements: list[CompiledStatement], execution: StreamedExecution
-    ) -> Iterator[list[Iterator[tuple]]]:
-        """Producer-threaded per-shard streams: parallel cursor prefetch.
-
-        One producer per shard runs on the scatter pool, leases a pooled
-        reader and ``fetchmany``-chunks its cursor into a bounded queue;
-        the consumer's merge pulls from the queue-backed streams, so shard
-        fetches overlap each other *and* the merge/decode work.  Closing:
-        the stop event flips, the queues are drained once to unblock any
-        producer mid-``put``, and every producer exits on its next flag
-        check — producers never block indefinitely and are joined before
-        the context exits, with the prefetch overrun (produced but never
-        merged) booked as short-circuited.  Producer errors travel through
-        the queue sentinel and re-raise in the consumer's thread.
-        """
-        pool = self._scatter_pool()
-        stop = threading.Event()
-        queues: list[queue.Queue] = [
-            queue.Queue(maxsize=self.PREFETCH_DEPTH) for _ in statements
-        ]
-        produced = [0] * len(statements)
-        delivered = [0] * len(statements)
-
-        def offer(shard: int, item: Any) -> bool:
-            while not stop.is_set():
-                try:
-                    queues[shard].put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def produce(shard: int, statement: CompiledStatement) -> None:
-            failure: BaseException | None = None
-            try:
-                with self._lease_read_connection() as reader:
-                    with reader.lock:
-                        cursor = reader.execute(statement.sql, statement.params)
-                        try:
-                            while not stop.is_set():
-                                rows = cursor.fetchmany(self.STREAM_CHUNK)
-                                if not rows:
-                                    break
-                                produced[shard] += len(rows)
-                                if not offer(shard, rows):
-                                    break
-                        finally:
-                            cursor.close()
-            except BaseException as exc:  # noqa: BLE001 — re-raised consumer-side
-                failure = exc
-            offer(shard, _EndOfStream(failure))
-
-        def shard_stream(shard: int) -> Iterator[tuple]:
-            while True:
-                item = queues[shard].get()
-                if isinstance(item, _EndOfStream):
-                    if item.error is not None:
-                        raise item.error
-                    return
-                for row in item:
-                    delivered[shard] += 1
-                    yield row
-
-        futures = [
-            pool.submit(produce, shard, statement)
-            for shard, statement in enumerate(statements)
-        ]
-        try:
-            yield [shard_stream(shard) for shard in range(len(statements))]
-        finally:
-            stop.set()
-            for shard_queue in queues:
-                try:
-                    while True:
-                        shard_queue.get_nowait()
-                except queue.Empty:
-                    pass
-            for future in futures:
-                future.result()  # producers exit on the stop flag; no raise
-            execution.rows_short_circuited += sum(produced) - sum(delivered)
 
     def _stream_plan(
         self, plan: PathPlan, execution: StreamedExecution
@@ -748,11 +570,3 @@ class ShardedSQLiteBackend(SQLiteBackend):
                     execution.shard_rows.get(live[stream], 0) + 1
                 )
                 yield index, network
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _close_connections(self) -> None:
-        if self._scatter_pool_instance is not None:
-            self._scatter_pool_instance.shutdown(wait=True)
-            self._scatter_pool_instance = None
-        super()._close_connections()  # closes the read pool, then the writer

@@ -25,16 +25,20 @@ File-backed stores serve reads through a **read-connection pool**
 (:class:`_ReadConnectionPool`): the single locked writer connection keeps
 DDL, inserts and side-table flushes serialized, while every read-only
 execution path (the two cursor seams, relation point lookups) leases a
-per-thread reader connection, so concurrent queries exploit WAL's
-readers-don't-block property *inside* one process instead of only across
-forked server workers.  ``read_pool_size`` caps the pool (default
-:data:`SQLiteBackend.DEFAULT_READ_POOL_SIZE`); ``1`` disables it and
-restores the single-connection path bit-for-bit.  The writer→readers
-visibility barrier is the write epoch: every writer commit bumps it, and
-because pooled readers run in WAL mode with every read transaction closed
-at cursor end, a reader's next statement always observes at least the
-epoch's committed state — pooled execution stays byte-identical to
-sequential single-connection runs.
+reader connection for the life of its cursor, in the calling thread, so
+concurrent queries exploit WAL's readers-don't-block property *inside* one
+process instead of only across forked server workers.  ``read_pool_size``
+says how many readers the pool may hold (default
+:data:`SQLiteBackend.DEFAULT_READ_POOL_SIZE`) and nothing else: ``1`` is a
+pool of one reader, on the same code path as any other size.  Reads run on
+the writer connection only where no reader could see the rows — a
+``":memory:"`` store, or while the writer holds an open transaction (one
+rule: :meth:`SQLiteBackend._lease_read_connections`) — and never commit.
+The writer→readers visibility barrier is the write epoch: every writer
+commit bumps it, and because pooled readers run in WAL mode with every read
+transaction closed at cursor end, a reader's next statement always observes
+at least the epoch's committed state — pooled execution stays byte-identical
+to sequential single-connection runs.
 
 Standard library only (``sqlite3``); no new dependencies.
 """
@@ -205,12 +209,12 @@ class _LockedConnection:
 class _ReadConnectionPool:
     """Leased read-only connections over one WAL database file.
 
-    ``lease()`` hands out an idle reader (opening one lazily while fewer
-    than ``size`` exist, waiting otherwise); ``lease_many(n)`` acquires
-    *n* readers atomically — the sharded streamed gather needs one cursor
-    per shard at once, and leasing them incrementally could deadlock two
-    gathers each holding half of the pool.  Single leases never wait while
-    holding a connection, so the pool is deadlock-free by construction.
+    ``lease_many(n)`` hands out *n* idle readers (opening them lazily while
+    fewer than ``size`` exist, waiting otherwise) **atomically** — the
+    sharded streamed gather needs one cursor per shard at once, and leasing
+    them incrementally could deadlock two gathers each holding half of the
+    pool.  No caller waits while holding a connection, so the pool is
+    deadlock-free by construction.
 
     Each reader is a :class:`_LockedConnection` with a *private* lock (one
     in-flight statement per connection — Python's ``sqlite3`` requirement),
@@ -278,15 +282,6 @@ class _ReadConnectionPool:
             else:
                 self._idle.extend(conns)
             self._cond.notify_all()
-
-    @contextmanager
-    def lease(self) -> Iterator[_LockedConnection]:
-        """One reader for the duration of the block."""
-        conn = self._take(1)[0]
-        try:
-            yield conn
-        finally:
-            self._give_back([conn])
 
     @contextmanager
     def lease_many(self, count: int) -> Iterator[list[_LockedConnection]]:
@@ -474,8 +469,7 @@ class SQLiteBackend(StorageBackend):
     supports_read_pool = True
 
     #: Reader connections a file-backed store may hold when none is asked
-    #: for explicitly.  Sized for the default server worker count; ``1``
-    #: disables the pool entirely (the single-connection control arm).
+    #: for explicitly.  Sized for the default server worker count.
     DEFAULT_READ_POOL_SIZE = 4
 
     def __init__(
@@ -610,8 +604,13 @@ class SQLiteBackend(StorageBackend):
         return self._write_epoch
 
     def _read_pool_enabled(self) -> bool:
-        """Whether reads should lease pooled connections right now."""
-        return self._read_pool_size > 1 and self.is_persistent and not self._closed
+        """Whether reads should lease pooled connections right now.
+
+        Every open file-backed store pools its readers, at any size — a pool
+        of one is a pool.  A ``":memory:"`` database is private to the one
+        connection that created it, so there is nothing to pool.
+        """
+        return self.is_persistent and not self._closed
 
     def _read_pool_capacity(self) -> int:
         """Connections the pool may open (the sharded override scales it)."""
@@ -662,28 +661,35 @@ class SQLiteBackend(StorageBackend):
         reader.create_function("repro_repr", 1, repr, deterministic=True)
 
     @contextmanager
-    def _lease_read_connection(self) -> Iterator[_LockedConnection]:
-        """The connection one read-only statement cycle should run on.
+    def _lease_read_connections(self, count: int) -> Iterator[list[_LockedConnection]]:
+        """The connections ``count`` concurrent read cursors should run on.
 
-        Yields a pooled reader when the pool is enabled and the writer holds
-        no open transaction; otherwise the writer connection itself — during
-        bulk loading (everything before ``build_indexes()`` commits) reads
-        *must* see the uncommitted rows (auto-key duplicate probes, the
-        index build's scans), and with the pool disabled this degrades to
-        exactly the legacy single-connection path.  The dirty check races
-        benignly with writers: either serialization order is legal, and a
-        read routed to the writer just serializes on the per-file lock as
-        every read did before the pool.
+        The one lease rule: ``count`` pooled readers, acquired atomically,
+        when the store has a pool and the writer holds no open transaction;
+        otherwise the writer connection itself, ``count`` times — a
+        ``":memory:"`` store has no other connection, and during bulk
+        loading (everything before ``build_indexes()`` commits) reads *must*
+        see the uncommitted rows (auto-key duplicate probes, the index
+        build's scans).  A read never commits on the writer's behalf.  The
+        dirty check races benignly with writers: either serialization order
+        is legal, and a read routed to the writer just serializes on the
+        per-file lock as every read did before the pool.
         """
         pool = self._reader_pool()
         if pool is None or self._conn.in_transaction:
-            yield self._conn
+            yield [self._conn] * count
             return
-        with pool.lease() as reader:
-            yield reader
+        with pool.lease_many(count) as readers:
+            yield readers
+
+    @contextmanager
+    def _lease_read_connection(self) -> Iterator[_LockedConnection]:
+        """The connection one read-only statement cycle should run on."""
+        with self._lease_read_connections(1) as (conn,):
+            yield conn
 
     def configure_read_pool(self, size: int | None) -> None:
-        """Resize the read pool (``1`` disables it; ``None`` keeps it).
+        """Resize the read pool (``1`` is one reader; ``None`` keeps it).
 
         The engine applies :attr:`EngineConfig.read_pool_size` through this
         after construction, mirroring ``cost_planning``.  An existing pool
@@ -703,7 +709,7 @@ class SQLiteBackend(StorageBackend):
                 self._read_pool = None
 
     def read_pool_stats(self) -> dict[str, int] | None:
-        """Pool counters for ``--explain`` / ``GET /stats`` (None: disabled)."""
+        """Pool counters for ``--explain`` / ``GET /stats`` (None: no pool)."""
         if not self._read_pool_enabled():
             return None
         pool = self._read_pool
@@ -1435,7 +1441,7 @@ class SQLiteBackend(StorageBackend):
         Which lock that is decides how much actually serializes: on the
         writer connection it is the per-file lock, so one cold streamed
         query per *file* at a time — the pre-pool world, still the shape on
-        ``:memory:`` stores and with ``read_pool_size=1``.  A pooled reader
+        ``:memory:`` stores and inside an open bulk load.  A pooled reader
         carries a *private* lock instead, so the hold only pins that reader
         for the stream's lifetime (the lease already guarantees exclusive
         use) and N readers stream N cold queries concurrently under WAL.

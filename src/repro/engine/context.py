@@ -55,10 +55,10 @@ class EngineConfig:
     cost_based_planning: bool = True
     #: Reader connections the storage backend may lease for concurrent
     #: read-only execution (CLI: ``--read-pool-size``).  ``None`` keeps the
-    #: backend's default; ``1`` disables the pool and restores the single
-    #: shared-connection path bit-for-bit.  Ignored by backends without
-    #: ``supports_read_pool`` (memory).  Rows are byte-identical either way;
-    #: only in-process read concurrency changes.
+    #: backend's default; ``1`` is a pool of one reader (per shard), on the
+    #: same code path as any other size.  Ignored by backends without
+    #: ``supports_read_pool`` (memory).  Rows are byte-identical at every
+    #: size; only in-process read concurrency changes.
     read_pool_size: int | None = None
 
 

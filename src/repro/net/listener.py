@@ -104,7 +104,7 @@ class ListenerStats:
     engine_interpretations_executed: int = 0
     engine_rows_streamed: int = 0
     #: Read-connection-pool activity summed/maxed over served requests
-    #: (zero on backends without a pool — memory, or ``read_pool_size=1``).
+    #: (zero on stores without a pool — memory, or a ``":memory:"`` SQLite).
     engine_read_pool_leases: int = 0
     engine_read_pool_waits: int = 0
     engine_read_pool_peak: int = 0

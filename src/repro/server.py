@@ -35,7 +35,7 @@ from repro.engine import EngineConfig, EngineContext, QueryEngine
 #: One pooled engine: ``(dataset, backend name, resolved db path or None,
 #: shard count or None)``.  The shard count is part of the key because two
 #: sharded layouts of one dataset are two distinct physical stores (each
-#: with its own partitions, scatter connections and fan-out pool).
+#: with its own partitions and reader connections).
 EngineKey = tuple[str, str, str | None, int | None]
 
 #: Builds the engine of one pool slot: ``(dataset, backend, db_path, shards,

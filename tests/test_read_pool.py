@@ -11,12 +11,15 @@ Three contracts under test:
   sequential execution, on both the plain and the sharded file-backed store.
 * **Writer visibility** — a post-build insert commits, bumps the write
   epoch, and is visible to every subsequent pooled read: a reader leased
-  before the write must not stay pinned to its old WAL snapshot.
+  before the write must not stay pinned to its old WAL snapshot.  The other
+  direction holds too: a read never commits — it leaves the write epoch and
+  an open bulk-load transaction exactly as it found them.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -27,6 +30,13 @@ from tests.conftest import build_mini_db, mini_schema
 
 QUERIES = ["hanks 2001", "london", "hanks", "2001"]
 FILE_BACKENDS = ["sqlite", "sqlite-sharded"]
+
+
+def _open_store(backend, path=None, **options):
+    """An empty mini-schema store; the sharded one has three partitions."""
+    if backend == "sqlite-sharded":
+        options["shards"] = 3
+    return create_backend(backend, mini_schema(), path=path, **options)
 
 
 @pytest.fixture(autouse=True)
@@ -75,12 +85,42 @@ class TestPoolMechanics:
         assert not db._read_pool_enabled()
         assert db.read_pool_stats() is None
 
-    def test_size_one_disables_the_pool(self, tmp_path):
-        db = create_backend(
-            "sqlite", mini_schema(), path=tmp_path / "s.db", read_pool_size=1
-        )
-        assert not db._read_pool_enabled()
-        assert db.read_pool_stats() is None
+    @pytest.mark.parametrize("backend", FILE_BACKENDS)
+    def test_size_one_is_a_pool_of_one(self, tmp_path, backend):
+        """``read_pool_size=1`` is a pool like any other: one reader (per
+        shard), and whoever asks while it is out waits for it."""
+        assert _open_store(backend, read_pool_size=1).read_pool_stats() is None
+        db = build_mini_db(_open_store(backend, tmp_path / "s.db", read_pool_size=1))
+        pool = db._reader_pool()
+        assert pool is not None
+        size = 1 if backend == "sqlite" else db.shards
+        assert db.read_pool_stats()["size"] == pool.size == size
+        before = pool.stats()
+        assert before["waits"] == 0
+        got = []
+
+        def ask() -> None:
+            with db._lease_read_connection() as reader:
+                got.append(reader)
+
+        waiter = threading.Thread(target=ask)
+        with db._lease_read_connections(size) as held:
+            waiter.start()
+            deadline = time.monotonic() + 10
+            while True:
+                with pool._cond:  # ``waits`` moves under it, right before the wait
+                    if pool.waits:
+                        break
+                assert time.monotonic() < deadline, "the waiter never asked"
+            assert not got
+        waiter.join(10)
+        assert not waiter.is_alive()
+        assert len(got) == 1 and got[0] in held
+        after = db.read_pool_stats()
+        assert after["waits"] == 1
+        assert after["leases"] == before["leases"] + size + 1
+        assert after["peak_concurrency"] == size
+        db.close()
 
     def test_create_backend_threads_the_knob(self, tmp_path):
         db = create_backend(
@@ -166,8 +206,8 @@ class TestConcurrentReadParity:
 
     @pytest.mark.parametrize("backend", FILE_BACKENDS)
     def test_memory_store_parity_without_a_pool(self, backend):
-        """The control arm: the same concurrent workload on a ``:memory:``
-        store (pool disabled) stays byte-identical too."""
+        """The same concurrent workload on a ``:memory:`` store — no pool,
+        every read on the one connection — stays byte-identical too."""
         db = build_mini_db(backend)
         engine = QueryEngine(db, config=EngineConfig(cache_results=False))
         reference = {text: _rows(engine.run(text, k=5)) for text in QUERIES}
@@ -203,6 +243,33 @@ class TestWriterVisibility:
         inserted = relation.get(9)
         assert inserted is not None and inserted.get("name") == "late arrival"
         assert len(relation) == 4
+
+    @pytest.mark.parametrize("backend", FILE_BACKENDS)
+    def test_a_read_only_query_commits_nothing(self, tmp_path, backend):
+        """The epoch counts writer commits; a query is not one."""
+        db = build_mini_db(_open_store(backend, tmp_path / "store.db"))
+        engine = QueryEngine(db, config=EngineConfig(cache_results=False))
+        before = db.write_epoch
+        assert engine.run("hanks 2001", k=5).results
+        assert db.write_epoch == before
+        db.close()
+
+    @pytest.mark.parametrize("backend", FILE_BACKENDS)
+    def test_a_read_inside_a_bulk_load_sees_it_and_leaves_it_open(
+        self, tmp_path, backend
+    ):
+        """Before ``build_indexes()`` commits, a path read runs on the writer:
+        it sees the uncommitted rows and does not commit them."""
+        db = _open_store(backend, tmp_path / "store.db")
+        for key in range(1, 5):
+            db.insert("actor", {"id": key, "name": f"actor {key}"})
+        assert db._conn.in_transaction
+        rows = db.execute_path(["actor"], [])
+        assert [network[0].key for network in rows] == [1, 2, 3, 4]
+        assert db._conn.in_transaction
+        db.build_indexes()
+        assert not db._conn.in_transaction
+        db.close()
 
     def test_interleaved_writer_thread(self, tmp_path):
         """Reads racing one writer thread always see a legal state and see

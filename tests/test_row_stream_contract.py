@@ -6,8 +6,9 @@ Three faces, one primitive: ``execute_path(*spec)``,
 file-backed and ``:memory:``, under every ``limit``, and when the parameter
 budget forces specs out of the shared ``UNION ALL`` into post-filtering solo
 plans.  The list-returning faces are drains of the stream, so they must also
-*close* it: no reader lease, cursor or prefetch producer may outlive a drain,
-whether it ended by exhaustion, by a ``limit`` or by an exception.
+*close* it: no reader lease or cursor may outlive a drain, whether it ended
+by exhaustion, by a ``limit`` or by an exception — and since every cursor
+advances in the caller's thread, a drain starts no thread either.
 """
 
 from __future__ import annotations
@@ -94,10 +95,12 @@ def test_three_faces_of_one_stream(store, limit, forced_fallback, tmp_path, monk
 
 class TestDrainsCloseWhatTheyOpen:
     """After every internal drain — complete, cut by ``limit``, or aborted by
-    an exception — the store holds no lease, no cursor and no producer."""
+    an exception — the store holds no lease and no cursor, and no thread
+    exists that did not exist before the store was opened."""
 
     @pytest.fixture(params=["sqlite-file", "sharded3-file"])
     def db(self, request, tmp_path):
+        self.threads_before = threading.active_count()
         db = _open(request.param, tmp_path)
         yield db
         db.close()
@@ -106,16 +109,30 @@ class TestDrainsCloseWhatTheyOpen:
         pool = db._reader_pool()
         assert pool is not None  # file-backed stores pool their readers
         assert pool._active == 0
-        if isinstance(db, ShardedSQLiteBackend):
-            # Every scatter-pool worker can reach a rendezvous: none is
-            # still inside a prefetch producer, blocked on a full queue.
-            workers = db._scatter_pool()
-            width = workers._max_workers
-            barrier = threading.Barrier(width + 1)
-            waits = [workers.submit(barrier.wait, 10) for _ in range(width)]
-            barrier.wait(10)
-            for wait in waits:
-                wait.result(timeout=10)
+        # The storage layer starts no thread: none is alive now that was
+        # not alive before the store was opened.
+        assert threading.active_count() == self.threads_before
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-shard")
+        ]
+
+    def test_every_shard_cursor_runs_on_the_calling_thread(self, db, monkeypatch):
+        """The positive form: a gather's cursors — one per live shard —
+        open and advance in the thread that drains the stream."""
+        iter_cursor = db._iter_cursor
+        idents = []
+
+        def recording(*args):
+            idents.append(threading.get_ident())  # runs at the first pull
+            yield from iter_cursor(*args)
+
+        monkeypatch.setattr(db, "_iter_cursor", recording)
+        assert len(db.execute_path(["actor"], [])) == 3
+        cursors = 3 if isinstance(db, ShardedSQLiteBackend) else 1
+        assert idents == [threading.get_ident()] * cursors
+        self._assert_quiescent(db)
 
     def test_limit_breaks_and_exceptions_release_everything(self, db, monkeypatch):
         specs = _specs(db, "hanks 2001")

@@ -158,8 +158,8 @@ class TestConcurrentIsolation:
     ):
         """The 20 store-derived workload queries through 8 workers on a
         file-backed store, cache off so every request reads the backend:
-        single locked connection (pool size 1), default pool and a reader
-        per worker all answer what sequential execution answers."""
+        a pool of one reader (per shard), the default pool and a reader per
+        worker all answer what sequential execution answers."""
         storage = dict(
             backend=backend, db_path=tmp_path / "served.sqlite", shards=shards
         )

@@ -10,6 +10,8 @@ the shard that produced them.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from repro.datasets.imdb import build_imdb
@@ -38,6 +40,15 @@ def _mini_specs(db, query_text):
     engine = QueryEngine(db, config=EngineConfig(cache_results=False))
     ranked = engine.rank(query_text)
     return [interp.to_structured_query().path_spec() for interp, _p in ranked]
+
+
+def _streamed(db, specs, pulls):
+    """``(pairs, bookkeeping)`` of one streamed execution closed after
+    ``pulls`` pairs (``None``: drained)."""
+    execution = db.execute_paths_streamed(specs, limit=10)
+    with execution.stream as stream:
+        pairs = list(stream if pulls is None else islice(stream, pulls))
+    return pairs, execution
 
 
 def _prepared_plans(db, specs, limit):
@@ -122,19 +133,53 @@ class TestShardedExecution:
                     *spec, limit=limit
                 )
 
-    def test_batched_matches_unsharded_with_shard_statements(self):
-        db = build_mini_db("sqlite-sharded")
+    @pytest.mark.parametrize("on_file", [False, True], ids=["memory", "file"])
+    @pytest.mark.parametrize("read_pool_size", [1, None, 8])
+    def test_batched_matches_unsharded_with_shard_statements(
+        self, read_pool_size, on_file, tmp_path
+    ):
+        """One gather shape: every pool size, on a file and in ``:memory:``,
+        streams what the default ``:memory:`` store streams — rows, statement
+        count, shard attribution and cursor overrun alike, drained or cut."""
+        db = build_mini_db(
+            ShardedSQLiteBackend(
+                mini_schema(),
+                path=tmp_path / "store.sqlite" if on_file else None,
+                read_pool_size=read_pool_size,
+            )
+        )
+        control = build_mini_db("sqlite-sharded")
         ref = build_mini_db("sqlite")
         specs = _mini_specs(ref, "hanks 2001")
         assert len(specs) >= 2
+        for pulls in (None, 1):
+            pairs, streamed = _streamed(db, specs, pulls)
+            expected_pairs, expected = _streamed(control, specs, pulls)
+            assert repr(pairs) == repr(expected_pairs)
+            assert streamed.statements == expected.statements
+            assert streamed.shard_rows == expected.shard_rows
+            assert streamed.rows_short_circuited == expected.rows_short_circuited
+        assert streamed.rows_short_circuited > 0  # the cut left a chunk behind
         batched = db.execute_paths_batched(specs, limit=10)
-        reference = ref.execute_paths_batched(specs, limit=10)
-        assert batched.rows == reference.rows
+        assert batched.rows == ref.execute_paths_batched(specs, limit=10).rows
         # One scatter statement per shard serves the whole batch.
         assert batched.statements == db.shards
         assert batched.batched_indexes == list(range(len(specs)))
         total = sum(len(rows) for rows in batched.rows)
         assert sum(batched.shard_rows.values()) == total
+        pool = db._reader_pool()
+        assert (pool is not None) == on_file
+        if on_file:
+            # A gather leases exactly one reader per live shard, all at once.
+            assert pool.size == db.shards * (read_pool_size or db.DEFAULT_READ_POOL_SIZE)
+            plan = db.plan_path_spec(*specs[0], limit=10)
+            leases = pool.leases
+            db.execute_path(*specs[0], limit=10)
+            live = len(db._live_shards([plan]))
+            assert pool.leases - leases == live
+            assert pool.peak_concurrency == db.shards
+            assert pool.waits == pool._active == 0
+        db.close()
 
     def test_post_filter_fallback_matches_unsharded(self, monkeypatch):
         from repro.db.backends import sql as sql_module
@@ -273,6 +318,21 @@ class TestShardedEngineParity:
         assert "rows per shard: " in text
         assert "shard2:" in text  # all three shards contributed on "london"
         assert "scatter slot #" in text  # the chooser names every consumed slot
+
+    def test_read_pool_explain_line_is_exact(self, tmp_path):
+        """Three live shards are three leases taken at once — a figure that
+        no longer depends on how threads happen to interleave."""
+        engine = QueryEngine.for_dataset(
+            "imdb",
+            backend="sqlite-sharded",
+            shards=3,
+            db_path=tmp_path / "store.sqlite",
+        )
+        lines = engine.run("london", k=5, explain=True).explain_lines()
+        assert (
+            "  read pool: 3 lease(s), 0 wait(s), peak 3 concurrent (size 12)" in lines
+        )
+        engine.backend.close()
 
     def test_statements_are_bounded_by_shards_per_interpretation(self):
         """At most one scatter statement per shard per executed
