@@ -262,15 +262,29 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
     produced and then short-circuited.  Statements follow: at most one per
     executed interpretation on one store, one per shard on a sharded one.
     Rows and executed interpretations match the memory reference.
+
+    And one text per shape: a scatter statement takes about a millisecond to
+    prepare, so over a replay of 60 more workload queries the sharded store
+    must issue few *distinct* texts (key sets bind as one parameter each;
+    0.16 here, 0.84 when every key was its own ``?``).  The single-file
+    figure is printed beside it, unasserted: its texts are cheap to prepare
+    and keep one ``?`` per key.
     """
+    from repro.datasets.workload import imdb_workload
     from repro.db.backends.sharded import ShardedSQLiteBackend
 
     shards = 2
     reference = QueryEngine(
         build_imdb(**BUILD_KWARGS), config=EngineConfig(cache_results=False)
     )
+    named = [*QUERIES, "hanks"]
+    replay = [
+        str(item.query)
+        for item in imdb_workload(reference.backend, n_queries=60, seed=5)
+    ]
     rows_of = lambda context: [r.row_uids() for r in context.results]  # noqa: E731
     per_query: list[list[str]] = []
+    per_backend: list[list[str]] = []
     for backend, fan_out in (("sqlite", 1), ("sqlite-sharded", shards)):
         path = tmp_path / f"{backend}.sqlite"
         kwargs = {"shards": shards} if fan_out > 1 else {}
@@ -289,8 +303,16 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
             return open_stream(specs, limit=limit)
 
         db.execute_paths_streamed = spy
+        texts: list[str] = []
+        iter_cursor = db._iter_cursor
+
+        def record(conn, statement, execution):
+            texts.append(statement.sql)
+            return iter_cursor(conn, statement, execution)
+
+        db._iter_cursor = record
         executed_total = 0
-        for query_text in [*QUERIES, "hanks"]:
+        for query_text in [*named, *replay]:
             before = len(handed)
             context = engine.run(query_text, k=5)
             reference_context = reference.run(query_text, k=5)
@@ -308,6 +330,8 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
                 stats.rows_materialized if fan_out > 1 else 0
             )
             executed_total += stats.interpretations_executed
+            if query_text not in named:
+                continue
             per_query.append(
                 [
                     backend,
@@ -320,12 +344,33 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
             )
         db.close()
         assert sum(handed) == executed_total > 0
+        distinct_share = len(set(texts)) / len(texts)
+        if fan_out > 1:
+            assert distinct_share <= 0.25, (
+                f"{len(set(texts))} distinct texts in {len(texts)} scatter "
+                f"statements: statement text follows key counts, not shape"
+            )
+        per_backend.append(
+            [
+                backend,
+                f"{executed_total}",
+                f"{len(texts)}",
+                f"{len(set(texts))}",
+                f"{distinct_share:.2f}",
+            ]
+        )
 
     print()
     print(
         format_table(
             ["backend", "query", "ranked", "executed", "specs handed", "stmts"],
             per_query,
+        )
+    )
+    print(
+        format_table(
+            ["backend", "executed", "stmts", "distinct texts", "distinct ÷ stmts"],
+            per_backend,
         )
     )
 

@@ -19,15 +19,23 @@ and every other slot reaches all partitions through a linear semi-join chain
 backends.sql.PlanCompiler.reduction_chain`).  Selection keys are routed by
 partition once per plan, so every probe binds only the keys its partition
 holds and a shard holding none of the scatter slot's keys gets no statement
-or reader lease at all.  Each statement projects its ORDER BY keys, the
-gather step merges the streams under exactly those keys and truncates at the
-plan's limit, which keeps the rows, order and truncation byte-identical to
-the unsharded backend (pinned by ``tests/test_sharded_backend.py``).  The
-gather has one shape on every store and pool size: it leases one connection
-per shard statement at once and opens a lazy cursor on each in the caller's
-thread, advanced as the merge pulls — this module starts no thread.  On
-file-backed stores the connections are readers of the inherited pool (each
-with every partition ATTACHed; capacity ``shards × read_pool_size``); on a
+or reader lease at all.  Each routed key set binds as **one** JSON-array
+parameter (``IN (SELECT +value FROM json_each(?))``, :meth:`~repro.db.
+backends.sql.ShardedSQLiteDialect.key_set_predicate`), so a member's text
+depends on its plan's shape — path, filtered slots, live partitions — and
+not on how many keys a query resolved to: such a text takes about a
+millisecond to prepare, and ``sqlite3``'s per-connection statement cache
+can only serve one that repeats byte for byte.  Each statement projects its
+ORDER BY keys, the gather step merges the streams under exactly those keys
+and truncates at the plan's limit, which keeps the rows, order and
+truncation byte-identical to the unsharded backend (pinned by
+``tests/test_sharded_backend.py``).  The gather has one shape on every store
+and pool size: it leases one connection per shard statement at once and
+opens a lazy cursor on each in the caller's thread, advanced as the merge
+pulls — this module starts no thread.  On file-backed stores the
+connections are readers of the inherited pool (each with every partition
+ATTACHed; capacity ``shards × read_pool_size``; equal leases get the same
+readers in the same order, so a shard's texts stay with one reader); on a
 ``":memory:"`` store (whose attached shards exist only inside the one
 connection) and inside an open bulk load they are the writer connection, by
 the inherited lease rule.
@@ -259,12 +267,21 @@ class ShardedSQLiteBackend(SQLiteBackend):
     def _prepare_storage(self) -> None:
         """Validate the stored shard layout, then ATTACH the partitions.
 
-        Validation runs entirely against the catalog *before* the first
+        Validation — the linked SQLite's JSON1 support first, then the stored
+        layout — runs entirely against the catalog *before* the first
         ATTACH (which would create missing shard files as empty databases):
         a rejected open leaves no debris on disk, and an established store
         whose partition file vanished — e.g. only the catalog was copied as
         a backup — fails fast instead of silently serving a partial dataset.
         """
+        try:
+            self._probe_json1()
+        except sqlite3.OperationalError:
+            raise DatabaseError(
+                "the 'sqlite-sharded' backend needs SQLite's JSON1 functions "
+                "(json_each: built in from 3.38, a compile-time option before); "
+                f"the SQLite {sqlite3.sqlite_version} this Python links lacks them"
+            ) from None
         stored = self.get_metadata("_shard_count")
         if stored is None:
             if self._catalog_holds_rows():
@@ -299,6 +316,11 @@ class ShardedSQLiteBackend(SQLiteBackend):
                 sqlc.SideTableSQL.META_UPSERT, ("_shard_count", str(self.shards))
             )
             self._conn.commit()
+
+    def _probe_json1(self) -> None:
+        """Run the one JSON1 call scatter statements make (they bind every
+        key set through ``json_each``, with no other spelling kept)."""
+        self._conn.execute(sqlc.JSON_EACH_PROBE_SQL).fetchall()
 
     def _configure_journal_mode(self) -> None:
         """WAL for the catalog *and* every attached partition.

@@ -30,14 +30,21 @@ future Postgres dialect) a dialect/executor concern instead of a rewrite.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from repro.db.schema import ForeignKey, Schema, Table
 
-#: Above this many candidate keys per position the ``pk IN (...)`` predicate
-#: is applied in Python instead of SQL (SQLite caps bound parameters per
-#: statement; historically SQLITE_MAX_VARIABLE_NUMBER = 999).
+#: Above this many candidate keys per position the key-set predicate is
+#: applied in Python instead of SQL.  Under the single-file dialect every key
+#: is one bound parameter, and the cap descends from SQLite's per-statement
+#: limit (SQLITE_MAX_VARIABLE_NUMBER, 999 before 3.32).  The sharded dialect
+#: binds a whole key set as one JSON parameter, so no variable count limits
+#: it; it keeps the same cap so that both dialects split a plan's filters
+#: into inline and post sets identically — one planner, rows and LIMIT
+#: pushdown decided the same way on every backend.
 MAX_INLINE_KEYS = 500
 
 #: Budget for *all* inline keys of one statement, across positions (and, for
@@ -464,6 +471,17 @@ class SQLiteDialect:
         """Python ``repr()`` ordering of one key expression (see backend)."""
         return f"repro_repr({expression})"
 
+    def key_set_predicate(
+        self, column: str, keys: Sequence[Any]
+    ) -> tuple[str, Sequence[Any]]:
+        """``column`` restricted to one resolved key set + its bound parameters.
+
+        One ``?`` per key: single-file statements prepare in ≈ 85 µs and half
+        of their texts already byte-repeat, so a shape-keyed binding costs
+        here what it saves (``docs/performance.md`` § PR 21).
+        """
+        return f"{column} IN ({', '.join('?' for _ in keys)})", keys
+
 
 class ShardedSQLiteDialect(SQLiteDialect):
     """One shard's view of a hash-partitioned store.
@@ -512,6 +530,54 @@ class ShardedSQLiteDialect(SQLiteDialect):
 
     def insertion_order_term(self, alias: str, table_name: str) -> str:
         return f'{alias}.{self.quote("_rowseq")}'
+
+    def key_set_predicate(
+        self, column: str, keys: Sequence[Any]
+    ) -> tuple[str, Sequence[Any]]:
+        """The key set as **one** JSON-array parameter read by ``json_each``.
+
+        A scatter member repeats a slot's key list once per partition arm and
+        takes ≈ 1 ms to prepare, so its text must not change with the number
+        of keys: bound this way it is a function of the plan's *shape* and
+        ``sqlite3``'s per-connection statement cache serves it again.
+        ``json_each`` hands back INTEGER, REAL and TEXT values exactly as a
+        direct binding would, and the unary ``+`` leaves them without a
+        column affinity, as the values of a literal list are, so rows cannot
+        differ; a key set holding anything else (:func:`_json_key_set`) keeps
+        the literal list.
+        """
+        bound = _json_key_set(keys)
+        if bound is None:
+            return super().key_set_predicate(column, keys)
+        return f"{column} IN (SELECT +value FROM json_each(?))", (bound,)
+
+
+def _json_key_set(keys: Sequence[Any]) -> str | None:
+    """``keys`` as a JSON array SQLite decodes to the very values a direct
+    binding stores, or ``None`` when some key has no such spelling.
+
+    Exact types only: ``bool`` binds as an int but spells ``true``, ``bytes``
+    and subclasses have no JSON form of their own, an int outside 64 bits or
+    a non-finite float has no SQLite value, and SQLite's JSON strings end at
+    a NUL.
+    """
+    for key in keys:
+        kind = type(key)
+        if kind is int:
+            if not -(2**63) <= key < 2**63:
+                return None
+        elif kind is str:
+            if "\x00" in key:
+                return None
+        elif kind is not float or not math.isfinite(key):
+            return None
+    return _encode_key_set(keys)
+
+
+#: One encoder, built once (``json.dumps`` with non-default arguments builds a
+#: ``JSONEncoder`` per call).  Non-ASCII text stays raw UTF-8, so no surrogate
+#: pair is left for SQLite's JSON reader to decode.
+_encode_key_set = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 # -- compilation --------------------------------------------------------------
@@ -628,8 +694,9 @@ class PlanCompiler:
                     keys = routed[slot][shard]
                     if not keys:
                         continue  # none of the slot's keys lives in this partition
-                    predicates.append(f"{pk} IN ({', '.join('?' for _ in keys)})")
-                    params.extend(keys)
+                    predicate, bound = dialect.key_set_predicate(pk, keys)
+                    predicates.append(predicate)
+                    params.extend(bound)
                 arm = f"SELECT * FROM {dialect.partition_source(table_name, shard)}"
                 if predicates:
                     arm += " WHERE " + " AND ".join(predicates)
@@ -661,16 +728,16 @@ class PlanCompiler:
         return lines, params
 
     def inline_predicates(self, plan: PathPlan) -> tuple[list[str], list[Any]]:
-        """``pk IN (...)`` predicates + bound parameters per filtered slot."""
+        """Key-set predicates + bound parameters per filtered slot."""
         predicates: list[str] = []
         params: list[Any] = []
         for position, keys in plan.inline_filters:
             pk = self.primary_key(plan.path[position])
-            placeholders = ", ".join("?" for _ in keys)
-            predicates.append(
-                f"t{position}.{self.dialect.quote(pk)} IN ({placeholders})"
+            predicate, bound = self.dialect.key_set_predicate(
+                f"t{position}.{self.dialect.quote(pk)}", keys
             )
-            params.extend(keys)
+            predicates.append(predicate)
+            params.extend(bound)
         return predicates, params
 
     def order_terms(self, plan: PathPlan) -> list[str]:
@@ -922,6 +989,10 @@ def max_column_sql(column: str, source: str) -> str:
     """``SELECT MAX(column)`` of one physical table (sequence resumption)."""
     return f"SELECT MAX({quote_identifier(column)}) FROM {source}"
 
+
+#: Does the linked SQLite have the JSON1 table-valued function that
+#: :meth:`ShardedSQLiteDialect.key_set_predicate` binds key sets through?
+JSON_EACH_PROBE_SQL = "SELECT value FROM json_each('[1]')"
 
 #: Does a table of this name exist in the main database?  (Backend-mixup
 #: guard: a plain store opened through the sharded backend must fail fast.)

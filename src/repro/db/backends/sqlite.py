@@ -264,7 +264,7 @@ class _ReadConnectionPool:
                         taken.append(self._open())
                         self._opened += 1
             except BaseException:
-                self._idle.extend(taken)
+                self._idle.extend(reversed(taken))
                 self._cond.notify_all()
                 raise
             self.leases += count
@@ -280,7 +280,10 @@ class _ReadConnectionPool:
                 for conn in conns:
                     conn.close()
             else:
-                self._idle.extend(conns)
+                # Reversed: ``_take`` pops the tail, so the next lease of this
+                # size gets the same readers in the same order and a text is
+                # asked of the reader whose statement cache already holds it.
+                self._idle.extend(reversed(conns))
             self._cond.notify_all()
 
     @contextmanager

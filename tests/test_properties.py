@@ -620,3 +620,96 @@ class TestShardedChainAgainstOracles:
         finally:
             for db in stores:
                 db.close()
+
+
+# -- key sets bound through json_each against the literal list ----------------------
+#
+# ``ShardedSQLiteDialect`` binds a key set as one JSON parameter.  That is only
+# sound if SQLite reads every key back as the value a direct binding stores —
+# under no column affinity (what the stores declare) and under INTEGER and TEXT
+# affinity alike — and if everything without such a spelling keeps the literal
+# list the single-file dialect compiles.
+
+#: Stored as the key column of each flavour (a rowid alias refuses non-integers).
+KEY_FLAVOURS = {"plain": "", "ints": "INTEGER", "texts": "TEXT"}
+
+json_bindable_keys = st.one_of(
+    st.sampled_from([0, -1, 3, 12, 2**63 - 1, -(2**63)]),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from(["12", "3.0", "-1", "", "it's", 'say "x"', "a\\b", "naïve", "東京", "😀"]),
+    st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs",)), max_size=6),
+    st.sampled_from([3.0, 12.0, -0.0, 0.5, 1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class _Text(str):
+    """A ``str`` subclass: binds like one, but is not *exactly* ``str``."""
+
+
+UNBINDABLE_KEYS = [
+    True, b"x", 2**63, -(2**63) - 1, float("nan"), float("inf"), _Text("a"), "a\x00b", None,
+]
+
+
+class TestJsonKeySetBinding:
+    @given(
+        stored=st.lists(json_bindable_keys, max_size=8),
+        asked=st.lists(json_bindable_keys, max_size=8),
+        repeats=st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_selects_the_rows_of_the_literal_list(self, stored, asked, repeats):
+        import sqlite3
+
+        from repro.db.backends.sql import ShardedSQLiteDialect, SQLiteDialect
+
+        # Mostly stored keys (in either numeric spelling, where the other one
+        # is a value SQLite has), some strangers, duplicates — or nothing at
+        # all, a shard none of the keys routes to.
+        respelled = [
+            other
+            for other in map(other_form, stored)
+            if type(other) is not int or -(2**63) <= other < 2**63
+        ]
+        keys = tuple(asked + (stored + respelled) * repeats)
+        as_json = ShardedSQLiteDialect(3, 0).key_set_predicate("k", keys)
+        as_list = SQLiteDialect().key_set_predicate("k", keys)
+        assert as_json[0].count("?") == len(as_json[1]) == 1
+        assert as_list[0].count("?") == len(as_list[1]) == len(keys)
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.create_function("repro_repr", 1, repr, deterministic=True)
+            for table, declared in KEY_FLAVOURS.items():
+                conn.execute(f"CREATE TABLE {table} (k {declared} PRIMARY KEY, v)")
+                for number, key in enumerate(stored):
+                    try:
+                        conn.execute(f"INSERT INTO {table} VALUES (?, ?)", (key, number))
+                    except sqlite3.IntegrityError:
+                        pass  # a duplicate under this affinity, or not an integer
+                found = [
+                    conn.execute(
+                        f"SELECT k, typeof(k), v FROM {table} WHERE {predicate} "
+                        "ORDER BY repro_repr(k)",
+                        params,
+                    ).fetchall()
+                    for predicate, params in (as_json, as_list)
+                ]
+                assert found[0] == found[1], table
+        finally:
+            conn.close()
+
+    @given(
+        keys=st.lists(json_bindable_keys, max_size=4),
+        intruder=st.sampled_from(UNBINDABLE_KEYS),
+        at=st.integers(0, 4),
+    )
+    def test_a_key_without_an_exact_spelling_keeps_the_literal_list(
+        self, keys, intruder, at
+    ):
+        from repro.db.backends.sql import ShardedSQLiteDialect, SQLiteDialect
+
+        keys = tuple(keys[:at] + [intruder] + keys[at:])
+        predicate, params = ShardedSQLiteDialect(3, 0).key_set_predicate("k", keys)
+        assert (predicate, params) == SQLiteDialect().key_set_predicate("k", keys)
+        assert params is keys and predicate.count("?") == len(params)

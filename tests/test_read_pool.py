@@ -157,6 +157,28 @@ class TestPoolMechanics:
         assert pool and pool["leases"] > 0
         assert "read pool:" in "\n".join(context.explain_lines())
 
+    def test_equal_leases_get_the_same_readers_in_the_same_order(self, tmp_path):
+        """A scatter statement's text is prepared per connection, so the
+        next gather must meet the readers the last one left — shard by
+        shard — or every reader ends up preparing every shard's texts."""
+        db = build_mini_db(_open_store("sqlite-sharded", tmp_path / "s.db"))
+        pool = db._reader_pool()
+        before = pool.stats()
+        with pool.lease_many(3) as first:
+            pass
+        with pool.lease_many(3) as second:
+            assert second == first
+        with pool.lease_many(2) as prefix:
+            assert prefix == first[:2]
+        with pool.lease_many(3) as third:
+            assert third == first
+        after = pool.stats()
+        assert after["leases"] == before["leases"] + 11
+        assert after["waits"] == before["waits"] == 0
+        assert after["peak_concurrency"] == 3
+        assert pool._opened == 3 and pool._active == 0
+        db.close()
+
     def test_default_pool_capacity_scales_with_shards(self, tmp_path):
         db = build_mini_db("sqlite-sharded", db_path=tmp_path / "s.db")
         assert db._read_pool_enabled()

@@ -247,6 +247,44 @@ class TestJoinCompilation:
         with pytest.raises(ValueError, match="routed plans"):
             drain_plan(db, plan)
 
+    def test_statement_text_depends_on_shape_not_on_key_counts(self):
+        """Two routed plans alike in everything but how many keys each
+        filtered slot holds per partition compile to the *same* text under
+        every per-shard compiler: the text SQLite prepared for one serves
+        the other, whatever the key sets resolve to next time."""
+        from dataclasses import replace
+
+        db = build_mini_db("sqlite-sharded")
+        compared = 0
+        for query_text in ("hanks 2001", "london", "hanks"):
+            solo, members = _prepared_plans(db, _mini_specs(db, query_text), 10)
+            for _index, plan in [*solo, *members]:
+                if not plan.inline_filters:
+                    continue
+                # Same live-shard pattern: only partitions that hold a key
+                # get more of them (the compiler never checks the routing).
+                grown = replace(
+                    plan,
+                    inline_filters=tuple(
+                        (position, (*keys, 1001, 1002, "x"))
+                        for position, keys in plan.inline_filters
+                    ),
+                    shard_filters=tuple(
+                        (position, tuple(b and (*b, 1001, 1002, "x") for b in buckets))
+                        for position, buckets in plan.shard_filters
+                    ),
+                )
+                for compiler in db._shard_compilers():
+                    if not plan.scatters_to(compiler.dialect.scatter_shard):
+                        continue
+                    small = compiler.compile_path(plan, project_order_keys=True)
+                    large = compiler.compile_path(grown, project_order_keys=True)
+                    assert small.sql == large.sql
+                    assert len(small.params) == len(large.params)
+                    assert small.params != large.params
+                    compared += 1
+        assert compared >= 6
+
     def test_unsharded_sql_is_byte_identical_to_pr12(self):
         """Every statement ``SQLiteDialect`` compiles over the bundled IMDB
         workload — each plan solo, each batch as its UNION ALL — hashes to
@@ -299,6 +337,45 @@ class TestShardedEngineParity:
                 dataset,
                 query_text,
             )
+
+    def test_one_text_per_shape_across_a_workload(self, tmp_path):
+        """150 workload queries issue a few hundred scatter statements but
+        only a few dozen distinct texts — what lets ``sqlite3``'s statement
+        cache skip their millisecond prepares — and the rows are still the
+        other backends' rows."""
+        from repro.datasets.workload import imdb_workload
+
+        queries = [
+            str(item.query)
+            for item in imdb_workload(build_imdb(), n_queries=150, seed=5)
+        ]
+        config = EngineConfig(cache_results=False)
+        sharded = QueryEngine.for_dataset(
+            "imdb",
+            backend="sqlite-sharded",
+            shards=3,
+            db_path=tmp_path / "store.sqlite",
+            config=config,
+        )
+        references = [
+            QueryEngine.for_dataset("imdb", backend=backend, config=config)
+            for backend in ("sqlite", "memory")
+        ]
+        texts = []
+        iter_cursor = sharded.backend._iter_cursor
+
+        def recording(conn, statement, execution):
+            texts.append(statement.sql)
+            return iter_cursor(conn, statement, execution)
+
+        sharded.backend._iter_cursor = recording
+        for query_text in queries:
+            rows = _result_rows(sharded.run(query_text, k=5))
+            for reference in references:
+                assert _result_rows(reference.run(query_text, k=5)) == rows, query_text
+        sharded.backend.close()
+        assert len(texts) > 300
+        assert len(set(texts)) <= 0.25 * len(texts), (len(set(texts)), len(texts))
 
     def test_shard_attribution_reaches_explain(self):
         """``shard_rows`` counts *delivered* rows, and the executor drains
@@ -429,6 +506,23 @@ class TestShardedStoreLifecycle:
         with pytest.raises(DatabaseError, match=r"SQLite >= 3\.35\.0"):
             create_backend("sqlite-sharded", mini_schema(), path=tmp_path / "m.sqlite")
         assert list(tmp_path.iterdir()) == []
+
+    def test_sqlite_without_json1_fails_fast_without_debris(self, tmp_path, monkeypatch):
+        """Scatter statements bind every key set through ``json_each``: a
+        SQLite built without JSON1 is refused by name, before any ATTACH."""
+        import sqlite3
+
+        def no_json1(self):
+            raise sqlite3.OperationalError("no such table: json_each")
+
+        monkeypatch.setattr(ShardedSQLiteBackend, "_probe_json1", no_json1)
+        with pytest.raises(DatabaseError, match="JSON1.*json_each"):
+            create_backend("sqlite-sharded", mini_schema(), path=tmp_path / "m.sqlite")
+        assert not list(tmp_path.glob("*.shard*"))
+        # The refusal released the file's lock and connection: the same path
+        # opens once the probe passes.
+        monkeypatch.undo()
+        create_backend("sqlite-sharded", mini_schema(), path=tmp_path / "m.sqlite").close()
 
     def test_missing_partition_file_fails_fast(self, tmp_path):
         """Only the catalog survived (e.g. a partial backup): refuse to open
