@@ -46,7 +46,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.core.hierarchy import QueryHierarchy
 from repro.core.keywords import KeywordQuery
@@ -76,11 +78,17 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
     return EngineConfig(**overrides)  # type: ignore[arg-type]
 
 
-def _engine(args: argparse.Namespace) -> QueryEngine:
-    """The one pipeline entry point every query subcommand uses."""
+@contextmanager
+def _engine(args: argparse.Namespace) -> Iterator[QueryEngine]:
+    """The one pipeline entry point every query subcommand uses.
+
+    Closes the engine's backend on the way out: a one-shot run on a
+    ``--db-path`` store persists its result-cache entries (and re-saves a
+    stale index or statistics) in ``close()``.
+    """
     config = _engine_config(args)
     try:
-        return QueryEngine.for_dataset(
+        engine = QueryEngine.for_dataset(
             args.dataset,
             backend=args.backend,
             db_path=args.db_path,
@@ -91,11 +99,15 @@ def _engine(args: argparse.Namespace) -> QueryEngine:
         raise SystemExit(f"error: {exc}") from None
     except DatabaseError as exc:  # unreadable/mismatched --db-path file
         raise SystemExit(f"error: {exc}") from None
+    try:
+        yield engine
+    finally:
+        engine.backend.close()
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    engine = _engine(args)
-    context = engine.run(args.query, k=args.k, explain=args.explain)
+    with _engine(args) as engine:
+        context = engine.run(args.query, k=args.k, explain=args.explain)
     if not context.ranked:
         print("no interpretations found")
         return 1
@@ -132,7 +144,11 @@ class _ScriptedUser:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    engine = _engine(args)
+    with _engine(args) as engine:
+        return _construct(args, engine)
+
+
+def _construct(args: argparse.Namespace, engine: QueryEngine) -> int:
     query = KeywordQuery.parse(args.query)
     hierarchy = QueryHierarchy(query, engine.generator, engine.model)
     scripted = _ScriptedUser(args.answers) if args.answers else None
@@ -180,8 +196,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_diversify(args: argparse.Namespace) -> int:
-    engine = _engine(args)
-    ranked = engine.rank(args.query)[:25]
+    with _engine(args) as engine:
+        ranked = engine.rank(args.query)[:25]
     if not ranked:
         print("no interpretations found")
         return 1

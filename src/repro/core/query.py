@@ -117,7 +117,20 @@ class StructuredQuery:
         Selections are already slot- and attribute-sorted by construction
         (:meth:`Interpretation.to_structured_query`); sorting again here keeps
         the key canonical for hand-built queries too.
+
+        The string is store format (persisted caches are looked up by it),
+        and it is built once per instance: a cache miss asks for it twice
+        (``get``, then ``put``).
         """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = self._build_cache_key()
+            # Frozen dataclass: memoise past ``__setattr__`` (not a field, so
+            # equality and repr are untouched).
+            self.__dict__["_cache_key"] = key
+        return key
+
+    def _build_cache_key(self) -> str:
         return json.dumps(
             {
                 "path": list(self.template.path),

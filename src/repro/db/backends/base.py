@@ -31,6 +31,7 @@ import uuid
 from dataclasses import dataclass, field, fields
 from typing import (
     Any,
+    Callable,
     ClassVar,
     Iterable,
     Iterator,
@@ -241,6 +242,9 @@ class StorageBackend(abc.ABC):
         #: (persistent backends reload them instead; see ``db/stats``).
         self._statistics = None  # type: Any
         self._cardinality_estimator = None  # type: Any
+        #: Callables :meth:`close` runs before anything else (see
+        #: :meth:`drain_on_close`).
+        self._close_drains: list[Callable[[], None]] = []
 
     # -- read-connection pooling (optional) ---------------------------------
 
@@ -446,7 +450,10 @@ class StorageBackend(abc.ABC):
         may be purged (the default in-memory engines persist nothing).
 
         Puts may be buffered: durability is only required after
-        :meth:`cached_result_flush` (or a backend commit point)."""
+        :meth:`cached_result_flush` (or a backend commit point).  The
+        result cache calls this when an entry has earned persistence — at
+        its first reuse, or from its :meth:`drain_on_close` drain — never
+        for every entry it stores."""
 
     def cached_result_flush(self) -> None:
         """Make buffered :meth:`cached_result_put` payloads durable.
@@ -467,8 +474,29 @@ class StorageBackend(abc.ABC):
         """
         return []
 
+    def drain_on_close(self, drain: Callable[[], None]) -> None:
+        """Register ``drain`` to run first thing in :meth:`close`.
+
+        For state derived from this store that lives outside it and is
+        written back lazily: the result cache saves its resident, not yet
+        persisted entries here, so ``close()`` keeps meaning "everything
+        buffered is durable".  A drain runs once, while the backend still
+        accepts writes (:meth:`cached_result_put` buffers; the backend's own
+        final flush commits).
+        """
+        self._close_drains.append(drain)
+
+    def _run_close_drains(self) -> None:
+        """Run and forget the registered drains (a second ``close()`` finds
+        none).  Persistent backends call this first thing in ``close()``."""
+        drains, self._close_drains = self._close_drains, []
+        for drain in drains:
+            drain()
+
     def close(self) -> None:
-        """Release backend resources (no-op for in-memory storage)."""
+        """Release backend resources (in-memory storage has none; registered
+        drains still run)."""
+        self._run_close_drains()
 
     def __enter__(self) -> "StorageBackend":
         return self

@@ -806,12 +806,18 @@ class SQLiteBackend(StorageBackend):
         """Flush pending writes (rows, digest, buffered puts) to the file."""
         with self._lock:
             self._persist_content_digest()
-            self.cached_result_flush()  # drains buffered puts, then commits
+            self._write_pending_results()  # drains buffered puts, then commits
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
+            try:
+                # First, while puts still land: what the result cache holds
+                # unsaved joins the buffer the final flush below commits.
+                self._run_close_drains()
+            except sqlite3.Error:
+                pass  # best-effort like every cache write: never the close
             self._closed = True
             self._persist_content_digest()
             if self._index_dirty and self.index is not None and self.persist_index:
@@ -822,7 +828,7 @@ class SQLiteBackend(StorageBackend):
                 self._save_persisted_index(self.index)
             if self._stats_dirty and self._statistics is not None and self.persist_index:
                 self._save_persisted_stats()
-            self.cached_result_flush()  # drains buffered puts, then commits
+            self._write_pending_results()  # drains buffered puts, then commits
             self._close_connections()
         _release_lock_for(self.path)
 
@@ -1210,27 +1216,44 @@ class SQLiteBackend(StorageBackend):
     def cached_result_flush(self) -> None:
         """Write + commit every buffered put in one guarded transaction.
 
-        Holding the file's lock across the whole write-set keeps the
-        transaction short and un-interleaved: two engines flushing the same
-        file serialize here instead of deadlocking mid-commit.  Best-effort
-        like every cache write — a foreign-shaped pre-existing table is
-        dropped and rebuilt once, then the batch is abandoned.
+        With nothing buffered and no open transaction there is nothing to
+        make durable, and the call returns without taking the file's lock —
+        that is every run that saved no entry.
         """
-        with self._lock:
-            pending, self._pending_results = self._pending_results, {}
+        if not self._pending_results:
             try:
+                if not self._conn.in_transaction:
+                    return
+            except sqlite3.ProgrammingError:  # closed under a late caller
+                return
+        with self._lock:
+            if not self._closed:
+                self._write_pending_results()
+
+    def _write_pending_results(self) -> None:
+        """Drain the put buffer into the side table, then commit
+        (unconditionally: ``commit()``/``close()`` rely on that).
+
+        The caller holds the file's lock across the whole write-set, which
+        keeps the transaction short and un-interleaved: two engines flushing
+        the same file serialize here instead of deadlocking mid-commit.
+        Best-effort like every cache write — a foreign-shaped pre-existing
+        table is dropped and rebuilt once, then the batch is abandoned.
+        """
+        pending, self._pending_results = self._pending_results, {}
+        try:
+            for (fingerprint, key), payload in pending.items():
+                self._write_cached_result(fingerprint, key, payload)
+        except sqlite3.Error:
+            try:
+                self._conn.execute(SideTableSQL.RESULT_CACHE_DROP)
+                self._result_cache_ready = False
+                self._result_cache_purged_for = None
                 for (fingerprint, key), payload in pending.items():
                     self._write_cached_result(fingerprint, key, payload)
             except sqlite3.Error:
-                try:
-                    self._conn.execute(SideTableSQL.RESULT_CACHE_DROP)
-                    self._result_cache_ready = False
-                    self._result_cache_purged_for = None
-                    for (fingerprint, key), payload in pending.items():
-                        self._write_cached_result(fingerprint, key, payload)
-                except sqlite3.Error:
-                    pass
-            self._conn.commit()
+                pass
+        self._conn.commit()
 
     # -- join-path execution ---------------------------------------------------
 

@@ -14,6 +14,22 @@ StructuredQuery.cache_key(), limit)``:
   keeps payloads in a ``_repro_result_cache`` side table, so a *new process*
   (the next CLI run) starts warm.
 
+Persistence is something an entry **earns**.  ``put`` only stores the rows
+in the process layer and marks the key *unsaved*; the entry is encoded and
+handed to the backend at one of two durability points:
+
+* its **first reuse** (the *second sight*: the first process-layer hit on an
+  unsaved key) — committed by that run's ``flush()``, and
+* its **store's close** — the backend runs the cache's drain first thing in
+  ``close()``, which saves whatever is still resident and unsaved.
+
+An entry evicted before either is never written, so the side table is
+bounded by the LRU plus what was actually reused.  The costs: a process
+killed with ``-9`` loses entries it never reused; a forked sibling worker
+sees an entry after its first reuse or the owner's close, not after every
+run; and the LRU is no longer backed by an unbounded second tier for
+once-seen entries.
+
 Invalidation is structural: every mutation of a store changes its content
 fingerprint, so stale entries are simply unreachable; the persistent layer
 additionally purges entries of superseded fingerprints on write.
@@ -45,6 +61,12 @@ _PROCESS_CACHE: "OrderedDict[tuple[str, str, str], Rows]" = OrderedDict()
 #: eviction (KeyError) or corrupt the recency order.
 _PROCESS_CACHE_LOCK = threading.RLock()
 
+#: Resident keys whose rows no persistent layer holds yet (see the module
+#: docstring).  Lives beside the store under its lock and is always a subset
+#: of its keys — eviction drops the mark with the entry — so the LRU's own
+#: bound is the only bound it needs.  Whoever removes a mark does the save.
+_UNSAVED: "set[tuple[str, str, str]]" = set()
+
 #: Default upper bound on process-level entries; small queries dominate, so
 #: this is generous without risking unbounded growth in long sweeps.
 #: Per-instance overrides (``ResultCache(capacity=...)``, fed by
@@ -66,13 +88,14 @@ class CacheStatistics:
 class ResultCache:
     """Deterministic result reuse for one storage backend.
 
-    ``persist`` defaults to the backend's persistence: durable stores write
-    through to the backend's cached-result side storage, in-memory stores use
-    only the process-level layer.  ``capacity`` bounds the process-level LRU
-    (``None`` keeps the module default): the store itself is process-wide,
-    so the bound is enforced on every write this instance makes — the
-    smallest active capacity wins, which keeps memory predictable when
-    several engines configure different sizes.
+    ``persist`` defaults to the backend's persistence: on durable stores an
+    entry reaches the backend's cached-result side storage at its first
+    reuse or when the store closes (never at :meth:`put`), in-memory stores
+    use only the process-level layer.  ``capacity`` bounds the process-level
+    LRU (``None`` keeps the module default): the store itself is
+    process-wide, so the bound is enforced on every write this instance
+    makes — the smallest active capacity wins, which keeps memory
+    predictable when several engines configure different sizes.
     """
 
     backend: "StorageBackend"
@@ -90,6 +113,8 @@ class ResultCache:
         self._tokenizer_digest = hashlib.sha256(
             self.backend.tokenizer.signature().encode("utf-8")
         ).hexdigest()[:8]
+        if self.persist:
+            self.backend.drain_on_close(self._save_unsaved)
         if self.capacity is not None:
             # A mid-run capacity shrink (an engine reconfigured with a smaller
             # ``result_cache_size``) takes effect immediately and
@@ -99,16 +124,18 @@ class ResultCache:
 
     # -- keys ---------------------------------------------------------------
 
-    def key(self, query: "StructuredQuery", limit: int | None) -> tuple[str, str, str]:
-        """(store identity, canonical query, limit) — the reuse precondition.
+    def _store_key(self) -> str:
+        """Store identity: the content fingerprint coupled with the
+        tokenizer signature.  Keyword selections resolve through the
+        tokenizer, so the same rows under a different tokenizer are a
+        *different* result set (the persisted-index layer guards on the
+        same pair)."""
+        return f"{self.backend.content_fingerprint()}-{self._tokenizer_digest}"
 
-        Store identity couples the content fingerprint with the tokenizer
-        signature: keyword selections resolve through the tokenizer, so the
-        same rows under a different tokenizer are a *different* result set
-        (the persisted-index layer guards on the same pair).
-        """
+    def key(self, query: "StructuredQuery", limit: int | None) -> tuple[str, str, str]:
+        """(store identity, canonical query, limit) — the reuse precondition."""
         return (
-            f"{self.backend.content_fingerprint()}-{self._tokenizer_digest}",
+            self._store_key(),
             query.cache_key(),
             "none" if limit is None else str(limit),
         )
@@ -130,15 +157,23 @@ class ResultCache:
         """The rows stored under one exact cache key, or None.
 
         Checks the process layer first (promoting the entry), then the
-        persistent layer (re-remembering a decoded payload).  No hit/miss
-        accounting — :meth:`get` books that, and the semantic layer reads
-        sibling entries through here without polluting the counters.
+        persistent layer (re-remembering a decoded payload).  A process-layer
+        hit on an unsaved key is the entry's *second sight*: it has earned
+        persistence and is saved here, once.  No hit/miss accounting —
+        :meth:`get` books that, and the semantic layer reads sibling entries
+        through here without polluting the counters.
         """
+        second_sight = False
         with _PROCESS_CACHE_LOCK:
             rows = _PROCESS_CACHE.get(key)
             if rows is not None:
                 _PROCESS_CACHE.move_to_end(key)
+                if self.persist and key in _UNSAVED:
+                    _UNSAVED.discard(key)
+                    second_sight = True
         if rows is not None:
+            if second_sight:
+                self._save(key, rows)  # outside the lock: a backend call
             return rows
         if self.persist:
             payload = self.backend.cached_result_get(key[0], f"{key[1]}#{key[2]}")
@@ -159,14 +194,38 @@ class ResultCache:
         return None
 
     def put(self, query: "StructuredQuery", limit: int | None, rows: Rows) -> None:
-        """Record freshly executed rows under the current fingerprint."""
-        key = self.key(query, limit)
-        _remember(key, list(rows), self.capacity)
+        """Record freshly executed rows under the current fingerprint.
+
+        Process layer only: the entry is marked unsaved and reaches the
+        persistent layer at its first reuse or at the store's close.
+        """
+        _remember(self.key(query, limit), list(rows), self.capacity, unsaved=True)
         self.statistics.stores += 1
-        if self.persist:
-            payload = _encode_rows(rows)
-            if payload is not None:
-                self.backend.cached_result_put(key[0], f"{key[1]}#{key[2]}", payload)
+
+    def _save(self, key: tuple[str, str, str], rows: Rows) -> bool:
+        """Encode one entry and hand it to the backend's put buffer; False
+        when the rows are not serializable (the process layer still works).
+        The caller has removed the key's unsaved mark."""
+        payload = _encode_rows(rows)
+        if payload is None:
+            return False
+        self.backend.cached_result_put(key[0], f"{key[1]}#{key[2]}", payload)
+        return True
+
+    def _save_unsaved(self) -> None:
+        """The backend's close drain: save what is still resident and
+        unsaved under this store's identity (least recently used first).
+        The backend's own final flush commits it."""
+        store_key = self._store_key()
+        with _PROCESS_CACHE_LOCK:
+            entries = [
+                (key, rows)
+                for key, rows in _PROCESS_CACHE.items()
+                if key[0] == store_key and key in _UNSAVED
+            ]
+            _UNSAVED.difference_update(key for key, _rows in entries)
+        for key, rows in entries:
+            self._save(key, rows)
 
     def fetch(self, query: "StructuredQuery", limit: int | None) -> Rows:
         """Get-or-execute: the one-call form of :meth:`get` + :meth:`put`."""
@@ -178,11 +237,11 @@ class ResultCache:
         return rows
 
     def flush(self) -> None:
-        """Make buffered persistent puts durable (one commit, many puts).
+        """Make the entries this run saved durable (one commit, many saves).
 
-        ``ExecuteStage`` calls this once per pipeline run; :meth:`fetch`
-        flushes its own put.  Callers batching bare :meth:`put` calls flush
-        when done.
+        ``ExecuteStage`` calls this once per pipeline run; a run that reused
+        no unsaved entry has nothing buffered and the backend returns at
+        once.
         """
         if self.persist:
             self.backend.cached_result_flush()
@@ -195,12 +254,22 @@ class ResultCache:
         process; persistent side tables are untouched)."""
         with _PROCESS_CACHE_LOCK:
             _PROCESS_CACHE.clear()
+            _UNSAVED.clear()
 
 
 def _remember(
-    key: tuple[str, str, str], rows: Rows, capacity: int | None = None
+    key: tuple[str, str, str],
+    rows: Rows,
+    capacity: int | None = None,
+    *,
+    unsaved: bool = False,
 ) -> None:
+    """Store ``rows`` as the most recent entry.  ``unsaved`` marks a fresh
+    execution no persistent layer holds; a key that is already resident keeps
+    its state (its rows are the same rows, saved or waiting to be)."""
     with _PROCESS_CACHE_LOCK:
+        if unsaved and key not in _PROCESS_CACHE:
+            _UNSAVED.add(key)
         _PROCESS_CACHE[key] = rows
         _PROCESS_CACHE.move_to_end(key)
         _enforce_capacity(capacity)
@@ -216,7 +285,8 @@ def _enforce_capacity(capacity: int | None) -> None:
         capacity = _PROCESS_CACHE_CAPACITY
     with _PROCESS_CACHE_LOCK:
         while len(_PROCESS_CACHE) > capacity:
-            _PROCESS_CACHE.popitem(last=False)
+            key, _rows = _PROCESS_CACHE.popitem(last=False)
+            _UNSAVED.discard(key)  # evicted before it was reused: never written
 
 
 def _encode_rows(rows: Rows) -> str | None:

@@ -22,7 +22,9 @@ would produce; the parity suite pins byte-identical rows across backends.
 
 Plan metadata persists beside the cached rows (a ``...#plan`` sibling key in
 the backend's result-cache side table), so subsumption survives process
-restarts on persistent stores.
+restarts on persistent stores.  It is handed to the backend at the same
+moment as the rows payload — the entry's first reuse or its store's close —
+so a restart never scans a plan whose rows were not written.
 
 The module also hosts the **workload warmer**: given a recorded query log
 (see :func:`repro.datasets.workload.recorded_query_log`), it replays the
@@ -114,10 +116,26 @@ class SemanticResultCache(ResultCache):
     # -- recording ----------------------------------------------------------
 
     def put(self, query: "StructuredQuery", limit: int | None, rows: Rows) -> None:
-        super().put(query, limit, rows)
+        # Catalog first: once the entry is resident another thread's hit may
+        # save it, and :meth:`_save` looks its plan up here.
         plan = self._plan_for(query, limit)
         if plan is not None:
-            self._record_plan(self.key(query, limit), plan, persist=True)
+            self._record_plan(self.key(query, limit), plan)
+        super().put(query, limit, rows)
+
+    def _save(self, key: tuple[str, str, str], rows: Rows) -> bool:
+        """The rows payload, then — only beside it — the entry's plan."""
+        if not super()._save(key, rows):
+            return False
+        entry_key = f"{key[1]}#{key[2]}"
+        with self._catalog_lock:
+            entry = self._catalog.get(key[0], {}).get(entry_key)
+        payload = _encode_plan(entry.plan) if entry is not None else None
+        if payload is not None:
+            self.backend.cached_result_put(
+                key[0], entry_key + PLAN_KEY_SUFFIX, payload
+            )
+        return True
 
     def _plan_for(self, query: "StructuredQuery", limit: int | None) -> PathPlan | None:
         """The plan ``query`` executes under, or None (provably empty, or the
@@ -128,9 +146,8 @@ class SemanticResultCache(ResultCache):
         except Exception:
             return None
 
-    def _record_plan(
-        self, key: tuple[str, str, str], plan: PathPlan, *, persist: bool
-    ) -> None:
+    def _record_plan(self, key: tuple[str, str, str], plan: PathPlan) -> None:
+        """Catalog one entry's plan (in-process; :meth:`_save` persists it)."""
         store_key, cache_key, limit_str = key
         entry = CachedPlanEntry(
             entry_key=f"{cache_key}#{limit_str}",
@@ -142,12 +159,6 @@ class SemanticResultCache(ResultCache):
         with self._catalog_lock:
             self._catalog.setdefault(store_key, {})[entry.entry_key] = entry
         self.semantic_statistics.plans_recorded += 1
-        if persist and self.persist:
-            payload = _encode_plan(plan)
-            if payload is not None:
-                self.backend.cached_result_put(
-                    store_key, entry.entry_key + PLAN_KEY_SUFFIX, payload
-                )
 
     def _load_catalog(self, store_key: str) -> None:
         """Hydrate one store's catalog from persisted plan metadata, once."""
@@ -192,7 +203,7 @@ class SemanticResultCache(ResultCache):
                 # remember them process-side (no duplicate persisted payload)
                 # so repeats — and further narrowings — hit directly.
                 _remember(key, answered, self.capacity)
-                self._record_plan(key, new_plan, persist=False)
+                self._record_plan(key, new_plan)
                 return answered
         return None
 

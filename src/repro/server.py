@@ -231,7 +231,12 @@ class QueryServer:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Drain the worker pool, then close every pooled engine's backend."""
+        """Drain the worker pool, then close every pooled engine's backend.
+
+        A backend's ``close()`` runs its registered drains first, so the
+        result-cache entries that never earned a write while serving are
+        saved here, before the connections go.
+        """
         if self._closed:
             return
         self._closed = True
