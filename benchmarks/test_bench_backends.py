@@ -92,17 +92,17 @@ def test_bench_backends(benchmark, tmp_path):
     )
 
 
-def test_sharded_scatter_statements_stay_linear(tmp_path):
+def test_sharded_statements_stay_linear(tmp_path):
     """Counts, not timings: a join path costs ``slots × shards`` probes.
 
     The 5-slot ``actor–acts–movie–acts–actor`` path at 3 shards used to hand
     SQLite a join over all-shards unions, which its flattener distributes
-    into ``3 ** 4`` five-way joins per scatter member (a 726-node ``EXPLAIN
-    QUERY PLAN`` on bundled IMDB; thousands at IMDB x10).  The semi-join
-    chain is ``5 × 3`` single-table probes plus one five-way join over the
-    reduced relations; the bound below leaves room for a different SQLite's
-    node bookkeeping, none for anything exponential.  And a scatter slot
-    whose keys all route to one shard opens exactly one statement.
+    into ``3 ** 4`` five-way joins (a 726-node ``EXPLAIN QUERY PLAN`` on
+    bundled IMDB; thousands at IMDB x10).  The semi-join chain is ``5 × 3``
+    single-table probes plus one five-way join over the reduced relations;
+    the bound below leaves room for a different SQLite's node bookkeeping,
+    none for anything exponential.  And the plan is one statement whether
+    its seed slot's keys live in every partition or in a single one.
     """
     from repro.db.backends.sharded import shard_of_key
 
@@ -116,8 +116,8 @@ def test_sharded_scatter_statements_stay_linear(tmp_path):
     path = ["actor", "acts", "movie", "acts", "actor"]
     edges = [by_target["actor"], by_target["movie"], by_target["movie"], by_target["actor"]]
 
-    # Name terms by the shards their actors route to: one that scatters to
-    # every shard, one whose keys all live on a single shard.
+    # Name terms by the partitions their actors are stored in: one spread
+    # over every partition, one whose keys all live in a single one.
     touched: dict[str, set[int]] = {}
     for actor in reference.relation("actor"):
         for term in actor.get("name").split():
@@ -125,30 +125,84 @@ def test_sharded_scatter_statements_stay_linear(tmp_path):
     spread = next(term for term, on in touched.items() if len(on) == shards)
     lone = next(term for term, on in touched.items() if len(on) == 1)
 
-    for term, expected in ((spread, shards), (lone, 1)):
+    texts = set()
+    for term in (spread, lone):
         selections = {0: [("name", (term,))]}
         plan = db._prepare_plan(db.plan_path_spec(path, edges, selections, limit=10))
         assert plan.scatter_position == 0
-        keys = db.selection_keys("actor", selections[0])
-        live = sorted({shard_of_key(key, shards) for key in keys})
-        assert len(live) == expected
-        for shard in live:
-            statement = db._shard_compilers()[shard].compile_path(
-                plan, project_order_keys=True
-            )
-            nodes = db._conn.execute(
-                "EXPLAIN QUERY PLAN " + statement.sql, statement.params
-            ).fetchall()
-            assert len(nodes) <= 6 * slots * shards, len(nodes)
+        statement = db.compiler.compile_path(plan)
+        texts.add(statement.sql)
+        nodes = db._conn.execute(
+            "EXPLAIN QUERY PLAN " + statement.sql, statement.params
+        ).fetchall()
+        assert len(nodes) <= 6 * slots * shards, len(nodes)
         spec = (path, edges, selections)
+        leases = db.read_pool_stats()["leases"]
         streamed = db.execute_paths_streamed([spec], limit=10)
         rows = list(streamed.stream)
         assert rows and rows == list(
             reference.execute_paths_streamed([spec], limit=10).stream
         )
-        # One statement (and reader lease) per shard holding a scatter
-        # key — the others never hear of the plan.
-        assert streamed.statements == expected
-        assert streamed.scatter_slots[0].endswith(f"→ {expected} of {shards} shards")
+        assert streamed.statements == 1
+        assert db.read_pool_stats()["leases"] - leases == 1
+    assert len(texts) == 1  # where the keys live never reaches the text
     db.close()
     reference.close()
+
+
+def test_unrouted_key_sets_cost_by_shard_count(tmp_path):
+    """Report only: what probing every key in every partition costs.
+
+    The same 900-key plan (``MAX_TOTAL_INLINE_KEYS``: 450 keys on each of two
+    joined slots, JSON-bound) over the same 2 000 + 2 000 rows, on a single
+    file and at 2, 3 and 10 partitions (10 is SQLite's ATTACH limit).  A
+    statement binds each key set once per partition arm, so its probes grow
+    with the shard count where a routed form's would not — this is that
+    growth, in µs per executed statement (median of 15, statement cache warm).
+    """
+    import statistics
+
+    from repro.db.backends import create_backend, sql as sqlc
+    from repro.db.backends.base import StreamedExecution
+    from repro.db.schema import Attribute, Schema, Table
+
+    schema = Schema()
+    schema.add_table(Table("doc", [Attribute("x")]))
+    schema.add_table(Table("tag", [Attribute("y")]))
+    schema.link("tag", "doc")
+    edge = schema.foreign_keys[0]
+    key_filters = {0: set(range(0, 1800, 4)), 1: set(range(0, 1350, 3))}
+    assert sum(map(len, key_filters.values())) == sqlc.MAX_TOTAL_INLINE_KEYS
+
+    def drain(db):
+        plan = db._prepare_plan(sqlc.plan_path(("doc", "tag"), (edge,), key_filters, 50))
+        assert not plan.post_filters
+        rows = db._stream_plan(plan, StreamedExecution())
+        try:
+            return list(rows)
+        finally:
+            rows.close()
+
+    table, expected = [], None
+    for backend, shards in (("sqlite", None), *(("sqlite-sharded", n) for n in (2, 3, 10))):
+        options = {} if shards is None else {"shards": shards}
+        db = create_backend(
+            backend, schema, path=tmp_path / f"{backend}{shards}.sqlite", **options
+        )
+        for n in range(2000):
+            db.insert("doc", {"id": n, "x": f"w{n % 7}"})
+        for n in range(2000):
+            db.insert("tag", {"id": n, "y": "v", "doc_id": (n * 7) % 2000})
+        db.build_indexes()
+        rows = drain(db)  # prepares the text; also the parity check
+        expected = expected or rows
+        assert rows == expected and len(rows) == 50
+        timings = []
+        for _ in range(15):
+            start = time.perf_counter()
+            drain(db)
+            timings.append((time.perf_counter() - start) * 1e6)
+        table.append([backend, shards or "-", f"{statistics.median(timings):.0f}"])
+        db.close()
+    print()
+    print(format_table(["backend", "shards", "900-key statement µs"], table))

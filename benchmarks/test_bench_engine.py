@@ -259,11 +259,12 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
     One claim, as counts that repeat exactly: over the bundled workload on
     sqlite and sqlite-sharded, the specs handed to ``execute_paths_streamed``
     equal the interpretations executed — one per stream — and no row is
-    produced and then short-circuited.  Statements follow: at most one per
-    executed interpretation on one store, one per shard on a sharded one.
+    produced and then short-circuited.  Statements follow, on both stores
+    alike: exactly one per executed interpretation (none for one whose
+    selection is provably empty), however many partitions it reads.
     Rows and executed interpretations match the memory reference.
 
-    And one text per shape: a scatter statement takes about a millisecond to
+    And one text per shape: a sharded statement takes about a millisecond to
     prepare, so over a replay of 60 more workload queries the sharded store
     must issue few *distinct* texts (key sets bind as one parameter each;
     0.16 here, 0.84 when every key was its own ``?``).  The single-file
@@ -296,10 +297,14 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
         db.build_indexes()
         engine = QueryEngine(db, config=EngineConfig(cache_results=False))
         handed: list[int] = []
+        planned: list[int] = []
         open_stream = db.execute_paths_streamed
 
         def spy(specs, limit=None):
             handed.append(len(specs))
+            planned.append(
+                sum(db.plan_path_spec(*spec, limit=limit) is not None for spec in specs)
+            )
             return open_stream(specs, limit=limit)
 
         db.execute_paths_streamed = spy
@@ -325,7 +330,8 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
                 f"specs for {stats.interpretations_executed} executed"
             )
             assert stats.rows_short_circuited == 0
-            assert stats.sql_statements <= fan_out * stats.interpretations_executed
+            assert stats.sql_statements == sum(planned[before:])
+            assert stats.sql_statements <= stats.interpretations_executed
             assert sum(stats.shard_rows.values()) == (
                 stats.rows_materialized if fan_out > 1 else 0
             )
@@ -347,8 +353,8 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
         distinct_share = len(set(texts)) / len(texts)
         if fan_out > 1:
             assert distinct_share <= 0.25, (
-                f"{len(set(texts))} distinct texts in {len(texts)} scatter "
-                f"statements: statement text follows key counts, not shape"
+                f"{len(set(texts))} distinct texts in {len(texts)} sharded "
+                f"statements: statement text follows key sets, not shape"
             )
         per_backend.append(
             [

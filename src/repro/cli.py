@@ -32,7 +32,9 @@ the storage engine (see ``docs/cli.md``); a persistent SQLite file is reused
 on subsequent runs — including its persisted index postings and cached
 interpretation results — instead of re-generating the dataset.
 ``--backend sqlite-sharded`` hash-partitions the store across ``--shards``
-attached database files and executes scatter-gather; ``--cache-size`` bounds
+attached database files and still runs one statement per executed
+interpretation (every join slot a ``UNION ALL`` of its partitions; the union
+and the sort are SQLite's); ``--cache-size`` bounds
 the process-level result-cache LRU.  ``--semantic-cache`` layers the
 subsumption-aware semantic cache over it (near-miss variants of cached
 queries answer by filtering/truncating cached rows instead of executing) and
@@ -431,9 +433,10 @@ def _add_storage_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         dest="read_pool_size",
         help="reader connections a file-backed SQLite store may lease for "
-        "concurrent read-only queries (default: backend default, 4; a "
-        "sharded store holds N per shard; 1 is a pool of one reader, on the "
-        "same code path); rows are identical at every size",
+        "concurrent read-only queries (default: backend default, 4; N "
+        "readers on a sharded store too, each with every partition attached; "
+        "1 is a pool of one reader, on the same code path); rows are "
+        "identical at every size",
     )
     parser.add_argument(
         "--cache-size",

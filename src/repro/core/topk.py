@@ -47,8 +47,8 @@ class TopKStatistics:
     interpretation whose rows come out of the result cache costs no execution
     and shows up in ``cache_hits`` instead.  ``sql_statements`` counts the
     physical statements those executions needed, as reported by the backend:
-    none for a provably-empty selection, one per interpretation on a single
-    store, one per shard its scatter-slot keys route to on a sharded one.
+    none for a provably-empty selection, one per interpretation otherwise —
+    on a sharded store too.
     """
 
     interpretations_executed: int = 0

@@ -78,9 +78,10 @@ class BatchedExecution:
     positions that *could not* share the statement to a human-readable
     reason (e.g. the UNION ALL parameter budget overflowed) — surfaced by
     the engine's ``--explain``.  ``shard_rows`` attributes returned rows to
-    the storage shard that produced them (empty on unsharded backends).
-    ``scatter_slots`` names the partitioned join slot each spec scattered on
-    (sharding backends with a scatter-position chooser; empty elsewhere).
+    the storage shard their seed-slot tuple is stored in (empty on unsharded
+    backends).  ``scatter_slots`` names the join slot each spec's statement
+    seeds its semi-join chain at (sharding backends with a seed-slot
+    chooser; empty elsewhere).
     ``estimated_rows`` carries the cost model's calibrated per-spec row
     estimate and ``plan_labels`` a human-readable summary of any cost-based
     rewrite applied to a spec's plan (both empty without statistics) — the

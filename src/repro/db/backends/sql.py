@@ -14,10 +14,11 @@ string building inside each backend:
    backend-neutral IR of one join path — becomes a
    :class:`CompiledStatement` (SQL text + bound parameters).  All physical
    naming goes through a :class:`SQLiteDialect`, so the same compiler emits
-   plain single-file statements and per-shard member statements
+   plain single-file statements and partitioned ones
    (:class:`ShardedSQLiteDialect` names partitions and insertion-order
-   terms; multi-slot plans become a semi-join reduction chain, see
-   :meth:`PlanCompiler.reduction_chain`) without the plans changing.
+   terms; every slot becomes a ``UNION ALL`` over its partitions inside a
+   semi-join reduction chain, see :meth:`PlanCompiler.reduction_chain`)
+   without the plans changing — one statement per plan under either.
 3. **Execution** stays in the backend: it owns connections, decodes result
    rows and applies the plan's post filters.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 from repro.db.schema import ForeignKey, Schema, Table
 
@@ -48,7 +49,10 @@ from repro.db.schema import ForeignKey, Schema, Table
 MAX_INLINE_KEYS = 500
 
 #: Budget for *all* inline keys of one statement, across positions (and, for
-#: a batched statement, across all of its members).
+#: a batched statement, across all of its members).  A partitioned statement
+#: repeats a key set with no JSON spelling as a literal list in every
+#: partition arm: ``900 × 10`` partitions (SQLite's ATTACH limit) stays under
+#: the 32 766 variables every JSON1-capable SQLite allows.
 MAX_TOTAL_INLINE_KEYS = 900
 
 
@@ -79,11 +83,12 @@ class PathPlan:
     the compiler only pushes it down to SQL when no post filter exists
     (otherwise SQL could truncate rows the post filter would have kept).
     ``scatter_position`` is a physical hint for partitioned dialects: the
-    join slot whose table reads one partition per scatter member (any slot is
-    correct — every network has exactly one tuple there, so per-shard results
-    stay disjoint and complete; the sharded backend picks the most selective
-    one).  Unpartitioned dialects ignore it, and it never affects the
-    statement's ORDER BY, so the row order is identical for every choice.
+    *seed* slot, where the semi-join reduction chain starts (any slot is
+    correct — the chain only drops rows no result network contains; the
+    sharded backend picks the most selective one, which bounds every other
+    slot's reduced relation).  Unpartitioned dialects ignore it, and it never
+    affects the statement's ORDER BY, so the row order is identical for every
+    choice.
 
     ``join_order`` is the second physical hint: the order join slots are
     *introduced* in the FROM/JOIN clauses (``None`` = path order).  It must
@@ -95,9 +100,7 @@ class PathPlan:
     ``tests/test_plan_rewrites``).  ``estimated_rows`` is the cost model's
     calibrated cardinality estimate (``None`` when statistics are missing or
     cost planning is off) — an annotation for sizing and ``--explain``,
-    never a semantic input.  ``shard_filters`` is the third physical hint:
-    the inline key sets as ``(position, per-shard keys)``, routed once per
-    plan by a partitioning backend (``None``: never routed).
+    never a semantic input.
     """
 
     path: tuple[str, ...]
@@ -108,7 +111,6 @@ class PathPlan:
     scatter_position: int = 0
     join_order: tuple[int, ...] | None = None
     estimated_rows: float | None = None
-    shard_filters: tuple[tuple[int, tuple[tuple[Any, ...], ...]], ...] | None = None
 
     @property
     def filtered_positions(self) -> frozenset[int]:
@@ -121,14 +123,6 @@ class PathPlan:
     def sql_limit(self) -> int | None:
         """The LIMIT the statement may carry (None when post-filtering)."""
         return self.limit if not self.post_filters else None
-
-    def scatters_to(self, shard: int) -> bool:
-        """False when routing proves the scatter slot holds no key in ``shard``
-        (that scatter member is empty and needs no statement)."""
-        for position, keys_by_shard in self.shard_filters or ():
-            if position == self.scatter_position:
-                return bool(keys_by_shard[shard])
-        return True
 
     def keeps(self, network: Sequence) -> bool:
         """Apply the post filters to one decoded result network."""
@@ -389,8 +383,8 @@ def plan_batch(
 
 # -- cost-based rewrites ------------------------------------------------------
 #
-# Every rewrite below is *physical*: it may change which partition scatters,
-# the FROM/JOIN introduction order, or batch membership — never projection,
+# Every rewrite below is *physical*: it may change the seed slot, the
+# FROM/JOIN introduction order, or batch membership — never projection,
 # WHERE, ORDER BY or LIMIT.  The compiled ORDER BY tuple is a total order
 # over result networks, so rewritten plans return byte-identical rows; the
 # parity suites in tests/test_plan_rewrites.py pin exactly that, and any
@@ -449,18 +443,13 @@ class SQLiteDialect:
     def quote(self, identifier: str) -> str:
         return quote_identifier(identifier)
 
-    #: Partition count and the partition this dialect's statements scatter
-    #: to (``None``: one unpartitioned store, plans join their tables directly).
+    #: Partition count (``None``: one unpartitioned store, plans join their
+    #: tables directly).
     shards: int | None = None
-    scatter_shard: int | None = None
 
-    def table_source(self, table_name: str, position: int | None = None) -> str:
-        """The FROM/JOIN source of a logical table.
-
-        ``position`` is the join slot (``None`` for relation-level CRUD);
-        the sharded dialect resolves a slot to its scatter shard's partition
-        and a relation-level scan to the all-shards union.
-        """
+    def table_source(self, table_name: str) -> str:
+        """The FROM/JOIN source of a logical table (the sharded dialect's is
+        the all-partitions union, for relation-level statements)."""
         return self.quote(table_name)
 
     def insertion_order_term(self, alias: str, table_name: str) -> str:
@@ -484,16 +473,14 @@ class SQLiteDialect:
 
 
 class ShardedSQLiteDialect(SQLiteDialect):
-    """One shard's view of a hash-partitioned store.
+    """A hash-partitioned store: one logical table, ``shards`` partitions.
 
     Every logical table is partitioned across ``shards`` attached databases
-    (``shard0.. shardN-1``).  A join plan compiled under this dialect is the
-    *scatter member* of shard ``scatter_shard``: the plan's scatter slot reads
-    that shard's partition only — every result network has exactly one tuple
-    there, in exactly one partition, so the members' results are disjoint and
-    complete — and every other slot reads all partitions through the
-    semi-join chain of :meth:`PlanCompiler.reduction_chain`; the all-shards
-    ``UNION ALL`` subselect serves relation-level scans only.  Insertion
+    (``shard0.. shardN-1``).  A join plan compiled under this dialect is
+    **one** statement: every slot reads the ``UNION ALL`` of its partitions
+    inside the semi-join chain of :meth:`PlanCompiler.reduction_chain`, and
+    the statement's own ``ORDER BY … LIMIT ?`` is the global order; the plain
+    all-partitions subselect serves relation-level statements.  Insertion
     order comes from the explicit ``_rowseq`` column partitions carry (a view
     over attached files has no usable ``rowid``), which preserves the
     unsharded backend's global insertion order exactly.
@@ -501,11 +488,14 @@ class ShardedSQLiteDialect(SQLiteDialect):
 
     name = "sqlite-sharded"
 
-    def __init__(self, shards: int, scatter_shard: int | None = None):
+    #: The literal column every seed-slot arm projects: which partition the
+    #: row was read from (``StreamedExecution.shard_rows`` counts it).
+    PARTITION_COLUMN = "_partition"
+
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError("shards must be positive")
         self.shards = shards
-        self.scatter_shard = scatter_shard
 
     def shard_schema(self, shard: int) -> str:
         """The ATTACH alias of one shard database."""
@@ -515,18 +505,13 @@ class ShardedSQLiteDialect(SQLiteDialect):
         """One shard's partition of a logical table."""
         return f"{self.quote(self.shard_schema(shard))}.{self.quote(table_name)}"
 
-    def union_source(self, table_name: str) -> str:
+    def table_source(self, table_name: str) -> str:
         """All partitions of a logical table as one FROM-able subselect."""
         arms = " UNION ALL ".join(
             f"SELECT * FROM {self.partition_source(table_name, shard)}"
             for shard in range(self.shards)
         )
         return f"({arms})"
-
-    def table_source(self, table_name: str, position: int | None = None) -> str:
-        if position is None or self.scatter_shard is None:
-            return self.union_source(table_name)
-        return self.partition_source(table_name, self.scatter_shard)
 
     def insertion_order_term(self, alias: str, table_name: str) -> str:
         return f'{alias}.{self.quote("_rowseq")}'
@@ -536,9 +521,9 @@ class ShardedSQLiteDialect(SQLiteDialect):
     ) -> tuple[str, Sequence[Any]]:
         """The key set as **one** JSON-array parameter read by ``json_each``.
 
-        A scatter member repeats a slot's key list once per partition arm and
-        takes ≈ 1 ms to prepare, so its text must not change with the number
-        of keys: bound this way it is a function of the plan's *shape* and
+        A partitioned statement repeats a slot's key set once per partition
+        arm and takes ≈ 1 ms to prepare, so its text must not change with the
+        keys: bound this way it is a function of the plan's *shape* alone and
         ``sqlite3``'s per-connection statement cache serves it again.
         ``json_each`` hands back INTEGER, REAL and TEXT values exactly as a
         direct binding would, and the unary ``+`` leaves them without a
@@ -614,9 +599,7 @@ class PlanCompiler:
         """
         dialect = self.dialect
         if sources is None:
-            sources = [
-                dialect.table_source(name, slot) for slot, name in enumerate(plan.path)
-            ]
+            sources = [dialect.table_source(name) for name in plan.path]
         order = plan.join_order or tuple(range(len(plan.path)))
         if sorted(order) != list(range(len(plan.path))):
             raise ValueError(
@@ -647,16 +630,19 @@ class PlanCompiler:
         return lines
 
     def reduction_chain(self, plan: PathPlan) -> tuple[list[str], list[Any]]:
-        """``WITH`` entries + parameters reducing every slot of a scatter member.
+        """``WITH`` entries + parameters reducing every slot of a partitioned plan.
 
         ``r<slot>`` holds the rows of ``slot`` that can still be part of one
-        of this member's result networks.  The chain starts at the scatter
-        slot — one partition, filtered by the keys routed to it — and walks
-        outward: every later slot is the ``UNION ALL`` of its partitions, each
-        arm an indexed probe ``probe IN (SELECT bound FROM r<anchor>)`` against
-        its already-reduced neighbour, restricted to the inline keys that
-        partition holds (arms holding none disappear).  Sound by induction
-        from the scatter slot: a network's tuple there is in the first
+        of the plan's result networks, as the ``UNION ALL`` of one arm per
+        partition.  The chain starts at the seed slot (``scatter_position``)
+        — filtered by its key set only, each arm also projecting its
+        partition number — and walks outward: every later slot's arms are
+        indexed probes ``probe IN (SELECT bound FROM r<anchor>)`` against its
+        already-reduced neighbour.  Every arm of a filtered slot carries the
+        slot's *whole* key set (one predicate, bound once per arm): a key is
+        probed in every partition instead of being routed to its own, which
+        keeps the text a function of the plan's shape alone.  Sound by
+        induction from the seed slot: a network's tuple there is in the first
         relation, and each further tuple joins its neighbour and passes its
         own key filter, so it survives its semi-join; the final join over the
         ``r``-relations re-applies every FK predicate, so the statement
@@ -665,42 +651,36 @@ class PlanCompiler:
         SQLite's flattener over ``shards ** slots`` join arms.
         """
         dialect = self.dialect
-        if plan.shard_filters is None:
-            raise ValueError("scatter members compile routed plans (shard_filters)")
-        routed = dict(plan.shard_filters)
-        scatter = plan.scatter_position
+        filters = dict(plan.inline_filters)
+        seed = plan.scatter_position
+        partition = dialect.quote(dialect.PARTITION_COLUMN)
         entries: list[str] = []
         params: list[Any] = []
-        for slot in [*range(scatter, len(plan.path)), *range(scatter - 1, -1, -1)]:
+        for slot in [*range(seed, len(plan.path)), *range(seed - 1, -1, -1)]:
             table_name = plan.path[slot]
-            if slot == scatter:
-                partitions: Iterable[int] = [dialect.scatter_shard]
-                semi_join = []
-            else:
-                partitions = range(dialect.shards)
-                anchor = slot - 1 if slot > scatter else slot + 1
+            predicates: list[str] = []
+            if slot != seed:
+                anchor = slot - 1 if slot > seed else slot + 1
                 bound_attr, probe_attr = _edge_attrs(
                     plan.edges[min(slot, anchor)], plan.path[anchor], table_name
                 )
-                semi_join = [
+                predicates.append(
                     f"{dialect.quote(probe_attr)} IN "
                     f"(SELECT {dialect.quote(bound_attr)} FROM r{anchor})"
-                ]
-            pk = dialect.quote(self.primary_key(table_name))
+                )
+            bound: Sequence[Any] = ()
+            if slot in filters:
+                predicate, bound = dialect.key_set_predicate(
+                    dialect.quote(self.primary_key(table_name)), filters[slot]
+                )
+                predicates.append(predicate)
+            where = " WHERE " + " AND ".join(predicates) if predicates else ""
             arms: list[str] = []
-            for shard in partitions:
-                predicates = list(semi_join)
-                if slot in routed:
-                    keys = routed[slot][shard]
-                    if not keys:
-                        continue  # none of the slot's keys lives in this partition
-                    predicate, bound = dialect.key_set_predicate(pk, keys)
-                    predicates.append(predicate)
-                    params.extend(bound)
-                arm = f"SELECT * FROM {dialect.partition_source(table_name, shard)}"
-                if predicates:
-                    arm += " WHERE " + " AND ".join(predicates)
-                arms.append(arm)
+            for shard in range(dialect.shards):
+                columns = f"*, {shard} AS {partition}" if slot == seed else "*"
+                source = dialect.partition_source(table_name, shard)
+                arms.append(f"SELECT {columns} FROM {source}{where}")
+                params.extend(bound)
             entries.append(
                 f"r{slot} AS MATERIALIZED (\n" + "\nUNION ALL\n".join(arms) + "\n)"
             )
@@ -711,12 +691,12 @@ class PlanCompiler:
     ) -> tuple[list[str], list[Any]]:
         """``[WITH …] SELECT … FROM … JOIN … [WHERE …]`` of one plan + parameters.
 
-        Unpartitioned and single-slot plans join their tables directly under
-        the inline key predicates; a partitioned multi-slot plan joins its
-        reduction chain, whose entries already applied them.
+        An unpartitioned plan joins its tables directly under the inline key
+        predicates; a partitioned one joins its reduction chain, whose
+        entries already applied them.
         """
         select = "SELECT " + ", ".join(select_list)
-        if self.dialect.shards is not None and len(plan.path) > 1:
+        if self.dialect.shards is not None:
             entries, params = self.reduction_chain(plan)
             sources = [f"r{slot}" for slot in range(len(plan.path))]
             chain = "WITH " + ",\n".join(entries)
@@ -762,29 +742,27 @@ class PlanCompiler:
 
     # -- whole statements ----------------------------------------------------
 
-    def compile_path(
-        self, plan: PathPlan, *, project_order_keys: bool = False
-    ) -> CompiledStatement:
-        """One join path as a single SELECT.
+    def data_columns(self, plan: PathPlan) -> list[str]:
+        """Every slot's columns in path order — what a result row decodes from."""
+        return [
+            f"t{i}.{self.dialect.quote(column)}"
+            for i, table_name in enumerate(plan.path)
+            for column in self.columns(table_name)
+        ]
 
-        With ``project_order_keys`` the statement's leading columns are the
-        plan's order terms (``__o0..``) — the sharded executor projects them
-        so per-shard result streams can merge in Python under exactly the
-        statement's ORDER BY.
-        """
-        order_terms = self.order_terms(plan)
-        select_list: list[str] = []
-        if project_order_keys:
-            select_list.extend(
-                f"{term} AS __o{i}" for i, term in enumerate(order_terms)
-            )
-        for i, table_name in enumerate(plan.path):
-            select_list.extend(
-                f"t{i}.{self.dialect.quote(column)}"
-                for column in self.columns(table_name)
-            )
+    def partition_columns(self, plan: PathPlan) -> list[str]:
+        """The trailing partition column of a partitioned plan's rows (the
+        seed slot's; empty when unpartitioned)."""
+        dialect = self.dialect
+        if dialect.shards is None:
+            return []
+        return [f"t{plan.scatter_position}.{dialect.quote(dialect.PARTITION_COLUMN)}"]
+
+    def compile_path(self, plan: PathPlan) -> CompiledStatement:
+        """One join path as a single SELECT."""
+        select_list = [*self.data_columns(plan), *self.partition_columns(plan)]
         lines, params = self.select_lines(plan, select_list)
-        lines.append("ORDER BY " + ", ".join(order_terms))
+        lines.append("ORDER BY " + ", ".join(self.order_terms(plan)))
         if plan.sql_limit is not None:
             lines.append("LIMIT ?")
             params.append(plan.sql_limit)
@@ -811,12 +789,9 @@ class PlanCompiler:
         sequential per-path statement.
         """
         ord_width, data_width = self.union_widths(members)
-        shard = self.dialect.scatter_shard
         params: list[Any] = []
         selects: list[str] = []
         for index, plan in members:
-            if shard is not None and not plan.scatters_to(shard):
-                continue  # this member's scatter slot is empty on this shard
             order_terms = self.order_terms(plan)
             select_list = [f"{index} AS __b"]
             select_list.extend(
@@ -825,14 +800,10 @@ class PlanCompiler:
             select_list.extend(
                 f"NULL AS __o{i}" for i in range(len(order_terms), ord_width)
             )
-            columns = 0
-            for i, table_name in enumerate(plan.path):
-                names = self.columns(table_name)
-                select_list.extend(
-                    f"t{i}.{self.dialect.quote(column)}" for column in names
-                )
-                columns += len(names)
-            select_list.extend("NULL" for _ in range(columns, data_width))
+            columns = self.data_columns(plan)
+            select_list.extend(columns)
+            select_list.extend("NULL" for _ in range(len(columns), data_width))
+            select_list.extend(self.partition_columns(plan))
             lines, member_params = self.select_lines(plan, select_list)
             params.extend(member_params)
             if plan.sql_limit is not None:

@@ -16,10 +16,10 @@ bit-identical to the in-memory engine.
 Every SQL statement this backend runs comes out of the shared
 planner/compiler layer (:mod:`repro.db.backends.sql`): this module owns
 connection management, row decoding and the two cursor seams
-(:meth:`SQLiteBackend._stream_plan` / :meth:`SQLiteBackend._stream_union`)
-that the sharded backend overrides with scatter-gather — it builds no SQL
-text of its own.  Rows leave through :meth:`SQLiteBackend.
-execute_paths_streamed` only; the list-returning calls drain it.
+(:meth:`SQLiteBackend._stream_plan` / :meth:`SQLiteBackend._stream_union`),
+which the sharded backend inherits — it builds no SQL text of its own.
+Rows leave through :meth:`SQLiteBackend.execute_paths_streamed` only; the
+list-returning calls drain it.
 
 File-backed stores serve reads through a **read-connection pool**
 (:class:`_ReadConnectionPool`): the single locked writer connection keeps
@@ -33,7 +33,7 @@ says how many readers the pool may hold (default
 pool of one reader, on the same code path as any other size.  Reads run on
 the writer connection only where no reader could see the rows — a
 ``":memory:"`` store, or while the writer holds an open transaction (one
-rule: :meth:`SQLiteBackend._lease_read_connections`) — and never commit.
+rule: :meth:`SQLiteBackend._lease_read_connection`) — and never commit.
 The writer→readers visibility barrier is the write epoch: every writer
 commit bumps it, and because pooled readers run in WAL mode with every read
 transaction closed at cursor end, a reader's next statement always observes
@@ -209,12 +209,13 @@ class _LockedConnection:
 class _ReadConnectionPool:
     """Leased read-only connections over one WAL database file.
 
-    ``lease_many(n)`` hands out *n* idle readers (opening them lazily while
-    fewer than ``size`` exist, waiting otherwise) **atomically** — the
-    sharded streamed gather needs one cursor per shard at once, and leasing
-    them incrementally could deadlock two gathers each holding half of the
-    pool.  No caller waits while holding a connection, so the pool is
-    deadlock-free by construction.
+    ``lease()`` hands out one idle reader (opening it lazily while fewer
+    than ``size`` exist, waiting otherwise) for the life of one cursor:
+    every executed plan — on a sharded store too, whose readers ATTACH every
+    partition — is one statement on one reader, so ``size`` is how many
+    plans (or point reads) run concurrently.  No caller takes a second
+    connection while holding one, so the pool is deadlock-free by
+    construction.
 
     Each reader is a :class:`_LockedConnection` with a *private* lock (one
     in-flight statement per connection — Python's ``sqlite3`` requirement),
@@ -241,59 +242,46 @@ class _ReadConnectionPool:
         #: Highest number of simultaneously leased connections observed.
         self.peak_concurrency = 0
 
-    def _take(self, count: int) -> list[_LockedConnection]:
-        if count > self.size:
-            raise ValueError(
-                f"cannot lease {count} connections from a pool of {self.size}"
-            )
+    def _take(self) -> _LockedConnection:
         with self._cond:
-            if len(self._idle) + (self.size - self._opened) < count:
+            if not self._idle and self._opened >= self.size:
                 self.waits += 1
-                while len(self._idle) + (self.size - self._opened) < count:
+                while not self._idle and self._opened >= self.size:
                     if self._closed:
                         raise DatabaseError("read pool is closed")
                     self._cond.wait()
             if self._closed:
                 raise DatabaseError("read pool is closed")
-            taken: list[_LockedConnection] = []
-            try:
-                while len(taken) < count:
-                    if self._idle:
-                        taken.append(self._idle.pop())
-                    else:
-                        taken.append(self._open())
-                        self._opened += 1
-            except BaseException:
-                self._idle.extend(reversed(taken))
-                self._cond.notify_all()
-                raise
-            self.leases += count
-            self._active += count
+            if self._idle:
+                # The tail is the reader given back last: its statement
+                # cache is the likeliest to hold the text about to be asked.
+                conn = self._idle.pop()
+            else:
+                conn = self._open()
+                self._opened += 1
+            self.leases += 1
+            self._active += 1
             if self._active > self.peak_concurrency:
                 self.peak_concurrency = self._active
-            return taken
+            return conn
 
-    def _give_back(self, conns: list[_LockedConnection]) -> None:
+    def _give_back(self, conn: _LockedConnection) -> None:
         with self._cond:
-            self._active -= len(conns)
+            self._active -= 1
             if self._closed:
-                for conn in conns:
-                    conn.close()
+                conn.close()
             else:
-                # Reversed: ``_take`` pops the tail, so the next lease of this
-                # size gets the same readers in the same order and a text is
-                # asked of the reader whose statement cache already holds it.
-                self._idle.extend(reversed(conns))
-            self._cond.notify_all()
+                self._idle.append(conn)
+            self._cond.notify()
 
     @contextmanager
-    def lease_many(self, count: int) -> Iterator[list[_LockedConnection]]:
-        """``count`` readers, acquired atomically, for the block's duration."""
-        conns = self._take(count)
+    def lease(self) -> Iterator[_LockedConnection]:
+        """One reader for the block's duration."""
+        conn = self._take()
         try:
-            yield conns
+            yield conn
         finally:
-            self._give_back(conns)
+            self._give_back(conn)
 
     def stats(self) -> dict[str, int]:
         with self._cond:
@@ -351,9 +339,9 @@ class SQLiteRelation:
     def _prepare_point_statements(self) -> None:
         """Precompile the single-row INSERT/point-get statements.
 
-        Split out because these target one *physical* table: relations that
-        route rows (the sharded partition relation) override this together
-        with :meth:`_store_row`/:meth:`get`, so no dialect ever holds a
+        Split out because the INSERT targets one *physical* table: relations
+        that route rows (the sharded partition relation) override this
+        together with :meth:`_store_row`, so no dialect ever holds a
         statement it cannot execute.
         """
         self._insert_sql = sqlc.insert_sql(self._dialect, self.table)
@@ -615,10 +603,6 @@ class SQLiteBackend(StorageBackend):
         """
         return self.is_persistent and not self._closed
 
-    def _read_pool_capacity(self) -> int:
-        """Connections the pool may open (the sharded override scales it)."""
-        return self._read_pool_size
-
     def _reader_pool(self) -> _ReadConnectionPool | None:
         """The lazily-built pool, or ``None`` while reads stay on the writer."""
         if not self._read_pool_enabled():
@@ -628,9 +612,7 @@ class SQLiteBackend(StorageBackend):
             with self._lock:
                 pool = self._read_pool
                 if pool is None:
-                    pool = _ReadConnectionPool(
-                        self._read_pool_capacity(), self._open_reader
-                    )
+                    pool = _ReadConnectionPool(self._read_pool_size, self._open_reader)
                     self._read_pool = pool
         return pool
 
@@ -664,32 +646,26 @@ class SQLiteBackend(StorageBackend):
         reader.create_function("repro_repr", 1, repr, deterministic=True)
 
     @contextmanager
-    def _lease_read_connections(self, count: int) -> Iterator[list[_LockedConnection]]:
-        """The connections ``count`` concurrent read cursors should run on.
+    def _lease_read_connection(self) -> Iterator[_LockedConnection]:
+        """The connection one read cursor (or point read) should run on.
 
-        The one lease rule: ``count`` pooled readers, acquired atomically,
-        when the store has a pool and the writer holds no open transaction;
-        otherwise the writer connection itself, ``count`` times — a
-        ``":memory:"`` store has no other connection, and during bulk
-        loading (everything before ``build_indexes()`` commits) reads *must*
-        see the uncommitted rows (auto-key duplicate probes, the index
-        build's scans).  A read never commits on the writer's behalf.  The
-        dirty check races benignly with writers: either serialization order
-        is legal, and a read routed to the writer just serializes on the
-        per-file lock as every read did before the pool.
+        The one lease rule: a pooled reader when the store has a pool and
+        the writer holds no open transaction; otherwise the writer
+        connection itself — a ``":memory:"`` store has no other connection,
+        and during bulk loading (everything before ``build_indexes()``
+        commits) reads *must* see the uncommitted rows (auto-key duplicate
+        probes, the index build's scans).  A read never commits on the
+        writer's behalf.  The dirty check races benignly with writers:
+        either serialization order is legal, and a read routed to the writer
+        just serializes on the per-file lock as every read did before the
+        pool.
         """
         pool = self._reader_pool()
         if pool is None or self._conn.in_transaction:
-            yield [self._conn] * count
+            yield self._conn
             return
-        with pool.lease_many(count) as readers:
-            yield readers
-
-    @contextmanager
-    def _lease_read_connection(self) -> Iterator[_LockedConnection]:
-        """The connection one read-only statement cycle should run on."""
-        with self._lease_read_connections(1) as (conn,):
-            yield conn
+        with pool.lease() as reader:
+            yield reader
 
     def configure_read_pool(self, size: int | None) -> None:
         """Resize the read pool (``1`` is one reader; ``None`` keeps it).
@@ -718,7 +694,7 @@ class SQLiteBackend(StorageBackend):
         pool = self._read_pool
         if pool is None:  # enabled, but nothing has leased yet
             return {
-                "size": self._read_pool_capacity(),
+                "size": self._read_pool_size,
                 "leases": 0,
                 "waits": 0,
                 "peak_concurrency": 0,
@@ -1294,7 +1270,7 @@ class SQLiteBackend(StorageBackend):
         reorder its join introduction greedily by estimated slot size.  Both
         rewrites are no-ops when statistics are missing or ``cost_planning``
         is off (``plan_estimator()`` returns ``None``).  The sharded backend
-        extends this with its per-plan scatter-position choice.
+        extends this with its per-plan seed-slot choice.
         """
         estimator = self.plan_estimator()
         if estimator is None:
@@ -1303,8 +1279,12 @@ class SQLiteBackend(StorageBackend):
         return sqlc.reorder_joins(plan, estimator)
 
     def _scatter_slot_label(self, plan: PathPlan) -> str | None:
-        """Human-readable name of the plan's scatter slot (sharded only)."""
+        """Human-readable name of the plan's seed slot (sharded only)."""
         return None
+
+    def _book_row(self, execution: StreamedExecution, row: Sequence[Any]) -> None:
+        """Per-delivered-row accounting hook (the sharded backend books the
+        partition the row's trailing column names)."""
 
     def _plan_label(self, plan: PathPlan) -> str | None:
         """Summary of the cost pass's choices on one plan (``--explain``)."""
@@ -1345,7 +1325,7 @@ class SQLiteBackend(StorageBackend):
         statement saving) and the members of one shared ``UNION ALL``
         statement.  Every returned plan has been through
         :meth:`_prepare_plan`, with its per-spec ``--explain`` annotations
-        (scatter slot, estimate, cost-pass label) filled into ``execution``.
+        (seed slot, estimate, cost-pass label) filled into ``execution``.
         """
         resolved: list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]] = []
         for index, (path, edges, selections) in enumerate(specs):
@@ -1512,6 +1492,7 @@ class SQLiteBackend(StorageBackend):
                     network = self._decode_network(relations, row)
                     if not plan.keeps(network):
                         continue
+                    self._book_row(execution, row)
                     yield network
                     produced += 1
                     if plan.limit is not None and produced >= plan.limit:
@@ -1526,7 +1507,8 @@ class SQLiteBackend(StorageBackend):
 
         Members carry no post filters by construction (the planner falls
         oversized key sets back to solo plans) and the member-local SQL LIMIT
-        is exact on a single file, so decoding is the only Python-side work.
+        is exact — one statement, one file or many — so decoding is the only
+        Python-side work.
         """
         statement = self.compiler.compile_union(members)
         ord_width, _data_width = self.compiler.union_widths(members)
@@ -1539,6 +1521,7 @@ class SQLiteBackend(StorageBackend):
             rows = self._iter_cursor(conn, statement, execution)
             try:
                 for row in rows:
+                    self._book_row(execution, row)
                     yield row[0], self._decode_network(
                         member_relations[row[0]], row, offset=1 + ord_width
                     )

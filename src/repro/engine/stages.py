@@ -91,9 +91,9 @@ class ExecuteStage:
     """TA-style top-k execution, optionally through the result cache.
 
     Every cache-missing interpretation the TA bound reaches executes
-    through its own single-spec backend row stream — one statement on
-    SQLite, one scatter statement per routed shard on the sharded backend —
-    so nothing is planned or prepared past the stopping point.
+    through its own single-spec backend row stream — one statement, on
+    one SQLite file or over a sharded store's partitions alike — so nothing
+    is planned or prepared past the stopping point.
     """
 
     name = "execute"

@@ -167,7 +167,7 @@ class TestScatterPositionChoice:
         assert db._prepare_plan(self._skewed_plan(db)).scatter_position == 1
 
     def test_both_scatter_choices_return_identical_rows(self, db):
-        plan = db._prepare_plan(self._skewed_plan(db))  # routed; scatters on t1
+        plan = db._prepare_plan(self._skewed_plan(db))  # seeds the chain at t1
         rows = _keys(drain_plan(db, replace(plan, scatter_position=0)))
         assert rows == _keys(drain_plan(db, plan))
         assert rows  # must witness real rows
@@ -175,10 +175,7 @@ class TestScatterPositionChoice:
     def test_scatter_label_names_the_cost_choice(self, db):
         prepared = db._prepare_plan(self._skewed_plan(db))
         label = db._scatter_slot_label(prepared)
-        assert label == (
-            "t1 (acts, 1 selection keys) → 1 of 2 shards "
-            "[cost-chosen over default t0]"
-        )
+        assert label == "t1 (acts, 1 selection keys) [cost-chosen over default t0]"
 
 
 class TestCostAwareBatchEviction:

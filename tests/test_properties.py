@@ -488,13 +488,14 @@ class TestEnumerationAgainstOracle:
         assert nonempty.interpretations(query) == kept[:3]
 
 
-# -- sharded scatter statements vs sqlite vs memory ---------------------------
+# -- sharded one-statement plans vs sqlite vs memory --------------------------
 #
-# Generated stores and join paths: the sharded backend's semi-join chain, its
-# key routing and its shard pruning must return the rows of the single-file
-# backend and of the in-memory nested loop, in their order, for every scatter
-# slot.  Nothing here may depend on PYTHONHASHSEED (routing is a SHA-256 of
-# the key's repr) — CI runs this class under seeds 0, 1 and 2.
+# Generated stores and join paths: the sharded backend's semi-join chain —
+# every slot a UNION ALL of its partitions, key sets bound whole to every arm
+# — must return the rows of the single-file backend and of the in-memory
+# nested loop, in their order, for every seed slot.  Nothing here may depend
+# on PYTHONHASHSEED (row placement is a SHA-256 of the key's repr) — CI runs
+# this class under seeds 0, 1 and 2.
 
 CHAIN_TABLES = ["a", "l", "m", "n"]
 #: Primary keys, pairwise distinct under Python ``==`` and under SQLite's
@@ -569,6 +570,15 @@ def chain_specs(draw, schema):
     return specs
 
 
+#: Partition counts under test; at 5 the 2-7 keys of a table leave some
+#: partitions empty (as do most draws at 3).
+SHARD_COUNTS = [3, 2, 5, 1]
+
+#: Keys no generated row carries.  ``"q\x00"`` has no JSON spelling, so a key
+#: set holding it keeps the literal ``IN (?, …)`` list in every partition arm.
+STRANGER_KEYS = [99, "zz", "q\x00"]
+
+
 def _network_reprs(networks):
     """Rows as text: ``3`` and ``3.0`` compare equal but must not be swapped."""
     return [[(t.table, repr(t.key), repr(t.values)) for t in network] for network in networks]
@@ -583,7 +593,7 @@ class TestShardedChainAgainstOracles:
         from repro.db.backends import create_backend
 
         schema, inserts = data.draw(chain_stores())
-        shards = data.draw(st.sampled_from([3, 2, 4, 1]))
+        shards = data.draw(st.sampled_from(SHARD_COUNTS))
         stores = [
             create_backend("memory", schema),
             create_backend("sqlite", schema),
@@ -597,7 +607,7 @@ class TestShardedChainAgainstOracles:
             memory, _sqlite, sharded = stores
             specs = data.draw(chain_specs(schema))
             limit = data.draw(st.sampled_from([None, 3, 1, None, 0]))
-            # Every slot takes its turn as the scatter position, not only the
+            # Every slot takes its turn as the seed position, not only the
             # one the cost model would pick.
             forced = data.draw(st.integers(0, 4))
             prepare = sharded._prepare_plan
@@ -617,6 +627,62 @@ class TestShardedChainAgainstOracles:
                 assert [_network_reprs(rows) for rows in streamed] == expected
                 for spec, rows in zip(specs, expected):  # every plan solo as well
                     assert _network_reprs(db.execute_path(*spec, limit=limit)) == rows
+        finally:
+            for db in stores:
+                db.close()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_key_sets(self, data):
+        """Plan-level key sets no keyword selection would resolve to: keys
+        stored in no partition, either numeric spelling of a stored key, a
+        set that takes the literal-list path, and — under a drawn inline cap
+        — a set that becomes a post filter (no SQL LIMIT, Python truncation)."""
+        from dataclasses import replace
+
+        from repro.db.backends import create_backend, sql as sqlc
+        from tests.conftest import drain_plan
+
+        schema, inserts = data.draw(chain_stores())
+        shards = data.draw(st.sampled_from(SHARD_COUNTS))
+        stores = [
+            create_backend("memory", schema),
+            create_backend("sqlite", schema),
+            create_backend("sqlite-sharded", schema, shards=shards),
+        ]
+        try:
+            for db in stores:
+                for name, row in inserts:
+                    db.insert(name, dict(row))
+                db.build_indexes()
+            memory = stores[0]
+            candidates = KEY_POOL + list(map(other_form, KEY_POOL)) + STRANGER_KEYS
+            key_sets = st.sets(st.sampled_from(candidates), min_size=1, max_size=6)
+            for path, edges, _selections in data.draw(chain_specs(schema)):
+                key_filters = {
+                    position: keys
+                    for position in range(len(path))
+                    if (keys := data.draw(st.one_of(st.none(), st.none(), key_sets)))
+                }
+                limit = data.draw(st.sampled_from([None, 3, 1, None]))
+                cap = data.draw(st.sampled_from([None, None, 2, 1]))
+                forced = min(data.draw(st.integers(0, 4)), len(path) - 1)
+                kept = [
+                    network
+                    for network in memory.execute_path(path, edges)
+                    if all(network[p].key in keys for p, keys in key_filters.items())
+                ]
+                if 0 in key_filters:  # a filtered first slot sorts by key repr
+                    kept.sort(key=lambda network: repr(network[0].key))
+                expected = _network_reprs(kept[:limit])
+                for db in stores[1:]:
+                    plan = sqlc.plan_path(
+                        path, edges, key_filters, limit, max_inline_keys=cap
+                    )
+                    plan = replace(db._prepare_plan(plan), scatter_position=forced)
+                    if cap is not None and any(len(k) > cap for k in key_filters.values()):
+                        assert plan.post_filters and plan.sql_limit is None
+                    assert _network_reprs(drain_plan(db, plan)) == expected, db.name
         finally:
             for db in stores:
                 db.close()
@@ -666,14 +732,14 @@ class TestJsonKeySetBinding:
 
         # Mostly stored keys (in either numeric spelling, where the other one
         # is a value SQLite has), some strangers, duplicates — or nothing at
-        # all, a shard none of the keys routes to.
+        # all.
         respelled = [
             other
             for other in map(other_form, stored)
             if type(other) is not int or -(2**63) <= other < 2**63
         ]
         keys = tuple(asked + (stored + respelled) * repeats)
-        as_json = ShardedSQLiteDialect(3, 0).key_set_predicate("k", keys)
+        as_json = ShardedSQLiteDialect(3).key_set_predicate("k", keys)
         as_list = SQLiteDialect().key_set_predicate("k", keys)
         assert as_json[0].count("?") == len(as_json[1]) == 1
         assert as_list[0].count("?") == len(as_list[1]) == len(keys)
@@ -710,6 +776,6 @@ class TestJsonKeySetBinding:
         from repro.db.backends.sql import ShardedSQLiteDialect, SQLiteDialect
 
         keys = tuple(keys[:at] + [intruder] + keys[at:])
-        predicate, params = ShardedSQLiteDialect(3, 0).key_set_predicate("k", keys)
+        predicate, params = ShardedSQLiteDialect(3).key_set_predicate("k", keys)
         assert (predicate, params) == SQLiteDialect().key_set_predicate("k", keys)
         assert params is keys and predicate.count("?") == len(params)

@@ -87,14 +87,13 @@ class TestPoolMechanics:
 
     @pytest.mark.parametrize("backend", FILE_BACKENDS)
     def test_size_one_is_a_pool_of_one(self, tmp_path, backend):
-        """``read_pool_size=1`` is a pool like any other: one reader (per
-        shard), and whoever asks while it is out waits for it."""
+        """``read_pool_size=1`` is a pool like any other: one reader — on a
+        sharded store too — and whoever asks while it is out waits for it."""
         assert _open_store(backend, read_pool_size=1).read_pool_stats() is None
         db = build_mini_db(_open_store(backend, tmp_path / "s.db", read_pool_size=1))
         pool = db._reader_pool()
         assert pool is not None
-        size = 1 if backend == "sqlite" else db.shards
-        assert db.read_pool_stats()["size"] == pool.size == size
+        assert db.read_pool_stats()["size"] == pool.size == 1
         before = pool.stats()
         assert before["waits"] == 0
         got = []
@@ -104,7 +103,7 @@ class TestPoolMechanics:
                 got.append(reader)
 
         waiter = threading.Thread(target=ask)
-        with db._lease_read_connections(size) as held:
+        with db._lease_read_connection() as held:
             waiter.start()
             deadline = time.monotonic() + 10
             while True:
@@ -115,11 +114,11 @@ class TestPoolMechanics:
             assert not got
         waiter.join(10)
         assert not waiter.is_alive()
-        assert len(got) == 1 and got[0] in held
+        assert got == [held]
         after = db.read_pool_stats()
         assert after["waits"] == 1
-        assert after["leases"] == before["leases"] + size + 1
-        assert after["peak_concurrency"] == size
+        assert after["leases"] == before["leases"] + 2
+        assert after["peak_concurrency"] == 1
         db.close()
 
     def test_create_backend_threads_the_knob(self, tmp_path):
@@ -157,32 +156,37 @@ class TestPoolMechanics:
         assert pool and pool["leases"] > 0
         assert "read pool:" in "\n".join(context.explain_lines())
 
-    def test_equal_leases_get_the_same_readers_in_the_same_order(self, tmp_path):
-        """A scatter statement's text is prepared per connection, so the
-        next gather must meet the readers the last one left — shard by
-        shard — or every reader ends up preparing every shard's texts."""
+    def test_the_next_lease_gets_the_reader_given_back_last(self, tmp_path):
+        """A plan statement's text is prepared per connection, so a lease
+        must meet the reader the last one left — or sequential requests
+        walk the pool and every reader ends up preparing every text."""
         db = build_mini_db(_open_store("sqlite-sharded", tmp_path / "s.db"))
         pool = db._reader_pool()
         before = pool.stats()
-        with pool.lease_many(3) as first:
+        with pool.lease() as first:
             pass
-        with pool.lease_many(3) as second:
-            assert second == first
-        with pool.lease_many(2) as prefix:
-            assert prefix == first[:2]
-        with pool.lease_many(3) as third:
-            assert third == first
+        with pool.lease() as second:
+            assert second is first
+            with pool.lease() as other:  # nested: a second reader opens
+                assert other is not first
+        with pool.lease() as third:
+            assert third is first  # given back last, taken first
         after = pool.stats()
-        assert after["leases"] == before["leases"] + 11
+        assert after["leases"] == before["leases"] + 4
         assert after["waits"] == before["waits"] == 0
-        assert after["peak_concurrency"] == 3
-        assert pool._opened == 3 and pool._active == 0
+        assert after["peak_concurrency"] == 2
+        assert pool._opened == 2 and pool._active == 0
         db.close()
 
-    def test_default_pool_capacity_scales_with_shards(self, tmp_path):
-        db = build_mini_db("sqlite-sharded", db_path=tmp_path / "s.db")
-        assert db._read_pool_enabled()
-        assert db._read_pool_capacity() >= db.shards
+    def test_pool_capacity_is_the_pool_size_on_every_store(self, tmp_path):
+        """``--read-pool-size N`` is N readers, sharded or not: a plan is
+        one statement on one reader, which ATTACHes every partition."""
+        for backend in FILE_BACKENDS:
+            db = build_mini_db(
+                _open_store(backend, tmp_path / f"{backend}.db", read_pool_size=2)
+            )
+            assert db.read_pool_stats()["size"] == db._reader_pool().size == 2
+            db.close()
 
 
 class TestConcurrentReadParity:

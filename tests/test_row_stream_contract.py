@@ -29,8 +29,9 @@ STORES = ["memory", "sqlite", "sqlite-file", "sharded3", "sharded3-file"]
 
 def _open(store: str, tmp_path):
     path = tmp_path / "store.sqlite" if store.endswith("-file") else None
-    if store.startswith("sharded3"):
-        return build_mini_db(ShardedSQLiteBackend(mini_schema(), path=path, shards=3))
+    if store.startswith("sharded"):  # "sharded<N>[-file]"
+        shards = int(store.removeprefix("sharded")[0])
+        return build_mini_db(ShardedSQLiteBackend(mini_schema(), path=path, shards=shards))
     return build_mini_db(store.removesuffix("-file"), db_path=path)
 
 
@@ -98,7 +99,7 @@ class TestDrainsCloseWhatTheyOpen:
     an exception — the store holds no lease and no cursor, and no thread
     exists that did not exist before the store was opened."""
 
-    @pytest.fixture(params=["sqlite-file", "sharded3-file"])
+    @pytest.fixture(params=["sqlite-file", "sharded1-file", "sharded3-file"])
     def db(self, request, tmp_path):
         self.threads_before = threading.active_count()
         db = _open(request.param, tmp_path)
@@ -119,8 +120,8 @@ class TestDrainsCloseWhatTheyOpen:
         ]
 
     def test_every_shard_cursor_runs_on_the_calling_thread(self, db, monkeypatch):
-        """The positive form: a gather's cursors — one per live shard —
-        open and advance in the thread that drains the stream."""
+        """The positive form: a plan's cursor — one, sharded or not —
+        opens and advances in the thread that drains the stream."""
         iter_cursor = db._iter_cursor
         idents = []
 
@@ -130,8 +131,7 @@ class TestDrainsCloseWhatTheyOpen:
 
         monkeypatch.setattr(db, "_iter_cursor", recording)
         assert len(db.execute_path(["actor"], [])) == 3
-        cursors = 3 if isinstance(db, ShardedSQLiteBackend) else 1
-        assert idents == [threading.get_ident()] * cursors
+        assert idents == [threading.get_ident()]
         self._assert_quiescent(db)
 
     def test_limit_breaks_and_exceptions_release_everything(self, db, monkeypatch):
@@ -143,6 +143,12 @@ class TestDrainsCloseWhatTheyOpen:
         self._assert_quiescent(db)
 
         assert len(db.execute_path(*multi_row, limit=1)) == 1
+        self._assert_quiescent(db)
+
+        execution = db.execute_paths_streamed(specs, limit=10)
+        next(execution.stream)
+        assert db._reader_pool()._active == 1  # one lease, however many shards
+        execution.stream.close()
         self._assert_quiescent(db)
 
         decode = db._decode_network

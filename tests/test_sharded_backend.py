@@ -1,11 +1,11 @@
-"""The sqlite-sharded backend: parity, scatter-gather, store lifecycle.
+"""The sqlite-sharded backend: parity, one statement per plan, store lifecycle.
 
 The contract under test: ``sqlite-sharded`` returns **byte-identical rows**
 to ``sqlite`` for every query — relation reads, single paths, batched
 execution, whole engine pipelines on both bundled datasets — while
 physically splitting every table across N attached partition files,
-executing one scatter statement per shard and attributing returned rows to
-the shard that produced them.
+executing one statement per plan (every slot a ``UNION ALL`` of its
+partitions) and attributing returned rows to the partition that stored them.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class TestShardedRelations:
 
 
 class TestShardedExecution:
-    """Scatter-gather execution: same rows, per-shard statements."""
+    """One statement per plan over partitions: same rows, same counts."""
 
     @pytest.mark.parametrize("limit", [None, 1, 3, 0])
     def test_execute_path_matches_unsharded(self, limit):
@@ -138,7 +138,7 @@ class TestShardedExecution:
     def test_batched_matches_unsharded_with_shard_statements(
         self, read_pool_size, on_file, tmp_path
     ):
-        """One gather shape: every pool size, on a file and in ``:memory:``,
+        """One statement shape: every pool size, on a file and in ``:memory:``,
         streams what the default ``:memory:`` store streams — rows, statement
         count, shard attribution and cursor overrun alike, drained or cut."""
         db = build_mini_db(
@@ -161,23 +161,22 @@ class TestShardedExecution:
             assert streamed.rows_short_circuited == expected.rows_short_circuited
         assert streamed.rows_short_circuited > 0  # the cut left a chunk behind
         batched = db.execute_paths_batched(specs, limit=10)
-        assert batched.rows == ref.execute_paths_batched(specs, limit=10).rows
-        # One scatter statement per shard serves the whole batch.
-        assert batched.statements == db.shards
+        reference = ref.execute_paths_batched(specs, limit=10)
+        assert batched.rows == reference.rows
+        # One statement serves the whole batch, as on the single file.
+        assert batched.statements == reference.statements == 1
         assert batched.batched_indexes == list(range(len(specs)))
         total = sum(len(rows) for rows in batched.rows)
         assert sum(batched.shard_rows.values()) == total
         pool = db._reader_pool()
         assert (pool is not None) == on_file
         if on_file:
-            # A gather leases exactly one reader per live shard, all at once.
-            assert pool.size == db.shards * (read_pool_size or db.DEFAULT_READ_POOL_SIZE)
-            plan = db.plan_path_spec(*specs[0], limit=10)
+            # A plan is one statement on one leased reader.
+            assert pool.size == (read_pool_size or db.DEFAULT_READ_POOL_SIZE)
             leases = pool.leases
             db.execute_path(*specs[0], limit=10)
-            live = len(db._live_shards([plan]))
-            assert pool.leases - leases == live
-            assert pool.peak_concurrency == db.shards
+            assert pool.leases - leases == 1
+            assert pool.peak_concurrency == 1
             assert pool.waits == pool._active == 0
         db.close()
 
@@ -192,14 +191,9 @@ class TestShardedExecution:
         reference = ref.execute_paths_batched(specs, limit=10)
         assert batched.rows == reference.rows
         assert batched.fallbacks.keys() == reference.fallbacks.keys()
-        # Every fallback spec scatters too: one statement per shard its
-        # scatter slot's keys route to (the label names that count).
-        touched = sum(
-            int(label.split("→ ")[1].split(" of ")[0])
-            for label in batched.scatter_slots.values()
-        )
-        assert reference.statements < touched <= reference.statements * db.shards
-        assert batched.statements == touched
+        # Every fallback spec is one statement here too, whatever its keys.
+        assert reference.fallbacks and reference.statements > 1
+        assert batched.statements == reference.statements
 
     def test_provably_empty_spec_costs_no_statement(self):
         db = build_mini_db("sqlite-sharded")
@@ -212,46 +206,53 @@ class TestShardedExecution:
 
 
 class TestJoinCompilation:
-    """What scatter members compile to — and what the unsharded dialect
+    """What partitioned plans compile to — and what the unsharded dialect
     keeps compiling to."""
 
     def test_no_join_slot_reads_an_all_shards_union(self):
         db = build_mini_db("sqlite-sharded")
-        union = db.dialect.union_source("acts")
+        union = db.dialect.table_source("acts")
         checked = 0
         for query_text in ("hanks 2001", "london"):
             specs = _mini_specs(db, query_text)
             solo, members = _prepared_plans(db, specs, 10)
-            for compiler in db._shard_compilers():
-                shard = compiler.dialect.scatter_shard
-                statements = [
-                    compiler.compile_path(plan, project_order_keys=True)
-                    for _index, plan in [*solo, *members]
-                    if plan.scatters_to(shard)
-                ]
-                if any(plan.scatters_to(shard) for _index, plan in members):
-                    statements.append(compiler.compile_union(members))
-                for statement in statements:
-                    assert union not in statement.sql
-                    assert statement.sql.count("?") == len(statement.params)
-                    checked += " AS MATERIALIZED (" in statement.sql
+            statements = [
+                db.compiler.compile_path(plan) for _index, plan in [*solo, *members]
+            ]
+            if members:
+                statements.append(db.compiler.compile_union(members))
+            for statement in statements:
+                assert union not in statement.sql
+                assert statement.sql.count("?") == len(statement.params)
+                checked += " AS MATERIALIZED (" in statement.sql
         assert checked >= 4  # chains were compiled, solo and inside unions
-        # Relation-level scans are what the union is still for.
+        # Relation-level reads are what the union is still for.
         assert union in db.relation("acts")._scan_sql
+        assert union in db.relation("acts")._get_sql
 
-    def test_unrouted_plans_are_rejected(self):
+    def test_every_slot_is_one_arm_per_partition(self):
+        """Seed slot included, single-slot plans included: ``r<slot>`` is a
+        UNION ALL over all partitions, and only the seed slot's arms project
+        the partition literal the row count reads."""
         db = build_mini_db("sqlite-sharded")
-        path, edges, selections = _mini_specs(db, "hanks 2001")[0]
-        plan = db.plan_path_spec(path, edges, selections)  # never prepared
-        assert len(plan.path) > 1
-        with pytest.raises(ValueError, match="routed plans"):
-            drain_plan(db, plan)
+        solo, members = _prepared_plans(db, _mini_specs(db, "hanks 2001"), 10)
+        for _index, plan in [*solo, *members]:
+            sql = db.compiler.compile_path(plan).sql
+            entries = sql.split(" AS MATERIALIZED (\n")[1:]
+            assert len(entries) == len(plan.path)
+            for entry in entries:
+                arms = entry.split("\n)")[0].split("\nUNION ALL\n")
+                assert len(arms) == db.shards
+                for shard, arm in enumerate(arms):
+                    assert f'FROM "shard{shard}".' in arm
+            assert sql.count(' AS "_partition"') == db.shards
+            assert sql.count(f't{plan.scatter_position}."_partition"') == 1
 
     def test_statement_text_depends_on_shape_not_on_key_counts(self):
-        """Two routed plans alike in everything but how many keys each
-        filtered slot holds per partition compile to the *same* text under
-        every per-shard compiler: the text SQLite prepared for one serves
-        the other, whatever the key sets resolve to next time."""
+        """Two plans alike in everything but their key sets — how many keys,
+        which keys, which partitions those live in — compile to the *same*
+        text: the text SQLite prepared for one serves the other, whatever
+        the key sets resolve to next time."""
         from dataclasses import replace
 
         db = build_mini_db("sqlite-sharded")
@@ -261,27 +262,23 @@ class TestJoinCompilation:
             for _index, plan in [*solo, *members]:
                 if not plan.inline_filters:
                     continue
-                # Same live-shard pattern: only partitions that hold a key
-                # get more of them (the compiler never checks the routing).
-                grown = replace(
-                    plan,
-                    inline_filters=tuple(
-                        (position, (*keys, 1001, 1002, "x"))
-                        for position, keys in plan.inline_filters
-                    ),
-                    shard_filters=tuple(
-                        (position, tuple(b and (*b, 1001, 1002, "x") for b in buckets))
-                        for position, buckets in plan.shard_filters
-                    ),
-                )
-                for compiler in db._shard_compilers():
-                    if not plan.scatters_to(compiler.dialect.scatter_shard):
-                        continue
-                    small = compiler.compile_path(plan, project_order_keys=True)
-                    large = compiler.compile_path(grown, project_order_keys=True)
+                variants = [
+                    replace(
+                        plan,
+                        inline_filters=tuple(
+                            (position, keys) for position, _k in plan.inline_filters
+                        ),
+                    )
+                    for keys in ((1,), (2,), (3,), (1, 2, 3, 1001, 1002, "x"))
+                ]
+                homes = {shard_of_key(v.inline_filters[0][1][0], db.shards) for v in variants}
+                assert len(homes) > 1  # the single keys live in different partitions
+                small = db.compiler.compile_path(plan)
+                for variant in variants:
+                    large = db.compiler.compile_path(variant)
                     assert small.sql == large.sql
                     assert len(small.params) == len(large.params)
-                    assert small.params != large.params
+                    assert small.params != large.params or variant == plan
                     compared += 1
         assert compared >= 6
 
@@ -339,8 +336,8 @@ class TestShardedEngineParity:
             )
 
     def test_one_text_per_shape_across_a_workload(self, tmp_path):
-        """150 workload queries issue a few hundred scatter statements but
-        only a few dozen distinct texts — what lets ``sqlite3``'s statement
+        """150 workload queries issue a couple of hundred statements but
+        only a couple of dozen distinct texts — what lets ``sqlite3``'s statement
         cache skip their millisecond prepares — and the rows are still the
         other backends' rows."""
         from repro.datasets.workload import imdb_workload
@@ -374,12 +371,12 @@ class TestShardedEngineParity:
             for reference in references:
                 assert _result_rows(reference.run(query_text, k=5)) == rows, query_text
         sharded.backend.close()
-        assert len(texts) > 300
+        assert len(texts) > 150
         assert len(set(texts)) <= 0.25 * len(texts), (len(set(texts)), len(texts))
 
     def test_shard_attribution_reaches_explain(self):
         """``shard_rows`` counts *delivered* rows, and the executor drains
-        every interpretation it starts: exactly the rows it merged."""
+        every interpretation it starts: exactly the rows it streamed."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
@@ -397,8 +394,8 @@ class TestShardedEngineParity:
         assert "scatter slot #" in text  # the chooser names every consumed slot
 
     def test_read_pool_explain_line_is_exact(self, tmp_path):
-        """Three live shards are three leases taken at once — a figure that
-        no longer depends on how threads happen to interleave."""
+        """One executed plan is one lease of one reader, whatever the shard
+        count — and the pool is as large as it was asked to be."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
@@ -407,13 +404,13 @@ class TestShardedEngineParity:
         )
         lines = engine.run("london", k=5, explain=True).explain_lines()
         assert (
-            "  read pool: 3 lease(s), 0 wait(s), peak 3 concurrent (size 12)" in lines
+            "  read pool: 1 lease(s), 0 wait(s), peak 1 concurrent (size 4)" in lines
         )
         engine.backend.close()
 
-    def test_statements_are_bounded_by_shards_per_interpretation(self):
-        """At most one scatter statement per shard per executed
-        interpretation, where the memory reference pays exactly one."""
+    def test_one_statement_per_executed_interpretation(self):
+        """At most one statement per executed interpretation (a provably
+        empty one costs none), where the memory reference pays exactly one."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
@@ -426,8 +423,8 @@ class TestShardedEngineParity:
         stats = engine.run("hanks 2001", k=5).executor_statistics
         sequential = reference.run("hanks 2001", k=5).executor_statistics
         assert stats.interpretations_executed >= 3
-        assert 0 < stats.sql_statements <= 2 * stats.interpretations_executed
-        # One scatter-slot line per planned interpretation, none for more.
+        assert 0 < stats.sql_statements <= stats.interpretations_executed
+        # One seed-slot line per planned interpretation, none for more.
         assert set(stats.scatter_slots) <= set(stats.attribution)
         assert sequential.sql_statements == sequential.interpretations_executed
         assert stats.interpretations_executed == sequential.interpretations_executed
@@ -435,8 +432,8 @@ class TestShardedEngineParity:
     def test_executes_exactly_the_sequential_interpretations(self):
         """The bound is checked before every interpretation, so the sharded
         backend runs precisely the interpretations the memory reference
-        runs — identical rows, never more statements than shards per
-        executed interpretation."""
+        runs — identical rows, never more than one statement per executed
+        interpretation."""
         reference = QueryEngine.for_dataset(
             "imdb", backend="memory", config=EngineConfig(cache_results=False)
         )
@@ -455,7 +452,7 @@ class TestShardedEngineParity:
             assert (
                 stats.interpretations_executed == sequential.interpretations_executed
             )
-            assert stats.sql_statements <= 2 * stats.interpretations_executed
+            assert stats.sql_statements <= stats.interpretations_executed
 
 
 class TestShardedStoreLifecycle:

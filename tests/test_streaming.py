@@ -1,16 +1,17 @@
-"""Streaming execution: cursor parity, TA consumption, k-way merge edges.
+"""Streaming execution: cursor parity, TA consumption, global-order edges.
 
 The contract under test, layer by layer:
 
-* ``StorageBackend.execute_paths_streamed`` (native SQLite cursors, the
-  sharded k-way merge, and the generic lazy per-spec fallback) streams
+* ``StorageBackend.execute_paths_streamed`` (native SQLite cursors, on one
+  file or over partitions, and the generic lazy per-spec fallback) streams
   **byte-identical** rows to the list-returning API that drains it, on the
   mini store and on both bundled datasets (the acceptance pin).
 * Streams abandoned mid-iteration release their cursors: the backend stays
   fully usable, sharded reader connections do not leak, and close() is
   idempotent.
-* ``merge_shard_streams`` is a stable k-way merge: ORDER BY ties across
-  shards resolve to the lower shard, empty partitions are transparent.
+* A sharded statement's own ``ORDER BY … LIMIT`` is the global order: limit
+  cuts fall where the single file's do, rows of different partitions
+  interleave, empty partitions are transparent.
 * ``TopKExecutor`` on the SQL backends returns exactly the memory
   reference's rows while *consuming* strictly less from the backend than a
   full drain on early-stopping queries, and counts only the interpretations
@@ -19,12 +20,14 @@ The contract under test, layer by layer:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.topk import TopKExecutor
 from repro.db.backends import sql as sqlc
 from repro.db.backends.base import RowStream, StreamedExecution
-from repro.db.backends.sharded import ShardedSQLiteBackend, merge_shard_streams
+from repro.db.backends.sharded import ShardedSQLiteBackend, shard_of_key
 from repro.engine import EngineConfig, QueryEngine, ResultCache
 from tests.conftest import build_mini_db, mini_schema
 
@@ -169,7 +172,7 @@ class TestStreamAbandonment:
         # capacity, and nothing is leased after the last close.
         pool = db._read_pool
         assert pool is not None
-        assert pool._opened <= db._read_pool_capacity()
+        assert pool._opened <= pool.size
         assert pool._active == 0
         db.close()
         assert db._read_pool is None
@@ -184,59 +187,69 @@ class TestStreamAbandonment:
         assert isinstance(execution.stream, RowStream)
 
 
-class TestKWayMerge:
-    """merge_shard_streams on synthetic sorted streams."""
+class TestGlobalOrder:
+    """The sharded statement's ORDER BY … LIMIT is the global order — what
+    the Python k-way merge over per-shard streams used to reconstruct."""
 
-    def test_ties_resolve_to_the_lower_shard(self):
-        streams = [
-            [(1, "s0-a"), (2, "s0-b")],
-            [(1, "s1-a"), (2, "s1-b")],
-            [(2, "s2-a")],
-        ]
-        merged = list(merge_shard_streams(streams, key_width=1))
-        assert [(key, shard) for key, shard, _row in merged] == [
-            ((1,), 0),
-            ((1,), 1),
-            ((2,), 0),
-            ((2,), 1),
-            ((2,), 2),
-        ]
+    def test_every_limit_cuts_where_the_single_file_cuts(self):
+        sharded, single = build_mini_db("sqlite-sharded"), build_mini_db("sqlite")
+        for query_text in QUERIES:
+            specs = _specs(single, query_text)
+            for limit in (1, 2, 3, 10):
+                expected = single.execute_paths_batched(specs, limit=limit).rows
+                execution = sharded.execute_paths_streamed(specs, limit=limit)
+                assert _drain(execution, len(specs)) == expected, (query_text, limit)
 
-    def test_empty_streams_are_transparent(self):
-        streams = [[], [(1, "a"), (3, "c")], [], [(2, "b")]]
-        merged = [row for _key, _shard, row in merge_shard_streams(streams, 1)]
-        assert merged == [(1, "a"), (2, "b"), (3, "c")]
-        assert list(merge_shard_streams([[], []], 1)) == []
+    def test_rows_of_different_partitions_interleave(self):
+        """Delivery order is the statement's, not partition by partition."""
+        db = ShardedSQLiteBackend(mini_schema(), shards=3)
+        build_mini_db("memory").copy_into(db)
+        db.build_indexes()
+        rows = db.execute_path(("acts",), ())
+        assert [network[0].key for network in rows] == [1, 2, 3, 4]
+        partitions = [shard_of_key(network[0].key, 3) for network in rows]
+        assert partitions != sorted(partitions)
 
-    def test_within_shard_order_is_preserved(self):
-        streams = [[(1, "x"), (1, "y"), (1, "z")], [(1, "p"), (1, "q")]]
-        merged = [row for _key, _shard, row in merge_shard_streams(streams, 1)]
-        assert merged == [(1, "x"), (1, "y"), (1, "z"), (1, "p"), (1, "q")]
+    def test_shard_rows_name_the_partition_each_row_is_stored_in(self):
+        db = build_mini_db("sqlite-sharded")
+        by_attr = {fk.source_attr: fk for fk in db.schema.foreign_keys}
+        path = ("actor", "acts", "movie")
+        edges = (by_attr["actor_id"], by_attr["movie_id"])
+        for key_filters in ({}, {0: {1, 3}}, {2: {2}}):
+            plan = db._prepare_plan(sqlc.plan_path(path, edges, key_filters, None))
+            execution = StreamedExecution()
+            rows = list(db._stream_plan(plan, execution))
+            assert rows
+            assert execution.shard_rows == Counter(
+                shard_of_key(network[plan.scatter_position].key, db.shards)
+                for network in rows
+            )
 
-    def test_multi_column_keys_with_null_padding(self):
-        # Trailing None padding (the union statement's __o columns) only ever
-        # compares against None within one spec — never across types.
-        streams = [[((5, "a", None), "first")], [((5, "a", None), "second")]]
-        merged = list(merge_shard_streams(streams, key_width=1))
-        assert [row for _key, _shard, row in merged] == [
-            ((5, "a", None), "first"),
-            ((5, "a", None), "second"),
-        ]
+    def test_union_members_keep_their_own_limit_and_order(self):
+        """The tagged UNION ALL's member-local LIMIT is exact on partitions
+        too: no per-shard overshoot is left to re-truncate in Python."""
+        sharded, single = build_mini_db("sqlite-sharded"), build_mini_db("sqlite")
+        specs = _specs(single, "hanks 2001")
+        assert len(specs) > 1
+        for limit in (1, 2):
+            expected = single.execute_paths_batched(specs, limit=limit)
+            actual = sharded.execute_paths_batched(specs, limit=limit)
+            assert actual.rows == expected.rows
+            assert actual.statements == expected.statements == 1
+            assert sum(actual.shard_rows.values()) == sum(map(len, actual.rows))
 
 
 class TestEmptyPartitions:
     """Stores whose partition files hold no rows of some table."""
 
     def test_streamed_parity_with_empty_partitions(self):
-        from repro.db.backends.sharded import shard_of_key
-
         shards = 4
         db = ShardedSQLiteBackend(mini_schema(), shards=shards)
         reference = build_mini_db("memory")
         reference.copy_into(db)
         db.build_indexes()
         # The mini store's 3 actor keys cannot cover 4 partitions: at least
-        # one shard holds no actor rows, so the merge sees empty streams.
+        # one shard holds no actor rows, so some UNION ALL arms are empty.
         occupied = {shard_of_key(key, shards) for key in (1, 2, 3)}
         assert len(occupied) < shards
         for query_text in ("hanks 2001", "london", "hanks"):
