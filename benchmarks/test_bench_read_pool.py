@@ -21,14 +21,19 @@ Both arms run on ONE shared store (built once, reopened), with the result
 cache off so every request actually reads the backend, and every response is
 verified row-for-row against the engine's own sequential answers — the guard
 cannot pass on wrong rows.  Each arm takes its best-of-N to shed scheduler
-noise.
+noise, and the arms' attempts interleave (pooled, serial, pooled, …): run one
+arm's attempts after the other's and a machine that slows down halfway
+through — as it does inside a full test-suite run — charges the whole drift
+to one arm.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
 from itertools import cycle, islice
+from typing import Callable
 
 from repro.datasets.workload import workload_texts
 from repro.engine import EngineConfig
@@ -43,37 +48,45 @@ ATTEMPTS = 3
 SINGLE_CORE_OVERHEAD_FACTOR = 0.60
 
 
-def _best_qps(db_path, read_pool_size: int) -> float:
-    """Best-of-N throughput of CLIENTS x QUERIES_PER_CLIENT verified requests."""
+def _arm(stack: ExitStack, db_path, read_pool_size: int) -> Callable[[], float]:
+    """One arm's server, open until ``stack`` closes, as a callable timing
+    one attempt: the throughput of CLIENTS x QUERIES_PER_CLIENT verified
+    requests."""
     storage = dict(backend="sqlite", db_path=db_path)
     config = EngineConfig(cache_results=False, read_pool_size=read_pool_size)
-    best = 0.0
-    with QueryServer(max_workers=CLIENTS, engine_config=config) as server:
-        engine = server.engine_for("imdb", **storage)
-        texts = workload_texts(engine.backend, "imdb")
-        expected = {
-            text: [result.row_uids() for result in engine.run(text, k=5).results]
-            for text in texts
-        }
-        requests = list(islice(cycle(texts), CLIENTS * QUERIES_PER_CLIENT))
-        for _attempt in range(ATTEMPTS):
-            started = time.perf_counter()
-            futures = [server.submit("imdb", text, k=5, **storage) for text in requests]
-            responses = [future.result() for future in futures]
-            seconds = time.perf_counter() - started
-            for response in responses:  # verified after the clock stopped
-                assert response.result_uids() == expected[response.query], (
-                    f"read_pool_size={read_pool_size}: {response.query!r} differs "
-                    "from sequential execution"
-                )
-            best = max(best, len(requests) / seconds)
-    return best
+    server = stack.enter_context(QueryServer(max_workers=CLIENTS, engine_config=config))
+    engine = server.engine_for("imdb", **storage)
+    texts = workload_texts(engine.backend, "imdb")
+    expected = {
+        text: [result.row_uids() for result in engine.run(text, k=5).results]
+        for text in texts
+    }
+    requests = list(islice(cycle(texts), CLIENTS * QUERIES_PER_CLIENT))
+
+    def attempt() -> float:
+        started = time.perf_counter()
+        futures = [server.submit("imdb", text, k=5, **storage) for text in requests]
+        responses = [future.result() for future in futures]
+        seconds = time.perf_counter() - started
+        for response in responses:  # verified after the clock stopped
+            assert response.result_uids() == expected[response.query], (
+                f"read_pool_size={read_pool_size}: {response.query!r} differs "
+                "from sequential execution"
+            )
+        return len(requests) / seconds
+
+    return attempt
 
 
 def test_pooled_readers_vs_single_connection(tmp_path):
     db_path = tmp_path / "read-pool-bench.sqlite"
-    pooled = _best_qps(db_path, read_pool_size=CLIENTS)
-    serial = _best_qps(db_path, read_pool_size=1)
+    best = {CLIENTS: 0.0, 1: 0.0}
+    with ExitStack() as stack:
+        arms = {size: _arm(stack, db_path, size) for size in best}
+        for _attempt in range(ATTEMPTS):
+            for size, attempt in arms.items():  # pooled, serial, pooled, …
+                best[size] = max(best[size], attempt())
+    pooled, serial = best[CLIENTS], best[1]
     cores = os.cpu_count() or 1
     print(
         f"\n[{cores} core(s)] read pool {CLIENTS}: {pooled:.1f} q/s   "

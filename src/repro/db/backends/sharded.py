@@ -23,7 +23,7 @@ inherited one-reader cursor seams and adds nothing but the per-partition row
 count, read from the partition literal each seed-slot arm projects.  Each key
 set binds whole, as **one** JSON-array parameter per arm (``IN (SELECT +value
 FROM json_each(?))``, :meth:`~repro.db.backends.sql.ShardedSQLiteDialect.
-key_set_predicate`), so a statement's text depends on its plan's shape —
+key_set_binding`), so a statement's text depends on its plan's shape —
 path, filtered slots, seed slot — and on no key: such a text takes about a
 millisecond to prepare, and ``sqlite3``'s per-connection statement cache can
 only serve one that repeats byte for byte.  Three costs, written down: a

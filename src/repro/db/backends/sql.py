@@ -18,7 +18,10 @@ string building inside each backend:
    (:class:`ShardedSQLiteDialect` names partitions and insertion-order
    terms; every slot becomes a ``UNION ALL`` over its partitions inside a
    semi-join reduction chain, see :meth:`PlanCompiler.reduction_chain`)
-   without the plans changing — one statement per plan under either.
+   without the plans changing — one statement per plan under either.  A
+   statement's text depends on its plan's shape and not on its keys under
+   both dialects, and :meth:`PlanCompiler.compile_path` keeps one text per
+   shape.
 3. **Execution** stays in the backend: it owns connections, decodes result
    rows and applies the plan's post filters.
 
@@ -31,8 +34,11 @@ future Postgres dialect) a dialect/executor concern instead of a rewrite.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Protocol, Sequence
 
@@ -40,19 +46,22 @@ from repro.db.schema import ForeignKey, Schema, Table
 
 #: Above this many candidate keys per position the key-set predicate is
 #: applied in Python instead of SQL.  Under the single-file dialect every key
-#: is one bound parameter, and the cap descends from SQLite's per-statement
-#: limit (SQLITE_MAX_VARIABLE_NUMBER, 999 before 3.32).  The sharded dialect
-#: binds a whole key set as one JSON parameter, so no variable count limits
-#: it; it keeps the same cap so that both dialects split a plan's filters
-#: into inline and post sets identically — one planner, rows and LIMIT
-#: pushdown decided the same way on every backend.
+#: is one bound parameter (the list padded to a power of two, so at most
+#: 512), and the cap descends from SQLite's per-statement limit
+#: (SQLITE_MAX_VARIABLE_NUMBER).  The sharded dialect binds a whole key set
+#: as one JSON parameter, so no variable count limits it; it keeps the same
+#: cap so that both dialects split a plan's filters into inline and post sets
+#: identically — one planner, rows and LIMIT pushdown decided the same way on
+#: every backend.
 MAX_INLINE_KEYS = 500
 
 #: Budget for *all* inline keys of one statement, across positions (and, for
-#: a batched statement, across all of its members).  A partitioned statement
-#: repeats a key set with no JSON spelling as a literal list in every
-#: partition arm: ``900 × 10`` partitions (SQLite's ATTACH limit) stays under
-#: the 32 766 variables every JSON1-capable SQLite allows.
+#: a batched statement, across all of its members).  Padding at most doubles
+#: a literal list, so a single-file statement binds fewer than 1 800 keys:
+#: within the 32 766 variables SQLite allows since 3.32 (2020), not the 999
+#: before.  A partitioned statement repeats a key set with no JSON spelling
+#: as a padded literal list in every partition arm: under ``1 800 × 10``
+#: partitions (SQLite's ATTACH limit), still under 32 766.
 MAX_TOTAL_INLINE_KEYS = 900
 
 
@@ -460,16 +469,21 @@ class SQLiteDialect:
         """Python ``repr()`` ordering of one key expression (see backend)."""
         return f"repro_repr({expression})"
 
-    def key_set_predicate(
-        self, column: str, keys: Sequence[Any]
-    ) -> tuple[str, Sequence[Any]]:
-        """``column`` restricted to one resolved key set + its bound parameters.
+    def key_set_binding(self, keys: Sequence[Any]) -> tuple[str, tuple[Any, ...]]:
+        """``(right-hand side of IN, bound parameters)`` of one key set.
 
-        One ``?`` per key: single-file statements prepare in ≈ 85 µs and half
-        of their texts already byte-repeat, so a shape-keyed binding costs
-        here what it saves (``docs/performance.md`` § PR 21).
+        The literal list is padded to the next power of two by repeating the
+        last key: ``x IN (a, b, b)`` selects exactly what ``x IN (a, b)``
+        does, and the text depends on log₂ of the set's size, not on its
+        size, so a statement's text is a function of its plan's shape and
+        ``sqlite3``'s per-connection statement cache serves it again — a
+        first-seen single-file text runs in about 2.6× the time of a
+        repeated one (``docs/performance.md`` § PR 25).  Padding costs no
+        encoding, which is why this dialect pads where the sharded one binds
+        JSON.
         """
-        return f"{column} IN ({', '.join('?' for _ in keys)})", keys
+        padded = _pad_to_power_of_two(keys)
+        return _in_list(len(padded)), padded
 
 
 class ShardedSQLiteDialect(SQLiteDialect):
@@ -516,9 +530,10 @@ class ShardedSQLiteDialect(SQLiteDialect):
     def insertion_order_term(self, alias: str, table_name: str) -> str:
         return f'{alias}.{self.quote("_rowseq")}'
 
-    def key_set_predicate(
-        self, column: str, keys: Sequence[Any]
-    ) -> tuple[str, Sequence[Any]]:
+    #: The right-hand side of ``IN`` binding a whole key set as one parameter.
+    JSON_KEY_SET = "(SELECT +value FROM json_each(?))"
+
+    def key_set_binding(self, keys: Sequence[Any]) -> tuple[str, tuple[Any, ...]]:
         """The key set as **one** JSON-array parameter read by ``json_each``.
 
         A partitioned statement repeats a slot's key set once per partition
@@ -529,12 +544,12 @@ class ShardedSQLiteDialect(SQLiteDialect):
         direct binding would, and the unary ``+`` leaves them without a
         column affinity, as the values of a literal list are, so rows cannot
         differ; a key set holding anything else (:func:`_json_key_set`) keeps
-        the literal list.
+        the padded literal list of the single-file dialect.
         """
         bound = _json_key_set(keys)
         if bound is None:
-            return super().key_set_predicate(column, keys)
-        return f"{column} IN (SELECT +value FROM json_each(?))", (bound,)
+            return super().key_set_binding(keys)
+        return self.JSON_KEY_SET, (bound,)
 
 
 def _json_key_set(keys: Sequence[Any]) -> str | None:
@@ -565,15 +580,49 @@ def _json_key_set(keys: Sequence[Any]) -> str | None:
 _encode_key_set = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
+def _pad_to_power_of_two(keys: Sequence[Any]) -> tuple[Any, ...]:
+    """``keys`` with the last one repeated up to the next power of two (an
+    empty set stays empty)."""
+    count = len(keys)
+    if count < 2:
+        return tuple(keys)
+    return (*keys, *(keys[-1],) * ((1 << (count - 1).bit_length()) - count))
+
+
+@functools.cache
+def _in_list(width: int) -> str:
+    """``(?, ?, …)`` with ``width`` parameters — one string per padded width,
+    of which there are at most a few dozen."""
+    return f"({', '.join('?' * width)})"
+
+
 # -- compilation --------------------------------------------------------------
 
 
+#: Per filtered slot: ``(right-hand side of IN, bound parameters)``, as
+#: :meth:`SQLiteDialect.key_set_binding` spells the slot's key set.
+KeySetBindings = dict[int, tuple[str, tuple[Any, ...]]]
+
+
 class PlanCompiler:
-    """Compiles :class:`PathPlan` IR into SQL under one dialect."""
+    """Compiles :class:`PathPlan` IR into SQL under one dialect.
+
+    :meth:`compile_path` keeps one text per plan *shape* (see
+    :meth:`shape_of`): a bounded, thread-safe LRU of ``shape → (text, binding
+    order)``, where the binding order is the filtered slot behind each run
+    of key-set parameters, recorded while the text was built.  A hit only
+    lays the plan's key sets (and its limit) out in that order.
+    """
+
+    #: Plan shapes whose text :meth:`compile_path` keeps.  The bundled
+    #: workloads compile a few hundred shapes; a text is a few KB at most.
+    TEXT_MEMO_SIZE = 1024
 
     def __init__(self, schema: Schema, dialect: SQLiteDialect):
         self.schema = schema
         self.dialect = dialect
+        self._texts: OrderedDict[tuple, tuple[str, tuple[int, ...]]] = OrderedDict()
+        self._texts_lock = threading.Lock()
 
     # -- schema lookups ------------------------------------------------------
 
@@ -629,8 +678,10 @@ class PlanCompiler:
             introduced.add(slot)
         return lines
 
-    def reduction_chain(self, plan: PathPlan) -> tuple[list[str], list[Any]]:
-        """``WITH`` entries + parameters reducing every slot of a partitioned plan.
+    def reduction_chain(
+        self, plan: PathPlan, bindings: KeySetBindings
+    ) -> tuple[list[str], list[int]]:
+        """``WITH`` entries + binding order reducing every slot of a partitioned plan.
 
         ``r<slot>`` holds the rows of ``slot`` that can still be part of one
         of the plan's result networks, as the ``UNION ALL`` of one arm per
@@ -651,11 +702,10 @@ class PlanCompiler:
         SQLite's flattener over ``shards ** slots`` join arms.
         """
         dialect = self.dialect
-        filters = dict(plan.inline_filters)
         seed = plan.scatter_position
         partition = dialect.quote(dialect.PARTITION_COLUMN)
         entries: list[str] = []
-        params: list[Any] = []
+        order: list[int] = []
         for slot in [*range(seed, len(plan.path)), *range(seed - 1, -1, -1)]:
             table_name = plan.path[slot]
             predicates: list[str] = []
@@ -668,28 +718,28 @@ class PlanCompiler:
                     f"{dialect.quote(probe_attr)} IN "
                     f"(SELECT {dialect.quote(bound_attr)} FROM r{anchor})"
                 )
-            bound: Sequence[Any] = ()
-            if slot in filters:
-                predicate, bound = dialect.key_set_predicate(
-                    dialect.quote(self.primary_key(table_name)), filters[slot]
-                )
-                predicates.append(predicate)
+            binding = bindings.get(slot)
+            if binding is not None:
+                pk = dialect.quote(self.primary_key(table_name))
+                predicates.append(f"{pk} IN {binding[0]}")
             where = " WHERE " + " AND ".join(predicates) if predicates else ""
             arms: list[str] = []
             for shard in range(dialect.shards):
                 columns = f"*, {shard} AS {partition}" if slot == seed else "*"
                 source = dialect.partition_source(table_name, shard)
                 arms.append(f"SELECT {columns} FROM {source}{where}")
-                params.extend(bound)
+                if binding is not None:
+                    order.append(slot)
             entries.append(
                 f"r{slot} AS MATERIALIZED (\n" + "\nUNION ALL\n".join(arms) + "\n)"
             )
-        return entries, params
+        return entries, order
 
     def select_lines(
-        self, plan: PathPlan, select_list: Sequence[str]
-    ) -> tuple[list[str], list[Any]]:
-        """``[WITH …] SELECT … FROM … JOIN … [WHERE …]`` of one plan + parameters.
+        self, plan: PathPlan, select_list: Sequence[str], bindings: KeySetBindings
+    ) -> tuple[list[str], list[int]]:
+        """``[WITH …] SELECT … FROM … JOIN … [WHERE …]`` of one plan + the
+        filtered slot of each key-set parameter run, in text order.
 
         An unpartitioned plan joins its tables directly under the inline key
         predicates; a partitioned one joins its reduction chain, whose
@@ -697,28 +747,29 @@ class PlanCompiler:
         """
         select = "SELECT " + ", ".join(select_list)
         if self.dialect.shards is not None:
-            entries, params = self.reduction_chain(plan)
+            entries, order = self.reduction_chain(plan, bindings)
             sources = [f"r{slot}" for slot in range(len(plan.path))]
             chain = "WITH " + ",\n".join(entries)
-            return [chain, select, *self.join_lines(plan, sources)], params
+            return [chain, select, *self.join_lines(plan, sources)], order
         lines = [select, *self.join_lines(plan)]
-        predicates, params = self.inline_predicates(plan)
+        predicates = [
+            f"t{position}.{self.dialect.quote(self.primary_key(plan.path[position]))}"
+            f" IN {in_list}"
+            for position, (in_list, _params) in bindings.items()
+        ]
         if predicates:
             lines.append("WHERE " + " AND ".join(predicates))
-        return lines, params
+        return lines, list(bindings)
 
-    def inline_predicates(self, plan: PathPlan) -> tuple[list[str], list[Any]]:
-        """Key-set predicates + bound parameters per filtered slot."""
-        predicates: list[str] = []
-        params: list[Any] = []
-        for position, keys in plan.inline_filters:
-            pk = self.primary_key(plan.path[position])
-            predicate, bound = self.dialect.key_set_predicate(
-                f"t{position}.{self.dialect.quote(pk)}", keys
-            )
-            predicates.append(predicate)
-            params.extend(bound)
-        return predicates, params
+    def key_set_bindings(self, plan: PathPlan) -> KeySetBindings:
+        """Every inline key set as the dialect binds it, by slot."""
+        binding = self.dialect.key_set_binding
+        return {position: binding(keys) for position, keys in plan.inline_filters}
+
+    @staticmethod
+    def lay_out(order: Sequence[int], bindings: KeySetBindings) -> list[Any]:
+        """The statement's key-set parameters, one run per entry of ``order``."""
+        return [value for slot in order for value in bindings[slot][1]]
 
     def order_terms(self, plan: PathPlan) -> list[str]:
         """Per-slot ORDER BY terms reproducing the in-memory nested-loop order.
@@ -758,15 +809,44 @@ class PlanCompiler:
             return []
         return [f"t{plan.scatter_position}.{dialect.quote(dialect.PARTITION_COLUMN)}"]
 
+    def shape_of(self, plan: PathPlan, bindings: KeySetBindings) -> tuple:
+        """Everything a plan's statement text depends on: path, edges, join
+        order, seed slot (partitioned plans only), filtered positions, each
+        inline slot's ``IN`` spelling and whether a ``LIMIT`` is bound."""
+        return (
+            plan.path,
+            plan.edges,
+            plan.join_order,
+            plan.scatter_position if self.dialect.shards is not None else None,
+            tuple((position, in_list) for position, (in_list, _p) in bindings.items()),
+            tuple(position for position, _keys in plan.post_filters),
+            plan.sql_limit is not None,
+        )
+
     def compile_path(self, plan: PathPlan) -> CompiledStatement:
-        """One join path as a single SELECT."""
-        select_list = [*self.data_columns(plan), *self.partition_columns(plan)]
-        lines, params = self.select_lines(plan, select_list)
-        lines.append("ORDER BY " + ", ".join(self.order_terms(plan)))
+        """One join path as a single SELECT, its text memoised per shape."""
+        bindings = self.key_set_bindings(plan)
+        shape = self.shape_of(plan, bindings)
+        with self._texts_lock:
+            entry = self._texts.get(shape)
+            if entry is not None:
+                self._texts.move_to_end(shape)
+        if entry is None:
+            select_list = [*self.data_columns(plan), *self.partition_columns(plan)]
+            lines, order = self.select_lines(plan, select_list, bindings)
+            lines.append("ORDER BY " + ", ".join(self.order_terms(plan)))
+            if plan.sql_limit is not None:
+                lines.append("LIMIT ?")
+            entry = ("\n".join(lines), tuple(order))
+            with self._texts_lock:
+                self._texts[shape] = entry
+                if len(self._texts) > self.TEXT_MEMO_SIZE:
+                    self._texts.popitem(last=False)
+        sql, order = entry
+        params = self.lay_out(order, bindings)
         if plan.sql_limit is not None:
-            lines.append("LIMIT ?")
             params.append(plan.sql_limit)
-        return CompiledStatement("\n".join(lines), tuple(params))
+        return CompiledStatement(sql, tuple(params))
 
     def union_widths(self, members: Sequence[UnionMember]) -> tuple[int, int]:
         """``(order-key width, data width)`` all members NULL-pad to."""
@@ -804,8 +884,9 @@ class PlanCompiler:
             select_list.extend(columns)
             select_list.extend("NULL" for _ in range(len(columns), data_width))
             select_list.extend(self.partition_columns(plan))
-            lines, member_params = self.select_lines(plan, select_list)
-            params.extend(member_params)
+            bindings = self.key_set_bindings(plan)
+            lines, order = self.select_lines(plan, select_list, bindings)
+            params.extend(self.lay_out(order, bindings))
             if plan.sql_limit is not None:
                 # The per-spec top-k cap must truncate in this member's own
                 # order, inside the member (a compound LIMIT would be global).
@@ -962,7 +1043,7 @@ def max_column_sql(column: str, source: str) -> str:
 
 
 #: Does the linked SQLite have the JSON1 table-valued function that
-#: :meth:`ShardedSQLiteDialect.key_set_predicate` binds key sets through?
+#: :meth:`ShardedSQLiteDialect.key_set_binding` binds key sets through?
 JSON_EACH_PROBE_SQL = "SELECT value FROM json_each('[1]')"
 
 #: Does a table of this name exist in the main database?  (Backend-mixup

@@ -124,8 +124,10 @@ class TestTableCountsFollowEveryInsert:
 
 class TestLiteralListsUnderTheVariableCeiling:
     def test_900_unbindable_keys_at_ten_shards(self):
-        """Keys with no JSON spelling repeat as a literal list per arm:
-        ``MAX_TOTAL_INLINE_KEYS × 10`` partitions = 9 000 variables, under
+        """Keys with no JSON spelling repeat as a literal list per arm.  The
+        counts changed by design when literal lists began to pad to a power
+        of two: ``MAX_TOTAL_INLINE_KEYS`` = 900 keys (450 a slot) bind as
+        2 × 512 = 1 024, and × 10 partitions = 10 240 variables, still under
         the 32 766 every JSON1-capable SQLite accepts."""
         schema = Schema()
         schema.add_table(Table("doc", [Attribute("x")]))
@@ -155,8 +157,8 @@ class TestLiteralListsUnderTheVariableCeiling:
             statements.append(db.compiler.compile_path(plan))
             rows.append(drain_plan(db, plan))
         single, sharded = statements
-        assert single.sql.count("?") == len(single.params) == 900 + 1
-        assert sharded.sql.count("?") == len(sharded.params) == 900 * 10 + 1 < 32766
+        assert single.sql.count("?") == len(single.params) == 1024 + 1
+        assert sharded.sql.count("?") == len(sharded.params) == 1024 * 10 + 1 < 32766
         assert "json_each" not in sharded.sql
         assert rows[0] == rows[1] and len(rows[0]) == 50
         for db in stores:

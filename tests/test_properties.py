@@ -726,6 +726,9 @@ class TestJsonKeySetBinding:
     )
     @settings(max_examples=200, deadline=None)
     def test_selects_the_rows_of_the_literal_list(self, stored, asked, repeats):
+        """The literal-list arm binds a list padded to the next power of two
+        (its parameter count changed by design when padding came in); the
+        JSON arm still selects exactly its rows."""
         import sqlite3
 
         from repro.db.backends.sql import ShardedSQLiteDialect, SQLiteDialect
@@ -739,10 +742,10 @@ class TestJsonKeySetBinding:
             if type(other) is not int or -(2**63) <= other < 2**63
         ]
         keys = tuple(asked + (stored + respelled) * repeats)
-        as_json = ShardedSQLiteDialect(3).key_set_predicate("k", keys)
-        as_list = SQLiteDialect().key_set_predicate("k", keys)
+        as_json = ShardedSQLiteDialect(3).key_set_binding(keys)
+        as_list = SQLiteDialect().key_set_binding(keys)
         assert as_json[0].count("?") == len(as_json[1]) == 1
-        assert as_list[0].count("?") == len(as_list[1]) == len(keys)
+        assert as_list[0].count("?") == len(as_list[1]) == _padded_width(len(keys))
         conn = sqlite3.connect(":memory:")
         try:
             conn.create_function("repro_repr", 1, repr, deterministic=True)
@@ -755,11 +758,11 @@ class TestJsonKeySetBinding:
                         pass  # a duplicate under this affinity, or not an integer
                 found = [
                     conn.execute(
-                        f"SELECT k, typeof(k), v FROM {table} WHERE {predicate} "
+                        f"SELECT k, typeof(k), v FROM {table} WHERE k IN {in_list} "
                         "ORDER BY repro_repr(k)",
                         params,
                     ).fetchall()
-                    for predicate, params in (as_json, as_list)
+                    for in_list, params in (as_json, as_list)
                 ]
                 assert found[0] == found[1], table
         finally:
@@ -773,9 +776,19 @@ class TestJsonKeySetBinding:
     def test_a_key_without_an_exact_spelling_keeps_the_literal_list(
         self, keys, intruder, at
     ):
+        """The literal list it keeps is the single-file dialect's, padded to
+        a power of two with the last key (no longer ``keys`` itself, by
+        design)."""
         from repro.db.backends.sql import ShardedSQLiteDialect, SQLiteDialect
 
         keys = tuple(keys[:at] + [intruder] + keys[at:])
-        predicate, params = ShardedSQLiteDialect(3).key_set_predicate("k", keys)
-        assert (predicate, params) == SQLiteDialect().key_set_predicate("k", keys)
-        assert params is keys and predicate.count("?") == len(params)
+        in_list, params = ShardedSQLiteDialect(3).key_set_binding(keys)
+        assert (in_list, params) == SQLiteDialect().key_set_binding(keys)
+        assert len(params) == _padded_width(len(keys)) == in_list.count("?")
+        assert params[: len(keys)] == keys
+        assert all(key is keys[-1] for key in params[len(keys) :])
+
+
+def _padded_width(count: int) -> int:
+    """The next power of two at or above ``count`` (0 and 1 stay)."""
+    return count if count < 2 else 1 << (count - 1).bit_length()

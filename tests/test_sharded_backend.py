@@ -282,15 +282,31 @@ class TestJoinCompilation:
                     compared += 1
         assert compared >= 6
 
-    def test_unsharded_sql_is_byte_identical_to_pr12(self):
+    @pytest.mark.parametrize(
+        "padded, expected",
+        [
+            (True, "d14b67095e9d3a945c38fa55ea0a55a2bf771ff91c32cbd6b7c8773027c6b660"),
+            (False, "37eeec57fc5754abe1f9c5251d0722cc869e3df14f8e1c6e278c2ad6bb282de3"),
+        ],
+        ids=["padded", "unpadded"],
+    )
+    def test_unsharded_sql_is_byte_identical_to_the_recorded_digest(
+        self, padded, expected, monkeypatch
+    ):
         """Every statement ``SQLiteDialect`` compiles over the bundled IMDB
-        workload — each plan solo, each batch as its UNION ALL — hashes to
-        the digest recorded at the parent commit: the sharded rewrite
-        touched nothing the single-file backend executes."""
+        workload — each plan solo, each batch as its UNION ALL — hashes to a
+        recorded digest.  The text changed by design when key lists began to
+        pad to a power of two, so the padded digest is new; with padding
+        undone the statements still hash to the digest the sharded rewrites
+        left untouched — padding is the only change, and the text memo
+        returns what a from-scratch compile does."""
         import hashlib
 
         from repro.datasets.workload import imdb_workload
+        from repro.db.backends import sql as sql_module
 
+        if not padded:
+            monkeypatch.setattr(sql_module, "_pad_to_power_of_two", tuple)
         db = build_imdb(backend="sqlite")
         engine = QueryEngine(db, config=EngineConfig(cache_results=False))
         digest = hashlib.sha256()
@@ -308,9 +324,7 @@ class TestJoinCompilation:
             for statement in compiled:
                 digest.update(statement.sql.encode("utf-8"))
                 digest.update(repr(statement.params).encode("utf-8"))
-        assert digest.hexdigest() == (
-            "37eeec57fc5754abe1f9c5251d0722cc869e3df14f8e1c6e278c2ad6bb282de3"
-        )
+        assert digest.hexdigest() == expected
 
 
 class TestShardedEngineParity:
