@@ -268,9 +268,10 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
     prepare, so over a replay of 60 more workload queries the sharded store
     must issue few *distinct* texts (key sets bind as one parameter each;
     0.16 here, 0.84 when every key was its own ``?``).  A single-file text
-    prepares in about a tenth of that, and its key lists pad to a power of
-    two, so it must issue at most half as many texts as statements (0.72
-    when every key was its own ``?``).
+    prepares in about a tenth of that, its key lists pad to a power of two
+    and its joins compile in path order, so it must issue at most 0.4 texts
+    per statement (0.72 when every key was its own ``?``, 0.41 while joins
+    were still reordered by estimated slot size).
     """
     from repro.datasets.workload import imdb_workload
     from repro.db.backends.sharded import ShardedSQLiteBackend
@@ -352,7 +353,7 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
         db.close()
         assert sum(handed) == executed_total > 0
         distinct_share = len(set(texts)) / len(texts)
-        bound = 0.25 if fan_out > 1 else 0.5
+        bound = 0.25 if fan_out > 1 else 0.4
         assert distinct_share <= bound, (
             f"{len(set(texts))} distinct texts in {len(texts)} {backend} "
             f"statements: statement text follows key sets, not shape"
@@ -425,86 +426,67 @@ def test_bench_engine_streaming_row_consumption(tmp_path):
     print(format_table(["query (k=1)", "drained rows", "streamed rows"], per_query))
 
 
-def test_bench_engine_cost_based_never_fetches_more(tmp_path):
-    """Cost-based planning: never fetch more rows than the default planner.
+def test_bench_engine_seed_slot_is_the_smallest_post_filter_slot(tmp_path):
+    """Sharded seed slots: every executed plan seeds at its smallest slot.
 
-    The guard of the cost model, on a deliberately skewed store (many
-    movies, few actors — raw row counts mislead exactly where the
-    selection-key statistics do not).  Per query the cost-based engine's
-    backend row consumption — streamed rows plus per-shard gather rows —
-    must never exceed the default planner's, with byte-identical result rows
-    and the estimated-vs-actual cardinalities visible in ``--explain``.
-    (The strict saving this used to assert was the estimator-sized first
-    batch's shorter look-ahead; no arm looks ahead any more.)
+    The guard of the seed-slot chooser, on a deliberately skewed store (many
+    movies, few actors — raw row counts mislead exactly where the selection
+    keys do not), over six named queries and 20 workload queries.  Every
+    plan the engine executes must seed its semi-join
+    chain at the slot with the fewest post-filter rows — a filtered slot's
+    key count, else its table's stored row count, the lowest slot on a tie —
+    and the result rows must equal a cache-free ``MemoryBackend`` engine's.
     """
-    path = tmp_path / "imdb.sqlite"
-    build_imdb(
-        seed=7, n_movies=260, n_actors=40,
-        backend="sqlite-sharded", db_path=path, shards=2,
-    ).close()
+    from repro.datasets.workload import imdb_workload
     from repro.db.backends.sharded import ShardedSQLiteBackend
 
+    sizes = dict(seed=7, n_movies=260, n_actors=40)
+    path = tmp_path / "imdb.sqlite"
+    build_imdb(**sizes, backend="sqlite-sharded", db_path=path, shards=2).close()
     db = ShardedSQLiteBackend(imdb_schema(), path=path, shards=2)
     db.build_indexes()
+    engine = QueryEngine(db, config=EngineConfig(cache_results=False))
+    reference = QueryEngine(build_imdb(**sizes), config=EngineConfig(cache_results=False))
+    executed: list = []
+    stream_plan = db._stream_plan
 
-    workload = QUERIES + ["hanks", "2001"]
+    def spy(plan, execution):
+        executed.append(plan)
+        return stream_plan(plan, execution)
 
-    def consume(cost_based: bool):
-        ResultCache.clear_process_cache()
-        db.cost_planning = True  # for_dataset-independent reset between arms
-        engine = QueryEngine(
-            db,
-            config=EngineConfig(
-                cache_results=False, cost_based_planning=cost_based
-            ),
+    db._stream_plan = spy
+    rows_in = {name: len(db.relation(name)) for name in db.schema.table_names}
+
+    def smallest_slot(plan) -> int:
+        keys = {p: len(k) for p, k in (*plan.inline_filters, *plan.post_filters)}
+        return min(
+            range(len(plan.path)),
+            key=lambda slot: (keys.get(slot, rows_in[plan.path[slot]]), slot),
         )
-        consumed: dict[str, int] = {}
-        rows: dict[str, list] = {}
-        for query_text in workload:
-            context = engine.run(query_text, k=5, explain=True)
-            stats = context.executor_statistics
-            consumed[query_text] = stats.rows_streamed + sum(
-                stats.shard_rows.values()
-            )
-            rows[query_text] = [r.row_uids() for r in context.results]
-        return consumed, rows, context
 
-    cost_consumed, cost_rows, cost_context = consume(True)
-    default_consumed, default_rows, _ = consume(False)
-
+    replay = [
+        str(item.query)
+        for item in imdb_workload(reference.backend, n_queries=20, seed=5)
+    ]
     per_query: list[list[str]] = []
-    for query_text in workload:
-        assert cost_rows[query_text] == default_rows[query_text], (
-            f"{query_text!r}: cost-based plan changed the result rows"
-        )
-        assert cost_consumed[query_text] <= default_consumed[query_text], (
-            f"{query_text!r}: cost-based plan fetched "
-            f"{cost_consumed[query_text]} rows, default fetched "
-            f"{default_consumed[query_text]}"
-        )
-        per_query.append(
-            [
-                query_text,
-                f"{default_consumed[query_text]}",
-                f"{cost_consumed[query_text]}",
-            ]
-        )
-    total_cost = sum(cost_consumed.values())
-    total_default = sum(default_consumed.values())
-    # The feedback loop must be visible: the last cost-based run's explain
-    # carries per-interpretation estimated-vs-actual cardinalities.
-    explain = "\n".join(cost_context.explain_lines())
-    assert "estimated vs actual rows:" in explain
+    for query_text in [*QUERIES, "hanks", "2001", *replay]:
+        before = len(executed)
+        context = engine.run(query_text, k=5)
+        assert [r.row_uids() for r in context.results] == [
+            r.row_uids() for r in reference.run(query_text, k=5).results
+        ], f"{query_text!r}: rows differ from the memory reference"
+        plans = executed[before:]
+        for plan in plans:
+            assert plan.scatter_position == smallest_slot(plan), (
+                f"{query_text!r}: {plan.path} seeded at t{plan.scatter_position}"
+            )
+        moved = sum(plan.scatter_position != 0 for plan in plans)
+        per_query.append([query_text, f"{len(plans)}", f"{moved}"])
+    assert any(plan.scatter_position != 0 for plan in executed)
     db.close()
 
     print()
-    print(
-        format_table(
-            ["query", "default rows fetched", "cost-based rows fetched"],
-            per_query,
-        )
-    )
-    print(f"workload row consumption: {total_default} -> {total_cost}")
+    print(format_table(["query", "executed plans", "seeded past t0"], per_query))
 
 
 def _count_constructions(monkeypatch) -> list[int]:

@@ -71,8 +71,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
         overrides["semantic_cache"] = True
     if getattr(args, "warm_workload", 0):
         overrides["warm_workload"] = int(args.warm_workload)
-    if not getattr(args, "cost_planning", True):
-        overrides["cost_based_planning"] = False
     if getattr(args, "read_pool_size", None) is not None:
         overrides["read_pool_size"] = args.read_pool_size
     if not overrides:
@@ -343,9 +341,9 @@ def cmd_bench_load(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Print the planner-statistics catalog of one dataset's store.
 
-    Shows per-relation row counts, per-attribute distinct-value counts and
-    heaviest-value frequencies — the inputs of the cardinality estimator —
-    plus whether a persistent store's ``_repro_stats_*`` side tables are
+    Shows per-relation row counts (what the sharded seed-slot chooser reads),
+    per-attribute distinct-value counts and heaviest-value frequencies, plus
+    whether a persistent store's ``_repro_stats_*`` side tables are
     fresh against the live content fingerprint.
     """
     from repro.datasets.imdb import build_imdb
@@ -462,14 +460,6 @@ def _add_storage_options(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="replay the N hottest recorded-workload queries through the "
         "engine on open (coldest first, clamped to the cache capacity)",
-    )
-    parser.add_argument(
-        "--no-cost-planning",
-        action="store_false",
-        dest="cost_planning",
-        help="disable cost-model-driven physical planning (scatter-position "
-        "choice, join reordering) and restore the raw-row-count planner; "
-        "rows are identical either way",
     )
 
 

@@ -75,15 +75,6 @@ class TopKStatistics:
     #: The scatter slot each executed interpretation partitioned on (1-based
     #: rank -> backend-reported label; sharded backends only).
     scatter_slots: dict[int, str] = field(default_factory=dict)
-    #: The cost model's estimated result rows per executed interpretation
-    #: (1-based rank -> estimate; only ranks the planner could estimate).
-    #: The engine compares these against ``attribution`` to calibrate the
-    #: estimator and to render estimated-vs-actual in ``--explain``.
-    estimated_rows: dict[int, float] = field(default_factory=dict)
-    #: What the cost pass changed about each executed interpretation's plan
-    #: (1-based rank -> backend-reported label, e.g. a join reorder), for
-    #: the chosen-vs-default lines in ``--explain``.
-    plan_choices: dict[int, str] = field(default_factory=dict)
     #: True when the executor's cache is subsumption-aware (the semantic
     #: layer); gates the exact-vs-subsumption split in ``--explain``.
     semantic_cache: bool = False
@@ -120,8 +111,6 @@ class TopKStatistics:
         for per_spec, per_rank in (
             (executed.fallbacks, self.fallback_reasons),
             (executed.scatter_slots, self.scatter_slots),
-            (executed.estimated_rows, self.estimated_rows),
-            (executed.plan_labels, self.plan_choices),
         ):
             if 0 in per_spec:
                 per_rank[rank] = per_spec[0]

@@ -82,10 +82,6 @@ class BatchedExecution:
     backends).  ``scatter_slots`` names the join slot each spec's statement
     seeds its semi-join chain at (sharding backends with a seed-slot
     chooser; empty elsewhere).
-    ``estimated_rows`` carries the cost model's calibrated per-spec row
-    estimate and ``plan_labels`` a human-readable summary of any cost-based
-    rewrite applied to a spec's plan (both empty without statistics) — the
-    estimated-vs-actual and chosen-vs-default lines of ``--explain``.
     """
 
     rows: list[list[tuple[Tuple, ...]]]
@@ -94,8 +90,6 @@ class BatchedExecution:
     fallbacks: dict[int, str] = field(default_factory=dict)
     shard_rows: dict[int, int] = field(default_factory=dict)
     scatter_slots: dict[int, str] = field(default_factory=dict)
-    estimated_rows: dict[int, float] = field(default_factory=dict)
-    plan_labels: dict[int, str] = field(default_factory=dict)
 
 
 class RowStream:
@@ -160,8 +154,6 @@ class StreamedExecution:
     fallbacks: dict[int, str] = field(default_factory=dict)
     shard_rows: dict[int, int] = field(default_factory=dict)
     scatter_slots: dict[int, str] = field(default_factory=dict)
-    estimated_rows: dict[int, float] = field(default_factory=dict)
-    plan_labels: dict[int, str] = field(default_factory=dict)
     rows_short_circuited: int = 0
 
 
@@ -234,15 +226,9 @@ class StorageBackend(abc.ABC):
         #: :meth:`content_fingerprint`).  Persistent backends save/restore it
         #: so the chain continues across reopens.
         self._content_digest: str = ""
-        #: Apply cost-based plan rewrites (scatter choice, join order, union
-        #: eviction).  Off, every physical choice falls back to the pre-cost
-        #: defaults — the ``--no-cost-planning`` escape hatch and the control
-        #: arm of the win-rate benchmarks.
-        self.cost_planning: bool = True
         #: Planner statistics, collected alongside :meth:`build_indexes`
         #: (persistent backends reload them instead; see ``db/stats``).
         self._statistics = None  # type: Any
-        self._cardinality_estimator = None  # type: Any
         #: Callables :meth:`close` runs before anything else (see
         #: :meth:`drain_on_close`).
         self._close_drains: list[Callable[[], None]] = []
@@ -551,7 +537,6 @@ class StorageBackend(abc.ABC):
         from repro.db.stats import StatisticsCatalog
 
         self._statistics = StatisticsCatalog.collect(self)
-        self._cardinality_estimator = None
         return self._statistics
 
     def statistics_catalog(self, collect: bool = True):
@@ -564,31 +549,6 @@ class StorageBackend(abc.ABC):
         if self._statistics is None and collect:
             self._collect_statistics()
         return self._statistics
-
-    def cardinality_estimator(self):
-        """The backend's estimator over the current catalog (None = no stats)."""
-        if self._statistics is None:
-            return None
-        if (
-            self._cardinality_estimator is None
-            or self._cardinality_estimator.catalog is not self._statistics
-        ):
-            from repro.db.stats import CardinalityEstimator
-
-            self._cardinality_estimator = CardinalityEstimator(self._statistics)
-        return self._cardinality_estimator
-
-    def plan_estimator(self):
-        """The estimator the *planner* may use: gated by ``cost_planning``."""
-        if not self.cost_planning:
-            return None
-        return self.cardinality_estimator()
-
-    def observe_estimate(self, estimated: float, actual: int) -> None:
-        """Feed one estimated-vs-actual row count into estimator calibration."""
-        estimator = self.cardinality_estimator()
-        if estimator is not None:
-            estimator.observe(estimated, actual)
 
     # -- selection (shared) --------------------------------------------------
 

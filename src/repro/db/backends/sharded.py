@@ -87,6 +87,14 @@ def shard_of_key(key: Any, shards: int) -> int:
     return int(digest, 16) % shards
 
 
+def _key_counts(plan: PathPlan) -> dict[int, int]:
+    """Selection keys per filtered slot, inline and post-filtered alike."""
+    return {
+        position: len(keys)
+        for position, keys in (*plan.inline_filters, *plan.post_filters)
+    }
+
+
 class ShardedSQLiteRelation(SQLiteRelation):
     """One logical table over its hash partitions.
 
@@ -340,33 +348,26 @@ class ShardedSQLiteBackend(SQLiteBackend):
         every other slot's reduced relation by the join fan-out from it.  Any
         slot is *correct* — the chain only drops rows no result network
         contains, and the ORDER BY terms never change — so the chooser
-        minimizes the slot's estimated *post-filter* cardinality: a slot
-        whose selections resolved to a primary-key set costs ``len(keys)``
-        however large its relation, and unfiltered slots fall back to catalog
-        row counts, then to a ``COUNT(*)``.  Ties keep the lowest position,
-        i.e. the historical slot-0 default.  With ``cost_planning`` off the
-        raw-row-count chooser of PR 5 is kept bit-for-bit — the planner
-        benchmarks' control arm.
+        minimizes the slot's *post-filter* row count: a slot whose selections
+        resolved to a primary-key set costs ``len(keys)`` however large its
+        relation, any other slot its catalog row count, falling back to a
+        ``COUNT(*)``.  Ties keep the lowest position, i.e. the historical
+        slot-0 default.
         """
-        plan = super()._prepare_plan(plan)  # annotate estimate, reorder joins
         if len(plan.path) < 2:
             return plan
-        if self.cost_planning:
-            filters = plan.key_filter_map()
-            catalog = self.statistics_catalog(collect=False)
-            cards: list[float] = []
-            for slot, name in enumerate(plan.path):
-                keys = filters.get(slot)
-                if keys is not None:
-                    cards.append(float(len(keys)))
-                    continue
-                rows = catalog.rows(name) if catalog is not None else None
-                cards.append(
-                    float(rows) if rows is not None else float(self._table_count(name))
-                )
-        else:
-            cards = [float(self._table_count(name)) for name in plan.path]
-        best = min(range(len(plan.path)), key=lambda slot: (cards[slot], slot))
+        key_counts = _key_counts(plan)
+        catalog = self.statistics_catalog(collect=False)
+
+        def cost(slot: int) -> int:
+            count = key_counts.get(slot)
+            if count is None and catalog is not None:
+                count = catalog.rows(plan.path[slot])
+            if count is None:
+                count = self._table_count(plan.path[slot])
+            return count
+
+        best = min(range(len(plan.path)), key=lambda slot: (cost(slot), slot))
         if best == plan.scatter_position:
             return plan
         return replace(plan, scatter_position=best)
@@ -375,13 +376,13 @@ class ShardedSQLiteBackend(SQLiteBackend):
         """The ``--explain`` name of the plan's chosen seed slot."""
         slot = plan.scatter_position
         table = plan.path[slot]
-        keys = plan.key_filter_map().get(slot)
+        keys = _key_counts(plan).get(slot)
         if keys is not None:
-            detail = f"{len(keys)} selection keys"
+            detail = f"{keys} selection keys"
         else:
             detail = f"{self._table_count(table)} rows"
         label = f"t{slot} ({table}, {detail})"
-        if slot != 0 and self.cost_planning:
+        if slot != 0:
             label += " [cost-chosen over default t0]"
         return label
 

@@ -39,8 +39,8 @@ import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 from repro.db.schema import ForeignKey, Schema, Table
 
@@ -97,19 +97,8 @@ class PathPlan:
     sharded backend picks the most selective one, which bounds every other
     slot's reduced relation).  Unpartitioned dialects ignore it, and it never
     affects the statement's ORDER BY, so the row order is identical for every
-    choice.
-
-    ``join_order`` is the second physical hint: the order join slots are
-    *introduced* in the FROM/JOIN clauses (``None`` = path order).  It must
-    be a connected permutation of the slots — each entry adjacent to an
-    already-introduced one — so every FK edge still appears in exactly one
-    ON clause.  Projection, WHERE and ORDER BY are untouched, and the ORDER
-    BY tuple is a total order over result networks, so every valid order
-    returns byte-identical rows (inner joins commute; see
-    ``tests/test_plan_rewrites``).  ``estimated_rows`` is the cost model's
-    calibrated cardinality estimate (``None`` when statistics are missing or
-    cost planning is off) — an annotation for sizing and ``--explain``,
-    never a semantic input.
+    choice.  Slots join in path order; SQLite's planner orders the inner
+    joins itself.
     """
 
     path: tuple[str, ...]
@@ -118,8 +107,6 @@ class PathPlan:
     post_filters: tuple[tuple[int, frozenset], ...]
     limit: int | None
     scatter_position: int = 0
-    join_order: tuple[int, ...] | None = None
-    estimated_rows: float | None = None
 
     @property
     def filtered_positions(self) -> frozenset[int]:
@@ -271,21 +258,12 @@ def plan_path(
     )
 
 
-class Estimator(Protocol):
-    """What the planner needs from a cardinality model (see ``db/stats``)."""
-
-    def estimate(self, plan: PathPlan) -> float | None: ...
-
-    def slot_cardinalities(self, plan: PathPlan) -> list[float] | None: ...
-
-
 def plan_batch(
     resolved: Sequence[tuple[int, Sequence[str], Sequence[ForeignKey], Mapping[int, set]]],
     limit: int | None,
     *,
     max_inline_keys: int | None = None,
     inline_budget: int | None = None,
-    estimator: Estimator | None = None,
 ) -> BatchPlan:
     """Split resolved specs between one shared UNION ALL and solo fallbacks.
 
@@ -294,11 +272,9 @@ def plan_batch(
     the shared statement when one of its key sets exceeds the per-predicate
     inline cap, or — if the surviving specs together blow the statement-wide
     parameter budget — when it is evicted as one of the most *expensive*
-    members (largest estimated result rows, falling back to inline-key count
-    when the estimator has no answer; historically eviction was blind spec
-    order).  Either way it gets its own :class:`PathPlan` (fresh budget —
-    solo statements can post-filter, shared ones cannot) and a reason string
-    for ``--explain``.
+    members (the most inline keys; ties evict the later spec first).  Either
+    way it gets its own :class:`PathPlan` (fresh budget — solo statements can
+    post-filter, shared ones cannot) and a reason string for ``--explain``.
     """
     if max_inline_keys is None:
         max_inline_keys = MAX_INLINE_KEYS
@@ -326,41 +302,26 @@ def plan_batch(
     total_keys = sum(entry[4] for entry in sized)
     evicted: dict[int, str] = {}
     if total_keys > inline_budget:
-        # Cost-aware eviction: drop the most expensive members first until
-        # the rest fit the budget, so the cheap (and typically best-ranked)
-        # specs keep sharing one statement.
-        overflow = total_keys
-        costed: list[tuple[float, str, int, int]] = []
-        for index, path, edges, key_filters, inline_keys in sized:
-            if inline_keys == 0:
-                continue  # keyless members consume no budget: never evicted
-            estimate = None
-            if estimator is not None:
-                estimate = estimator.estimate(
-                    plan_path(
-                        path,
-                        edges,
-                        key_filters,
-                        limit,
-                        max_inline_keys=max_inline_keys,
-                        inline_budget=inline_keys,
-                    )
-                )
-            if estimate is not None:
-                cost, cost_label = estimate, f"~{estimate:.1f} estimated rows"
-            else:
-                cost, cost_label = float(inline_keys), f"{inline_keys} inline keys"
-            costed.append((cost, cost_label, inline_keys, index))
-        costed.sort(key=lambda entry: (-entry[0], -entry[2], -entry[3]))
+        # Drop the most expensive members first until the rest fit the
+        # budget, so the cheap (and typically best-ranked) specs keep sharing
+        # one statement.  Keyless members consume no budget: never evicted.
+        costed = sorted(
+            (
+                (inline_keys, index)
+                for index, _path, _edges, _filters, inline_keys in sized
+                if inline_keys
+            ),
+            reverse=True,
+        )
         remaining = total_keys
-        for cost, cost_label, inline_keys, index in costed:
+        for inline_keys, index in costed:
             if remaining <= inline_budget:
                 break
             remaining -= inline_keys
             evicted[index] = (
                 f"UNION ALL parameter budget exhausted "
-                f"({overflow} keys over the {inline_budget}-key budget); "
-                f"evicted most expensive first ({cost_label})"
+                f"({total_keys} keys over the {inline_budget}-key budget); "
+                f"evicted most expensive first ({inline_keys} inline keys)"
             )
     for index, path, edges, key_filters, inline_keys in sized:
         if index in evicted:
@@ -388,57 +349,6 @@ def plan_batch(
             )
         )
     return BatchPlan(members=tuple(members), fallbacks=tuple(fallbacks))
-
-
-# -- cost-based rewrites ------------------------------------------------------
-#
-# Every rewrite below is *physical*: it may change the seed slot, the
-# FROM/JOIN introduction order, or batch membership — never projection,
-# WHERE, ORDER BY or LIMIT.  The compiled ORDER BY tuple is a total order
-# over result networks, so rewritten plans return byte-identical rows; the
-# parity suites in tests/test_plan_rewrites.py pin exactly that, and any
-# estimator gap (``None``) keeps the unrewritten plan.
-
-
-def annotate_estimate(plan: PathPlan, estimator: Estimator | None) -> PathPlan:
-    """Attach the cost model's row estimate to a plan (no-op on a gap)."""
-    if estimator is None:
-        return plan
-    estimate = estimator.estimate(plan)
-    if estimate is None:
-        return plan
-    return replace(plan, estimated_rows=estimate)
-
-
-def reorder_joins(plan: PathPlan, estimator: Estimator | None) -> PathPlan:
-    """Greedy cost-based join introduction order over the path chain.
-
-    Starts at the slot with the smallest estimated post-filter cardinality
-    and repeatedly extends toward whichever chain neighbor is cheaper — the
-    classic smallest-relation-first heuristic, restricted to connected
-    orders so every FK edge keeps exactly one ON clause.  Returns the plan
-    unchanged when the estimator has a gap or the default order already
-    wins (``join_order`` stays ``None``: the rewrite is provably absent).
-    """
-    if estimator is None or len(plan.path) < 2:
-        return plan
-    cards = estimator.slot_cardinalities(plan)
-    if cards is None:
-        return plan  # estimator gap: keep the unrewritten plan
-    n = len(plan.path)
-    start = min(range(n), key=lambda slot: (cards[slot], slot))
-    order = [start]
-    left, right = start - 1, start + 1
-    while left >= 0 or right < n:
-        if right >= n or (left >= 0 and (cards[left], left) <= (cards[right], right)):
-            order.append(left)
-            left -= 1
-        else:
-            order.append(right)
-            right += 1
-    if order == list(range(n)):
-        return plan
-    return replace(plan, join_order=tuple(order))
 
 
 # -- dialects -----------------------------------------------------------------
@@ -639,43 +549,24 @@ class PlanCompiler:
     ) -> list[str]:
         """``FROM``/``JOIN`` clauses of one join path (aliases ``t0..tN``).
 
-        Aliases always name the plan's *slot* (``t{i}`` = ``plan.path[i]``),
-        so projection, predicates and ORDER BY never care about the physical
-        introduction order: a ``plan.join_order`` only permutes which slot
-        anchors the FROM clause and which FK edge each JOIN line consumes.
-        ``sources`` overrides the per-slot table sources (the reduction
-        chain's ``r<slot>`` relations).
+        Slots are introduced in path order, each joined to its predecessor
+        over ``plan.edges[slot - 1]``; the physical join order is SQLite's
+        choice (its planner reorders inner joins).  ``sources`` overrides the
+        per-slot table sources (the reduction chain's ``r<slot>`` relations).
         """
         dialect = self.dialect
         if sources is None:
             sources = [dialect.table_source(name) for name in plan.path]
-        order = plan.join_order or tuple(range(len(plan.path)))
-        if sorted(order) != list(range(len(plan.path))):
-            raise ValueError(
-                f"join order {order!r} is not a permutation of the "
-                f"{len(plan.path)} join slots"
-            )
-        first = order[0]
-        lines = [f"FROM {sources[first]} AS t{first}"]
-        introduced = {first}
-        for slot in order[1:]:
-            if slot - 1 in introduced:
-                anchor = slot - 1
-            elif slot + 1 in introduced:
-                anchor = slot + 1
-            else:
-                raise ValueError(
-                    f"join order {order!r} is not connected at slot {slot}"
-                )
+        lines = [f"FROM {sources[0]} AS t0"]
+        for slot in range(1, len(plan.path)):
             bound_attr, probe_attr = _edge_attrs(
-                plan.edges[min(slot, anchor)], plan.path[anchor], plan.path[slot]
+                plan.edges[slot - 1], plan.path[slot - 1], plan.path[slot]
             )
             lines.append(
                 f"JOIN {sources[slot]} AS t{slot} "
-                f"ON t{anchor}.{dialect.quote(bound_attr)} "
+                f"ON t{slot - 1}.{dialect.quote(bound_attr)} "
                 f"= t{slot}.{dialect.quote(probe_attr)}"
             )
-            introduced.add(slot)
         return lines
 
     def reduction_chain(
@@ -810,16 +701,17 @@ class PlanCompiler:
         return [f"t{plan.scatter_position}.{dialect.quote(dialect.PARTITION_COLUMN)}"]
 
     def shape_of(self, plan: PathPlan, bindings: KeySetBindings) -> tuple:
-        """Everything a plan's statement text depends on: path, edges, join
-        order, seed slot (partitioned plans only), filtered positions, each
-        inline slot's ``IN`` spelling and whether a ``LIMIT`` is bound."""
+        """Everything a plan's statement text depends on, and nothing else:
+        path, edges, seed slot (partitioned plans only), each inline slot's
+        ``IN`` spelling, whether slot 0 is filtered (its ORDER BY term) and
+        whether a ``LIMIT`` is bound.  A post filter reaches the text only
+        through those last two."""
         return (
             plan.path,
             plan.edges,
-            plan.join_order,
             plan.scatter_position if self.dialect.shards is not None else None,
             tuple((position, in_list) for position, (in_list, _p) in bindings.items()),
-            tuple(position for position, _keys in plan.post_filters),
+            0 in plan.filtered_positions,
             plan.sql_limit is not None,
         )
 

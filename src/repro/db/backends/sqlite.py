@@ -671,7 +671,7 @@ class SQLiteBackend(StorageBackend):
         """Resize the read pool (``1`` is one reader; ``None`` keeps it).
 
         The engine applies :attr:`EngineConfig.read_pool_size` through this
-        after construction, mirroring ``cost_planning``.  An existing pool
+        after construction.  An existing pool
         is discarded so the next read rebuilds one at the new size; leased
         connections finish their statement and close on return.
         """
@@ -865,7 +865,6 @@ class SQLiteBackend(StorageBackend):
                 # catalog carries the fingerprint it was collected under,
                 # so a match means no relation scan is needed either.
                 self._statistics = restored
-                self._cardinality_estimator = None
                 self._stats_dirty = False
             else:
                 self._collect_statistics()
@@ -1264,19 +1263,11 @@ class SQLiteBackend(StorageBackend):
             rows.close()  # the read lease and cursor go back in this thread
 
     def _prepare_plan(self, plan: PathPlan) -> PathPlan:
-        """Backend-physical plan adjustments before compilation.
-
-        The cost pass: annotate the plan with its estimated cardinality and
-        reorder its join introduction greedily by estimated slot size.  Both
-        rewrites are no-ops when statistics are missing or ``cost_planning``
-        is off (``plan_estimator()`` returns ``None``).  The sharded backend
-        extends this with its per-plan seed-slot choice.
-        """
-        estimator = self.plan_estimator()
-        if estimator is None:
-            return plan
-        plan = sqlc.annotate_estimate(plan, estimator)
-        return sqlc.reorder_joins(plan, estimator)
+        """Backend-physical plan adjustments before compilation: none on a
+        single file, where the plan compiles in path order and SQLite's
+        planner orders the joins.  The sharded backend picks the plan's seed
+        slot here."""
+        return plan
 
     def _scatter_slot_label(self, plan: PathPlan) -> str | None:
         """Human-readable name of the plan's seed slot (sharded only)."""
@@ -1285,17 +1276,6 @@ class SQLiteBackend(StorageBackend):
     def _book_row(self, execution: StreamedExecution, row: Sequence[Any]) -> None:
         """Per-delivered-row accounting hook (the sharded backend books the
         partition the row's trailing column names)."""
-
-    def _plan_label(self, plan: PathPlan) -> str | None:
-        """Summary of the cost pass's choices on one plan (``--explain``)."""
-        parts: list[str] = []
-        if plan.estimated_rows is not None:
-            parts.append(f"~{plan.estimated_rows:.1f} rows estimated")
-        if plan.join_order is not None:
-            chosen = ">".join(f"t{slot}" for slot in plan.join_order)
-            default = ">".join(f"t{slot}" for slot in range(len(plan.path)))
-            parts.append(f"join order {chosen} (default {default})")
-        return ", ".join(parts) if parts else None
 
     def _decode_network(
         self, relations: Sequence[SQLiteRelation], row: Sequence[Any], offset: int = 0
@@ -1324,8 +1304,8 @@ class SQLiteBackend(StorageBackend):
         plus the union-of-one case, which brings tagging overhead and no
         statement saving) and the members of one shared ``UNION ALL``
         statement.  Every returned plan has been through
-        :meth:`_prepare_plan`, with its per-spec ``--explain`` annotations
-        (seed slot, estimate, cost-pass label) filled into ``execution``.
+        :meth:`_prepare_plan`, with its seed-slot ``--explain`` label (sharded
+        only) filled into ``execution``.
         """
         resolved: list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]] = []
         for index, (path, edges, selections) in enumerate(specs):
@@ -1337,7 +1317,7 @@ class SQLiteBackend(StorageBackend):
             if key_filters is None:
                 continue  # provably empty, no SQL at all
             resolved.append((index, path, edges, key_filters))
-        batch = sqlc.plan_batch(resolved, limit, estimator=self.plan_estimator())
+        batch = sqlc.plan_batch(resolved, limit)
         solo: list[tuple[int, PathPlan]] = []
         for index, solo_plan, reason in batch.fallbacks:
             # Too selective to inline in the shared statement (_stream_plan
@@ -1354,11 +1334,6 @@ class SQLiteBackend(StorageBackend):
             label = self._scatter_slot_label(plan)
             if label is not None:
                 execution.scatter_slots[index] = label
-            if plan.estimated_rows is not None:
-                execution.estimated_rows[index] = plan.estimated_rows
-            plan_label = self._plan_label(plan)
-            if plan_label is not None:
-                execution.plan_labels[index] = plan_label
         execution.batched_indexes = [index for index, _plan in members]
         return solo, members
 

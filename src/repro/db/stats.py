@@ -1,29 +1,13 @@
-"""Planner statistics and cardinality estimation for cost-based planning.
+"""Planner statistics: the catalog of per-relation row counts.
 
-The physical planner makes three choices — scatter position, join
-introduction order, and batch membership — that PRs 4–5 decided blindly
-(raw relation row counts, rank order).  This module supplies the missing
-signal: a :class:`StatisticsCatalog` of per-relation row counts and
-per-attribute distinct-value counts (collected in one pass at index-build
-time, incrementally maintained on insert, persisted by the SQLite backends
-in ``_repro_stats_*`` side tables keyed by the content fingerprint), and a
-:class:`CardinalityEstimator` that composes those statistics into
-per-plan row estimates under the classic independence assumption:
-
-    ``|R join S| ~= |R| * |S| / max(V(R, a), V(S, b))``
-
-where ``V(T, x)`` is the distinct-value count of join attribute ``x``.
-Slots carrying a resolved selection filter contribute their *exact*
-post-filter cardinality (``len(keys)`` — selections resolve to primary-key
-sets before planning), so single-table interpretations estimate exactly
-and join paths degrade gracefully toward the textbook formula.
-
-Estimates drive *physical* choices only; every rewrite they pick is
-validated to return byte-identical rows (see ``tests/test_plan_rewrites``),
-and any gap in the catalog makes the estimator return ``None``, which makes
-every consumer keep the unrewritten plan.  The estimator self-tunes under
-live traffic: the engine feeds estimated-vs-actual row counts back through
-:meth:`CardinalityEstimator.observe`, an EWMA.
+A :class:`StatisticsCatalog` holds per-relation row counts and
+per-attribute distinct-value counts, collected in one pass at index-build
+time, incrementally maintained on insert, and persisted by the SQLite
+backends in ``_repro_stats_*`` side tables keyed by the content fingerprint
+(``repro stats`` prints it).  The planner reads one number from it: the
+sharded backend seeds an unfiltered slot's semi-join chain by its row count.
+No join order and no row estimate is derived from it — single-file plans
+compile in path order and SQLite's planner orders the joins.
 """
 
 from __future__ import annotations
@@ -33,25 +17,15 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.backends.base import StorageBackend
-    from repro.db.backends.sql import PathPlan
     from repro.db.schema import Schema
-
-#: EWMA smoothing for estimator calibration: recent queries dominate, so a
-#: workload shift re-calibrates within a few queries.
-EWMA_ALPHA = 0.5
-
-#: Calibration is a multiplicative correction; clamp it so a few pathological
-#: observations cannot swing estimates by more than one order of magnitude.
-_CALIBRATION_MIN = 1.0 / 16.0
-_CALIBRATION_MAX = 16.0
 
 
 def tracked_attributes(schema: "Schema", table_name: str) -> tuple[str, ...]:
-    """The attributes of one table the estimator needs statistics for.
+    """The attributes of one table the catalog keeps statistics for.
 
     Primary keys (selection filters resolve to them) plus every attribute
-    participating in a foreign key in either direction (join selectivity
-    denominators).  Sorted for deterministic collection and persistence.
+    participating in a foreign key in either direction.  Sorted for
+    deterministic collection and persistence.
     """
     table = schema.table(table_name)
     attrs = {table.primary_key}
@@ -201,79 +175,3 @@ class StatisticsCatalog:
                 )
             catalog.tables[name] = stats
         return catalog
-
-
-class CardinalityEstimator:
-    """Row-count estimates over :class:`~repro.db.backends.sql.PathPlan`.
-
-    Pure arithmetic over the catalog — it never touches stored rows, so
-    estimating is safe on every execution path.  ``None`` anywhere means
-    "no estimate": consumers must fall back to the unrewritten plan.
-    """
-
-    def __init__(self, catalog: StatisticsCatalog):
-        self.catalog = catalog
-        #: Multiplicative estimated-vs-actual correction (EWMA-updated).
-        self.calibration = 1.0
-        self.observations = 0
-
-    def slot_cardinalities(self, plan: "PathPlan") -> list[float] | None:
-        """Estimated *post-filter* rows contributed by each join slot.
-
-        Filtered slots are exact (selections resolve to primary-key sets
-        before planning); unfiltered slots fall back to the relation row
-        count.  ``None`` when any slot's table is missing from the catalog.
-        """
-        filters = plan.key_filter_map()
-        cards: list[float] = []
-        for position, table_name in enumerate(plan.path):
-            keys = filters.get(position)
-            if keys is not None:
-                cards.append(float(len(keys)))
-                continue
-            rows = self.catalog.rows(table_name)
-            if rows is None:
-                return None
-            cards.append(float(rows))
-        return cards
-
-    def estimate(self, plan: "PathPlan") -> float | None:
-        """Calibrated estimated result rows of one plan (``None`` = gap).
-
-        Independence-assumption composition: the base slot contributes its
-        post-filter cardinality, and every FK hop multiplies by
-        ``cards[i+1] / max(V(left, bound), V(right, probe))``.
-        """
-        from repro.db.backends.sql import _edge_attrs
-
-        cards = self.slot_cardinalities(plan)
-        if cards is None:
-            return None
-        estimate = cards[0]
-        for i, edge in enumerate(plan.edges):
-            left, right = plan.path[i], plan.path[i + 1]
-            bound_attr, probe_attr = _edge_attrs(edge, left, right)
-            v_left = self.catalog.distinct(left, bound_attr)
-            v_right = self.catalog.distinct(right, probe_attr)
-            if not v_left or not v_right:
-                return None  # missing/zero denominator: no estimate
-            estimate *= cards[i + 1] / max(v_left, v_right)
-        estimate *= self.calibration
-        if plan.limit is not None:
-            estimate = min(estimate, float(plan.limit))
-        return estimate
-
-    def observe(self, estimated: float, actual: int) -> None:
-        """Fold one estimated-vs-actual sample into the calibration EWMA."""
-        if estimated <= 0:
-            return
-        ratio = max(float(actual), _CALIBRATION_MIN) / estimated
-        ratio = min(max(ratio, _CALIBRATION_MIN), _CALIBRATION_MAX)
-        sample = self.calibration * ratio
-        self.calibration = (
-            EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * self.calibration
-        )
-        self.calibration = min(
-            max(self.calibration, _CALIBRATION_MIN), _CALIBRATION_MAX
-        )
-        self.observations += 1

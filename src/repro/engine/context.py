@@ -47,16 +47,11 @@ class EngineConfig:
     warm_workload: int = 0
     #: How many top-ranked interpretations ``--explain`` renders as SQL.
     explain_sql_limit: int = 5
-    #: Let the backend's cost model drive physical planning: scatter-position
-    #: choice by estimated post-filter cardinality and join reordering, with
-    #: estimated-vs-actual feedback calibrating the estimator.  Rows are
-    #: byte-identical either way (every rewrite is parity-pinned); off
-    #: restores the PR 5 planner bit-for-bit (CLI: ``--no-cost-planning``).
-    cost_based_planning: bool = True
     #: Reader connections the storage backend may lease for concurrent
     #: read-only execution (CLI: ``--read-pool-size``).  ``None`` keeps the
-    #: backend's default; ``1`` is a pool of one reader (per shard), on the
-    #: same code path as any other size.  Ignored by backends without
+    #: backend's default; ``1`` is a pool of one reader — on a sharded store
+    #: too, each reader with every partition attached — on the same code
+    #: path as any other size.  Ignored by backends without
     #: ``supports_read_pool`` (memory).  Rows are byte-identical at every
     #: size; only in-process read concurrency changes.
     read_pool_size: int | None = None
@@ -125,23 +120,10 @@ class EngineContext:
                 f"#{rank}:{rows}" for rank, rows in sorted(stats.attribution.items())
             )
             lines.append(f"  rows per executed interpretation: {contributions}")
-        if stats.estimated_rows:
-            estimates = ", ".join(
-                f"#{rank}:~{estimate:.1f} est"
-                + (
-                    f"/{stats.attribution[rank]} actual"
-                    if rank in stats.attribution
-                    else ""
-                )
-                for rank, estimate in sorted(stats.estimated_rows.items())
-            )
-            lines.append(f"  estimated vs actual rows: {estimates}")
         for rank, reason in sorted(stats.fallback_reasons.items()):
             lines.append(f"  fallback #{rank}: {reason}")
         for rank, label in sorted(stats.scatter_slots.items()):
             lines.append(f"  scatter slot #{rank}: {label}")
-        for rank, label in sorted(stats.plan_choices.items()):
-            lines.append(f"  plan #{rank}: {label}")
         if stats.shard_rows:
             per_shard = ", ".join(
                 f"shard{shard}:{rows}"

@@ -65,11 +65,6 @@ class QueryEngine:
             raise ValueError("pass either model or model_factory, not both")
         self.backend = backend
         self.config = config or EngineConfig()
-        if not self.config.cost_based_planning:
-            # The gate lives on the backend (where planning happens); flipping
-            # it restores the PR 5 planner — raw-row-count scatter choice,
-            # default join order — bit-for-bit.
-            backend.cost_planning = False
         # None keeps the backend's default pool size; backends without
         # supports_read_pool (memory) ignore the call entirely.
         backend.configure_read_pool(self.config.read_pool_size)

@@ -122,13 +122,6 @@ class ExecuteStage:
         warming = getattr(engine, "warming", None)
         if warming is not None:
             context.executor_statistics.warmed_queries = warming.queries_replayed
-        stats = executor.statistics
-        for rank, actual in stats.attribution.items():
-            # Estimated-vs-actual feedback: calibrate the backend's cost
-            # model with every executed interpretation the planner estimated.
-            estimate = stats.estimated_rows.get(rank)
-            if estimate is not None:
-                context.backend.observe_estimate(estimate, actual)
         if engine.cache is not None:
             engine.cache.flush()  # one durability point per run, not per put
         if context.explain:

@@ -108,7 +108,6 @@ class TestTableCountsFollowEveryInsert:
 
     def test_the_explain_label_reads_the_fresh_count(self):
         db = build_mini_db("sqlite-sharded")
-        db.cost_planning = False
         by_attr = {fk.source_attr: fk for fk in db.schema.foreign_keys}
         plan = db._prepare_plan(
             sqlc.plan_path(("movie", "acts"), (by_attr["movie_id"],), {}, None)
@@ -116,9 +115,16 @@ class TestTableCountsFollowEveryInsert:
         assert db._scatter_slot_label(plan) == "t0 (movie, 3 rows)"
         db.relation("movie").insert({"id": 9, "title": "late show", "year": "2020"})
         assert db._scatter_slot_label(plan) == "t0 (movie, 4 rows)"
-        # The raw-count chooser moves with it: acts (4 rows) no longer loses.
-        for key in (10, 11):
-            db.relation("movie").insert({"id": key, "title": "x", "year": "y"})
+
+    def test_the_seed_slot_follows_the_maintained_catalog(self):
+        """The chooser reads row counts from the catalog ``db.insert`` keeps
+        current: acts (4 rows) wins once movie outgrows it."""
+        db = build_mini_db("sqlite-sharded")
+        by_attr = {fk.source_attr: fk for fk in db.schema.foreign_keys}
+        plan = sqlc.plan_path(("movie", "acts"), (by_attr["movie_id"],), {}, None)
+        db.insert("movie", {"id": 9, "title": "late show", "year": "2020"})
+        assert db._prepare_plan(plan).scatter_position == 0  # 4 and 4: a tie
+        db.insert("movie", {"id": 10, "title": "later show", "year": "2021"})
         assert db._prepare_plan(plan).scatter_position == 1
 
 

@@ -78,8 +78,6 @@ def test_three_faces_of_one_stream(store, limit, forced_fallback, tmp_path, monk
                     for index, spec in enumerate(specs)
                     if limit != 0 and db.plan_path_spec(*spec, limit=limit) is not None
                 }
-                assert set(batched.estimated_rows) == planned
-                assert set(batched.plan_labels) == planned
                 assert set(batched.fallbacks) <= planned
                 if forced_fallback and limit != 0 and query_text != "london":
                     assert batched.fallbacks, query_text  # "hanks": 3 keys

@@ -285,8 +285,8 @@ class TestJoinCompilation:
     @pytest.mark.parametrize(
         "padded, expected",
         [
-            (True, "d14b67095e9d3a945c38fa55ea0a55a2bf771ff91c32cbd6b7c8773027c6b660"),
-            (False, "37eeec57fc5754abe1f9c5251d0722cc869e3df14f8e1c6e278c2ad6bb282de3"),
+            (True, "f0102ac1b9b8a52d536f0acfb7f5b627e036518de3baf8c10247680f2dee610c"),
+            (False, "2e9a19ce1f9a46b07f7b34a1d5f2e352e6b5bac2412c7f69dfdc15bd24c1940d"),
         ],
         ids=["padded", "unpadded"],
     )
@@ -295,11 +295,12 @@ class TestJoinCompilation:
     ):
         """Every statement ``SQLiteDialect`` compiles over the bundled IMDB
         workload — each plan solo, each batch as its UNION ALL — hashes to a
-        recorded digest.  The text changed by design when key lists began to
-        pad to a power of two, so the padded digest is new; with padding
-        undone the statements still hash to the digest the sharded rewrites
-        left untouched — padding is the only change, and the text memo
-        returns what a from-scratch compile does."""
+        recorded digest.  The text changed by design twice: when key lists
+        began to pad to a power of two, and when plans stopped being
+        reordered by estimated slot size.  Both digests are what the
+        compiler produced with that reordering switched off, before it was
+        deleted — joining in path order is the only change, and the text
+        memo returns what a from-scratch compile does."""
         import hashlib
 
         from repro.datasets.workload import imdb_workload

@@ -1,5 +1,4 @@
-"""Planner statistics: collection, incremental maintenance, estimation,
-persistence.
+"""Planner statistics: collection, incremental maintenance, persistence.
 
 The catalog numbers are pinned against ``build_mini_db``'s exactly-known
 content (3 actors, 3 movies, 4 acts rows); the persistence tests prove the
@@ -16,19 +15,8 @@ import sqlite3
 import pytest
 
 from repro.db.backends import create_backend
-from repro.db.backends.sql import plan_path
-from repro.db.stats import (
-    AttributeStatistics,
-    CardinalityEstimator,
-    StatisticsCatalog,
-    TableStatistics,
-    tracked_attributes,
-)
+from repro.db.stats import StatisticsCatalog, tracked_attributes
 from tests.conftest import build_mini_db, mini_schema
-
-
-def _fk(schema, source_attr):
-    return next(fk for fk in schema.foreign_keys if fk.source_attr == source_attr)
 
 
 class TestTrackedAttributes:
@@ -77,6 +65,13 @@ class TestCollection:
         # without anyone asking for a collection.
         assert db.statistics_catalog(collect=False) is not None
 
+    def test_an_uncollected_table_reads_none(self):
+        # None, not 0: the sharded seed chooser falls back to COUNT(*) on it.
+        catalog = StatisticsCatalog(mini_schema())
+        assert catalog.rows("actor") is None
+        assert catalog.distinct("actor", "id") is None
+        assert list(catalog.iter_rows()) == []
+
     def test_collect_false_reports_absence(self):
         db = create_backend("memory", mini_schema())
         db.insert("actor", {"id": 1, "name": "solo"})
@@ -109,100 +104,6 @@ class TestIncrementalMaintenance:
         assert restored.export_state() == state
         assert restored.rows("acts") == 4
         assert restored.distinct("acts", "movie_id") == 3
-
-
-class TestEstimator:
-    def test_single_table_unfiltered_is_row_count(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        plan = plan_path(["actor"], [], {}, None)
-        assert estimator.estimate(plan) == pytest.approx(3.0)
-
-    def test_filtered_slot_is_exact_key_count(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        plan = plan_path(["actor"], [], {0: {1, 2}}, None)
-        assert estimator.estimate(plan) == pytest.approx(2.0)
-
-    def test_join_uses_independence_formula(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        fk = _fk(mini_db.schema, "actor_id")
-        plan = plan_path(["actor", "acts"], [fk], {}, None)
-        # |actor| * |acts| / max(V(actor.id), V(acts.actor_id)) = 3*4/3
-        assert estimator.estimate(plan) == pytest.approx(4.0)
-
-    def test_filter_composes_through_join(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        fk = _fk(mini_db.schema, "actor_id")
-        plan = plan_path(["actor", "acts"], [fk], {0: {1}}, None)
-        assert estimator.estimate(plan) == pytest.approx(4.0 / 3.0)
-
-    def test_limit_clamps_the_estimate(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        plan = plan_path(["acts"], [], {}, 2)
-        assert estimator.estimate(plan) == pytest.approx(2.0)
-
-    def test_missing_table_statistics_mean_no_estimate(self, mini_db):
-        catalog = StatisticsCatalog(mini_db.schema)  # empty: no tables collected
-        estimator = CardinalityEstimator(catalog)
-        plan = plan_path(["actor"], [], {}, None)
-        assert estimator.slot_cardinalities(plan) is None
-        assert estimator.estimate(plan) is None
-
-    def test_zero_distinct_denominator_means_no_estimate(self, mini_db):
-        catalog = StatisticsCatalog(mini_db.schema)
-        catalog.tables["actor"] = TableStatistics(
-            rows=3, attributes={"id": AttributeStatistics(distinct=0)}
-        )
-        catalog.tables["acts"] = TableStatistics(
-            rows=4, attributes={"actor_id": AttributeStatistics(distinct=0)}
-        )
-        estimator = CardinalityEstimator(catalog)
-        fk = _fk(mini_db.schema, "actor_id")
-        plan = plan_path(["actor", "acts"], [fk], {}, None)
-        assert estimator.estimate(plan) is None
-
-    def test_filtered_slot_needs_no_table_statistics(self, mini_db):
-        # The cheap fallback the scatter chooser relies on: a filtered slot
-        # estimates exactly even when its table was never collected.
-        catalog = StatisticsCatalog(mini_db.schema)
-        estimator = CardinalityEstimator(catalog)
-        plan = plan_path(["actor"], [], {0: {1, 3}}, None)
-        assert estimator.estimate(plan) == pytest.approx(2.0)
-
-
-class TestCalibration:
-    def test_observe_moves_calibration_toward_actual(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        assert estimator.calibration == 1.0
-        estimator.observe(4.0, 8)  # actual 2x the estimate
-        assert estimator.calibration == pytest.approx(1.5)  # EWMA(1.0 -> 2.0)
-        assert estimator.observations == 1
-
-    def test_calibration_scales_estimates(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        plan = plan_path(["actor"], [], {}, None)
-        before = estimator.estimate(plan)
-        estimator.observe(4.0, 8)
-        assert estimator.estimate(plan) == pytest.approx(before * 1.5)
-
-    def test_calibration_is_clamped(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        for _ in range(50):
-            estimator.observe(1.0, 10_000)
-        assert estimator.calibration <= 16.0
-        for _ in range(50):
-            estimator.observe(10_000.0, 0)
-        assert estimator.calibration >= 1.0 / 16.0
-
-    def test_non_positive_estimate_is_ignored(self, mini_db):
-        estimator = mini_db.cardinality_estimator()
-        estimator.observe(0.0, 100)
-        assert estimator.calibration == 1.0
-        assert estimator.observations == 0
-
-    def test_engine_feedback_reaches_the_estimator(self, mini_db):
-        mini_db.statistics_catalog()
-        mini_db.observe_estimate(2.0, 4)
-        assert mini_db.cardinality_estimator().observations == 1
 
 
 def _raise_on_collect(monkeypatch):

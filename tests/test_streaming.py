@@ -342,31 +342,32 @@ class TestStreamingExecutor:
         assert actual.sql_statements == 1
         assert actual.attribution == expected.attribution
 
-    def test_cost_planning_never_changes_what_executes(self):
-        """Cardinality estimates choose join order and scatter slot — never
-        which interpretations run, how many statements, or the rows."""
-        cost = QueryEngine.for_dataset(
-            "imdb", backend="sqlite", config=EngineConfig(cache_results=False)
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_seed_slots_never_change_what_executes(self, query):
+        """The sharded seed slot — the one physical choice a plan still
+        makes — never changes which interpretations run, how many
+        statements, or the rows: a 3-shard store executes what the single
+        file does."""
+        config = EngineConfig(cache_results=False)
+        single = QueryEngine.for_dataset("imdb", backend="sqlite", config=config)
+        sharded = QueryEngine.for_dataset(
+            "imdb", backend="sqlite-sharded", shards=3, config=config
         )
-        legacy = QueryEngine.for_dataset(
-            "imdb",
-            backend="sqlite",
-            config=EngineConfig(cache_results=False, cost_based_planning=False),
+        expected = single.run(query, k=5)
+        actual = sharded.run(query, k=5)
+        assert (
+            actual.executor_statistics.attribution
+            == expected.executor_statistics.attribution
         )
-        for query in ("london", "hanks"):
-            with_cost = cost.run(query, k=5)
-            baseline = legacy.run(query, k=5)
-            assert (
-                with_cost.executor_statistics.attribution
-                == baseline.executor_statistics.attribution
-            )
-            assert (
-                with_cost.executor_statistics.sql_statements
-                == baseline.executor_statistics.sql_statements
-            )
-            assert [r.row_uids() for r in with_cost.results] == [
-                r.row_uids() for r in baseline.results
-            ]
+        assert (
+            actual.executor_statistics.sql_statements
+            == expected.executor_statistics.sql_statements
+        )
+        assert [r.row_uids() for r in actual.results] == [
+            r.row_uids() for r in expected.results
+        ]
+        single.backend.close()
+        sharded.backend.close()
 
     def test_explain_surfaces_streaming_counters(self):
         engine = QueryEngine.for_dataset(
