@@ -10,8 +10,8 @@ makes every read wait its turn for the one reader.
 That is a scaling claim, and a 0.5 s run cannot carry it: the strict
 ``pooled > serial`` assertion this file used to make on >= 2 cores failed
 intermittently on 2-core machines at an unchanged commit.  The claim is
-measured where runs are long enough to measure it — ``bench-load
---workers-sweep``.  This guard prints both arms and enforces, at every core
+measured where runs are long enough to measure it, by the harness in
+``benchmarks/layered/``.  This guard prints both arms and enforces, at every core
 count, the side of the contract a short run *can* decide: the pool's lease
 bookkeeping stays cheap (throughput within a bounded factor of the
 one-reader arm), and every concurrent response still verifies against

@@ -9,7 +9,6 @@ Exposes the library's main flows on the bundled synthetic datasets:
     python -m repro.cli diversify --dataset lyrics "london" --k 5
     python -m repro.cli serve     --dataset imdb
     python -m repro.cli serve     --dataset imdb --tcp --port 7341
-    python -m repro.cli bench-load --spawn --mode closed --connections 8 --requests 200
     python -m repro.cli report    --chapter 3
 
 Every query flow routes through one :class:`repro.engine.QueryEngine`
@@ -24,9 +23,6 @@ default, on a TCP listener with ``--tcp``, over HTTP/1.1 with ``--http`` —
 all behind the same connection limit, bounded-queue overload rejection,
 per-request timeout and SIGTERM graceful drain; ``--tcp-workers N`` forks N
 serving processes over one listening socket.
-``bench-load`` drives such a server with open- or closed-loop asyncio
-clients and persists latency percentiles plus server CPU/RSS samples as a
-schema-versioned ``BENCH_serve_*.json`` record.
 ``--backend``/``--db-path``/``--shards`` select
 the storage engine (see ``docs/cli.md``); a persistent SQLite file is reused
 on subsequent runs — including its persisted index postings and cached
@@ -243,99 +239,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     except (ValueError, DatabaseError, OSError) as exc:
         raise SystemExit(f"error: {exc}") from None
-
-
-def cmd_bench_load(args: argparse.Namespace) -> int:
-    """Drive a live TCP server and persist a ``BENCH_serve_*.json`` record."""
-    from repro.net import loadgen
-
-    sweep: list[int] | None = None
-    if args.workers_sweep:
-        if args.mode != "closed":
-            raise SystemExit("error: --workers-sweep requires --mode closed")
-        try:
-            sweep = [
-                int(token)
-                for token in args.workers_sweep.split(",")
-                if token.strip()
-            ]
-        except ValueError:
-            raise SystemExit(
-                f"error: --workers-sweep must be a comma-separated list of "
-                f"thread counts, got {args.workers_sweep!r}"
-            ) from None
-        if not sweep or any(point < 1 for point in sweep):
-            raise SystemExit(
-                "error: --workers-sweep needs at least one positive thread count"
-            )
-    spawned = None
-    host, port, server_pid = args.host, args.port, args.server_pid
-    try:
-        if args.spawn:
-            extra_args: list[str] = []
-            if args.read_pool_size is not None:
-                extra_args += ["--read-pool-size", str(args.read_pool_size)]
-            try:
-                spawned = loadgen.spawn_tcp_server(
-                    dataset=args.dataset,
-                    backend=args.backend,
-                    db_path=args.db_path,
-                    shards=args.shards,
-                    workers=args.tcp_workers,
-                    http=args.http,
-                    extra_args=extra_args,
-                )
-            except (RuntimeError, OSError) as exc:
-                raise SystemExit(f"error: {exc}") from None
-            host, server_pid = spawned.host, spawned.pid
-            port = spawned.http_port if args.http else spawned.port
-        elif port is None:
-            raise SystemExit(
-                "error: --port is required unless --spawn starts the server"
-            )
-        shared = dict(
-            requests=args.requests,
-            dataset=args.dataset,
-            backend=args.backend,
-            k=args.k,
-            timeout=args.timeout,
-            seed=args.seed,
-            transport="http" if args.http else "tcp",
-            label=args.label,
-            server_pid=server_pid,
-            output_dir=args.output_dir,
-            read_pool_size=args.read_pool_size,
-            workers=args.tcp_workers if args.spawn else None,
-        )
-        try:
-            if sweep is not None:
-                results = loadgen.run_workers_sweep(
-                    host, port, sweep=sweep, **shared
-                )
-            else:
-                results = [
-                    loadgen.run_bench_load(
-                        host,
-                        port,
-                        mode=args.mode,
-                        connections=args.connections,
-                        rate=args.rate,
-                        **shared,
-                    )
-                ]
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
-    finally:
-        if spawned is not None:
-            spawned.terminate()
-    print(
-        "\n\n".join(
-            "\n".join(loadgen.summary_lines(record, path))
-            for record, path in results
-        )
-    )
-    answered = sum(record["outcomes"]["ok"] for record, _path in results)
-    return 0 if answered else 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -574,109 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_storage_options(p_serve)
     p_serve.set_defaults(func=cmd_serve)
-
-    p_bench_load = sub.add_parser(
-        "bench-load",
-        help="drive a live 'serve --tcp' server with open- or closed-loop "
-        "asyncio clients; persist latency percentiles and server CPU/RSS "
-        "as a schema-versioned BENCH_serve_*.json record",
-    )
-    p_bench_load.add_argument("--dataset", default="imdb")
-    p_bench_load.add_argument("--k", type=int, default=5)
-    p_bench_load.add_argument(
-        "--host", default="127.0.0.1", help="server address (default: 127.0.0.1)"
-    )
-    p_bench_load.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="server port (required unless --spawn starts one)",
-    )
-    p_bench_load.add_argument(
-        "--spawn",
-        action="store_true",
-        help="start a 'serve --tcp' subprocess on an ephemeral port for the "
-        "run (terminated with SIGTERM afterwards) instead of targeting a "
-        "running server",
-    )
-    p_bench_load.add_argument(
-        "--http",
-        action="store_true",
-        help="drive the HTTP/1.1 front end (keep-alive POST /query) instead "
-        "of the newline-JSON protocol; with --spawn the server is started "
-        "with --http, without it --port must be the HTTP port",
-    )
-    p_bench_load.add_argument(
-        "--tcp-workers",
-        type=int,
-        default=1,
-        dest="tcp_workers",
-        help="serving processes of the spawned server (with --spawn; default: 1)",
-    )
-    p_bench_load.add_argument(
-        "--mode",
-        choices=("closed", "open"),
-        default="closed",
-        help="closed: N connections issue requests back-to-back; open: "
-        "requests depart on a fixed schedule regardless of completions "
-        "(default: closed)",
-    )
-    p_bench_load.add_argument(
-        "--connections",
-        type=int,
-        default=8,
-        help="concurrent client connections in closed-loop mode (default: 8)",
-    )
-    p_bench_load.add_argument(
-        "--requests", type=int, default=200, help="total requests (default: 200)"
-    )
-    p_bench_load.add_argument(
-        "--workers-sweep",
-        default=None,
-        dest="workers_sweep",
-        metavar="N,N,...",
-        help="closed-loop read-scaling sweep: run once per client-thread "
-        "count (e.g. 1,2,4,8) against one store, persisting a record per "
-        "point labelled <label>-w<N> so --diff pins every point of the "
-        "scaling curve; --requests applies per point",
-    )
-    p_bench_load.add_argument(
-        "--rate",
-        type=float,
-        default=50.0,
-        help="request departures per second in open-loop mode (default: 50)",
-    )
-    p_bench_load.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="client-side per-request timeout in seconds (default: 30)",
-    )
-    p_bench_load.add_argument(
-        "--seed", type=int, default=13, help="query sampling seed (default: 13)"
-    )
-    p_bench_load.add_argument(
-        "--label",
-        default=None,
-        help="record label, slugged into BENCH_serve_<label>.json "
-        "(default: <mode>-<backend>-<dataset>)",
-    )
-    p_bench_load.add_argument(
-        "--output-dir",
-        default=".",
-        dest="output_dir",
-        help="directory the record file is written to (default: .)",
-    )
-    p_bench_load.add_argument(
-        "--server-pid",
-        type=int,
-        default=None,
-        dest="server_pid",
-        help="pid to sample CPU/RSS from when targeting an already-running "
-        "server (--spawn knows its own)",
-    )
-    _add_storage_options(p_bench_load)
-    p_bench_load.set_defaults(func=cmd_bench_load)
 
     p_stats = sub.add_parser(
         "stats",

@@ -1,7 +1,6 @@
-"""Network serving and load generation.
+"""Network serving.
 
-The one serving stack over :class:`repro.server.QueryServer`, and the
-tools that measure it:
+The one serving stack over :class:`repro.server.QueryServer`:
 
 * :mod:`repro.net.protocol` — the newline-delimited JSON wire protocol
   (request/response shapes, error codes, incremental line framing with an
@@ -15,55 +14,7 @@ tools that measure it:
   a hand-rolled ``Content-Length``-framed parser and a request router
   composing over the same listener admission core, so curl and the TCP
   protocol share one connection cap, queue, drain and stats block.
-* :mod:`repro.net.loadgen` — open- and closed-loop asyncio load clients
-  behind ``repro bench-load`` (TCP and HTTP transports).
-* :mod:`repro.net.monitor` — CPU/RSS sampling of the server process from
-  ``/proc`` (stdlib only).
-* :mod:`repro.net.results` — schema-versioned ``BENCH_serve_*.json``
-  records: build, persist, validate.
+
+The server is measured from outside, by the harness under
+``benchmarks/layered/``.
 """
-
-from importlib import import_module
-
-#: Public name -> defining submodule.  Resolved lazily so ``python -m
-#: repro.net.results`` (the CI validation entry point) does not import the
-#: whole serving stack first — runpy would warn about the double import.
-_EXPORTS = {
-    "HTTPQueryServer": "repro.net.http",
-    "TCPQueryServer": "repro.net.listener",
-    "TCPServerConfig": "repro.net.listener",
-    "run_tcp_server": "repro.net.listener",
-    "run_bench_load": "repro.net.loadgen",
-    "ResourceMonitor": "repro.net.monitor",
-    "BENCH_SCHEMA_VERSION": "repro.net.results",
-    "build_bench_report": "repro.net.results",
-    "validate_bench_report": "repro.net.results",
-    "write_bench_report": "repro.net.results",
-}
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value  # cache: subsequent lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
-
-
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "HTTPQueryServer",
-    "ResourceMonitor",
-    "TCPQueryServer",
-    "TCPServerConfig",
-    "build_bench_report",
-    "run_bench_load",
-    "run_tcp_server",
-    "validate_bench_report",
-    "write_bench_report",
-]

@@ -535,8 +535,8 @@ def run_tcp_server(
     """Bind, announce, serve until SIGTERM/SIGINT, drain, exit.
 
     Prints ``listening on <host>:<port>`` first (port 0 resolves to the
-    kernel's pick), which is the readiness line ``repro bench-load
-    --spawn`` and the tests parse; with ``config.http_port`` set, an
+    kernel's pick): the readiness line operators read and the tests'
+    spawn helper parses before it connects; with ``config.http_port`` set, an
     ``http listening on <host>:<port>`` line follows for the HTTP front
     end's socket.  With neither port set nothing is bound or printed: the
     process's stdin/stdout is the one connection, and EOF on stdin drains

@@ -32,8 +32,8 @@ from repro.engine import EngineConfig, QueryEngine, ResultCache
 from repro.engine import cache as cache_module
 from repro.engine.semcache import PLAN_KEY_SUFFIX, SemanticResultCache
 from repro.net import protocol
-from repro.net.loadgen import spawn_tcp_server
 from tests.conftest import build_mini_db, mini_schema
+from tests.serving import spawn_tcp_server
 from tests.test_engine_memo import _distinct_texts
 from tests.test_semcache import _template
 

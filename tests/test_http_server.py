@@ -44,8 +44,8 @@ from repro.net.http import (
     encode_query_request,
 )
 from repro.net.listener import TCPQueryServer, TCPServerConfig
-from repro.net.loadgen import spawn_tcp_server
 from repro.server import QueryServer
+from tests.serving import GatedEngine, expected_wire_rows, spawn_tcp_server
 
 QUERIES = ["hanks 2001", "london", "summer", "stone hill"]
 
@@ -121,24 +121,6 @@ async def ask(front, raw: bytes) -> tuple[int, dict]:
 
 def get(path: str, extra: str = "") -> bytes:
     return f"GET {path} HTTP/1.1\r\nHost: t\r\n{extra}\r\n".encode()
-
-
-def expected_wire_rows(engine: QueryEngine, text: str, k: int = 5):
-    results = engine.run(text, k=k).results
-    return [[[table, key] for table, key in result.row_uids()] for result in results]
-
-
-class GatedEngine:
-    def __init__(self, engine, gate: threading.Event):
-        self._engine = engine
-        self._gate = gate
-
-    def run(self, *args, **kwargs):
-        assert self._gate.wait(30), "gate never opened"
-        return self._engine.run(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
 
 
 # -- the parser alone ----------------------------------------------------------
@@ -223,6 +205,41 @@ class TestHTTPRequestParser:
 
 
 # -- parity (the curl-equivalence acceptance criterion) ------------------------
+
+
+class TestRequestEncoders:
+    """``encode_query_request`` wraps what ``protocol.encode_request`` puts
+    on a line: the two encoders must frame any query text, so that both
+    transports parse the same request from it."""
+
+    @pytest.mark.parametrize(
+        "query, dataset, k",
+        [
+            ("london", None, None),
+            ("hanks 2001", "imdb", 3),
+            ("café crème brûlée", "imdb", 5),  # non-ASCII text
+            ("東京 物語", None, 2),
+            ('the "matrix"', None, 1),
+            ("back\\slash", "imdb", 4),
+            ("two\nlines", None, 7),  # escaped: still one request line
+            ("  padded  ", "imdb", 10),  # both parsers strip it alike
+        ],
+    )
+    def test_both_encoders_carry_the_same_request(self, query, dataset, k):
+        line = protocol.encode_request(query, dataset=dataset, k=k)
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        expected = protocol.parse_request(line)
+        assert expected == protocol.Request(query.strip(), dataset, k)
+
+        raw = encode_query_request(query, dataset=dataset, k=k)
+        # Pipelined twice: a Content-Length off by one byte would misframe
+        # the second request.
+        requests = HTTPRequestParser().feed(raw + raw)
+        assert len(requests) == 2
+        for request in requests:
+            assert (request.method, request.path) == ("POST", "/query")
+            assert request.body == line.rstrip(b"\n")
+            assert protocol.parse_request(request.body) == expected
 
 
 class TestHTTPParity:

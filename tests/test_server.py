@@ -275,7 +275,9 @@ class TestServeCLI:
         args = build_parser().parse_args(["serve", "--tcp", "--read-pool-size", "2"])
         assert _engine_config(args).read_pool_size == 2
 
-    @pytest.mark.parametrize("argv", [["serve", "--async"], ["bench-serve"]])
+    @pytest.mark.parametrize(
+        "argv", [["serve", "--async"], ["bench-serve"], ["bench-load"]]
+    )
     def test_removed_front_ends_are_argparse_errors(self, argv, capsys):
         from repro.cli import main
 
@@ -283,6 +285,13 @@ class TestServeCLI:
             main(argv)
         assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["loadgen", "results", "monitor"])
+    def test_removed_load_generator_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.net.{module}")
 
     def test_several_workers_need_a_socket(self):
         from repro.cli import main

@@ -41,8 +41,8 @@ import pytest
 from repro.engine import EngineConfig, QueryEngine, ResultCache
 from repro.net import protocol
 from repro.net.listener import TCPQueryServer, TCPServerConfig
-from repro.net.loadgen import spawn_tcp_server
 from repro.server import QueryServer
+from tests.serving import GatedEngine, expected_wire_rows, spawn_tcp_server
 
 QUERIES = ["hanks 2001", "london", "summer", "stone hill", "hanks", "2001"]
 
@@ -125,27 +125,6 @@ async def ask(tcp, payload: bytes) -> dict:
         writer.close()
         with contextlib.suppress(Exception):
             await writer.wait_closed()
-
-
-def expected_wire_rows(engine: QueryEngine, text: str, k: int = 5):
-    """The JSON form of sequential execution's result rows."""
-    results = engine.run(text, k=k).results
-    return [[[table, key] for table, key in result.row_uids()] for result in results]
-
-
-class GatedEngine:
-    """An engine whose ``run`` blocks until the test opens the gate."""
-
-    def __init__(self, engine, gate: threading.Event):
-        self._engine = engine
-        self._gate = gate
-
-    def run(self, *args, **kwargs):
-        assert self._gate.wait(30), "gate never opened"
-        return self._engine.run(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
 
 
 class TestNetworkParity:
