@@ -31,9 +31,12 @@ Run with ``-s`` to see the tables:
 
 from __future__ import annotations
 
+import gc
 import os
 import time
+from contextlib import contextmanager
 
+from repro.core.topk import TopKExecutor
 from repro.datasets.imdb import build_imdb, imdb_schema
 from repro.db.backends.sqlite import SQLiteBackend
 from repro.engine import EngineConfig, QueryEngine, ResultCache
@@ -44,6 +47,20 @@ BUILD_KWARGS = dict(seed=7, n_movies=150, n_actors=90)
 REPEATS = 3
 
 
+@contextmanager
+def _gc_paused():
+    """Time with the cyclic collector off, as ``timeit`` does.  A collection
+    takes milliseconds once the suite's objects are alive, and which timed
+    pass it lands in depends on allocation counts made anywhere earlier in
+    the process — warm passes are only a few milliseconds long."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def _timed_open(path, persist_index: bool) -> tuple[SQLiteBackend, float]:
     """Best-of-N cold open: connect + build_indexes on a populated store."""
     best = float("inf")
@@ -51,11 +68,20 @@ def _timed_open(path, persist_index: bool) -> tuple[SQLiteBackend, float]:
     for _ in range(REPEATS):
         if db is not None:
             db.close()
-        start = time.perf_counter()
-        db = SQLiteBackend(imdb_schema(), path=path, persist_index=persist_index)
-        db.build_indexes()
-        best = min(best, time.perf_counter() - start)
+        with _gc_paused():
+            start = time.perf_counter()
+            db = SQLiteBackend(imdb_schema(), path=path, persist_index=persist_index)
+            db.build_indexes()
+            best = min(best, time.perf_counter() - start)
     return db, best
+
+
+def _timed_session(engine: QueryEngine) -> tuple[list, float]:
+    """One pass over QUERIES: the contexts and the pass time."""
+    with _gc_paused():
+        start = time.perf_counter()
+        contexts = [engine.run(query_text, k=5) for query_text in QUERIES]
+        return contexts, time.perf_counter() - start
 
 
 def test_bench_engine_cold_open_and_warm_cache(benchmark, tmp_path):
@@ -81,30 +107,23 @@ def test_bench_engine_cold_open_and_warm_cache(benchmark, tmp_path):
 
     # -- warm cache: a "new session" executes zero interpretations ---------
     ResultCache.clear_process_cache()
-    first_engine = QueryEngine(loaded_db)
-    cold_stats: list[tuple[str, int, list]] = []
-    cold_seconds = 0.0
-    for query_text in QUERIES:
-        start = time.perf_counter()
-        context = first_engine.run(query_text, k=5)
-        cold_seconds += time.perf_counter() - start
-        cold_stats.append(
-            (
-                query_text,
-                context.executor_statistics.interpretations_executed,
-                [r.row_uids() for r in context.results],
-            )
+    cold_contexts, cold_seconds = _timed_session(QueryEngine(loaded_db))
+    cold_stats: list[tuple[str, int, list]] = [
+        (
+            query_text,
+            context.executor_statistics.interpretations_executed,
+            [r.row_uids() for r in context.results],
         )
+        for query_text, context in zip(QUERIES, cold_contexts)
+    ]
     loaded_db.close()
 
     ResultCache.clear_process_cache()  # simulate the next CLI run
     warm_db, _ = _timed_open(path, persist_index=True)
-    warm_engine = QueryEngine(warm_db)
-    warm_seconds = 0.0
-    for query_text, _cold_executed, cold_rows in cold_stats:
-        start = time.perf_counter()
-        context = warm_engine.run(query_text, k=5)
-        warm_seconds += time.perf_counter() - start
+    warm_contexts, warm_seconds = _timed_session(QueryEngine(warm_db))
+    for context, (_query_text, _cold_executed, cold_rows) in zip(
+        warm_contexts, cold_stats
+    ):
         assert context.executor_statistics.interpretations_executed == 0
         assert context.cache_hits > 0
         assert [r.row_uids() for r in context.results] == cold_rows
@@ -127,129 +146,6 @@ def test_bench_engine_cold_open_and_warm_cache(benchmark, tmp_path):
                 ["4 queries, warm result cache", f"{warm_seconds * 1000:.1f}"],
             ],
         )
-    )
-
-
-def test_bench_engine_semantic_cache_zero_statement_reuse(tmp_path):
-    """Semantic cache: a narrowed/truncated variant costs 0 backend statements.
-
-    The acceptance guard of the subsumption layer: after one cold pass over a
-    query, (a) re-running its interpretations under a *lower* LIMIT and (b) a
-    *filter-narrowed* variant of an interpretation both answer entirely from
-    the subsuming cached entries — zero SQL statements, zero interpretations
-    executed, rows byte-identical to uncached execution — while an exact miss
-    (a fresh query) still executes normally.
-    """
-    from repro.core.topk import TopKExecutor
-    from repro.engine import SemanticResultCache
-
-    path = tmp_path / "imdb.sqlite"
-    build_imdb(**BUILD_KWARGS, backend="sqlite", db_path=path).close()
-    db, _ = _timed_open(path, persist_index=True)
-    ResultCache.clear_process_cache()
-    cache = SemanticResultCache(db)
-    engine = QueryEngine(db, cache=cache)
-
-    # Cold pass: execute and cache every interpretation the queries reach,
-    # then complete coverage to the full ranked lists (a lower LIMIT can push
-    # the TA bound past where the cold run stopped — those interpretations
-    # must be cached too for the zero-statement claim to be about reuse, not
-    # about early stopping).
-    cold_statements = 0
-    for query_text in QUERIES:
-        context = engine.run(query_text, k=5)
-        cold_statements += context.executor_statistics.sql_statements
-        for interpretation, _score in engine.rank(query_text):
-            cache.fetch(
-                interpretation.to_structured_query(), engine.config.per_query_limit
-            )
-    assert cold_statements > 0
-
-    per_query: list[list[str]] = []
-    # (a) Truncated variants: the same ranked interpretations under a lower
-    # per-interpretation LIMIT — every entry subsumes its prefix.
-    reference = QueryEngine(db, config=EngineConfig(cache_results=False))
-    subsumption_hits = 0
-    for query_text in QUERIES:
-        ranked = engine.rank(query_text)
-        truncated = TopKExecutor(db, per_query_limit=3, cache=cache)
-        uncached = TopKExecutor(db, per_query_limit=3, cache=None)
-        rows = truncated.execute(ranked, k=5)
-        assert truncated.statistics.sql_statements == 0, (
-            f"{query_text!r}: truncated variant touched the backend"
-        )
-        # Provably-empty interpretations may re-"execute" (they have no plan
-        # to subsume under) but cost zero statements by construction, so the
-        # statement count above is the whole claim.
-        assert [r.row_uids() for r in rows] == [
-            r.row_uids() for r in uncached.execute(ranked, k=5)
-        ]
-        subsumption_hits += truncated.statistics.cache_subsumption_hits
-        per_query.append(
-            [
-                query_text,
-                f"{truncated.statistics.cache_subsumption_hits}",
-                f"{truncated.statistics.sql_statements}",
-            ]
-        )
-    assert subsumption_hits > 0, "no truncation was ever answered by subsumption"
-
-    # (b) A filter-narrowed variant: a cached interpretation plus one extra
-    # keyword predicate, answered by filtering in Python.  Slot 0 is only
-    # narrowable when already filtered (an unfiltered base slot sorts by
-    # insertion order, so narrowing it would change the ORDER BY shape).
-    narrowed = None
-    for query_text in QUERIES:
-        for interpretation, _score in engine.rank(query_text):
-            query = interpretation.to_structured_query()
-            rows = db.execute_path(*query.path_spec())
-            if len(rows) < 2:
-                continue  # want the variant to actually filter something
-            for slot in range(len(query.template.path)):
-                if slot == 0 and not query.selections.get(0):
-                    continue
-                attribute = db.schema.table(
-                    query.template.path[slot]
-                ).textual_attributes()[0]
-                value = dict(rows[0][slot].values).get(attribute.name)
-                tokens = db.tokenizer.tokens(str(value)) if value else []
-                if not tokens:
-                    continue
-                selections = dict(query.selections)
-                selections[slot] = selections.get(slot, ()) + (
-                    (attribute.name, (tokens[0],)),
-                )
-                narrowed = type(query)(query.template, selections)
-                break
-            if narrowed is not None:
-                break
-        if narrowed is not None:
-            break
-    assert narrowed is not None, "no cached interpretation was narrowable"
-    hits_before = cache.semantic_statistics.subsumption_hits
-    answered = cache.get(narrowed, None)
-    assert answered is not None, "narrowed variant missed the semantic cache"
-    assert answered == db.execute_path(*narrowed.path_spec())
-    assert cache.semantic_statistics.subsumption_hits == hits_before + 1
-
-    # Control: an exact miss still executes normally.
-    missed = reference.run("winter hill", k=5)
-    cold_control = engine.run("winter hill", k=5)
-    assert cold_control.executor_statistics.sql_statements > 0
-    assert [r.row_uids() for r in cold_control.results] == [
-        r.row_uids() for r in missed.results
-    ]
-    db.close()
-
-    print()
-    print(
-        format_table(
-            ["query (limit 3)", "subsumption hits", "stmts"], per_query
-        )
-    )
-    print(
-        f"cold pass: {cold_statements} statements; "
-        f"warm truncated/narrowed variants: 0 statements"
     )
 
 
@@ -403,9 +299,7 @@ def test_bench_engine_streaming_row_consumption(tmp_path):
             interp.to_structured_query().path_spec()
             for interp, _p in streaming.rank(query_text)[:2]
         ]
-        drained = db.execute_paths_batched(
-            top_two, limit=streaming.config.per_query_limit
-        )
+        drained = db.execute_paths_batched(top_two, limit=TopKExecutor.per_query_limit)
         materialized = sum(len(rows) for rows in drained.rows)
         stream = streaming.run(query_text, k=1).executor_statistics
         assert stream.rows_streamed <= materialized

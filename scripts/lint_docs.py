@@ -15,7 +15,9 @@ And two coverage checks in the opposite direction — code the docs must
 not *omit*:
 
 4. Every long option of every ``repro`` subcommand appears in
-   ``docs/cli.md`` (an undocumented flag fails the lint).
+   ``docs/cli.md`` (an undocumented flag fails the lint) — and, forward,
+   every ``--long-option`` token in ``docs/cli.md`` is an option of some
+   subcommand (a deleted flag cannot linger in a table row).
 5. Every HTTP route in ``repro.net.http.ROUTES`` appears in
    ``docs/http_api.md``, method and path both.
 
@@ -40,6 +42,7 @@ FENCED_RE = re.compile(r"```[a-z]*\n(.*?)```", re.DOTALL)
 INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 PATH_RE = re.compile(r"\b(?:src|tests|benchmarks|docs|examples|scripts)/[\w./-]*\w")
+LONG_OPTION_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def iter_code(text: str):
@@ -138,12 +141,17 @@ def iter_cli_option_strings():
 
 
 def check_cli_flag_coverage(cli_doc_text: str, errors: list[str]) -> None:
-    """Every CLI long option must appear somewhere in docs/cli.md."""
+    """Every CLI long option must appear somewhere in docs/cli.md, and every
+    long option docs/cli.md names must be a real one."""
+    options = set()
     for subcommand, option in iter_cli_option_strings():
+        options.add(option)
         if option not in cli_doc_text:
             errors.append(
                 f"docs/cli.md: undocumented flag: {subcommand} {option}"
             )
+    for option in sorted(set(LONG_OPTION_RE.findall(cli_doc_text)) - options):
+        errors.append(f"docs/cli.md: no subcommand has the flag {option}")
 
 
 def check_http_route_coverage(http_doc_text: str, errors: list[str]) -> None:

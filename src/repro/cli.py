@@ -31,13 +31,7 @@ interpretation results — instead of re-generating the dataset.
 attached database files and still runs one statement per executed
 interpretation (every join slot a ``UNION ALL`` of its partitions; the union
 and the sort are SQLite's); ``--cache-size`` bounds
-the process-level result-cache LRU.  ``--semantic-cache`` layers the
-subsumption-aware semantic cache over it (near-miss variants of cached
-queries answer by filtering/truncating cached rows instead of executing) and
-``--warm-workload N`` replays the N hottest recorded-workload queries through
-the engine on open; ``--explain`` then also shows exact-vs-subsumption hit
-splits, rows filtered/truncated per subsumption answer, and the warmer's
-replay count.
+the process-level result-cache LRU.
 """
 
 from __future__ import annotations
@@ -63,10 +57,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
     overrides: dict[str, object] = {}
     if getattr(args, "cache_size", None) is not None:
         overrides["result_cache_size"] = args.cache_size
-    if getattr(args, "semantic_cache", False):
-        overrides["semantic_cache"] = True
-    if getattr(args, "warm_workload", 0):
-        overrides["warm_workload"] = int(args.warm_workload)
     if getattr(args, "read_pool_size", None) is not None:
         overrides["read_pool_size"] = args.read_pool_size
     if not overrides:
@@ -346,23 +336,6 @@ def _add_storage_options(parser: argparse.ArgumentParser) -> None:
         dest="cache_size",
         help="capacity (entries) of the process-level result-cache LRU "
         "(default: 4096)",
-    )
-    parser.add_argument(
-        "--semantic-cache",
-        action="store_true",
-        dest="semantic_cache",
-        help="answer near-miss variants of cached queries by plan "
-        "subsumption (filter/truncate cached rows in Python, zero backend "
-        "statements); rows are identical to uncached execution",
-    )
-    parser.add_argument(
-        "--warm-workload",
-        type=int,
-        default=0,
-        dest="warm_workload",
-        metavar="N",
-        help="replay the N hottest recorded-workload queries through the "
-        "engine on open (coldest first, clamped to the cache capacity)",
     )
 
 

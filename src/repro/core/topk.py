@@ -75,22 +75,6 @@ class TopKStatistics:
     #: The scatter slot each executed interpretation partitioned on (1-based
     #: rank -> backend-reported label; sharded backends only).
     scatter_slots: dict[int, str] = field(default_factory=dict)
-    #: True when the executor's cache is subsumption-aware (the semantic
-    #: layer); gates the exact-vs-subsumption split in ``--explain``.
-    semantic_cache: bool = False
-    #: Cache hits answered by plan subsumption (filter/truncate of a
-    #: subsuming cached entry, zero backend statements) during this query.
-    #: ``cache_hits - cache_subsumption_hits`` is the exact-hit count.
-    #: Delta-sampled from the shared cache around execution, so concurrent
-    #: queries on one cache may blur attribution — never totals.
-    cache_subsumption_hits: int = 0
-    #: Rows subsuming entries held that this query's filters excluded.
-    cache_rows_filtered: int = 0
-    #: Rows this query's lower LIMIT cut from subsumption answers.
-    cache_rows_truncated: int = 0
-    #: Workload queries the engine's warmer replayed on open (constant per
-    #: engine; repeated here so ``--explain`` can render it per query).
-    warmed_queries: int = 0
     #: Read-connection-pool activity during this query on backends that pool
     #: readers (``leases``/``waits`` are deltas across this execution;
     #: ``peak_concurrency``/``size`` are the backend-lifetime peak and the
@@ -160,29 +144,6 @@ class TopKExecutor:
         """The baseline: run every interpretation, union, sort, cut at k."""
         return self._run(ranked, k, bounded=False)
 
-    def _semantic_baseline(self) -> tuple[int, int, int] | None:
-        """Snapshot of the cache's subsumption counters before this query.
-
-        ``None`` when the cache is not subsumption-aware.  The counters live
-        on the (possibly shared) cache; the delta around one ``execute`` call
-        attributes them per query, so concurrent queries on one cache may
-        blur attribution — never totals.
-        """
-        stats = getattr(self.cache, "semantic_statistics", None)
-        if stats is None:
-            return None
-        return (stats.subsumption_hits, stats.rows_filtered, stats.rows_truncated)
-
-    def _settle_semantic(self, baseline: tuple[int, int, int] | None) -> None:
-        """Record this query's subsumption deltas into the statistics."""
-        if baseline is None:
-            return
-        stats = self.cache.semantic_statistics  # type: ignore[union-attr]
-        self.statistics.semantic_cache = True
-        self.statistics.cache_subsumption_hits = stats.subsumption_hits - baseline[0]
-        self.statistics.cache_rows_filtered = stats.rows_filtered - baseline[1]
-        self.statistics.cache_rows_truncated = stats.rows_truncated - baseline[2]
-
     def _merge_rows(
         self,
         results: list[TopKResult],
@@ -217,13 +178,9 @@ class TopKExecutor:
         """Fresh statistics, then :meth:`_consume` (``bounded=False``: the
         naive baseline — every interpretation runs)."""
         self.statistics = TopKStatistics()
-        baseline = self._semantic_baseline()
-        try:
-            if k == 0:
-                return []
-            return self._consume(ranked, k, bounded)
-        finally:
-            self._settle_semantic(baseline)
+        if k == 0:
+            return []
+        return self._consume(ranked, k, bounded)
 
     def _consume(
         self,

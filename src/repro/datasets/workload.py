@@ -283,8 +283,8 @@ def lyrics_workload(
 # -- shared ------------------------------------------------------------------
 
 
-#: Dataset name -> workload sampler, the one map :func:`workload_texts` —
-#: and through it the cache warmer's recorded log — draws queries from.
+#: Dataset name -> workload sampler, the one map :func:`workload_texts`
+#: draws queries from.
 WORKLOAD_SAMPLERS = {"imdb": imdb_workload, "lyrics": lyrics_workload}
 
 
@@ -300,32 +300,6 @@ def workload_texts(
             f"(use {' or '.join(sorted(WORKLOAD_SAMPLERS))})"
         ) from None
     return [str(item.query) for item in sampler(db, n_queries=n_queries, seed=seed)]
-
-
-def recorded_query_log(
-    db: Database,
-    dataset: str,
-    *,
-    n_events: int = 150,
-    distinct: int = 20,
-    seed: int = 13,
-    s: float = 1.1,
-) -> list[str]:
-    """A synthetic *recorded workload*: a Zipf-distributed event log.
-
-    Real keyword traffic is Zipfian — a few hot queries dominate, with a
-    long tail of near-misses.  This samples ``distinct`` ground-truthed
-    queries from the dataset's workload generator and draws ``n_events``
-    log events with weight ``1/rank^s``, so frequency ranking the log (the
-    cache warmer's first step) recovers a stable hot set.  Deterministic
-    per ``(db content, dataset, seed)``.
-    """
-    queries = workload_texts(db, dataset, seed=seed, n_queries=distinct)
-    if not queries:
-        return []
-    rng = random.Random(seed * 10_007 + 7)
-    weights = [1.0 / (rank + 1) ** s for rank in range(len(queries))]
-    return rng.choices(queries, weights=weights, k=n_events)
 
 
 def _sample(db, n_queries, seed, mc_fraction, mc_makers, sc_makers):

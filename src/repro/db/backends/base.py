@@ -449,18 +449,6 @@ class StorageBackend(abc.ABC):
         backends pay one commit per query instead of one per interpretation.
         """
 
-    def cached_result_scan(
-        self, fingerprint: str, like_pattern: str
-    ) -> list[tuple[str, str]]:
-        """Enumerate persisted ``(key, payload)`` pairs matching a SQL-LIKE
-        pattern under one fingerprint (empty = no persistence).
-
-        The semantic result cache uses this to recover its per-entry plan
-        metadata (``...#plan`` keys) after a process restart; backends
-        without persistent storage keep the empty default.
-        """
-        return []
-
     def drain_on_close(self, drain: Callable[[], None]) -> None:
         """Register ``drain`` to run first thing in :meth:`close`.
 
@@ -635,9 +623,8 @@ class StorageBackend(abc.ABC):
 
         ``None`` means the result is provably empty (a selection matched no
         keys).  Planning only needs the schema and the inverted index, so it
-        works on every backend — which is what lets the semantic result
-        cache compare plans for subsumption independent of the storage
-        engine.  Raises like :meth:`execute_path` on invalid specs.
+        works on every backend.  Raises like :meth:`execute_path` on invalid
+        specs.
         """
         from repro.db.backends.sql import plan_path
 

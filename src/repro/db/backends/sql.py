@@ -126,69 +126,6 @@ class PathPlan:
             network[position].key in keys for position, keys in self.post_filters
         )
 
-    # -- subsumption ---------------------------------------------------------
-
-    def key_filter_map(self) -> dict[int, frozenset]:
-        """All key filters per position, inline and post merged back together.
-
-        The inline/post split is a physical parameter-budget decision; the
-        *logical* filter of a position is the union of whichever side it
-        landed on (the planner never splits one position across both).
-        """
-        merged = {position: frozenset(keys) for position, keys in self.inline_filters}
-        for position, keys in self.post_filters:
-            merged[position] = frozenset(keys)
-        return merged
-
-    def order_signature(self) -> tuple[str, ...]:
-        """The abstract per-slot ORDER BY shape this plan compiles to.
-
-        Mirrors ``PlanCompiler.order_terms``: slot 0 sorts by insertion
-        order when unfiltered and by key ``repr()`` when filtered; every
-        later slot always sorts by key ``repr()``.  Two plans with equal
-        signatures produce rows in a *comparable* order — filtering one
-        plan's rows down to the other's keys preserves the other's row
-        sequence exactly.
-        """
-        filtered = self.filtered_positions
-        return tuple(
-            "insert" if i == 0 and 0 not in filtered else "key-repr"
-            for i in range(len(self.path))
-        )
-
-    def residual_filters(self, other: "PathPlan") -> dict[int, frozenset] | None:
-        """The filters to re-apply when this plan's rows answer ``other``.
-
-        ``None`` means no subsumption: the plans differ in join network or
-        ORDER BY shape, or this plan is *narrower* somewhere (its rows may be
-        missing networks ``other`` needs).  Otherwise the returned mapping
-        holds, per position, the key sets of ``other`` that are strictly
-        tighter than (or absent from) this plan — applying them to this
-        plan's rows, in order, yields exactly ``other``'s rows (limits
-        aside; completeness under a LIMIT is the caller's check).
-        """
-        if self.path != other.path or self.edges != other.edges:
-            return None
-        if self.order_signature() != other.order_signature():
-            return None
-        mine, theirs = self.key_filter_map(), other.key_filter_map()
-        for position, keys in mine.items():
-            other_keys = theirs.get(position)
-            if other_keys is None or not other_keys <= keys:
-                return None  # cached plan is narrower here: rows may be missing
-        return {
-            position: keys
-            for position, keys in theirs.items()
-            if keys != mine.get(position)
-        }
-
-    def subsumes(self, other: "PathPlan") -> bool:
-        """True when every result network of ``other`` is among this plan's
-        rows (ignoring limits): same join network, same ORDER BY shape, and
-        this plan's key filters are a superset (or equal, or absent) at every
-        position."""
-        return self.residual_filters(other) is not None
-
 
 #: One member of a tagged UNION ALL batch: ``(spec index, plan)``.
 UnionMember = tuple[int, PathPlan]
@@ -1081,12 +1018,6 @@ class SideTableSQL:
     RESULT_CACHE_SELECT = (
         "SELECT payload FROM _repro_result_cache "
         "WHERE fingerprint = ? AND cache_key = ?"
-    )
-    #: Enumerate one fingerprint's entries whose key matches a LIKE pattern
-    #: (the semantic cache scans the ``%#plan`` metadata entries this way).
-    RESULT_CACHE_SCAN = (
-        "SELECT cache_key, payload FROM _repro_result_cache "
-        "WHERE fingerprint = ? AND cache_key LIKE ? ORDER BY cache_key"
     )
     RESULT_CACHE_PURGE = (
         "DELETE FROM _repro_result_cache WHERE schema_key = ? AND fingerprint != ?"

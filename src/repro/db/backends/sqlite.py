@@ -48,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import sqlite3
 import threading
 from contextlib import contextmanager
@@ -95,17 +94,6 @@ from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 #: long-lived processes opening many distinct files don't accumulate locks.
 _FILE_LOCKS: dict[str, tuple[threading.RLock, int]] = {}
 _FILE_LOCKS_GUARD = threading.Lock()
-
-
-def _like_matches(like_pattern: str, value: str) -> bool:
-    """SQL ``LIKE`` semantics over the pending-puts buffer (``%``/``_``
-    wildcards, everything else literal), so a scan sees buffered entries
-    exactly as the side-table ``LIKE`` would after a flush."""
-    regex = "".join(
-        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-        for ch in like_pattern
-    )
-    return re.fullmatch(regex, value, flags=re.DOTALL) is not None
 
 
 def _acquire_lock_for(path: str, instance: Any | None = None) -> threading.RLock:
@@ -1134,31 +1122,6 @@ class SQLiteBackend(StorageBackend):
             except sqlite3.Error:  # table never created, or a foreign shape
                 return None
             return row[0] if row is not None else None
-
-    def cached_result_scan(
-        self, fingerprint: str, like_pattern: str
-    ) -> list[tuple[str, str]]:
-        """Persisted + buffered ``(key, payload)`` pairs under one
-        fingerprint whose key matches ``like_pattern`` (see the base hook).
-
-        Pending buffered puts are included (and win over persisted rows of
-        the same key) so a scan sees everything a later flush would make
-        durable — the semantic cache may recover plan metadata in the same
-        run that recorded it.
-        """
-        with self._lock:
-            found: dict[str, str] = {}
-            try:
-                cursor = self._conn.execute(
-                    SideTableSQL.RESULT_CACHE_SCAN, (fingerprint, like_pattern)
-                )
-                found.update((key, payload) for key, payload in cursor.fetchall())
-            except sqlite3.Error:  # table never created, or a foreign shape
-                pass
-            for (pending_fp, key), payload in self._pending_results.items():
-                if pending_fp == fingerprint and _like_matches(like_pattern, key):
-                    found[key] = payload
-            return sorted(found.items())
 
     def cached_result_put(self, fingerprint: str, key: str, payload: str) -> None:
         # Buffered in Python, not SQL: an open write transaction per put

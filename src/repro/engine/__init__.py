@@ -12,13 +12,6 @@ pipeline diagram and the stage/backend plug-in guide.
 from repro.engine.cache import CacheStatistics, ResultCache
 from repro.engine.context import EngineConfig, EngineContext
 from repro.engine.engine import QueryEngine, resolve_generator_and_model
-from repro.engine.semcache import (
-    SemanticCacheStatistics,
-    SemanticResultCache,
-    WarmingReport,
-    top_workload_queries,
-    warm_engine,
-)
 from repro.engine.stages import (
     DEFAULT_STAGES,
     ExecuteStage,
@@ -39,11 +32,6 @@ __all__ = [
     "RankStage",
     "ResultCache",
     "SegmentStage",
-    "SemanticCacheStatistics",
-    "SemanticResultCache",
     "Stage",
-    "WarmingReport",
     "resolve_generator_and_model",
-    "top_workload_queries",
-    "warm_engine",
 ]

@@ -143,26 +143,14 @@ class ResultCache:
     # -- access -------------------------------------------------------------
 
     def get(self, query: "StructuredQuery", limit: int | None) -> Rows | None:
-        """Cached rows for (store content, query, limit), or None."""
-        rows = self._fetch_entry(self.key(query, limit))
-        if rows is None:
-            rows = self._miss(query, limit)
-        if rows is not None:
-            self.statistics.hits += 1
-            return list(rows)
-        self.statistics.misses += 1
-        return None
-
-    def _fetch_entry(self, key: tuple[str, str, str]) -> Rows | None:
-        """The rows stored under one exact cache key, or None.
+        """Cached rows for (store content, query, limit), or None.
 
         Checks the process layer first (promoting the entry), then the
         persistent layer (re-remembering a decoded payload).  A process-layer
         hit on an unsaved key is the entry's *second sight*: it has earned
-        persistence and is saved here, once.  No hit/miss accounting —
-        :meth:`get` books that, and the semantic layer reads sibling entries
-        through here without polluting the counters.
+        persistence and is saved here, once.
         """
+        key = self.key(query, limit)
         second_sight = False
         with _PROCESS_CACHE_LOCK:
             rows = _PROCESS_CACHE.get(key)
@@ -171,27 +159,19 @@ class ResultCache:
                 if self.persist and key in _UNSAVED:
                     _UNSAVED.discard(key)
                     second_sight = True
-        if rows is not None:
-            if second_sight:
-                self._save(key, rows)  # outside the lock: a backend call
-            return rows
-        if self.persist:
+        if second_sight:
+            self._save(key, rows)  # outside the lock: a backend call
+        elif rows is None and self.persist:
             payload = self.backend.cached_result_get(key[0], f"{key[1]}#{key[2]}")
             if payload is not None:
                 rows = _decode_rows(payload)
                 if rows is not None:
                     _remember(key, rows, self.capacity)
-                    return rows
-        return None
-
-    def _miss(self, query: "StructuredQuery", limit: int | None) -> Rows | None:
-        """Last-chance hook before a miss is booked.
-
-        The exact-match cache has nothing more to try; the semantic layer
-        overrides this with a subsumption lookup.  A non-None return counts
-        as a hit.
-        """
-        return None
+        if rows is None:
+            self.statistics.misses += 1
+            return None
+        self.statistics.hits += 1
+        return list(rows)
 
     def put(self, query: "StructuredQuery", limit: int | None, rows: Rows) -> None:
         """Record freshly executed rows under the current fingerprint.
@@ -202,15 +182,13 @@ class ResultCache:
         _remember(self.key(query, limit), list(rows), self.capacity, unsaved=True)
         self.statistics.stores += 1
 
-    def _save(self, key: tuple[str, str, str], rows: Rows) -> bool:
-        """Encode one entry and hand it to the backend's put buffer; False
+    def _save(self, key: tuple[str, str, str], rows: Rows) -> None:
+        """Encode one entry and hand it to the backend's put buffer; skipped
         when the rows are not serializable (the process layer still works).
         The caller has removed the key's unsaved mark."""
         payload = _encode_rows(rows)
-        if payload is None:
-            return False
-        self.backend.cached_result_put(key[0], f"{key[1]}#{key[2]}", payload)
-        return True
+        if payload is not None:
+            self.backend.cached_result_put(key[0], f"{key[1]}#{key[2]}", payload)
 
     def _save_unsaved(self) -> None:
         """The backend's close drain: save what is still resident and

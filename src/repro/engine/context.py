@@ -26,27 +26,12 @@ class EngineConfig:
 
     #: Default number of results ``run()``/``search()`` return.
     k: int = 5
-    #: Per-interpretation execution cap handed to the top-k executor.
-    per_query_limit: int | None = 5_000
     #: Use the cross-session result cache for interpretation execution.
     cache_results: bool = True
     #: Capacity of the process-level result-cache LRU (entries).  The store
     #: is process-wide and shared across engines; each engine enforces its
     #: own configured bound when it writes (CLI: ``--cache-size``).
     result_cache_size: int = 4096
-    #: Layer the subsumption-aware semantic cache over the result cache: a
-    #: near-miss variant of a cached query (same join network, narrower key
-    #: filters, same-or-lower limit, same ORDER BY shape) answers by
-    #: filtering/truncating the cached rows in Python instead of executing
-    #: (CLI: ``--semantic-cache``).  Rows are byte-identical either way.
-    semantic_cache: bool = False
-    #: Replay the N hottest queries of the dataset's recorded workload
-    #: through the engine when it is built via ``for_dataset`` (0 = no
-    #: warming; CLI: ``--warm-workload``).  Clamped to the cache capacity
-    #: and replayed coldest-first, so warming never evicts hotter entries.
-    warm_workload: int = 0
-    #: How many top-ranked interpretations ``--explain`` renders as SQL.
-    explain_sql_limit: int = 5
     #: Reader connections the storage backend may lease for concurrent
     #: read-only execution (CLI: ``--read-pool-size``).  ``None`` keeps the
     #: backend's default; ``1`` is a pool of one reader — on a sharded store
@@ -145,24 +130,9 @@ class EngineContext:
                 "  plan memo: %s (%d hit(s), %d miss(es), %d/%d interpretations resident)"
                 % (outcome, *self.memo_counters)
             )
-        cache_line = (
+        lines.append(
             f"  result cache: {stats.cache_hits} hit(s), {stats.cache_misses} miss(es)"
         )
-        if stats.semantic_cache:
-            exact = stats.cache_hits - stats.cache_subsumption_hits
-            cache_line += (
-                f" ({exact} exact, {stats.cache_subsumption_hits} subsumption)"
-            )
-        lines.append(cache_line)
-        if stats.cache_subsumption_hits:
-            lines.append(
-                f"  subsumption reuse: {stats.cache_rows_filtered} row(s) "
-                f"filtered out, {stats.cache_rows_truncated} row(s) truncated"
-            )
-        if stats.warmed_queries:
-            lines.append(
-                f"  warmer: {stats.warmed_queries} workload query(ies) replayed on open"
-            )
         if self.sql:
             lines.append("-- sql (top interpretations) --")
             for statement in self.sql:

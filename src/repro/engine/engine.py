@@ -33,7 +33,6 @@ from repro.db.backends.base import StorageBackend
 from repro.engine.cache import ResultCache
 from repro.engine.context import EngineConfig, EngineContext
 from repro.engine.memo import InterpretationMemo
-from repro.engine.semcache import SemanticResultCache, WarmingReport, warm_engine
 from repro.engine.stages import DEFAULT_STAGES, Stage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,18 +82,12 @@ class QueryEngine:
         if cache is not None:
             self.cache: ResultCache | None = cache
         elif self.config.cache_results:
-            cache_class = (
-                SemanticResultCache if self.config.semantic_cache else ResultCache
-            )
-            self.cache = cache_class(backend, capacity=self.config.result_cache_size)
+            self.cache = ResultCache(backend, capacity=self.config.result_cache_size)
         else:
             self.cache = None
         #: Ranked spaces of queries already answered.  Rides on the result
         #: cache's switch (``cache_results``): a cache-free engine recomputes.
         self.memo = InterpretationMemo() if self.cache is not None else None
-        #: The last workload-warming pass over this engine (None = never
-        #: warmed); ``--explain`` surfaces it per query.
-        self.warming: WarmingReport | None = None
         self.stages: list[Stage] = list(stages or DEFAULT_STAGES)
 
     # -- construction helpers ----------------------------------------------
@@ -133,31 +126,7 @@ class QueryEngine:
             if key.startswith("dataset_")
         }
         db = builder(backend=backend, db_path=db_path, shards=shards, **dataset_kwargs)
-        engine = cls(db, **kwargs)
-        if engine.config.warm_workload > 0:
-            engine.warm_from_workload(dataset)
-        return engine
-
-    def warm_from_workload(
-        self, dataset: str, top_n: int | None = None, *, seed: int = 13
-    ) -> "WarmingReport":
-        """Warm the result cache from the dataset's recorded workload.
-
-        Replays the ``top_n`` hottest queries of a synthetic Zipfian query
-        log (:func:`repro.datasets.workload.recorded_query_log`) through the
-        full pipeline — coldest first, clamped to the cache capacity, so
-        warming never evicts hotter entries (see
-        :func:`repro.engine.semcache.warm_engine`).  ``for_dataset`` calls
-        this automatically when ``EngineConfig.warm_workload`` is set, which
-        is how serving pools (``QueryServer``/``serve --tcp``) warm on
-        construction.
-        """
-        from repro.datasets.workload import recorded_query_log
-
-        if top_n is None:
-            top_n = self.config.warm_workload
-        log = recorded_query_log(self.backend, dataset, seed=seed)
-        return warm_engine(self, log, top_n)
+        return cls(db, **kwargs)
 
     def with_model(
         self, model: ProbabilityModel | ModelFactory

@@ -21,6 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import EngineContext
     from repro.engine.engine import QueryEngine
 
+#: How many top-ranked interpretations ``--explain`` renders as SQL.
+EXPLAIN_SQL_LIMIT = 5
+
 
 @runtime_checkable
 class Stage(Protocol):
@@ -99,11 +102,7 @@ class ExecuteStage:
     name = "execute"
 
     def run(self, engine: "QueryEngine", context: "EngineContext") -> None:
-        executor = TopKExecutor(
-            context.backend,
-            per_query_limit=context.config.per_query_limit,
-            cache=engine.cache,
-        )
+        executor = TopKExecutor(context.backend, cache=engine.cache)
         pool_before = context.backend.read_pool_stats()
         context.results = executor.execute(context.ranked, k=context.k)
         context.executor_statistics = executor.statistics
@@ -119,13 +118,10 @@ class ExecuteStage:
                 "waits": pool_after["waits"] - before.get("waits", 0),
                 "peak_concurrency": pool_after["peak_concurrency"],
             }
-        warming = getattr(engine, "warming", None)
-        if warming is not None:
-            context.executor_statistics.warmed_queries = warming.queries_replayed
         if engine.cache is not None:
             engine.cache.flush()  # one durability point per run, not per put
         if context.explain:
-            head = context.ranked[: context.config.explain_sql_limit]
+            head = context.ranked[:EXPLAIN_SQL_LIMIT]
             context.sql = [interp.to_structured_query().to_sql() for interp, _p in head]
 
 

@@ -23,6 +23,7 @@ over this pool: stdin, TCP and HTTP requests all reach it through
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -129,17 +130,15 @@ class QueryServer:
         first queries on one key build once, while queries on other (already
         built) keys are never blocked by a slow dataset build.  The shard
         count normalizes through the backend registry, so an unspecified
-        count and an explicit default-count request share one engine.
+        count and an explicit default-count request share one engine; the
+        path normalizes to its absolute form (the file lock's rule), so two
+        spellings of one file share one too.
         """
         from repro.db.backends import resolve_shard_layout
 
         shards = resolve_shard_layout(backend, shards)
-        key: EngineKey = (
-            dataset,
-            backend,
-            str(db_path) if db_path else None,
-            shards,
-        )
+        db_path = os.path.abspath(db_path) if db_path else None
+        key: EngineKey = (dataset, backend, db_path, shards)
         with self._engines_lock:
             engine = self._engines.get(key)
             if engine is not None:

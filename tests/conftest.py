@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.generator import InterpretationGenerator
 from repro.core.probability import ATFModel, TemplateCatalog
+from repro.core.templates import QueryTemplate
 from repro.datasets.freebase import build_freebase
 from repro.datasets.imdb import build_imdb
 from repro.datasets.lyrics import build_lyrics
@@ -58,6 +59,16 @@ def build_mini_db(
     db.insert("acts", {"id": 4, "actor_id": 3, "movie_id": 3, "role": "writer"})
     db.build_indexes()
     return db
+
+
+def template_of(db, path: tuple[str, ...]) -> QueryTemplate:
+    """The template of ``path``, each hop over the schema's foreign key
+    between its two tables."""
+    edges = [
+        next(fk for fk in db.schema.foreign_keys if {fk.source, fk.target} == {left, right})
+        for left, right in zip(path, path[1:])
+    ]
+    return QueryTemplate(tuple(path), tuple(edges))
 
 
 def drain_plan(db, plan) -> list:

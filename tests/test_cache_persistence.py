@@ -27,15 +27,14 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.cli import main
 from repro.core.query import StructuredQuery
+from repro.core.topk import TopKExecutor
 from repro.db.backends.sqlite import SQLiteBackend
 from repro.engine import EngineConfig, QueryEngine, ResultCache
 from repro.engine import cache as cache_module
-from repro.engine.semcache import PLAN_KEY_SUFFIX, SemanticResultCache
 from repro.net import protocol
-from tests.conftest import build_mini_db, mini_schema
+from tests.conftest import build_mini_db, mini_schema, template_of
 from tests.serving import spawn_tcp_server
 from tests.test_engine_memo import _distinct_texts
-from tests.test_semcache import _template
 
 
 @pytest.fixture(autouse=True)
@@ -59,12 +58,25 @@ def _side_table(path) -> dict[str, str]:
         conn.close()
 
 
-def _payload_rows(path) -> dict[str, str]:
-    return {
-        key: payload
-        for key, payload in _side_table(path).items()
-        if not key.endswith(PLAN_KEY_SUFFIX)
-    }
+def _persisted_and_pending(db: SQLiteBackend, fingerprint: str) -> dict[str, str]:
+    """``cache_key -> payload`` under one fingerprint: the side-table rows the
+    store's own writer sees, overlaid with its unflushed put buffer — what
+    the store holds once it flushes."""
+    with db._lock:
+        try:
+            found = dict(
+                db._conn.execute(
+                    "SELECT cache_key, payload FROM _repro_result_cache "
+                    "WHERE fingerprint = ?",
+                    (fingerprint,),
+                )
+            )
+        except sqlite3.OperationalError:  # never written: the table does not exist
+            found = {}
+        for (pending_fingerprint, key), payload in db._pending_results.items():
+            if pending_fingerprint == fingerprint:
+                found[key] = payload
+    return found
 
 
 def _entry_keys(context, limit: int | None) -> set[str]:
@@ -83,14 +95,14 @@ def test_cache_keys_are_the_literal_strings_persisted_stores_hold(mini_db):
     """Caches written before the key was memoised must still hit: the two
     literals below were printed by the parent commit."""
     two_on_one_slot = StructuredQuery(
-        _template(mini_db, ("actor", "acts", "movie")),
+        template_of(mini_db, ("actor", "acts", "movie")),
         {
             2: (("year", ("2001",)), ("title", ("island", "hanks"))),
             0: (("name", ("hanks",)),),
         },
     )
     aggregate = StructuredQuery(
-        _template(mini_db, ("movie",)),
+        template_of(mini_db, ("movie",)),
         {0: (("year", ("2001",)),)},
         aggregate=("count", 0),
     )
@@ -107,8 +119,8 @@ def test_cache_keys_are_the_literal_strings_persisted_stores_hold(mini_db):
 
 
 def test_the_key_is_built_once_per_query_and_is_not_part_of_its_value(mini_db):
-    query = StructuredQuery(_template(mini_db, ("actor",)), {0: (("name", ("hanks",)),)})
-    twin = StructuredQuery(_template(mini_db, ("actor",)), {0: (("name", ("hanks",)),)})
+    query = StructuredQuery(template_of(mini_db, ("actor",)), {0: (("name", ("hanks",)),)})
+    twin = StructuredQuery(template_of(mini_db, ("actor",)), {0: (("name", ("hanks",)),)})
     assert query.cache_key() is query.cache_key()  # the same string object
     assert query == twin and repr(query) == repr(twin)  # twin never built one
     assert twin.cache_key() == query.cache_key()
@@ -136,12 +148,12 @@ def test_once_seen_entries_are_written_at_close_and_only_what_is_resident(tmp_pa
         # One repeat: exactly that query's entries, after that run's flush.
         repeated = engine.run(texts[-1], k=5)
         assert repeated.cache_hits > 0 and repeated.cache_misses == 0
-        written = _payload_rows(path)
+        written = _side_table(path)
         assert len(written) == repeated.cache_hits
-        assert set(written) <= _entry_keys(repeated, engine.config.per_query_limit)
+        assert set(written) <= _entry_keys(repeated, TopKExecutor.per_query_limit)
     finally:
         engine.backend.close()
-    after_close = _payload_rows(path)
+    after_close = _side_table(path)
     assert set(written) <= set(after_close)
     assert 0 < len(after_close) <= 64  # what the LRU still held, nothing evicted
 
@@ -230,31 +242,6 @@ def test_the_other_one_shot_commands_close_their_backend_too(
     assert len(closed) == 1 and closed[0]._closed
 
 
-# -- the semantic cache never persists a plan without its payload --------------------
-
-
-def test_plan_metadata_is_written_with_its_payload_never_before(tmp_path):
-    path = tmp_path / "mini.sqlite"
-    db = build_mini_db("sqlite", db_path=path)
-    cache = SemanticResultCache(db)
-    broad = StructuredQuery(_template(db, ("actor",)), {0: (("name", ("hanks",)),)})
-    other = StructuredQuery(_template(db, ("movie",)), {0: (("year", ("2001",)),)})
-    for query in (broad, other):
-        cache.put(query, None, query.execute(db))
-    cache.flush()
-    assert _side_table(path) == {}
-    assert cache.get(broad, None) == broad.execute(db)  # second sight
-    cache.flush()
-    entry = f"{broad.cache_key()}#none"
-    assert set(_side_table(path)) == {entry, entry + PLAN_KEY_SUFFIX}
-    db.close()  # the drain writes the other pair
-    keys = set(_side_table(path))
-    assert len(keys) == 4
-    assert {key + PLAN_KEY_SUFFIX for key in keys if not key.endswith(PLAN_KEY_SUFFIX)} == {
-        key for key in keys if key.endswith(PLAN_KEY_SUFFIX)
-    }
-
-
 # -- the close drain is best-effort --------------------------------------------------
 
 
@@ -264,8 +251,8 @@ def test_an_unserialisable_entry_is_skipped_and_the_close_completes(tmp_path):
     path = tmp_path / "mini.sqlite"
     db = build_mini_db("sqlite", db_path=path)
     cache = ResultCache(db)
-    fine = StructuredQuery(_template(db, ("actor",)), {0: (("name", ("hanks",)),)})
-    odd = StructuredQuery(_template(db, ("movie",)), {0: (("year", ("2001",)),)})
+    fine = StructuredQuery(template_of(db, ("actor",)), {0: (("name", ("hanks",)),)})
+    odd = StructuredQuery(template_of(db, ("movie",)), {0: (("year", ("2001",)),)})
     cache.put(fine, None, fine.execute(db))
     cache.put(odd, None, [(Tuple("movie", (1, 2), (("title", b"bytes"),)),)])
     db.close()
@@ -277,7 +264,7 @@ def test_a_non_persisting_cache_registers_no_drain_and_writes_nothing(tmp_path):
     path = tmp_path / "mini.sqlite"
     db = build_mini_db("sqlite", db_path=path)
     cache = ResultCache(db, persist=False)
-    query = StructuredQuery(_template(db, ("actor",)), {0: (("name", ("hanks",)),)})
+    query = StructuredQuery(template_of(db, ("actor",)), {0: (("name", ("hanks",)),)})
     cache.put(query, None, query.execute(db))
     assert cache.get(query, None) is not None
     db.close()
@@ -370,7 +357,7 @@ class PersistenceAgainstModel(RuleBasedStateMachine):
     @invariant()
     def persisted_entries_were_earned_and_decode_to_the_stored_rows(self):
         store_key = self.cache.key(self.queries[0], None)[0]
-        persisted = dict(self.db.cached_result_scan(store_key, "%"))
+        persisted = _persisted_and_pending(self.db, store_key)
         for entry_key, payload in persisted.items():
             cache_key, limit = entry_key.rsplit("#", 1)
             key = (store_key, cache_key, limit)
@@ -491,7 +478,7 @@ def test_a_sigtermed_server_leaves_a_store_that_answers_without_executing(tmp_pa
         server.process.stdout.close()
     assert code == 0
     assert len(set(texts)) == 50
-    assert len(_payload_rows(path)) >= 50
+    assert len(_side_table(path)) >= 50
 
     ResultCache.clear_process_cache()
     engine = QueryEngine.for_dataset("imdb", backend="sqlite", db_path=path)

@@ -16,6 +16,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -45,6 +47,22 @@ class TestFlagCoverage:
         errors: list[str] = []
         linter.check_cli_flag_coverage(stripped, errors)
         assert any("--http-port" in error for error in errors)
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            "| `--semantic-cache` | off | A table row. |",
+            "| `--backend`, `--semantic-cache` | | A list of flags in one cell. |",
+            "Prose: rows never change with --semantic-cache on.",
+        ],
+    )
+    def test_a_flag_no_subcommand_has_fails(self, stale):
+        """Negative, forward: a deleted flag left anywhere in the page is
+        reported, not only on a ``python -m repro.cli`` line."""
+        cli_doc = (REPO_ROOT / "docs" / "cli.md").read_text(encoding="utf-8")
+        errors: list[str] = []
+        linter.check_cli_flag_coverage(f"{cli_doc}\n{stale}\n", errors)
+        assert errors == ["docs/cli.md: no subcommand has the flag --semantic-cache"]
 
     def test_option_enumeration_sees_new_serve_flags(self):
         options = {

@@ -104,7 +104,7 @@ class TestScatterPositionChoice:
             {1: [("role", ("captain",))]},
         )
         assert plan is not None
-        assert plan.key_filter_map() == {1: frozenset({1})}
+        assert plan.inline_filters == ((1, (1,)),) and plan.post_filters == ()
         return plan
 
     def test_single_slot_plans_keep_slot_zero(self, db):

@@ -82,6 +82,36 @@ class TestEnginePool:
             assert server.pooled_engines == 2
         assert [key[3] for key in built_keys] == [default_count, 4]
 
+    @pytest.mark.parametrize("spelling", ["./a.sqlite", "sub/../a.sqlite", "{cwd}/a.sqlite"])
+    @pytest.mark.parametrize("backend", ["sqlite", "sqlite-sharded"])
+    def test_two_spellings_of_one_file_share_one_engine(
+        self, tmp_path, monkeypatch, backend, spelling
+    ):
+        """``a.sqlite`` and another spelling of it are one store: one writer,
+        one read pool, one memo — and both spellings answer with its rows."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        other = spelling.format(cwd=tmp_path)
+        with QueryServer(max_workers=2) as server:
+            first = server.query("imdb", "london", backend=backend, db_path="a.sqlite")
+            second = server.query("imdb", "london", backend=backend, db_path=other)
+            assert server.pooled_engines == 1
+            assert first.result_uids() == second.result_uids()
+            assert first.result_uids()
+
+    def test_the_factory_is_handed_the_absolute_path(self, tmp_path, monkeypatch, imdb_db):
+        monkeypatch.chdir(tmp_path)
+        built = []
+
+        def factory(dataset, backend, db_path, shards, config):
+            built.append(db_path)
+            return QueryEngine(imdb_db)
+
+        with QueryServer(max_workers=1, engine_factory=factory) as server:
+            server.engine_for("imdb", backend="sqlite", db_path="a.sqlite")
+            server.engine_for("imdb", backend="sqlite", db_path=tmp_path / "a.sqlite")
+        assert built == [str(tmp_path / "a.sqlite")]
+
     def test_engine_config_reaches_the_pool(self):
         config = EngineConfig(k=3, cache_results=False)
         with QueryServer(max_workers=1, engine_config=config) as server:
@@ -276,7 +306,14 @@ class TestServeCLI:
         assert _engine_config(args).read_pool_size == 2
 
     @pytest.mark.parametrize(
-        "argv", [["serve", "--async"], ["bench-serve"], ["bench-load"]]
+        "argv",
+        [
+            ["serve", "--async"],
+            ["bench-serve"],
+            ["bench-load"],
+            ["search", "--semantic-cache", "x"],
+            ["search", "--warm-workload", "3", "x"],
+        ],
     )
     def test_removed_front_ends_are_argparse_errors(self, argv, capsys):
         from repro.cli import main
@@ -292,6 +329,27 @@ class TestServeCLI:
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(f"repro.net.{module}")
+
+    def test_removed_semantic_cache_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.semcache")
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "SemanticResultCache",
+            "SemanticCacheStatistics",
+            "WarmingReport",
+            "top_workload_queries",
+            "warm_engine",
+        ],
+    )
+    def test_removed_engine_exports_are_gone(self, name):
+        import repro.engine
+
+        assert not hasattr(repro.engine, name)
 
     def test_several_workers_need_a_socket(self):
         from repro.cli import main
