@@ -47,7 +47,7 @@ from repro.core.keywords import KeywordQuery
 from repro.core.snippets import make_snippet
 from repro.db.backends import available_backends
 from repro.db.errors import DatabaseError
-from repro.divq.diversify import diversify
+from repro.divq.diversify import diversify, divq_model, relevance_pool
 from repro.engine import EngineConfig, QueryEngine
 from repro.iqp.infogain import information_gain
 
@@ -183,7 +183,8 @@ def _construct(args: argparse.Namespace, engine: QueryEngine) -> int:
 
 def cmd_diversify(args: argparse.Namespace) -> int:
     with _engine(args) as engine:
-        ranked = engine.rank(args.query)[:25]
+        # Chapter 4's pipeline: rank by DivQ's model, pool the non-empty top 25.
+        ranked = relevance_pool(engine.with_model(divq_model).rank(args.query))
     if not ranked:
         print("no interpretations found")
         return 1
@@ -371,8 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_div = sub.add_parser("diversify", help="diversified interpretation ranking")
     p_div.add_argument("query")
     p_div.add_argument("--dataset", default="imdb")
-    p_div.add_argument("--k", type=int, default=5)
-    p_div.add_argument("--tradeoff", type=float, default=0.5)
+    p_div.add_argument("--k", type=int, default=5, help="interpretations to select")
+    p_div.add_argument(
+        "--tradeoff",
+        type=float,
+        default=0.5,
+        help="lambda of Eq. 4.4: 1 = pure relevance, 0 = pure novelty (default: 0.5)",
+    )
     _add_storage_options(p_div)
     p_div.set_defaults(func=cmd_diversify)
 

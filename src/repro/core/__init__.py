@@ -4,12 +4,10 @@ This package implements the shared machinery of all systems in the thesis:
 keyword queries, structured queries (relational-algebra join paths with
 ``contains`` predicates), query templates, keyword/query interpretations with
 sub-query subsumption, the interpretation-space generator and query hierarchy,
-the probabilistic interpretation model (ATF, template priors) and
-DISCOVER-style candidate-network enumeration.
+and the probabilistic interpretation model (ATF, template priors).
 """
 
 from repro.core.autocomplete import AutoCompleter, Completion
-from repro.core.candidate_network import CandidateNetwork, enumerate_candidate_networks
 from repro.core.cleaning import Correction, QueryCleaner, edit_distance
 from repro.core.generator import GeneratorConfig, InterpretationGenerator
 from repro.core.hierarchy import QueryHierarchy
@@ -22,7 +20,6 @@ from repro.core.interpretation import (
     atoms_subsume,
 )
 from repro.core.keywords import Keyword, KeywordQuery
-from repro.core.labeled import Label, LabeledGenerator, LabeledQuery, parse_labeled
 from repro.core.options import AtomSetOption, ConceptOption, Option
 from repro.core.probability import (
     ATFModel,
@@ -33,7 +30,6 @@ from repro.core.probability import (
     UniformModel,
 )
 from repro.core.query import StructuredQuery
-from repro.core.result_ranking import MonotoneResultScorer, SparkResultScorer
 from repro.core.segmentation import QuerySegmenter, Segmentation
 from repro.core.snippets import cluster_results, make_snippet
 from repro.core.templates import QueryTemplate, generate_templates
@@ -47,23 +43,16 @@ __all__ = [
     "Completion",
     "ConceptOption",
     "Correction",
-    "Label",
-    "LabeledGenerator",
-    "LabeledQuery",
-    "MonotoneResultScorer",
     "OperatorAtom",
     "Option",
     "QueryCleaner",
     "QuerySegmenter",
     "Segmentation",
-    "SparkResultScorer",
     "TFIDFModel",
     "TopKExecutor",
     "cluster_results",
     "edit_distance",
     "make_snippet",
-    "parse_labeled",
-    "CandidateNetwork",
     "DivQModel",
     "GeneratorConfig",
     "Interpretation",
@@ -79,6 +68,5 @@ __all__ = [
     "UniformModel",
     "ValueAtom",
     "atoms_subsume",
-    "enumerate_candidate_networks",
     "generate_templates",
 ]

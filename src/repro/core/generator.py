@@ -131,15 +131,6 @@ class InterpretationGenerator:
         #: Per-template slot tables, computed once and shared by every query.
         self._slot_tables = [TemplateSlots.of(t) for t in self.templates]
 
-    def _adopt(self, base: "InterpretationGenerator") -> None:
-        """Share ``base``'s database, config, templates and precomputed tables.
-
-        The one seam for a generator that wraps another (``LabeledGenerator``)
-        instead of running ``__init__``: the whole instance state is taken
-        over by reference, so nothing computed there can be missing here.
-        """
-        self.__dict__.update(vars(base))
-
     # -- keyword-level interpretation ---------------------------------------
 
     def keyword_atoms(self, keyword: Keyword) -> list[Atom]:

@@ -35,7 +35,6 @@ from repro.db.errors import (
 )
 from repro.db.index import AttributeStatistics, InvertedIndex, Posting
 from repro.db.schema import Attribute, ForeignKey, Schema, Table
-from repro.db.serialize import load_database, save_database
 from repro.db.table import Relation, Tuple
 from repro.db.tokenizer import Tokenizer, tokenize
 
@@ -62,8 +61,6 @@ __all__ = [
     "UnknownTableError",
     "available_backends",
     "create_backend",
-    "load_database",
     "register_backend",
-    "save_database",
     "tokenize",
 ]

@@ -17,11 +17,9 @@ from repro.divq.metrics import (
     ws_recall,
 )
 from repro.divq.similarity import jaccard_similarity
-from repro.divq.system import DivQ
 
 __all__ = [
     "AssessorPool",
-    "DivQ",
     "DiversificationResult",
     "alpha_ndcg_w",
     "diversify",

@@ -14,12 +14,26 @@ soon as ``best_score > lambda * P(L[j])`` — no later candidate can win.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.core.interpretation import Interpretation
+from repro.core.probability import DivQModel
 from repro.divq.similarity import jaccard_similarity
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine import QueryEngine
+
 Q = TypeVar("Q")
+
+
+def divq_model(engine: "QueryEngine") -> DivQModel:
+    """Model factory: DivQ's Eq. 4.2 over ``engine``, empty interpretations at 0."""
+    return DivQModel(engine.index, engine.catalog, database=engine.backend, check_nonempty=True)
+
+
+def relevance_pool(ranked: Sequence[tuple[Q, float]], size: int = 25) -> list[tuple[Q, float]]:
+    """The ``size`` most relevant items with ``P > 0``: Alg. 4.1's input."""
+    return [(item, p) for item, p in ranked if p > 0.0][:size]
 
 
 @dataclass

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 from repro.core.generator import GeneratorConfig
 from repro.core.interpretation import Interpretation
-from repro.core.probability import DivQModel
 from repro.datasets.workload import WorkloadQuery, imdb_workload, lyrics_workload
 from repro.divq.analysis import max_and_average_ratio_profile, query_ambiguity_entropy
 from repro.divq.assessors import AssessorPool, simulate_assessments
-from repro.divq.diversify import diversify
+from repro.divq.diversify import diversify, divq_model, relevance_pool
 from repro.divq.metrics import alpha_ndcg_w, subtopic_relevance, ws_recall
 from repro.engine import QueryEngine
 from repro.experiments.reporting import format_table
@@ -75,18 +74,14 @@ def build_setup(
         dataset,
         dataset_seed=seed,
         generator_config=GeneratorConfig(),
-        model_factory=lambda e: DivQModel(
-            e.index, e.catalog, database=e.backend, check_nonempty=True
-        ),
+        model_factory=divq_model,
     )
     db = engine.backend
     workload = workload_fns[dataset](db, n_queries=n_queries * 2)
     pool = AssessorPool()
     judged: list[JudgedQuery] = []
     for item in workload:
-        ranked = engine.rank(item.query)
-        # Keep only interpretations with non-empty results, pool top-k.
-        ranked = [(i, p) for i, p in ranked if p > 0.0][:top_k_pool]
+        ranked = relevance_pool(engine.rank(item.query), top_k_pool)
         if len(ranked) < 3:
             continue
         interps = [i for i, _p in ranked]

@@ -319,36 +319,6 @@ class TestValueFidelity:
             db.insert("actor", {"id": 50, "name": ["not", "a", "scalar"]})
 
 
-def test_load_database_reuses_populated_sqlite_file(tmp_path):
-    from repro.db.serialize import load_database, save_database
-
-    json_path = tmp_path / "db.json"
-    sqlite_path = tmp_path / "db.sqlite"
-    memory = build_mini_db("memory")
-    save_database(memory, json_path)
-    first = load_database(json_path, backend="sqlite", db_path=sqlite_path)
-    first.close()
-    # Loading again into the same file must not re-insert (no IntegrityError)
-    # and must see the identical content.
-    again = load_database(json_path, backend="sqlite", db_path=sqlite_path)
-    assert again.index.stats_snapshot() == memory.index.stats_snapshot()
-    again.close()
-
-
-def test_load_database_rejects_mismatched_sqlite_file(tmp_path):
-    from repro.db.serialize import load_database, save_database
-
-    json_path = tmp_path / "db.json"
-    sqlite_path = tmp_path / "db.sqlite"
-    save_database(build_mini_db("memory"), json_path)
-    # Populate the target file with *different* content first.
-    other = create_backend("sqlite", mini_schema(), path=sqlite_path)
-    other.insert("actor", {"id": 1, "name": "someone else"})
-    other.close()
-    with pytest.raises(ValueError, match="already holds different data"):
-        load_database(json_path, backend="sqlite", db_path=sqlite_path)
-
-
 def test_copy_into_sqlite():
     memory = build_mini_db("memory")
     sqlite = memory.copy_into(create_backend("sqlite", mini_schema()))

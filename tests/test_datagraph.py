@@ -1,5 +1,7 @@
 """Unit tests for repro.db.datagraph."""
 
+import pytest
+
 from repro.db.datagraph import DataGraph
 
 
@@ -40,3 +42,26 @@ class TestDataGraph:
         dg = DataGraph(mini_db)
         # The dangling row connects only to the movie side.
         assert set(dg.neighbors(("acts", 99))) == {("movie", 1)}
+
+
+@pytest.mark.parametrize("dataset", ["imdb_db", "lyrics_db"])
+def test_every_tuple_of_a_bundled_dataset_is_a_node(dataset, request):
+    db = request.getfixturevalue(dataset)
+    assert DataGraph(db).node_count() == db.total_tuples()
+
+
+@pytest.mark.parametrize("dataset", ["imdb_db", "lyrics_db"])
+def test_the_edges_are_exactly_the_foreign_key_links(dataset, request):
+    """Recomputed by scanning both sides of every foreign key, no lookups."""
+    db = request.getfixturevalue(dataset)
+    links: set[frozenset] = set()
+    for fk in db.schema.foreign_keys:
+        targets: dict = {}
+        for tup in db.relation(fk.target):
+            targets.setdefault(tup.get(fk.target_attr), []).append(tup.uid)
+        for tup in db.relation(fk.source):
+            value = tup.get(fk.source_attr)
+            if value is not None:
+                links.update(frozenset((tup.uid, uid)) for uid in targets.get(value, ()))
+    assert links
+    assert {frozenset(edge) for edge in DataGraph(db).graph.edges} == links

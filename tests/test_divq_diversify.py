@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.divq.diversify import diversify
+from repro.core.probability import DivQModel
+from repro.datasets.workload import WORKLOAD_SAMPLERS
+from repro.divq.diversify import divq_model, diversify, relevance_pool
+from repro.engine import QueryEngine
 
 
 def sim_from_matrix(matrix):
@@ -98,3 +101,53 @@ class TestDiversify:
     def test_default_similarity_requires_interpretations(self):
         with pytest.raises(TypeError):
             diversify([("plain", 1.0), ("items", 0.5)], k=2, tradeoff=0.5)
+
+
+class TestRelevancePool:
+    def test_drops_items_without_relevance(self):
+        ranked = [("a", 0.6), ("b", 0.0), ("c", 0.4)]
+        assert relevance_pool(ranked) == [("a", 0.6), ("c", 0.4)]
+
+    def test_keeps_the_ranked_order(self):
+        ranked = [("low", 0.1), ("high", 0.9), ("mid", 0.5)]
+        assert relevance_pool(ranked) == ranked
+
+    def test_size_counts_only_relevant_items(self):
+        ranked = [("zero", 0.0)] * 3 + [(i, 1.0 / (i + 1)) for i in range(5)]
+        assert relevance_pool(ranked, size=2) == [(0, 1.0), (1, 0.5)]
+
+    def test_default_size_is_chapter_4s_pool_of_25(self):
+        ranked = [(i, 1.0) for i in range(40)]
+        assert relevance_pool(ranked) == ranked[:25]
+
+    def test_nothing_relevant_gives_an_empty_pool(self):
+        assert relevance_pool([]) == []
+        assert relevance_pool([("a", 0.0), ("b", 0.0)]) == []
+
+
+@pytest.fixture(scope="module", params=["imdb", "lyrics"])
+def dataset_engine(request):
+    return request.param, QueryEngine.for_dataset(request.param)
+
+
+class TestDivqModel:
+    def test_is_eq_4_2_over_the_engines_own_store(self, dataset_engine):
+        _dataset, engine = dataset_engine
+        model = divq_model(engine)
+        assert isinstance(model, DivQModel)
+        assert model.index is engine.index
+        assert model.catalog is engine.catalog
+        assert model.database is engine.backend
+        assert model.check_nonempty
+
+    def test_zero_probability_means_no_result_rows(self, dataset_engine):
+        """P = 0 exactly when the interpretation selects nothing (Section 4.5)."""
+        dataset, engine = dataset_engine
+        ranker = engine.with_model(divq_model)
+        checked = 0
+        for item in WORKLOAD_SAMPLERS[dataset](engine.backend, n_queries=10):
+            for interpretation, p in ranker.rank(str(item.query)):
+                has_rows = interpretation.to_structured_query().has_results(engine.backend)
+                assert (p > 0.0) == has_rows, interpretation.describe()
+                checked += 1
+        assert checked > 0
