@@ -21,6 +21,13 @@ not *omit*:
 5. Every HTTP route in ``repro.net.http.ROUTES`` appears in
    ``docs/http_api.md``, method and path both.
 
+And one check that a documented interface still exists:
+
+6. Every member named in the first column of the tables under
+   ``## The contract`` in ``docs/architecture.md`` exists on
+   ``StorageBackend`` or ``RelationView`` (``cached_result_get/put`` names
+   ``cached_result_get`` and ``cached_result_put``).
+
 Run as ``PYTHONPATH=src python scripts/lint_docs.py`` (CI runs it on every
 push, so the docs cannot drift from the code).
 """
@@ -43,6 +50,7 @@ INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 PATH_RE = re.compile(r"\b(?:src|tests|benchmarks|docs|examples|scripts)/[\w./-]*\w")
 LONG_OPTION_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+CONTRACT_RE = re.compile(r"^## The contract\n(.*?)(?=^## |\Z)", re.DOTALL | re.MULTILINE)
 
 
 def iter_code(text: str):
@@ -165,6 +173,33 @@ def check_http_route_coverage(http_doc_text: str, errors: list[str]) -> None:
             )
 
 
+def contract_members(architecture_text: str) -> list[str]:
+    """Member names in the first column of the contract tables, in order,
+    with ``prefix_a/b/c`` spelled out and argument lists dropped."""
+    section = CONTRACT_RE.search(architecture_text)
+    names: list[str] = []
+    for line in section.group(1).splitlines() if section else []:
+        cells = line.split("|")
+        if not line.startswith("|") or len(cells) < 3:
+            continue
+        for code in INLINE_CODE_RE.findall(cells[1]):
+            first, *rest = code.split("(", 1)[0].strip().split("/")
+            prefix = first.rsplit("_", 1)[0] + "_" if "_" in first else ""
+            names += [first, *(prefix + suffix for suffix in rest)]
+    return names
+
+
+def check_contract_members(architecture_text: str, errors: list[str]) -> None:
+    """Every member the contract tables name must exist on the interface."""
+    from repro.db.backends.base import RelationView, StorageBackend
+
+    for name in contract_members(architecture_text):
+        if not (hasattr(StorageBackend, name) or hasattr(RelationView, name)):
+            errors.append(
+                f"docs/architecture.md: the contract names a missing member: {name}"
+            )
+
+
 def main() -> int:
     errors: list[str] = []
     texts: dict[str, str] = {}
@@ -177,6 +212,7 @@ def main() -> int:
         check_paths(text, source, errors)
     check_cli_flag_coverage(texts.get("docs/cli.md", ""), errors)
     check_http_route_coverage(texts.get("docs/http_api.md", ""), errors)
+    check_contract_members(texts.get("docs/architecture.md", ""), errors)
     if errors:
         print(f"docs lint: {len(errors)} error(s)", file=sys.stderr)
         for error in errors:

@@ -25,13 +25,13 @@ per-request timeout and SIGTERM graceful drain; ``--tcp-workers N`` forks N
 serving processes over one listening socket.
 ``--backend``/``--db-path``/``--shards`` select
 the storage engine (see ``docs/cli.md``); a persistent SQLite file is reused
-on subsequent runs — including its persisted index postings and cached
-interpretation results — instead of re-generating the dataset.
+on subsequent runs — including its persisted index postings and planner
+statistics — instead of re-generating the dataset.
 ``--backend sqlite-sharded`` hash-partitions the store across ``--shards``
 attached database files and still runs one statement per executed
 interpretation (every join slot a ``UNION ALL`` of its partitions; the union
 and the sort are SQLite's); ``--cache-size`` bounds
-the process-level result-cache LRU.
+the process-level result-cache LRU, which starts empty on every run.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def _engine(args: argparse.Namespace) -> Iterator[QueryEngine]:
     """The one pipeline entry point every query subcommand uses.
 
     Closes the engine's backend on the way out: a one-shot run on a
-    ``--db-path`` store persists its result-cache entries (and re-saves a
-    stale index or statistics) in ``close()``.
+    ``--db-path`` store commits its pending writes (and re-saves a stale
+    index or statistics) in ``close()``.
     """
     config = _engine_config(args)
     try:

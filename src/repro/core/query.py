@@ -112,15 +112,14 @@ class StructuredQuery:
 
         Two structurally equal queries — same join path, same foreign keys,
         same per-slot selections, same aggregation — produce the same key on
-        every process, which is what lets the cross-session
+        every process, which is what lets the process-level
         :class:`~repro.engine.cache.ResultCache` reuse execution results.
         Selections are already slot- and attribute-sorted by construction
         (:meth:`Interpretation.to_structured_query`); sorting again here keeps
         the key canonical for hand-built queries too.
 
-        The string is store format (persisted caches are looked up by it),
-        and it is built once per instance: a cache miss asks for it twice
-        (``get``, then ``put``).
+        The string is built once per instance: a cache miss asks for it
+        twice (``get``, then ``put``).
         """
         key = self.__dict__.get("_cache_key")
         if key is None:

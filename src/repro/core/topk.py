@@ -116,7 +116,7 @@ class TopKExecutor:
     database: StorageBackend
     #: Per-interpretation execution cap (guards pathological fan-out).
     per_query_limit: int | None = 5_000
-    #: Optional cross-session result cache (see ``repro.engine.cache``):
+    #: Optional process-level result cache (see ``repro.engine.cache``):
     #: interpretations whose rows are cached are never re-executed.
     cache: "ResultCache | None" = None
     statistics: TopKStatistics = field(default_factory=TopKStatistics)

@@ -6,7 +6,7 @@ file (``ATTACH``): row ``r`` of table ``t`` lives in the partition
 ``shard{hash(pk) % N}."t"``, where the hash is a deterministic digest of the
 primary key's ``repr()`` so a reopened store routes every key to the same
 partition.  The catalog (main) database holds no rows — only the shared
-side tables (metadata, persisted index postings, the result cache) and the
+side tables (metadata, persisted index postings, planner statistics) and the
 shard-layout record that makes mismatched reopens fail fast.
 
 Execution is **one statement per plan**, over the shared planner/compiler

@@ -26,7 +26,7 @@ string building inside each backend:
    rows and applies the plan's post filters.
 
 The relation-level CRUD statements and the ``_repro_*`` side-table
-statements (persisted index postings, result cache, metadata) live here too,
+statements (persisted index postings, planner statistics, metadata) live here too,
 so a backend contains **no inline SQL text building** — the compiler layer
 is the single place SQL comes from, which is what makes sharding (and a
 future Postgres dialect) a dialect/executor concern instead of a rewrite.
@@ -887,10 +887,9 @@ class SideTableSQL:
     """Every ``_repro_*`` side-table statement, in one place.
 
     The side tables persist derived state next to the rows: backend metadata
-    (``_repro_meta``), inverted-index postings (``_repro_index_*``), planner
-    statistics (``_repro_stats_*``) and the cross-session result cache
-    (``_repro_result_cache``).  Postings keys are
-    stored as JSON arrays; every index/cache row carries a ``schema_key`` so
+    (``_repro_meta``), inverted-index postings (``_repro_index_*``) and
+    planner statistics (``_repro_stats_*``).  Postings keys are
+    stored as JSON arrays; every index/statistics row carries a ``schema_key`` so
     several datasets coexisting in one file keep independent persisted state
     instead of overwriting each other's on every alternation.
     """
@@ -1009,21 +1008,3 @@ class SideTableSQL:
     @staticmethod
     def stats_drop(name: str) -> str:
         return f"DROP TABLE IF EXISTS _repro_stats_{name}"
-
-    RESULT_CACHE_DDL = (
-        "CREATE TABLE IF NOT EXISTS _repro_result_cache ("
-        "schema_key TEXT, fingerprint TEXT, cache_key TEXT, payload TEXT, "
-        "PRIMARY KEY (fingerprint, cache_key))"
-    )
-    RESULT_CACHE_SELECT = (
-        "SELECT payload FROM _repro_result_cache "
-        "WHERE fingerprint = ? AND cache_key = ?"
-    )
-    RESULT_CACHE_PURGE = (
-        "DELETE FROM _repro_result_cache WHERE schema_key = ? AND fingerprint != ?"
-    )
-    RESULT_CACHE_UPSERT = (
-        "INSERT OR REPLACE INTO _repro_result_cache "
-        "(schema_key, fingerprint, cache_key, payload) VALUES (?, ?, ?, ?)"
-    )
-    RESULT_CACHE_DROP = "DROP TABLE IF EXISTS _repro_result_cache"

@@ -478,11 +478,6 @@ class SQLiteBackend(StorageBackend):
         self.compiler = PlanCompiler(schema, self.dialect)
         self._index_dirty = False
         self._stats_dirty = False
-        self._result_cache_ready = False
-        self._result_cache_purged_for: str | None = None
-        #: Result-cache puts buffered until the next flush/commit/close (see
-        #: :meth:`cached_result_put`).
-        self._pending_results: dict[tuple[str, str], str] = {}
         self._relations: dict[str, SQLiteRelation] = {}
         self._closed = False
         self._lock = _acquire_lock_for(self.path, self)
@@ -767,21 +762,15 @@ class SQLiteBackend(StorageBackend):
         return [value for key, value in cursor.fetchall() if key.startswith(prefix)]
 
     def commit(self) -> None:
-        """Flush pending writes (rows, digest, buffered puts) to the file."""
+        """Make pending writes (rows, the mutation digest) durable."""
         with self._lock:
             self._persist_content_digest()
-            self._write_pending_results()  # drains buffered puts, then commits
+            self._conn.commit()
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
-            try:
-                # First, while puts still land: what the result cache holds
-                # unsaved joins the buffer the final flush below commits.
-                self._run_close_drains()
-            except sqlite3.Error:
-                pass  # best-effort like every cache write: never the close
             self._closed = True
             self._persist_content_digest()
             if self._index_dirty and self.index is not None and self.persist_index:
@@ -792,7 +781,7 @@ class SQLiteBackend(StorageBackend):
                 self._save_persisted_index(self.index)
             if self._stats_dirty and self._statistics is not None and self.persist_index:
                 self._save_persisted_stats()
-            self._write_pending_results()  # drains buffered puts, then commits
+            self._conn.commit()
             self._close_connections()
         _release_lock_for(self.path)
 
@@ -873,7 +862,7 @@ class SQLiteBackend(StorageBackend):
         """Digest identifying this backend's view of the file.
 
         Datasets are namespaced by table names, so several may coexist in one
-        file; everything persisted for *this* schema's index and caches is
+        file; everything persisted for *this* schema's index and statistics is
         scoped by this key.
         """
         joined = "|".join(sorted(self.schema.table_names))
@@ -1106,92 +1095,6 @@ class SQLiteBackend(StorageBackend):
             SideTableSQL.STATS_META_INSERT,
             [(schema_key, key, value) for key, value in sorted(meta.items())],
         )
-
-    # -- derived-result cache ----------------------------------------------
-
-    def cached_result_get(self, fingerprint: str, key: str) -> str | None:
-        with self._lock:
-            pending = self._pending_results.get((fingerprint, key))
-            if pending is not None:
-                return pending
-            try:
-                cursor = self._conn.execute(
-                    SideTableSQL.RESULT_CACHE_SELECT, (fingerprint, key)
-                )
-                row = cursor.fetchone()
-            except sqlite3.Error:  # table never created, or a foreign shape
-                return None
-            return row[0] if row is not None else None
-
-    def cached_result_put(self, fingerprint: str, key: str, payload: str) -> None:
-        # Buffered in Python, not SQL: an open write transaction per put
-        # would span the whole pipeline run and starve every other
-        # connection on the file (the flush-on-close race).  The side table
-        # is written in one short lock-guarded transaction at flush time.
-        with self._lock:
-            self._pending_results[(fingerprint, key)] = payload
-
-    def _write_cached_result(self, fingerprint: str, key: str, payload: str) -> None:
-        if not self._result_cache_ready:
-            self._conn.execute(SideTableSQL.RESULT_CACHE_DDL)
-            self._result_cache_ready = True
-        schema_key = self._schema_key()
-        if self._result_cache_purged_for != fingerprint:
-            # This schema's entries under any other fingerprint are
-            # unreachable (the store content changed); purge them so the
-            # cache cannot grow unboundedly.  Scoped to the schema so
-            # coexisting datasets keep their still-valid entries; once per
-            # fingerprint per connection, not per put.
-            self._conn.execute(
-                SideTableSQL.RESULT_CACHE_PURGE, (schema_key, fingerprint)
-            )
-            self._result_cache_purged_for = fingerprint
-        self._conn.execute(
-            SideTableSQL.RESULT_CACHE_UPSERT,
-            (schema_key, fingerprint, key, payload),
-        )
-
-    def cached_result_flush(self) -> None:
-        """Write + commit every buffered put in one guarded transaction.
-
-        With nothing buffered and no open transaction there is nothing to
-        make durable, and the call returns without taking the file's lock —
-        that is every run that saved no entry.
-        """
-        if not self._pending_results:
-            try:
-                if not self._conn.in_transaction:
-                    return
-            except sqlite3.ProgrammingError:  # closed under a late caller
-                return
-        with self._lock:
-            if not self._closed:
-                self._write_pending_results()
-
-    def _write_pending_results(self) -> None:
-        """Drain the put buffer into the side table, then commit
-        (unconditionally: ``commit()``/``close()`` rely on that).
-
-        The caller holds the file's lock across the whole write-set, which
-        keeps the transaction short and un-interleaved: two engines flushing
-        the same file serialize here instead of deadlocking mid-commit.
-        Best-effort like every cache write — a foreign-shaped pre-existing
-        table is dropped and rebuilt once, then the batch is abandoned.
-        """
-        pending, self._pending_results = self._pending_results, {}
-        try:
-            for (fingerprint, key), payload in pending.items():
-                self._write_cached_result(fingerprint, key, payload)
-        except sqlite3.Error:
-            try:
-                self._conn.execute(SideTableSQL.RESULT_CACHE_DROP)
-                self._result_cache_ready = False
-                self._result_cache_purged_for = None
-                for (fingerprint, key), payload in pending.items():
-                    self._write_cached_result(fingerprint, key, payload)
-            except sqlite3.Error:
-                pass
-        self._conn.commit()
 
     # -- join-path execution ---------------------------------------------------
 

@@ -5,7 +5,7 @@ pipeline as explicit, pluggable stages (``SegmentStage → GenerateStage →
 RankStage → ExecuteStage``), carries a per-query :class:`EngineContext`
 (backend, config, stage timings, cache counters) and hosts the storage-layer
 optimizations: persisted inverted-index postings (SQLite side tables) and the
-cross-session :class:`ResultCache`.  See ``docs/architecture.md`` for the
+process-level :class:`ResultCache` (a new process starts cold).  See ``docs/architecture.md`` for the
 pipeline diagram and the stage/backend plug-in guide.
 """
 

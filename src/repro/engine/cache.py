@@ -1,44 +1,22 @@
-"""Cross-session interpretation-result cache.
+"""Process-level interpretation-result cache.
 
 Interpretation execution is deterministic per (store content, structured
 query, limit): the same candidate network over the same rows always returns
-the same joining tuple networks.  :class:`ResultCache` exploits that with two
-layers keyed on ``(StorageBackend.content_fingerprint(),
-StructuredQuery.cache_key(), limit)``:
-
-* a **process-level store** shared by every cache instance — repeated queries
-  within one process (a benchmark suite, an experiment sweep) skip
-  ``execute_path`` entirely, even across engine instances, and
-* a **persistent layer** delegated to the backend's
-  ``cached_result_get``/``cached_result_put`` hooks — the SQLite backend
-  keeps payloads in a ``_repro_result_cache`` side table, so a *new process*
-  (the next CLI run) starts warm.
-
-Persistence is something an entry **earns**.  ``put`` only stores the rows
-in the process layer and marks the key *unsaved*; the entry is encoded and
-handed to the backend at one of two durability points:
-
-* its **first reuse** (the *second sight*: the first process-layer hit on an
-  unsaved key) — committed by that run's ``flush()``, and
-* its **store's close** — the backend runs the cache's drain first thing in
-  ``close()``, which saves whatever is still resident and unsaved.
-
-An entry evicted before either is never written, so the side table is
-bounded by the LRU plus what was actually reused.  The costs: a process
-killed with ``-9`` loses entries it never reused; a forked sibling worker
-sees an entry after its first reuse or the owner's close, not after every
-run; and the LRU is no longer backed by an unbounded second tier for
-once-seen entries.
+the same joining tuple networks.  :class:`ResultCache` exploits that with one
+**process-level store**, shared by every cache instance and keyed on
+``(StorageBackend.content_fingerprint(), StructuredQuery.cache_key(),
+limit)``: repeated queries within one process (a server, a benchmark suite,
+an experiment sweep) skip ``execute_path`` entirely, even across engine
+instances and reopens of an unchanged file.  Nothing is written to the
+store, so a new process starts cold.
 
 Invalidation is structural: every mutation of a store changes its content
-fingerprint, so stale entries are simply unreachable; the persistent layer
-additionally purges entries of superseded fingerprints on write.
+fingerprint, so stale entries are simply unreachable.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -61,12 +39,6 @@ _PROCESS_CACHE: "OrderedDict[tuple[str, str, str], Rows]" = OrderedDict()
 #: eviction (KeyError) or corrupt the recency order.
 _PROCESS_CACHE_LOCK = threading.RLock()
 
-#: Resident keys whose rows no persistent layer holds yet (see the module
-#: docstring).  Lives beside the store under its lock and is always a subset
-#: of its keys — eviction drops the mark with the entry — so the LRU's own
-#: bound is the only bound it needs.  Whoever removes a mark does the save.
-_UNSAVED: "set[tuple[str, str, str]]" = set()
-
 #: Default upper bound on process-level entries; small queries dominate, so
 #: this is generous without risking unbounded growth in long sweeps.
 #: Per-instance overrides (``ResultCache(capacity=...)``, fed by
@@ -88,24 +60,18 @@ class CacheStatistics:
 class ResultCache:
     """Deterministic result reuse for one storage backend.
 
-    ``persist`` defaults to the backend's persistence: on durable stores an
-    entry reaches the backend's cached-result side storage at its first
-    reuse or when the store closes (never at :meth:`put`), in-memory stores
-    use only the process-level layer.  ``capacity`` bounds the process-level
-    LRU (``None`` keeps the module default): the store itself is
-    process-wide, so the bound is enforced on every write this instance
-    makes — the smallest active capacity wins, which keeps memory
-    predictable when several engines configure different sizes.
+    ``capacity`` bounds the process-level LRU (``None`` keeps the module
+    default): the store itself is process-wide, so the bound is enforced on
+    every write this instance makes — the smallest active capacity wins,
+    which keeps memory predictable when several engines configure different
+    sizes.
     """
 
     backend: "StorageBackend"
-    persist: bool | None = None
     capacity: int | None = None
     statistics: CacheStatistics = field(default_factory=CacheStatistics)
 
     def __post_init__(self) -> None:
-        if self.persist is None:
-            self.persist = self.backend.is_persistent
         if self.capacity is not None and self.capacity < 1:
             raise ValueError("result-cache capacity must be positive")
         # The tokenizer is immutable for the backend's lifetime: digest it
@@ -113,8 +79,6 @@ class ResultCache:
         self._tokenizer_digest = hashlib.sha256(
             self.backend.tokenizer.signature().encode("utf-8")
         ).hexdigest()[:8]
-        if self.persist:
-            self.backend.drain_on_close(self._save_unsaved)
         if self.capacity is not None:
             # A mid-run capacity shrink (an engine reconfigured with a smaller
             # ``result_cache_size``) takes effect immediately and
@@ -143,30 +107,13 @@ class ResultCache:
     # -- access -------------------------------------------------------------
 
     def get(self, query: "StructuredQuery", limit: int | None) -> Rows | None:
-        """Cached rows for (store content, query, limit), or None.
-
-        Checks the process layer first (promoting the entry), then the
-        persistent layer (re-remembering a decoded payload).  A process-layer
-        hit on an unsaved key is the entry's *second sight*: it has earned
-        persistence and is saved here, once.
-        """
+        """Cached rows for (store content, query, limit), or None; a hit
+        becomes the most recently used entry."""
         key = self.key(query, limit)
-        second_sight = False
         with _PROCESS_CACHE_LOCK:
             rows = _PROCESS_CACHE.get(key)
             if rows is not None:
                 _PROCESS_CACHE.move_to_end(key)
-                if self.persist and key in _UNSAVED:
-                    _UNSAVED.discard(key)
-                    second_sight = True
-        if second_sight:
-            self._save(key, rows)  # outside the lock: a backend call
-        elif rows is None and self.persist:
-            payload = self.backend.cached_result_get(key[0], f"{key[1]}#{key[2]}")
-            if payload is not None:
-                rows = _decode_rows(payload)
-                if rows is not None:
-                    _remember(key, rows, self.capacity)
         if rows is None:
             self.statistics.misses += 1
             return None
@@ -174,83 +121,28 @@ class ResultCache:
         return list(rows)
 
     def put(self, query: "StructuredQuery", limit: int | None, rows: Rows) -> None:
-        """Record freshly executed rows under the current fingerprint.
-
-        Process layer only: the entry is marked unsaved and reaches the
-        persistent layer at its first reuse or at the store's close.
-        """
-        _remember(self.key(query, limit), list(rows), self.capacity, unsaved=True)
+        """Record freshly executed rows under the current fingerprint."""
+        key = self.key(query, limit)
+        with _PROCESS_CACHE_LOCK:
+            _PROCESS_CACHE[key] = list(rows)
+            _PROCESS_CACHE.move_to_end(key)
+            _enforce_capacity(self.capacity)
         self.statistics.stores += 1
 
-    def _save(self, key: tuple[str, str, str], rows: Rows) -> None:
-        """Encode one entry and hand it to the backend's put buffer; skipped
-        when the rows are not serializable (the process layer still works).
-        The caller has removed the key's unsaved mark."""
-        payload = _encode_rows(rows)
-        if payload is not None:
-            self.backend.cached_result_put(key[0], f"{key[1]}#{key[2]}", payload)
-
-    def _save_unsaved(self) -> None:
-        """The backend's close drain: save what is still resident and
-        unsaved under this store's identity (least recently used first).
-        The backend's own final flush commits it."""
-        store_key = self._store_key()
-        with _PROCESS_CACHE_LOCK:
-            entries = [
-                (key, rows)
-                for key, rows in _PROCESS_CACHE.items()
-                if key[0] == store_key and key in _UNSAVED
-            ]
-            _UNSAVED.difference_update(key for key, _rows in entries)
-        for key, rows in entries:
-            self._save(key, rows)
-
-    def fetch(self, query: "StructuredQuery", limit: int | None) -> Rows:
-        """Get-or-execute: the one-call form of :meth:`get` + :meth:`put`."""
-        rows = self.get(query, limit)
-        if rows is None:
-            rows = query.execute(self.backend, limit=limit)
-            self.put(query, limit, rows)
-            self.flush()
-        return rows
-
     def flush(self) -> None:
-        """Make the entries this run saved durable (one commit, many saves).
+        """Nothing to do: the cache writes nothing outside the process.
 
-        ``ExecuteStage`` calls this once per pipeline run; a run that reused
-        no unsaved entry has nothing buffered and the backend returns at
-        once.
+        Kept only because ``benchmarks/layered/tracing.py`` wraps ``get``,
+        ``put`` and ``flush`` by name; nothing under ``src/`` calls it.
         """
-        if self.persist:
-            self.backend.cached_result_flush()
 
     # -- maintenance --------------------------------------------------------
 
     @staticmethod
     def clear_process_cache() -> None:
-        """Drop the process-level layer (tests use this to simulate a fresh
-        process; persistent side tables are untouched)."""
+        """Drop the process-level store (tests use this to start cold)."""
         with _PROCESS_CACHE_LOCK:
             _PROCESS_CACHE.clear()
-            _UNSAVED.clear()
-
-
-def _remember(
-    key: tuple[str, str, str],
-    rows: Rows,
-    capacity: int | None = None,
-    *,
-    unsaved: bool = False,
-) -> None:
-    """Store ``rows`` as the most recent entry.  ``unsaved`` marks a fresh
-    execution no persistent layer holds; a key that is already resident keeps
-    its state (its rows are the same rows, saved or waiting to be)."""
-    with _PROCESS_CACHE_LOCK:
-        if unsaved and key not in _PROCESS_CACHE:
-            _UNSAVED.add(key)
-        _PROCESS_CACHE[key] = rows
-        _PROCESS_CACHE.move_to_end(key)
-        _enforce_capacity(capacity)
 
 
 def _enforce_capacity(capacity: int | None) -> None:
@@ -263,46 +155,4 @@ def _enforce_capacity(capacity: int | None) -> None:
         capacity = _PROCESS_CACHE_CAPACITY
     with _PROCESS_CACHE_LOCK:
         while len(_PROCESS_CACHE) > capacity:
-            key, _rows = _PROCESS_CACHE.popitem(last=False)
-            _UNSAVED.discard(key)  # evicted before it was reused: never written
-
-
-def _encode_rows(rows: Rows) -> str | None:
-    """JSON payload for the persistent layer (None when not serializable).
-
-    Values must survive a JSON round trip unchanged; anything beyond
-    int/str/float/None (or a bool, which JSON would preserve but SQLite
-    storage normalizes to int) skips persistence — the process layer still
-    works.
-    """
-
-    def safe(value: object) -> bool:
-        return value is None or (
-            isinstance(value, (int, str, float)) and not isinstance(value, bool)
-        )
-
-    for network in rows:
-        for tup in network:
-            if not safe(tup.key) or not all(safe(v) for _n, v in tup.values):
-                return None
-    return json.dumps(
-        [
-            [[tup.table, tup.key, [list(pair) for pair in tup.values]] for tup in network]
-            for network in rows
-        ]
-    )
-
-
-def _decode_rows(payload: str) -> Rows | None:
-    """Rows back from a persistent payload (None on corrupt data)."""
-    try:
-        decoded = json.loads(payload)
-        return [
-            tuple(
-                Tuple(table, key, tuple((name, value) for name, value in values))
-                for table, key, values in network
-            )
-            for network in decoded
-        ]
-    except (ValueError, TypeError):
-        return None
+            _PROCESS_CACHE.popitem(last=False)

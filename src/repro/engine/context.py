@@ -26,7 +26,8 @@ class EngineConfig:
 
     #: Default number of results ``run()``/``search()`` return.
     k: int = 5
-    #: Use the cross-session result cache for interpretation execution.
+    #: Use the process-level result cache for interpretation execution
+    #: (nothing is written to the store: a new process starts cold).
     cache_results: bool = True
     #: Capacity of the process-level result-cache LRU (entries).  The store
     #: is process-wide and shared across engines; each engine enforces its

@@ -5,7 +5,7 @@
 storage backend.  It is the single entry point the CLI, the experiment
 harnesses, the construction sessions and the benchmarks build on, replacing
 their hand-wired generator/model/executor assembly, and it is the seam the
-storage-layer optimizations (persisted index postings, the cross-session
+storage-layer optimizations (persisted index postings, the process-level
 result cache) plug into.
 
 Typical use::

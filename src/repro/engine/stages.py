@@ -118,8 +118,6 @@ class ExecuteStage:
                 "waits": pool_after["waits"] - before.get("waits", 0),
                 "peak_concurrency": pool_after["peak_concurrency"],
             }
-        if engine.cache is not None:
-            engine.cache.flush()  # one durability point per run, not per put
         if context.explain:
             head = context.ranked[:EXPLAIN_SQL_LIMIT]
             context.sql = [interp.to_structured_query().to_sql() for interp, _p in head]

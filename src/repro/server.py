@@ -5,7 +5,7 @@ pools one :class:`~repro.engine.QueryEngine` per ``(dataset, backend,
 db_path)`` triple and fans concurrent keyword queries across a worker thread
 pool.  Isolation falls out of the engine design — every query gets its own
 :class:`~repro.engine.EngineContext`, stages are stateless, and the shared
-layers (the SQLite connection, the cross-session result cache) serialize
+layers (the SQLite connection, the process-level result cache) serialize
 internally — so concurrent queries return exactly what sequential queries
 would.
 
@@ -230,12 +230,8 @@ class QueryServer:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Drain the worker pool, then close every pooled engine's backend.
-
-        A backend's ``close()`` runs its registered drains first, so the
-        result-cache entries that never earned a write while serving are
-        saved here, before the connections go.
-        """
+        """Drain the worker pool, then close every pooled engine's backend
+        (a file store makes its pending writes durable in ``close()``)."""
         if self._closed:
             return
         self._closed = True

@@ -6,6 +6,7 @@ from repro.cli import build_parser, main
 from repro.core.probability import DivQModel
 from repro.datasets.workload import WORKLOAD_SAMPLERS
 from repro.divq.diversify import divq_model, diversify, relevance_pool
+from repro.db.backends.sqlite import SQLiteBackend
 from repro.engine import QueryEngine
 
 
@@ -111,3 +112,18 @@ def test_diversify_help_states_the_direction_of_lambda():
     text = " ".join(sub.format_help().split())
     assert "1 = pure relevance, 0 = pure novelty" in text
     assert "interpretations to select" in text
+
+
+@pytest.mark.parametrize("command", ["construct", "diversify"])
+def test_the_other_one_shot_commands_close_their_backend_too(
+    command, tmp_path, monkeypatch, capsys
+):
+    closed = []
+    original = SQLiteBackend.close
+    monkeypatch.setattr(
+        SQLiteBackend, "close", lambda self: (closed.append(self), original(self))[1]
+    )
+    argv = [command, "--backend", "sqlite", "--db-path", str(tmp_path / "c.sqlite"), "hanks 2001"]
+    assert main(argv + (["--answers", "y", "n"] if command == "construct" else [])) == 0
+    capsys.readouterr()
+    assert len(closed) == 1 and closed[0]._closed

@@ -1,4 +1,4 @@
-"""ResultCache semantics: reuse, cross-session persistence, invalidation.
+"""ResultCache semantics: reuse, reopened stores, invalidation.
 
 The invariant under test: a cache entry is only ever served for the *exact*
 store content it was computed on.  Mutating a store — through the backend API
@@ -10,6 +10,9 @@ served.
 from __future__ import annotations
 
 import sqlite3
+import sys
+import threading
+from dataclasses import astuple
 
 import pytest
 
@@ -25,6 +28,15 @@ def fresh_process_cache():
     ResultCache.clear_process_cache()
     yield
     ResultCache.clear_process_cache()
+
+
+def _fetch(cache, query, limit):
+    """Get-or-execute, the way the top-k executor uses the cache."""
+    rows = cache.get(query, limit)
+    if rows is None:
+        rows = query.execute(cache.backend, limit=limit)
+        cache.put(query, limit, rows)
+    return rows
 
 
 def _first_query(db):
@@ -48,8 +60,8 @@ class TestResultCacheBasics:
     def test_fetch_executes_once(self, mini_db):
         cache = ResultCache(mini_db)
         query = _first_query(mini_db)
-        first = cache.fetch(query, 10)
-        second = cache.fetch(query, 10)
+        first = _fetch(cache, query, 10)
+        second = _fetch(cache, query, 10)
         assert first == second
         assert cache.statistics.stores == 1
         assert cache.statistics.hits == 1
@@ -63,7 +75,7 @@ class TestResultCacheBasics:
     def test_returns_copies(self, mini_db):
         cache = ResultCache(mini_db)
         query = _first_query(mini_db)
-        rows = cache.fetch(query, 10)
+        rows = _fetch(cache, query, 10)
         rows.append("sentinel")
         assert cache.get(query, 10)[-1] != "sentinel"
 
@@ -96,8 +108,8 @@ class TestResultCacheBasics:
         title_of = lambda rows: {
             t["title"] for r in rows for t in r if t.key == 9_000
         }
-        assert title_of(ResultCache(a).fetch(query, None)) == {"paris nights"}
-        assert title_of(ResultCache(b).fetch(query, None)) == {"paris days"}
+        assert title_of(_fetch(ResultCache(a), query, None)) == {"paris nights"}
+        assert title_of(_fetch(ResultCache(b), query, None)) == {"paris days"}
 
 
 class TestConfigurableCapacity:
@@ -151,6 +163,98 @@ class TestConfigurableCapacity:
 
         assert ResultCache(mini_db).capacity is None
         assert cache_module._PROCESS_CACHE_CAPACITY == 4096
+
+    def test_a_hit_makes_the_entry_the_most_recent(self, mini_db):
+        cache = ResultCache(mini_db, capacity=2)
+        query = _first_query(mini_db)
+        for limit in (1, 2):
+            cache.put(query, limit, query.execute(mini_db, limit=limit))
+        assert cache.get(query, 1) is not None  # 1 is now newer than 2
+        cache.put(query, 3, query.execute(mini_db, limit=3))
+        assert cache.get(query, 2) is None
+        assert cache.get(query, 1) is not None
+
+    def test_a_repeated_put_refreshes_the_entry_in_place(self, mini_db):
+        from repro.engine.cache import _PROCESS_CACHE
+
+        cache = ResultCache(mini_db, capacity=2)
+        query = _first_query(mini_db)
+        rows = query.execute(mini_db, limit=1)
+        cache.put(query, 1, rows)
+        cache.put(query, 2, query.execute(mini_db, limit=2))
+        cache.put(query, 1, rows)  # one entry, now the most recent
+        assert len(_PROCESS_CACHE) == 2
+        cache.put(query, 3, query.execute(mini_db, limit=3))
+        assert cache.get(query, 2) is None
+        assert cache.get(query, 1) == rows
+        assert cache.statistics.stores == 4
+
+
+class TestSharedAcrossThreads:
+    def test_eight_threads_on_one_small_cache_see_only_their_own_rows(self, mini_db):
+        """The query server shares one cache across its workers: concurrent
+        gets, puts and evictions on a store smaller than the key set raise
+        nothing, keep the bound and never hand out another key's rows."""
+        from repro.engine.cache import _PROCESS_CACHE
+
+        engine = QueryEngine(mini_db, config=EngineConfig(cache_results=False))
+        queries = [
+            interp.to_structured_query()
+            for text in ("hanks 2001", "london", "hanks")
+            for interp, _p in engine.rank(text)
+        ]
+        rows = [query.execute(mini_db) for query in queries]
+        cache = ResultCache(mini_db, capacity=3)
+        assert len(queries) > 3
+        errors: list[BaseException] = []
+        start = threading.Barrier(8)
+
+        def worker(offset: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for step in range(300):
+                    index = (offset + step) % len(queries)
+                    found = cache.get(queries[index], None)
+                    if found is None:
+                        cache.put(queries[index], None, rows[index])
+                    else:
+                        assert found == rows[index]
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(_PROCESS_CACHE) <= 3
+        assert cache.statistics.hits + cache.statistics.misses == 8 * 300
+
+
+class TestFlush:
+    def test_flush_is_kept_for_wrappers_and_does_nothing(self, tmp_path):
+        """``benchmarks/layered/tracing.py`` wraps ``get``, ``put`` and
+        ``flush`` by name; ``flush`` touches neither the store nor the
+        counters."""
+        db = build_mini_db("sqlite", db_path=tmp_path / "mini.sqlite")
+        try:
+            cache = ResultCache(db)
+            assert all(callable(getattr(cache, name)) for name in ("get", "put", "flush"))
+            query = _first_query(db)
+            cache.put(query, None, query.execute(db))
+            before = (db._write_epoch, astuple(cache.statistics))
+            cache.flush()
+            assert (db._write_epoch, astuple(cache.statistics)) == before
+            assert not db._conn.in_transaction
+        finally:
+            db.close()
 
 
 class TestInvalidation:
@@ -220,15 +324,17 @@ class TestInvalidation:
         path = tmp_path / "mini.sqlite"
         db = build_mini_db("sqlite", db_path=path)
         QueryEngine(db).run("calling", k=5)  # caches under the default tokenizer
+        fingerprint = db.content_fingerprint()
         db.close()
 
-        ResultCache.clear_process_cache()
         # A stemming tokenizer folds "calling" -> "call": different postings,
-        # different result sets for the same query text.
+        # different result sets for the same query text.  The rows did not
+        # change, so only the tokenizer digest in the key can miss.
         reopened = SQLiteBackend(
             mini_schema(), tokenizer=Tokenizer(stem=True), path=path
         )
         reopened.build_indexes()
+        assert reopened.content_fingerprint() == fingerprint
         after = QueryEngine(reopened).run("calling", k=5)
         assert after.executor_statistics.cache_hits == 0
         reopened.close()
@@ -245,18 +351,19 @@ class TestInvalidation:
         build_imdb(backend="sqlite", db_path=path).close()
         build_lyrics(backend="sqlite", db_path=path).close()
         reopened = build_imdb(backend="sqlite", db_path=path)  # reuse, no error
-        results = QueryEngine(reopened).run("hanks 2001", k=5).results
+        results = QueryEngine(reopened).run("london", k=5).results
         legacy = (
             QueryEngine(build_imdb(), config=EngineConfig(cache_results=False))
-            .run("hanks 2001", k=5)
+            .run("london", k=5)
             .results
         )
+        assert results
         assert [r.row_uids() for r in results] == [r.row_uids() for r in legacy]
         reopened.close()
 
         # From here on both datasets are persisted under the combined
         # content seed: alternating opens must LOAD each schema's postings
-        # (no rebuild) and keep each schema's cached results.
+        # (no rebuild) and answer with the same rows, executed afresh.
         warm_lyrics = build_lyrics(backend="sqlite", db_path=path)
         warm_lyrics.close()
         ResultCache.clear_process_cache()
@@ -267,23 +374,25 @@ class TestInvalidation:
                 lambda *a, **k: pytest.fail("coexisting dataset forced a rebuild"),
             )
             warm_imdb = build_imdb(backend="sqlite", db_path=path)
-        second = QueryEngine(warm_imdb).run("hanks 2001", k=5)
-        assert second.executor_statistics.interpretations_executed == 0
+        second = QueryEngine(warm_imdb).run("london", k=5)
+        assert second.executor_statistics.interpretations_executed > 0
+        assert second.cache_hits == 0
         assert [r.row_uids() for r in second.results] == [
             r.row_uids() for r in results
         ]
         warm_imdb.close()
 
-    def test_cross_session_persistent_hit(self, tmp_path):
-        """A new process over an unchanged store starts warm from the side
-        table: identical rows, zero interpretations executed."""
+    def test_a_same_process_reopen_hits_the_process_cache(self, tmp_path):
+        """A reopen of an unchanged file in the same process keeps its
+        content fingerprint, so the process-level store serves it:
+        identical rows, zero interpretations executed."""
         path = tmp_path / "mini.sqlite"
         db = build_mini_db("sqlite", db_path=path)
         first = QueryEngine(db).run("hanks 2001", k=5)
         assert first.executor_statistics.interpretations_executed > 0
+        assert first.results
         db.close()
 
-        ResultCache.clear_process_cache()  # the "new process"
         reopened = SQLiteBackend(mini_schema(), path=path)
         reopened.build_indexes()
         second = QueryEngine(reopened).run("hanks 2001", k=5)

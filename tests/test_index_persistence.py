@@ -22,14 +22,6 @@ def _reopen(path, **kwargs) -> SQLiteBackend:
     return SQLiteBackend(mini_schema(), path=path, **kwargs)
 
 
-def _table_exists(conn: sqlite3.Connection, name: str) -> bool:
-    return bool(
-        conn.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?", (name,)
-        ).fetchone()
-    )
-
-
 @pytest.fixture
 def populated_path(tmp_path):
     path = tmp_path / "mini.sqlite"
@@ -137,17 +129,11 @@ class TestPersistedPostings:
         raw = sqlite3.connect(populated_path)
         raw.execute("DROP TABLE _repro_index_postings")
         raw.execute("CREATE TABLE _repro_index_postings (term TEXT, blob TEXT)")
-        raw.execute("DROP TABLE _repro_result_cache") if _table_exists(
-            raw, "_repro_result_cache"
-        ) else None
-        raw.execute("CREATE TABLE _repro_result_cache (k TEXT)")
         raw.commit()
         raw.close()
         db = _reopen(populated_path)
         index = db.build_indexes()  # load fails -> rebuild -> re-save over the foreign shape
         assert index.tuple_keys("hanks", "actor", "name") == {1, 2}
-        db.cached_result_put("fp", "key", "[]")  # drops + recreates the cache table
-        assert db.cached_result_get("fp", "key") == "[]"
         db.close()
         # The next open loads the re-saved postings again.
         reopened = _reopen(populated_path)

@@ -104,6 +104,42 @@ class TestRouteCoverage:
         assert len(errors) == len(ROUTES)
 
 
+class TestContractMembers:
+    def test_real_contract_names_only_existing_members(self):
+        architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(
+            encoding="utf-8"
+        )
+        assert "close" in linter.contract_members(architecture)
+        errors: list[str] = []
+        linter.check_contract_members(architecture, errors)
+        assert errors == []
+
+    def test_a_row_naming_removed_hooks_fails(self):
+        """Negative: a contract row for hooks the backend no longer has is
+        reported once per expanded name."""
+        architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(
+            encoding="utf-8"
+        )
+        stale = architecture.replace(
+            "| `close()` |",
+            "| `cached_result_get/flush(fingerprint, key)` | Gone. |\n| `close()` |",
+            1,
+        )
+        errors: list[str] = []
+        linter.check_contract_members(stale, errors)
+        assert errors == [
+            "docs/architecture.md: the contract names a missing member: cached_result_get",
+            "docs/architecture.md: the contract names a missing member: cached_result_flush",
+        ]
+
+    def test_names_are_expanded_and_only_the_contract_section_counts(self):
+        text = (
+            "## The contract\n\n| Member | Contract |\n|---|---|\n"
+            "| `a_b/c(x, y)` / `d` | . |\n\n## Invariants\n\n| `e` | . |\n"
+        )
+        assert linter.contract_members(text) == ["a_b", "a_c", "d"]
+
+
 def test_full_linter_passes_on_the_repo(capsys):
     """The committed docs and code agree end to end (what CI runs)."""
     assert linter.main() == 0

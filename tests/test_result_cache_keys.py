@@ -23,6 +23,7 @@ from repro.core.query import StructuredQuery
 from repro.core.templates import QueryTemplate
 from repro.db.backends import create_backend
 from repro.db.schema import Attribute, Schema, Table
+from tests.conftest import template_of
 
 TABLES = ["a", "l", "m", "n"]
 ATTRIBUTES = ["x", "y", "z"]
@@ -206,3 +207,11 @@ def test_equal_keys_give_identical_rows_on_memory_and_sqlite(hood):
     finally:
         for db in stores:
             db.close()
+
+
+def test_the_key_is_built_once_per_query_and_is_not_part_of_its_value(mini_db):
+    query = StructuredQuery(template_of(mini_db, ("actor",)), {0: (("name", ("hanks",)),)})
+    twin = StructuredQuery(template_of(mini_db, ("actor",)), {0: (("name", ("hanks",)),)})
+    assert query.cache_key() is query.cache_key()  # the same string object
+    assert query == twin and repr(query) == repr(twin)  # twin never built one
+    assert twin.cache_key() == query.cache_key()
