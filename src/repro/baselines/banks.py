@@ -61,9 +61,8 @@ class BanksSearch:
                 continue
             dist[node] = (d, pred)
             visited += 1
-            for neighbor in graph.neighbors(node):
+            for neighbor, weight in graph[node].items():
                 if neighbor not in dist:
-                    weight = graph[node][neighbor].get("weight", 1.0)
                     heapq.heappush(heap, (d + weight, neighbor, node))
         return dist
 

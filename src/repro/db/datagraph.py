@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-import networkx as nx
-
 from repro.db.backends.base import StorageBackend
 
 #: Node identity in the data graph: ``(table name, primary key)``.
@@ -24,43 +22,45 @@ class DataGraph:
     The thesis notes edge weights can reflect tuple proximity or PageRank
     style importance; unit weights reproduce the minimality-driven ranking
     (number of joins) the comparisons in Chapter 3 rely on.
+
+    ``graph[u][v]`` is the weight of the edge between tuples ``u`` and ``v``,
+    entered under both ends (a tuple whose foreign key names itself has a
+    self-loop ``graph[u][u]``); every tuple is a key.
     """
 
     def __init__(self, database: StorageBackend):
         self.database = database
-        self.graph = nx.Graph()
+        self.graph: dict[TupleId, dict[TupleId, float]] = {}
         self._build()
 
     def _build(self) -> None:
+        graph = self.graph
         for table in self.database.schema:
             for tup in self.database.relation(table.name):
-                self.graph.add_node(tup.uid)
+                graph[tup.uid] = {}
         for fk in self.database.schema.foreign_keys:
             target_relation = self.database.relation(fk.target)
-            target_pk = self.database.schema.table(fk.target).primary_key
-            use_pk_lookup = fk.target_attr == target_pk
             for tup in self.database.relation(fk.source):
                 value = tup.get(fk.source_attr)
                 if value is None:
                     continue
-                if use_pk_lookup:
-                    target = target_relation.get(value)
-                    matches = [target] if target is not None else []
-                else:
-                    matches = target_relation.lookup(fk.target_attr, value)
-                for match in matches:
-                    self.graph.add_edge(tup.uid, match.uid, weight=1.0)
+                for match in target_relation.lookup(fk.target_attr, value):
+                    graph[tup.uid][match.uid] = 1.0
+                    graph[match.uid][tup.uid] = 1.0
 
     # -- queries -----------------------------------------------------------
 
     def node_count(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.graph)
 
     def edge_count(self) -> int:
-        return self.graph.number_of_edges()
+        """Undirected edges, each self-loop counted once."""
+        ends = sum(len(neighbours) for neighbours in self.graph.values())
+        loops = sum(1 for node, neighbours in self.graph.items() if node in neighbours)
+        return (ends + loops) // 2
 
     def neighbors(self, node: TupleId) -> Iterable[TupleId]:
-        return self.graph.neighbors(node)
+        return iter(self.graph[node])
 
     def keyword_nodes(self, term: str) -> set[TupleId]:
         """All tuple ids whose indexed text contains ``term``."""

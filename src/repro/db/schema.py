@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from repro.db.errors import DuplicateTableError, UnknownAttributeError, UnknownTableError
 
 
@@ -158,36 +156,37 @@ class Schema:
 
     # -- schema graph ----------------------------------------------------
 
-    _graph_cache: nx.MultiGraph | None = field(default=None, repr=False, compare=False)
+    _graph_cache: dict[str, dict[str, list[ForeignKey]]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
-    def graph(self) -> nx.MultiGraph:
-        """The undirected schema graph (Fig. 2.2).
+    def graph(self) -> dict[str, dict[str, list[ForeignKey]]]:
+        """The undirected schema graph (Fig. 2.2) as an adjacency dict.
 
-        Nodes are table names; each foreign key contributes one edge carrying
-        the :class:`ForeignKey` under the ``fk`` attribute.  A multigraph is
-        used because two tables may be connected by several distinct foreign
-        keys (e.g. ``movie.director_id`` and ``movie.producer_id`` both
-        pointing at ``person``).
+        ``graph()[table][neighbour]`` lists the foreign keys joining the two
+        tables, in either direction, in ``foreign_keys`` order; every table is
+        a key, isolated ones with no neighbours.  Two tables may be joined by
+        several foreign keys (e.g. ``movie.director_id`` and
+        ``movie.producer_id`` both pointing at ``person``), and a
+        self-referencing foreign key is listed once under its own table.
         """
         if self._graph_cache is None:
-            g = nx.MultiGraph()
-            g.add_nodes_from(self.tables)
+            g: dict[str, dict[str, list[ForeignKey]]] = {name: {} for name in self.tables}
             for fk in self.foreign_keys:
-                g.add_edge(fk.source, fk.target, fk=fk)
+                g[fk.source].setdefault(fk.target, []).append(fk)
+                if fk.target != fk.source:
+                    g[fk.target].setdefault(fk.source, []).append(fk)
             self._graph_cache = g
         return self._graph_cache
 
     def adjacent_tables(self, table_name: str) -> list[str]:
         """Tables connected to ``table_name`` by at least one foreign key."""
         self.table(table_name)
-        return sorted(self.graph().neighbors(table_name))
+        return sorted(self.graph()[table_name])
 
     def join_edges(self, left: str, right: str) -> list[ForeignKey]:
         """All foreign keys connecting two tables (in either direction)."""
-        g = self.graph()
-        if not g.has_edge(left, right):
-            return []
-        return [data["fk"] for data in g[left][right].values()]
+        return list(self.graph().get(left, {}).get(right, ()))
 
     def join_paths(self, max_length: int) -> list[tuple[str, ...]]:
         """Enumerate simple paths of tables with at most ``max_length`` joins.
@@ -201,7 +200,7 @@ class Schema:
         g = self.graph()
         seen: set[tuple[str, ...]] = set()
         paths: list[tuple[str, ...]] = []
-        for start in sorted(g.nodes):
+        for start in sorted(g):
             stack: list[tuple[str, ...]] = [(start,)]
             while stack:
                 path = stack.pop()
@@ -211,7 +210,7 @@ class Schema:
                     paths.append(canonical)
                 if len(path) - 1 >= max_length:
                     continue
-                for neighbor in g.neighbors(path[-1]):
+                for neighbor in g[path[-1]]:
                     if neighbor not in path:
                         stack.append(path + (neighbor,))
         paths.sort(key=lambda p: (len(p), p))

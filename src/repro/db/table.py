@@ -105,9 +105,21 @@ class Relation:
         return self._rows.get(key)
 
     def lookup(self, attribute: str, value: Any) -> list[Tuple]:
-        """All tuples with ``attribute == value`` (uses index when present)."""
+        """All tuples with ``attribute == value``.
+
+        The primary key is answered from the row dict and an indexed
+        attribute from its index (matches in primary-key ``repr`` order);
+        any other attribute is scanned in insertion order.  Dict lookup
+        matches on hash and ``==``, so all three agree with the scan's
+        ``==`` (``3`` finds ``3.0``, ``1`` finds ``True``).  A probe never
+        writes: an absent value leaves the index as it was.
+        """
+        if attribute == self.table.primary_key:
+            tup = self._rows.get(value)
+            return [] if tup is None else [tup]
         if attribute in self._indexed_attributes:
-            return [self._rows[k] for k in sorted(self._value_index[attribute][value], key=repr)]
+            keys = self._value_index[attribute].get(value, ())
+            return [self._rows[k] for k in sorted(keys, key=repr)]
         return [t for t in self._rows.values() if t.get(attribute) == value]
 
     def scan(self) -> Iterator[Tuple]:

@@ -13,9 +13,10 @@ class TestDataGraph:
     def test_edges_follow_fks(self, mini_db):
         dg = DataGraph(mini_db)
         # acts row 1 links actor 1 and movie 1.
-        assert dg.graph.has_edge(("acts", 1), ("actor", 1))
-        assert dg.graph.has_edge(("acts", 1), ("movie", 1))
-        assert not dg.graph.has_edge(("actor", 1), ("movie", 1))
+        assert ("actor", 1) in dg.graph[("acts", 1)]
+        assert ("acts", 1) in dg.graph[("actor", 1)]
+        assert ("movie", 1) in dg.graph[("acts", 1)]
+        assert ("movie", 1) not in dg.graph[("actor", 1)]
 
     def test_edge_count(self, mini_db):
         dg = DataGraph(mini_db)
@@ -64,4 +65,5 @@ def test_the_edges_are_exactly_the_foreign_key_links(dataset, request):
             if value is not None:
                 links.update(frozenset((tup.uid, uid)) for uid in targets.get(value, ()))
     assert links
-    assert {frozenset(edge) for edge in DataGraph(db).graph.edges} == links
+    dg = DataGraph(db)
+    assert {frozenset((u, v)) for u in dg.graph for v in dg.neighbors(u)} == links

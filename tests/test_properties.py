@@ -792,3 +792,61 @@ class TestJsonKeySetBinding:
 def _padded_width(count: int) -> int:
     """The next power of two at or above ``count`` (0 and 1 stay)."""
     return count if count < 2 else 1 << (count - 1).bit_length()
+
+
+# -- Relation.lookup against the full scan ------------------------------------
+
+#: Primary keys: ints, strings and integral floats, distinct under ``==``
+#: (``unique_by`` drops ``3.0`` once ``3`` is drawn).
+LOOKUP_KEYS = st.one_of(
+    st.integers(-3, 6), st.sampled_from(["a", "b", "3"]), st.integers(-3, 6).map(float)
+)
+#: Attribute values and probes: the keys' spellings plus ``True``/``False``
+#: (equal to ``1``/``0``), ``None`` and values no row carries.
+LOOKUP_VALUES = st.one_of(LOOKUP_KEYS, st.sampled_from([True, False, None, 99, "zz"]))
+
+
+def _reprs(tuples):
+    """Rows as text: ``3`` and ``3.0`` compare equal but must not be swapped."""
+    return [(repr(t.key), repr(t.values)) for t in tuples]
+
+
+class TestRelationLookupAgainstScan:
+    @given(
+        keys=st.lists(LOOKUP_KEYS, unique_by=lambda key: key, max_size=8),
+        data=st.data(),
+        index_first=st.booleans(),
+        probes=st.lists(LOOKUP_VALUES, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_lookup_equals_the_full_scan(self, keys, data, index_first, probes):
+        """The primary key (row dict), an indexed attribute (value index,
+        primary-key ``repr`` order) and an unindexed one (scan order) all
+        return exactly the rows the scan's ``==`` selects, and no probe
+        writes to the index."""
+        from repro.db.schema import Attribute, Table
+        from repro.db.table import Relation
+
+        relation = Relation(Table("t", [Attribute("indexed"), Attribute("plain")]))
+        if index_first:
+            relation.create_index("indexed")
+        rows = [
+            {"id": key, "indexed": data.draw(LOOKUP_VALUES), "plain": data.draw(LOOKUP_VALUES)}
+            for key in keys
+        ]
+        for row in rows:
+            relation.insert(row)
+        if not index_first:
+            relation.create_index("indexed")
+        index_size = len(relation._value_index["indexed"])
+        stored = [value for row in rows for value in row.values()]
+        for value in probes + stored + [3, 3.0, 1, True, None]:
+            for attribute in ("id", "indexed", "plain"):
+                scan = [t for t in relation.scan() if t.get(attribute) == value]
+                if attribute == "indexed":
+                    scan.sort(key=lambda t: repr(t.key))
+                assert _reprs(relation.lookup(attribute, value)) == _reprs(scan), (
+                    attribute,
+                    value,
+                )
+        assert len(relation._value_index["indexed"]) == index_size

@@ -1,0 +1,37 @@
+"""The library imports nothing outside the standard library.
+
+networkx and the other development dependencies are test tools only; a
+third-party import in the serving path would cost every process its
+resident memory (networkx alone was ~20 MB) and break the stdlib-only
+install README promises.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import json, sys
+before = set(sys.modules)
+import repro.engine, repro.server, repro.net.listener, repro.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(
+    name for name in loaded if name != "repro" and name not in sys.stdlib_module_names
+)))
+"""
+
+
+def test_the_serving_stack_loads_only_stdlib_modules():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

@@ -98,3 +98,13 @@ class TestLookupAndScan:
         assert len(relation) == 4
         assert len(list(relation.scan())) == 4
         assert len(list(iter(relation))) == 4
+
+
+def test_a_lookup_of_an_absent_value_does_not_grow_the_index(relation):
+    relation.insert({"id": 1, "name": "a"})
+    relation.create_index("name")
+    for miss in range(100):
+        assert relation.lookup("name", f"absent-{miss}") == []
+    assert relation.lookup("name", "a")[0].key == 1
+    assert len(relation._value_index["name"]) == 1
+
