@@ -15,9 +15,10 @@ Every query flow routes through one :class:`repro.engine.QueryEngine`
 (segment → generate → rank → execute); ``query`` is an alias of ``search``.
 ``--explain`` prints the rendered SQL of the top interpretations, per-stage
 timings and the result-cache hit/miss counters from the engine context.
-``construct`` runs the IQP dialogue: with ``--answers`` the given y/n
-sequence answers the options (cycling); without it the session is driven
-interactively from stdin.  ``serve`` is one server with three transports
+``construct`` runs :class:`repro.iqp.session.ConstructionSession`'s
+dialogue: with ``--answers`` the given y/n sequence answers the options
+(cycling); without it the session is driven interactively from stdin.
+``serve`` is one server with three transports
 (see :mod:`repro.net`): newline-delimited JSON requests on stdin/stdout by
 default, on a TCP listener with ``--tcp``, over HTTP/1.1 with ``--http`` —
 all behind the same connection limit, bounded-queue overload rejection,
@@ -39,17 +40,18 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.hierarchy import QueryHierarchy
+from repro.core.interpretation import Interpretation
 from repro.core.keywords import KeywordQuery
+from repro.core.options import Option
 from repro.core.snippets import make_snippet
 from repro.db.backends import available_backends
 from repro.db.errors import DatabaseError
 from repro.divq.diversify import diversify, divq_model, relevance_pool
 from repro.engine import EngineConfig, QueryEngine
-from repro.iqp.infogain import information_gain
+from repro.iqp.session import ConstructionSession
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
@@ -112,71 +114,45 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 @dataclass
-class _ScriptedUser:
-    """Answers construction options from a y/n script (cycling)."""
+class _TerminalUser:
+    """The person answering ``construct``: from a y/n script (cycling) or stdin.
 
-    answers: list[str]
-    position: int = 0
+    They pick the intended query from the printed shortlist themselves, so
+    :meth:`picks` recognises none.
+    """
+
+    answers: list[str] | None
     evaluations: int = 0
-    log: list[tuple[str, bool]] = field(default_factory=list)
 
-    def decide(self, description: str) -> bool:
-        answer = self.answers[self.position % len(self.answers)]
-        self.position += 1
+    def evaluate(self, option: Option) -> bool:
+        prompt = f"{option.describe()}? [y/n] "
+        if self.answers:
+            answer = self.answers[self.evaluations % len(self.answers)]
+            accepted = answer.lower().startswith("y")
+            print(prompt + ("y" if accepted else "n"))
+        else:  # pragma: no cover - interactive path
+            accepted = input(prompt).strip().lower().startswith("y")
         self.evaluations += 1
-        accepted = answer.lower().startswith("y")
-        self.log.append((description, accepted))
         return accepted
+
+    def picks(self, interpretation: Interpretation) -> bool:
+        return False
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     with _engine(args) as engine:
-        return _construct(args, engine)
-
-
-def _construct(args: argparse.Namespace, engine: QueryEngine) -> int:
-    query = KeywordQuery.parse(args.query)
-    hierarchy = QueryHierarchy(query, engine.generator, engine.model)
-    scripted = _ScriptedUser(args.answers) if args.answers else None
-    steps = 0
-    while steps < args.max_steps:
-        steps += 1
-        while hierarchy.can_expand() and len(hierarchy) < 20:
-            hierarchy.expand_once()
-        if hierarchy.at_complete_level() and len(hierarchy) <= args.stop_size:
-            break
-        weights = [n.weight for n in hierarchy.frontier]
-        best, best_gain = None, 0.0
-        for option in hierarchy.frontier_atoms():
-            pattern = [option.matches(n.atoms) for n in hierarchy.frontier]
-            if all(pattern) or not any(pattern):
-                continue
-            gain = information_gain(weights, pattern)
-            if gain > best_gain:
-                best, best_gain = option, gain
-        if best is None:
-            if hierarchy.can_expand():
-                hierarchy.expand_once()
-                continue
-            break
-        prompt = f"{best.describe()}? [y/n] "
-        if scripted is not None:
-            accepted = scripted.decide(best.describe())
-            print(prompt + ("y" if accepted else "n"))
-        else:  # pragma: no cover - interactive path
-            reply = input(prompt).strip().lower()
-            accepted = reply.startswith("y")
-        if accepted:
-            hierarchy.accept(best)
-        else:
-            hierarchy.reject(best)
-        if not hierarchy.frontier:
-            print("no interpretation consistent with the answers")
-            return 1
-    hierarchy.expand_to_complete()
-    candidates = hierarchy.complete_interpretations()
-    print(f"\n{len(candidates)} candidate interpretation(s):")
-    for i, interp in enumerate(candidates[:5], start=1):
+        session = ConstructionSession(
+            KeywordQuery.parse(args.query),
+            engine,
+            stop_size=args.stop_size,
+            max_steps=args.max_steps,
+        )
+        shortlist = session.run(_TerminalUser(args.answers)).final_candidates
+    if not shortlist:
+        print("no interpretation consistent with the answers")
+        return 1
+    print(f"\n{len(shortlist)} candidate interpretation(s):")
+    for i, interp in enumerate(shortlist[:5], start=1):
         print(f"  {i}. {interp.to_structured_query().algebra()}")
     return 0
 

@@ -9,45 +9,42 @@ probabilities derive.  The number of complete interpretations grows
 polynomially with the schema and exponentially with the query — while the
 number of options a user evaluates grows far slower.
 
-We reproduce the simulation over the abstract option-space layer of
-:mod:`repro.iqp.plan`, with the hierarchy threshold emulated as the number of
-top-probability interpretations visible to the option scorer at each step.
+We reproduce the simulation over an abstract option space: each option (a
+keyword-to-table binding) is an ``int`` bitmask over the enumerated
+interpretations, so pruning is ``&`` and counting is ``int.bit_count()``,
+and every step asks the option :func:`repro.iqp.infogain.most_informative`
+picks.  The hierarchy threshold is emulated as the number of top-probability
+interpretations visible to the option scorer at each step.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 
-import numpy as np
+from repro.iqp.infogain import most_informative
 
 
 @dataclass
 class SimulationSpace:
     """One simulated interpretation space.
 
-    ``option_matrix[o, q]`` is True when option ``o`` (a keyword-to-table
-    binding) subsumes complete interpretation ``q``.
+    Interpretations are numbered heaviest first, so bit ``q`` of a mask is
+    the ``q``-th most probable one; ``options[o]`` has bit ``q`` set when
+    option ``o`` (a keyword-to-table binding) subsumes interpretation ``q``.
     """
 
-    weights: np.ndarray  # (n_queries,) positive
-    option_matrix: np.ndarray  # (n_options, n_queries) bool
+    weights: list[float]  # positive, non-increasing
+    options: list[int]
     option_labels: list[tuple[int, int]]  # (keyword, table)
     #: Exact space size before capping (the "# of queries" column).
     theoretical_queries: int
 
     @property
     def n_queries(self) -> int:
-        return int(self.weights.shape[0])
-
-    @property
-    def n_options(self) -> int:
-        return int(self.option_matrix.shape[0])
-
-    def probabilities(self) -> np.ndarray:
-        total = float(self.weights.sum())
-        return self.weights / total if total > 0 else np.full_like(self.weights, 1.0)
+        return len(self.weights)
 
 
 def generate_simulation(
@@ -60,90 +57,79 @@ def generate_simulation(
     max_queries: int = 30_000,
 ) -> SimulationSpace:
     """Generate one simulation instance (deterministic in ``seed``)."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     if n_templates is None:
         # The template pool grows with the schema (join paths of a bigger
         # graph), driving the polynomial space growth of Table 3.2.
         n_templates = max(4, (n_tables * n_tables) // 3)
-    table_weight = rng.uniform(0.1, 1.0, size=n_tables)
-    # occurrence[k, t]: does keyword k occur in table t; its weight if so.
-    occurrence = rng.random((n_keywords, n_tables)) < occurrence_probability
+    table_weight = [rng.uniform(0.1, 1.0) for _ in range(n_tables)]
+    # occurrence[k][t]: does keyword k occur in table t.
+    occurrence = [
+        [rng.random() < occurrence_probability for _ in range(n_tables)]
+        for _ in range(n_keywords)
+    ]
     # Every keyword must occur somewhere, or the query has no interpretation.
-    for k in range(n_keywords):
-        if not occurrence[k].any():
-            occurrence[k, rng.integers(n_tables)] = True
-    binding_weight = rng.uniform(0.05, 1.0, size=(n_keywords, n_tables)) * table_weight
+    for row in occurrence:
+        if not any(row):
+            row[rng.randrange(n_tables)] = True
+    binding_weight = [
+        [rng.uniform(0.05, 1.0) * table_weight[t] for t in range(n_tables)]
+        for _ in range(n_keywords)
+    ]
 
-    templates: list[np.ndarray] = []
+    templates: list[list[int]] = []
     seen_templates: set[tuple[int, ...]] = set()
     for _ in range(n_templates):
-        size = int(rng.integers(2, max_template_size + 1))
-        size = min(size, n_tables)
-        tables = np.sort(rng.choice(n_tables, size=size, replace=False))
-        key = tuple(int(t) for t in tables)
-        if key in seen_templates:
+        size = min(rng.randint(2, max_template_size), n_tables)
+        tables = sorted(rng.sample(range(n_tables), size))
+        if tuple(tables) in seen_templates:
             continue
-        seen_templates.add(key)
+        seen_templates.add(tuple(tables))
         templates.append(tables)
 
     # Exact space size: sum over templates of prod_k (#occurring tables in T).
-    theoretical = 0
-    per_template_counts: list[list[np.ndarray]] = []
+    per_template: list[list[list[int]]] = []
     for tables in templates:
-        counts = 1
-        placements: list[np.ndarray] = []
-        for k in range(n_keywords):
-            viable = tables[occurrence[k, tables]]
-            placements.append(viable)
-            counts *= len(viable)
-        if counts > 0:
-            theoretical += counts
-            per_template_counts.append(placements)
+        placements = [[t for t in tables if occurrence[k][t]] for k in range(n_keywords)]
+        if all(placements):
+            per_template.append(placements)
+    theoretical = sum(math.prod(map(len, p)) for p in per_template)
 
     # Enumerate (or sample) up to max_queries complete interpretations.
     queries: list[tuple[int, ...]] = []  # per keyword: bound table
-    weights: list[float] = []
-    budget_per_template = max(1, max_queries // max(1, len(per_template_counts)))
-    for placements in per_template_counts:
-        sizes = [len(p) for p in placements]
-        total = math.prod(sizes)
-        take = min(total, budget_per_template)
-        if total <= take:
-            indices = np.arange(total)
+    budget_per_template = max(1, max_queries // max(1, len(per_template)))
+    for placements in per_template:
+        total = math.prod(map(len, placements))
+        if total <= budget_per_template:
+            indices: list[int] | range = range(total)
         else:
-            indices = rng.choice(total, size=take, replace=False)
-        for flat in np.sort(indices):
+            indices = sorted(rng.sample(range(total), budget_per_template))
+        for flat in indices:
             assignment = []
-            remainder = int(flat)
-            for k in range(n_keywords):
-                remainder, digit = divmod(remainder, sizes[k])
-                assignment.append(int(placements[k][digit]))
+            for viable in placements:
+                flat, digit = divmod(flat, len(viable))
+                assignment.append(viable[digit])
             queries.append(tuple(assignment))
-            w = 1.0
-            for k, table in enumerate(assignment):
-                w *= binding_weight[k, table]
-            weights.append(w)
 
-    n_queries = len(queries)
-    labels: list[tuple[int, int]] = []
-    rows: list[np.ndarray] = []
-    query_array = np.array(queries, dtype=np.int64).reshape(n_queries, n_keywords)
-    for k in range(n_keywords):
-        for t in range(n_tables):
-            if not occurrence[k, t]:
-                continue
-            row = query_array[:, k] == t
-            if row.any():
-                labels.append((k, t))
-                rows.append(row)
-    option_matrix = (
-        np.array(rows, dtype=bool)
-        if rows
-        else np.zeros((0, n_queries), dtype=bool)
-    )
+    def weight(query: tuple[int, ...]) -> float:
+        return math.prod(binding_weight[k][t] for k, t in enumerate(query))
+
+    # The by-weight order is fixed once here: bit q is the q-th heaviest.
+    queries.sort(key=weight, reverse=True)
+    bits = {
+        (k, t): bytearray((len(queries) + 7) // 8)
+        for k in range(n_keywords)
+        for t in range(n_tables)
+        if occurrence[k][t]
+    }
+    for q, query in enumerate(queries):
+        for k, t in enumerate(query):
+            bits[k, t][q >> 3] |= 1 << (q & 7)
+    masks = {label: int.from_bytes(row, "little") for label, row in bits.items()}
+    labels = [label for label, mask in masks.items() if mask]
     return SimulationSpace(
-        weights=np.asarray(weights, dtype=float),
-        option_matrix=option_matrix,
+        weights=[weight(query) for query in queries],
+        options=[masks[label] for label in labels],
         option_labels=labels,
         theoretical_queries=theoretical,
     )
@@ -175,73 +161,52 @@ def run_greedy_simulation(
     The hierarchy threshold of Alg. 3.2 is emulated by letting the option
     scorer see only the ``threshold`` most probable *active* interpretations
     when computing information gain — the partially expanded hierarchy's top
-    level — while pruning applies to the full active set.
+    level — while pruning applies to the full active set.  When no option
+    splits the visible set, it grows by another ``threshold``, as Alg. 3.2
+    expands a hierarchy that offers no option.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n = space.n_queries
     if n == 0:
         return SimulationRun(steps=0, seconds_per_step=0.0, resolved=True)
-    probs = space.probabilities()
-    intended = int(rng.choice(n, p=probs))
-    active = np.ones(n, dtype=bool)
+    intended = rng.choices(range(n), weights=space.weights)[0]
+    active = (1 << n) - 1
+    window = threshold
     steps = 0
     elapsed = 0.0
-    matrix = space.option_matrix
-    weights = space.weights
-    while active.sum() > stop_size and steps < max_steps:
+    while active.bit_count() > stop_size and steps < max_steps:
         started = time.perf_counter()
-        active_idx = np.flatnonzero(active)
-        # Visible top level: the `threshold` heaviest active interpretations.
-        if len(active_idx) > threshold:
-            order = np.argsort(-weights[active_idx])[:threshold]
-            visible = active_idx[order]
-        else:
-            visible = active_idx
-        w = weights[visible]
-        w_sum = w.sum()
-        if w_sum <= 0:
-            break
-        p = w / w_sum
-        logp = np.log2(p, where=p > 0, out=np.zeros_like(p))
-        h_total = float(-(p * logp).sum())
-        sub = matrix[:, visible]  # (n_options, n_visible)
-        mass_yes = sub @ p
-        best_gain = 0.0
-        best_option = -1
-        # Conditional entropy per option, vectorized over the visible set.
-        plogp = p * logp
-        sum_plogp_yes = sub @ plogp
-        for o in range(matrix.shape[0]):
-            m_yes = mass_yes[o]
-            if m_yes <= 0.0 or m_yes >= 1.0:
-                continue
-            m_no = 1.0 - m_yes
-            # H(side) = -(1/m) * sum p_i log2 p_i + log2 m  (renormalized).
-            h_yes = -(sum_plogp_yes[o] / m_yes) + math.log2(m_yes)
-            sum_plogp_no = plogp.sum() - sum_plogp_yes[o]
-            h_no = -(sum_plogp_no / m_no) + math.log2(m_no)
-            gain = h_total - (m_yes * h_yes + m_no * h_no)
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_option = o
+        # Visible top level: the `window` heaviest active interpretations,
+        # i.e. the lowest set bits of `active`.
+        visible: list[int] = []
+        rest = active
+        while rest and len(visible) < window:
+            low = rest & -rest
+            visible.append(low)
+            rest ^= low
+        best, _gain = most_informative(
+            [space.weights[bit.bit_length() - 1] for bit in visible],
+            space.options,
+            lambda mask: [mask & bit != 0 for bit in visible],
+        )
         elapsed += time.perf_counter() - started
-        if best_option < 0:
-            break
+        if best is None:
+            if not rest:
+                break  # nothing distinguishes the active set
+            window += threshold  # stuck: expand the top level, as Alg. 3.2 does
+            continue
         steps += 1
-        answer = bool(matrix[best_option, intended])
-        active &= matrix[best_option] == answer
-    per_step = elapsed / steps if steps else 0.0
+        window = threshold
+        active &= best if best >> intended & 1 else ~best
     return SimulationRun(
         steps=steps,
-        seconds_per_step=per_step,
-        resolved=bool(active[intended]),
-        remaining=int(active.sum()),
+        seconds_per_step=elapsed / steps if steps else 0.0,
+        resolved=bool(active >> intended & 1),
+        remaining=active.bit_count(),
     )
 
 
-def random_option_space(
-    n_queries: int, n_options: int, seed: int = 61
-):
+def random_option_space(n_queries: int, n_options: int, seed: int = 61):
     """A random abstract option space for the Table 3.4 optimality study.
 
     Each option subsumes a random half of the queries; probabilities are
@@ -249,14 +214,14 @@ def random_option_space(
     """
     from repro.iqp.plan import OptionSpace
 
-    rng = np.random.default_rng(seed)
-    probabilities = rng.random(n_queries)
-    options: dict[str, frozenset[int]] = {}
-    for o in range(n_options):
-        chosen = rng.choice(n_queries, size=max(1, n_queries // 2), replace=False)
-        options[f"opt{o}"] = frozenset(int(c) for c in chosen)
+    rng = random.Random(seed)
+    probabilities = [rng.random() for _ in range(n_queries)]
+    options = {
+        f"opt{o}": frozenset(rng.sample(range(n_queries), max(1, n_queries // 2)))
+        for o in range(n_options)
+    }
     return OptionSpace.build(
         queries=[f"q{i}" for i in range(n_queries)],
-        probabilities=list(probabilities),
+        probabilities=probabilities,
         options=options,
     )

@@ -24,7 +24,7 @@ from repro.core.keywords import Keyword
 from repro.core.options import AtomSetOption, ConceptOption, Option
 from repro.core.probability import entropy, normalize
 from repro.freeq.ontology import SchemaOntology
-from repro.iqp.infogain import information_gain
+from repro.iqp.infogain import information_gain, most_informative
 
 
 @dataclass
@@ -105,10 +105,9 @@ def provider_efficiency(
     This is the per-step measure swept against schema size in Fig. 5.2.
     """
     weights = [node.weight for node in hierarchy.frontier]
-    best = 0.0
-    for option in options:
-        pattern = [option.matches(node.atoms) for node in hierarchy.frontier]
-        if all(pattern) or not any(pattern):
-            continue
-        best = max(best, option_efficiency(weights, pattern))
-    return best
+
+    def subsumes(option: Option) -> list[bool]:
+        return [option.matches(node.atoms) for node in hierarchy.frontier]
+
+    best, _gain = most_informative(weights, options, subsumes)
+    return 0.0 if best is None else option_efficiency(weights, subsumes(best))

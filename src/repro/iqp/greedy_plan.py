@@ -8,7 +8,7 @@ this runs in polynomial time.
 
 from __future__ import annotations
 
-from repro.iqp.infogain import information_gain
+from repro.iqp.infogain import most_informative
 from repro.iqp.plan import (
     OptionSpace,
     PlanNode,
@@ -30,16 +30,11 @@ def greedy_plan(space: OptionSpace) -> tuple[PlanNode, float]:
             return make_scan_node(space, subset)
         ordered = sorted(subset)
         weights = [space.probabilities[i] for i in ordered]
-        best_gain = -1.0
-        best_choice = None
-        for option, inside, outside in candidates:
-            pattern = [i in inside for i in ordered]
-            gain = information_gain(weights, pattern)
-            if gain > best_gain:
-                best_gain = gain
-                best_choice = (option, inside, outside)
-        assert best_choice is not None
-        option, inside, outside = best_choice
+        choice, _gain = most_informative(
+            weights, candidates, lambda c: [i in c[1] for i in ordered]
+        )
+        # Every candidate splits the subset; when none gains, ask the first.
+        option, inside, outside = choice or candidates[0]
         return PlanNode(
             subset=subset,
             option=option,

@@ -3,14 +3,19 @@
 ``IG(I | O) = H(I) - H(I | O)`` where ``H(I)`` is the entropy of the
 (current top level of the) interpretation space and ``H(I | O)`` the
 conditional entropy once the user has told us whether option ``O`` subsumes
-the intended interpretation (Eqs. 3.11-3.13).
+the intended interpretation (Eqs. 3.11-3.13).  :func:`most_informative` is
+the greedy choice over candidate options that every construction path makes
+with it: sessions, greedy plans, the §3.8.5 simulation and FreeQ's QCO
+efficiency.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.core.probability import entropy, normalize
+
+T = TypeVar("T")
 
 
 def conditional_entropy(
@@ -43,3 +48,31 @@ def information_gain(
     """``IG(I | O)`` (Eq. 3.11).  Maximal for an even probability split."""
     probs = normalize(list(probabilities))
     return entropy(probs) - conditional_entropy(probs, subsumed)
+
+
+def splits(subsumed: Sequence[bool]) -> bool:
+    """Whether an option with this subsumption pattern splits the set at all."""
+    return any(subsumed) and not all(subsumed)
+
+
+def most_informative(
+    probabilities: Sequence[float],
+    options: Iterable[T],
+    subsumes: Callable[[T], Sequence[bool]],
+) -> tuple[T | None, float]:
+    """The greedy step of Alg. 3.2: the option to ask next, with its gain.
+
+    ``subsumes(option)`` is the option's subsumption pattern over the
+    interpretations ``probabilities`` weigh.  The first option with the
+    largest positive information gain wins; ``(None, 0.0)`` when none splits.
+    """
+    best: T | None = None
+    best_gain = 0.0
+    for option in options:
+        subsumed = subsumes(option)
+        if not splits(subsumed):
+            continue  # zero information
+        gain = information_gain(probabilities, subsumed)
+        if gain > best_gain:
+            best, best_gain = option, gain
+    return best, best_gain

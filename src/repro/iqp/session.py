@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from typing import Callable
+from typing import Callable, Protocol
 
 from repro.core.generator import InterpretationGenerator
 from repro.core.hierarchy import QueryHierarchy
@@ -27,13 +27,21 @@ from repro.core.keywords import KeywordQuery
 from repro.core.options import Option
 from repro.core.probability import ProbabilityModel
 from repro.engine import QueryEngine, resolve_generator_and_model
-from repro.iqp.infogain import information_gain
-from repro.user.oracle import SimulatedUser
+from repro.iqp.infogain import most_informative, splits
 
 #: Produces the candidate QCOs at each construction step.  The default offers
 #: the frontier atoms (Chapter 3); FreeQ substitutes ontology-based QCOs
 #: (Chapter 5).
 OptionProvider = Callable[[QueryHierarchy], list[Option]]
+
+
+class ConstructionUser(Protocol):
+    """Who answers the dialogue: :class:`repro.user.oracle.SimulatedUser`
+    in the experiments, the person at the terminal in ``repro construct``."""
+
+    evaluations: int
+    evaluate: Callable[[Option], bool]
+    picks: Callable[[Interpretation], bool]
 
 
 @dataclass
@@ -98,30 +106,20 @@ class ConstructionSession:
 
     def _best_option(self, hierarchy: QueryHierarchy) -> Option | None:
         """The next option per the selection policy, if any splits the frontier."""
-        weights = [node.weight for node in hierarchy.frontier]
-        splitting: list[Option] = []
-        best_gain = 0.0
-        best_option: Option | None = None
-        for option in self.option_provider(hierarchy):
-            pattern = [option.matches(node.atoms) for node in hierarchy.frontier]
-            if all(pattern) or not any(pattern):
-                continue  # does not split the frontier: zero information
-            if self.selection_policy == "random":
-                splitting.append(option)
-                continue
-            gain = information_gain(weights, pattern)
-            if gain > best_gain:
-                best_gain = gain
-                best_option = option
+        frontier = hierarchy.frontier
+        options = self.option_provider(hierarchy)
+
+        def subsumes(option: Option) -> list[bool]:
+            return [option.matches(node.atoms) for node in frontier]
+
         if self.selection_policy == "random":
-            if not splitting:
-                return None
-            return self._policy_rng.choice(splitting)
-        return best_option
+            splitting = [option for option in options if splits(subsumes(option))]
+            return self._policy_rng.choice(splitting) if splitting else None
+        return most_informative([node.weight for node in frontier], options, subsumes)[0]
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, user: SimulatedUser) -> ConstructionResult:
+    def run(self, user: ConstructionUser) -> ConstructionResult:
         hierarchy = QueryHierarchy(
             self.query, self.generator, self.model, max_frontier=self.max_frontier
         )

@@ -46,6 +46,40 @@ class TestCli:
             main(["search", "hanks", "--dataset", "nope"])
 
 
+CONSTRUCT_TRANSCRIPTS = {
+    ("y", "n", "y"): """\
+'hanks' is a movie.plot? [y/n] y
+
+1 candidate interpretation(s):
+  1. sigma_{{hanks} in plot AND {2001} in year}(movie)
+""",
+    ("n", "y"): """\
+'hanks' is a movie.plot? [y/n] n
+'hanks' is a director.name? [y/n] y
+
+1 candidate interpretation(s):
+  1. sigma_{{hanks} in name}(director) |x| (directs) |x| sigma_{{2001} in year}(movie)
+""",
+    ("n",): """\
+'hanks' is a movie.plot? [y/n] n
+'hanks' is a director.name? [y/n] n
+
+2 candidate interpretation(s):
+  1. sigma_{{hanks} in bio}(actor) |x| (acts) |x| sigma_{{2001} in year}(movie)
+  2. sigma_{{hanks} in name}(actor) |x| (acts) |x| sigma_{{2001} in year}(movie)
+""",
+}
+
+
+@pytest.mark.parametrize("answers", list(CONSTRUCT_TRANSCRIPTS), ids=" ".join)
+def test_construct_transcript_is_pinned(answers, capsys):
+    """`repro construct` is the session's dialogue: prompts, answers and the
+    probability-ordered shortlist, byte for byte."""
+    code = main(["construct", "--dataset", "imdb", "hanks 2001", "--answers", *answers])
+    assert code == 0
+    assert capsys.readouterr().out == CONSTRUCT_TRANSCRIPTS[answers]
+
+
 def _printed_algebra(out: str) -> list[str]:
     return [line.split(". ", 1)[1] for line in out.splitlines() if line.startswith("  ")]
 

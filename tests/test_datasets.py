@@ -1,8 +1,11 @@
 """Unit tests for the synthetic dataset generators and workloads."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.generator import InterpretationGenerator
+from repro.core.probability import normalize
 from repro.datasets.freebase import build_freebase, domain_names, freebase_workload
 from repro.datasets.imdb import build_imdb
 from repro.datasets.lyrics import build_lyrics
@@ -169,13 +172,20 @@ class TestSimulation:
         space = generate_simulation(n_tables=10, n_keywords=8, seed=37, max_queries=500)
         assert space.n_queries <= 600  # cap is per template, small slack
 
-    def test_option_matrix_shape(self):
+    def test_option_masks_cover_the_enumerated_queries(self):
         space = generate_simulation(n_tables=8, n_keywords=3, seed=5)
-        assert space.option_matrix.shape == (space.n_options, space.n_queries)
+        assert len(space.options) == len(space.option_labels)
+        assert all(0 < mask < 1 << space.n_queries for mask in space.options)
+
+    def test_queries_are_numbered_heaviest_first(self):
+        space = generate_simulation(n_tables=8, n_keywords=3, seed=5)
+        assert space.weights == sorted(space.weights, reverse=True)
 
     def test_probabilities_normalized(self):
         space = generate_simulation(n_tables=8, n_keywords=3, seed=5)
-        assert space.probabilities().sum() == pytest.approx(1.0)
+        probabilities = normalize(space.weights)
+        assert all(p > 0 for p in probabilities)
+        assert sum(probabilities) == pytest.approx(1.0)
 
     def test_greedy_run_resolves(self):
         space = generate_simulation(n_tables=10, n_keywords=3, seed=31)
@@ -198,4 +208,32 @@ class TestSimulation:
         a = generate_simulation(n_tables=8, n_keywords=3, seed=11)
         b = generate_simulation(n_tables=8, n_keywords=3, seed=11)
         assert a.theoretical_queries == b.theoretical_queries
-        assert (a.option_matrix == b.option_matrix).all()
+        assert a.options == b.options
+        assert a.weights == b.weights
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_tables=st.integers(1, 8),
+        n_keywords=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        threshold=st.integers(1, 12),
+    )
+    def test_bindings_partition_the_queries_and_greedy_keeps_the_intended_one(
+        self, n_tables, n_keywords, seed, threshold
+    ):
+        space = generate_simulation(n_tables=n_tables, n_keywords=n_keywords, seed=seed)
+        for keyword in range(n_keywords):
+            masks = [
+                mask
+                for mask, (k, _table) in zip(space.options, space.option_labels)
+                if k == keyword
+            ]
+            # Each query binds the keyword to exactly one table.
+            assert sum(mask.bit_count() for mask in masks) == space.n_queries
+            union = 0
+            for mask in masks:
+                union |= mask
+            assert union == (1 << space.n_queries) - 1
+        run = run_greedy_simulation(space, seed=seed + 1, threshold=threshold)
+        assert run.resolved
+        assert run.remaining >= 1

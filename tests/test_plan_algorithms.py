@@ -84,6 +84,17 @@ class TestGreedy:
         for i in range(10):
             assert plan.depth_of(i) >= 0
 
+    def test_asks_the_first_splitting_option_when_no_option_gains(self):
+        """All mass on one query: every gain is 0, and the plan still asks."""
+        space = OptionSpace.build(
+            queries=["q0", "q1", "q2"],
+            probabilities=[1.0, 0.0, 0.0],
+            options={"b": {1}, "a": {0, 1}},
+        )
+        plan, _cost = greedy_plan(space)
+        assert plan.option == "a"
+        assert plan.accept.option == "b"
+
     def test_single_query(self):
         space = OptionSpace.build(["q"], [1.0], {})
         _plan, cost = greedy_plan(space)
