@@ -18,8 +18,7 @@ atoms are a superset of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.keywords import Keyword, KeywordQuery
@@ -30,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.backends.base import StorageBackend
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ValueAtom:
     """Keyword ``keyword`` interpreted as a value of ``table.attribute``."""
 
@@ -46,7 +45,7 @@ class ValueAtom:
         return f"{self.keyword.term!r} is a {self.table}.{self.attribute}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TableAtom:
     """Keyword ``keyword`` interpreted as the name of ``table``."""
 
@@ -61,7 +60,7 @@ class TableAtom:
         return f"{self.keyword.term!r} refers to the table {self.table}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class OperatorAtom:
     """Keyword interpreted as an aggregation operator over ``table``.
 
@@ -99,7 +98,7 @@ def atoms_subsume(sub: frozenset[Atom], sup: frozenset[Atom]) -> bool:
     return sub <= sup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interpretation:
     """A (partial or complete) query interpretation (Def. 3.5.4).
 
@@ -114,6 +113,10 @@ class Interpretation:
     query: KeywordQuery
     template: QueryTemplate
     assignment: tuple[tuple[Atom, int], ...]  # (atom, template slot), sorted
+    #: Memo slot of :attr:`atoms` (construction sessions read it in loops).
+    _atoms: frozenset[Atom] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -128,13 +131,17 @@ class Interpretation:
 
     # -- structure -------------------------------------------------------
 
-    @cached_property
+    @property
     def atoms(self) -> frozenset[Atom]:
-        return frozenset(atom for atom, _slot in self.assignment)
+        atoms = self._atoms
+        if atoms is None:
+            atoms = frozenset(atom for atom, _slot in self.assignment)
+            object.__setattr__(self, "_atoms", atoms)
+        return atoms
 
-    @cached_property
+    @property
     def bound_keywords(self) -> frozenset[Keyword]:
-        return frozenset(atom.keyword for atom in self.atoms)
+        return frozenset(atom.keyword for atom, _slot in self.assignment)
 
     @property
     def is_complete(self) -> bool:

@@ -13,7 +13,7 @@ from typing import Iterator
 from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Keyword:
     """One keyword occurrence: position in the query plus the normalized term."""
 

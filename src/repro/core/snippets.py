@@ -57,7 +57,7 @@ def make_snippet(
     matched_attrs: list[tuple[str, str]] = []
     for tup in result:
         parts: list[str] = []
-        for attribute, value in tup.values:
+        for attribute, value in tup.items():
             if value is None:
                 continue
             text = str(value)
@@ -73,7 +73,7 @@ def make_snippet(
         # No keyword matched (OR semantics remainder): show the first tuple.
         head = result[0]
         textual = [
-            f"{a}: {str(v)[:max_value_length]}" for a, v in head.values if v is not None
+            f"{a}: {str(v)[:max_value_length]}" for a, v in head.items() if v is not None
         ]
         fragments.append(f"[{head.table}] " + ", ".join(textual[:2]))
     return Snippet(text=" -- ".join(fragments), matched_attributes=tuple(matched_attrs))
@@ -108,7 +108,7 @@ def cluster_results(query: KeywordQuery, results: Sequence[JTT]) -> list[ResultC
     for result in results:
         signature: set[tuple[str, str]] = set()
         for tup in result:
-            for attribute, value in tup.values:
+            for attribute, value in tup.items():
                 if value is None:
                     continue
                 if DEFAULT_TOKENIZER.terms(str(value)) & terms:

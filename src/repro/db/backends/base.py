@@ -291,7 +291,7 @@ class StorageBackend(abc.ABC):
         tup = self.relation(table_name).insert(
             {name: normalize_value(value) for name, value in row.items()}
         )
-        self._fold_mutation(f"row|{table_name}|{tup.key!r}|{tup.values!r}")
+        self._fold_mutation(f"row|{table_name}|{tup.key!r}|{tup.items()!r}")
         if self.index is not None:
             self.index.add_tuple(self.schema.table(table_name), tup)
         if self._statistics is not None:
@@ -421,6 +421,12 @@ class StorageBackend(abc.ABC):
             digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
             self._content_fingerprint = digest[:32]
         return self._content_fingerprint
+
+    def decoded_rows_alive(self) -> int:
+        """Rows decoded from storage that something still references — the
+        SQLite backends' one-object-per-stored-row maps; ``0`` where rows
+        live in the process and are never decoded."""
+        return 0
 
     def close(self) -> None:
         """Release backend resources (in-memory storage has none)."""

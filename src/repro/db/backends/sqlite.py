@@ -50,6 +50,8 @@ import json
 import os
 import sqlite3
 import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -78,7 +80,7 @@ from repro.db.errors import (
 )
 from repro.db.index import InvertedIndex
 from repro.db.schema import ForeignKey, Schema, Table
-from repro.db.table import Tuple
+from repro.db.table import Tuple, column_layout
 from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 
 
@@ -296,6 +298,12 @@ class _ReadConnectionPool:
 _normalize = normalize_value
 
 
+class _RowRef(weakref.ref):
+    """Weak reference to a decoded row that remembers its primary key."""
+
+    __slots__ = ("key",)
+
+
 class SQLiteRelation:
     """Per-table handle over stored rows (the ``RelationView`` protocol).
 
@@ -311,8 +319,20 @@ class SQLiteRelation:
         self._conn = backend._conn
         self._dialect = backend.dialect
         self._columns = list(table.attribute_names)
+        self._layout = column_layout(table)
         self._pk = table.primary_key
         self._pk_index = self._columns.index(self._pk)
+        #: Primary key -> weak reference to the live decoded row: one object
+        #: per stored row.  Stored rows never change (the API only inserts),
+        #: and an entry dies with the last reference to its row, so nothing
+        #: bounds the map.  Two threads racing on one key each get an equal
+        #: row.  (A plain dict of keyed refs: ``WeakValueDictionary``'s
+        #: Python-level get/set doubled the cost of a decode.)
+        self._alive: dict[Any, _RowRef] = {}
+        alive = self._alive
+        # Removes the entry only while it is still this dead reference, so
+        # a row decoded again meanwhile keeps its entry.
+        self._forget = lambda ref: _remove_dead_weakref(alive, ref.key)
         # Set-oriented reads (scan/keys/count/lookup) compile against the
         # dialect's logical table source, which is valid on every dialect
         # (the sharded one resolves it to an all-partitions union).
@@ -346,11 +366,11 @@ class SQLiteRelation:
         if key is None:
             key = self._next_key()
         values = tuple(
-            (name, _normalize(row.get(name)) if name != self._pk else key)
+            _normalize(row.get(name)) if name != self._pk else key
             for name in self._columns
         )
         try:
-            self._store_row(key, [value for _name, value in values])
+            self._store_row(key, list(values))
         except sqlite3.IntegrityError:
             raise IntegrityError(
                 f"duplicate primary key {key!r} in table {self.table.name!r}"
@@ -363,7 +383,7 @@ class SQLiteRelation:
             ) from None
         if self._row_count is not None:
             self._row_count += 1
-        return Tuple(self.table.name, key, values)
+        return Tuple(self.table.name, key, values, self._layout)
 
     def _store_row(self, key: Any, cells: list[Any]) -> None:
         """Physically insert one normalized row (the sharded override routes
@@ -391,9 +411,19 @@ class SQLiteRelation:
 
     # -- access ----------------------------------------------------------
 
-    def _to_tuple(self, row: Sequence[Any]) -> Tuple:
-        values = tuple(zip(self._columns, row))
-        return Tuple(self.table.name, row[self._pk_index], values)
+    def _to_tuple(self, row: tuple[Any, ...], offset: int = 0) -> Tuple:
+        """The live :class:`Tuple` of the row stored at ``row[offset:]``;
+        decoded (sliced) only when none is alive."""
+        key = row[offset + self._pk_index]
+        ref = self._alive.get(key)
+        tup = None if ref is None else ref()
+        if tup is None:
+            values = row[offset : offset + len(self._columns)]
+            tup = Tuple(self.table.name, key, values, self._layout)
+            ref = _RowRef(tup, self._forget)
+            ref.key = key
+            self._alive[key] = ref
+        return tup
 
     def get(self, key: Any) -> Tuple | None:
         with self._backend._lease_read_connection() as conn:
@@ -800,6 +830,9 @@ class SQLiteBackend(StorageBackend):
         except KeyError:
             raise UnknownTableError(table_name) from None
 
+    def decoded_rows_alive(self) -> int:
+        return sum(len(relation._alive) for relation in self._relations.values())
+
     def insert(self, table_name: str, row: dict[str, Any]) -> Tuple:
         with self._lock:
             tup = super().insert(table_name, row)
@@ -1149,9 +1182,8 @@ class SQLiteBackend(StorageBackend):
         """One result row back into a joining network of tuples."""
         network: list[Tuple] = []
         for relation in relations:
-            width = len(relation._columns)
-            network.append(relation._to_tuple(row[offset : offset + width]))
-            offset += width
+            network.append(relation._to_tuple(row, offset))
+            offset += len(relation._columns)
         return tuple(network)
 
     # -- join-path execution: the row stream --------------------------------

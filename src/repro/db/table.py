@@ -1,19 +1,30 @@
 """Tuple storage: relations (table instances) and tuples.
 
-A :class:`Relation` stores the rows of one table.  Rows are plain dicts keyed
-by attribute name, wrapped in a lightweight :class:`Tuple` that remembers the
-owning table — the unit the inverted index, the data graph and join results
-all refer to.
+A :class:`Relation` stores the rows of one table.  A row is a lightweight
+:class:`Tuple` that remembers the owning table — the unit the inverted
+index, the data graph and join results all refer to.  It holds only its
+values; the attribute names live once per table in a shared *layout*
+(attribute name -> position, see :func:`column_layout`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.db.errors import IntegrityError, UnknownAttributeError
 from repro.db.schema import Table
+
+
+#: Attribute name -> position in ``Tuple.values``; one per table, shared
+#: by all of its rows.
+Layout = dict[str, int]
+
+
+def column_layout(table: Table) -> Layout:
+    """The shared name -> position layout of ``table``'s rows."""
+    return {name: position for position, name in enumerate(table.attribute_names)}
 
 
 @dataclass(frozen=True)
@@ -21,27 +32,30 @@ class Tuple:
     """One row of one table.
 
     Identity is ``(table, primary key value)`` — exactly the "information
-    nugget" granularity used by the DivQ metrics (Section 4.5).
+    nugget" granularity used by the DivQ metrics (Section 4.5).  ``values``
+    are in table-attribute order; ``layout`` (shared per table, not part of
+    ``==`` or the hash) names them.  Not slotted: the SQLite backends keep
+    one object per stored row in a weak identity map, which needs weakrefs.
     """
 
     table: str
     key: Any
-    values: tuple[tuple[str, Any], ...]
+    values: tuple[Any, ...]
+    layout: Layout = field(compare=False, repr=False)
 
     def __getitem__(self, attribute: str) -> Any:
-        for name, value in self.values:
-            if name == attribute:
-                return value
-        raise KeyError(attribute)
+        return self.values[self.layout[attribute]]
 
     def get(self, attribute: str, default: Any = None) -> Any:
-        for name, value in self.values:
-            if name == attribute:
-                return value
-        return default
+        position = self.layout.get(attribute)
+        return default if position is None else self.values[position]
+
+    def items(self) -> tuple[tuple[str, Any], ...]:
+        """The ``(attribute, value)`` pairs, in table-attribute order."""
+        return tuple(zip(self.layout, self.values))
 
     def as_dict(self) -> dict[str, Any]:
-        return dict(self.values)
+        return dict(zip(self.layout, self.values))
 
     @property
     def uid(self) -> tuple[str, Any]:
@@ -58,6 +72,7 @@ class Relation:
     def __init__(self, table: Table):
         self.table = table
         self._rows: dict[Any, Tuple] = {}
+        self._layout = column_layout(table)
         # attribute name -> value -> set of primary keys (exact-match index)
         self._value_index: dict[str, dict[Any, set[Any]]] = defaultdict(lambda: defaultdict(set))
         self._indexed_attributes: set[str] = set()
@@ -80,10 +95,9 @@ class Relation:
                 f"duplicate primary key {key!r} in table {self.table.name!r}"
             )
         values = tuple(
-            (name, row.get(name) if name != pk_name else key)
-            for name in self.table.attribute_names
+            row.get(name) if name != pk_name else key for name in self._layout
         )
-        tup = Tuple(self.table.name, key, values)
+        tup = Tuple(self.table.name, key, values, self._layout)
         self._rows[key] = tup
         for attr in self._indexed_attributes:
             self._value_index[attr][tup.get(attr)].add(key)

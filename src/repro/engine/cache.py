@@ -139,6 +139,12 @@ class ResultCache:
     # -- maintenance --------------------------------------------------------
 
     @staticmethod
+    def resident_entries() -> int:
+        """Entries the process-level store holds right now."""
+        with _PROCESS_CACHE_LOCK:
+            return len(_PROCESS_CACHE)
+
+    @staticmethod
     def clear_process_cache() -> None:
         """Drop the process-level store (tests use this to start cold)."""
         with _PROCESS_CACHE_LOCK:

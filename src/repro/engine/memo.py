@@ -12,8 +12,10 @@ from collections import OrderedDict
 
 #: Interpretations one memo keeps resident.  Counted in interpretations, not
 #: entries: an entry holds up to ``max_interpretations`` (20 000) of them at
-#: ≈ 0.67 KB each, so 8 192 is a ≈ 5.5 MB ceiling whatever the queries are
-#: (a space with no interpretation is charged as one, so it is evicted too).
+#: ≈ 0.33 KB each (deep size of slotted interpretations, measured on the
+#: ``cold_once_tcp`` pool), so 8 192 is a ≈ 2.7 MB ceiling whatever the
+#: queries are (a space with no interpretation is charged as one, so it is
+#: evicted too).
 MEMO_BUDGET = 8192
 
 

@@ -478,6 +478,7 @@ class HTTPQueryServer:
                 "read_pool_waits": stats.engine_read_pool_waits,
                 "read_pool_peak_concurrency": stats.engine_read_pool_peak,
                 **core.server.memo_counters(),
+                **core.server.resident_gauges(),
             },
             "stages": {
                 "requests": stats.requests_served,

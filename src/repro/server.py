@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.engine import EngineConfig, EngineContext, QueryEngine
+from repro.engine import EngineConfig, EngineContext, QueryEngine, ResultCache
 
 #: One pooled engine: ``(dataset, backend name, resolved db path or None,
 #: shard count or None)``.  The shard count is part of the key because two
@@ -176,6 +176,16 @@ class QueryServer:
             "memo_hits": sum(memo.hits for memo in memos),
             "memo_misses": sum(memo.misses for memo in memos),
             "memo_resident_interpretations": sum(memo.resident for memo in memos),
+        }
+
+    def resident_gauges(self) -> dict[str, int]:
+        """What the long-lived caches hold now: result-cache entries (one
+        process-level store) and decoded rows alive over the pooled stores."""
+        with self._engines_lock:
+            backends = [engine.backend for engine in self._engines.values()]
+        return {
+            "result_cache_resident_entries": ResultCache.resident_entries(),
+            "decoded_rows_alive": sum(b.decoded_rows_alive() for b in backends),
         }
 
     # -- serving ------------------------------------------------------------

@@ -533,6 +533,10 @@ class TestHTTPWireBehavior:
                 engine = payload["engine"]
                 assert (engine["memo_hits"], engine["memo_misses"]) == (1, 2)
                 assert engine["memo_resident_interpretations"] > 0
+                # Resident gauges: the result cache holds the executed
+                # interpretations; a memory store decodes no rows.
+                assert engine["result_cache_resident_entries"] >= 1
+                assert engine["decoded_rows_alive"] == 0
                 # The benchmark reads "engine"/"listener" as flat numbers.
                 for block in ("engine", "listener"):
                     assert all(
@@ -540,6 +544,37 @@ class TestHTTPWireBehavior:
                     )
 
         asyncio.run(drive())
+
+    def test_stats_gauges_count_what_the_sqlite_caches_hold(self):
+        from repro.datasets.imdb import build_imdb
+
+        store = build_imdb(backend="sqlite")
+
+        def factory(dataset, backend, db_path, shards, config):
+            return QueryEngine(store)
+
+        async def drive():
+            async with serving_http(factory) as (_tcp, front):
+                await ask(front, encode_query_request("london", k=3))
+                _status, payload = await ask(front, get("/stats"))
+                engine = payload["engine"]
+                assert engine["result_cache_resident_entries"] == (
+                    ResultCache.resident_entries()
+                ) >= 1
+                # Every cached row is one live decoded object.
+                assert engine["decoded_rows_alive"] == store.decoded_rows_alive() > 0
+                ResultCache.clear_process_cache()
+                _status, payload = await ask(front, get("/stats"))
+                assert payload["engine"]["result_cache_resident_entries"] == 0
+                assert payload["engine"]["decoded_rows_alive"] < engine[
+                    "decoded_rows_alive"
+                ]
+
+        try:
+            asyncio.run(drive())
+        finally:
+            store.close()
+
 
 
 # -- shared admission ----------------------------------------------------------

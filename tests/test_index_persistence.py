@@ -150,3 +150,25 @@ class TestPersistedPostings:
         fresh = InvertedIndex(db.tokenizer).build(db)
         assert index.stats_snapshot() == fresh.stats_snapshot()
         db.close()
+
+
+#: ``content_fingerprint()`` of the default ``imdb`` store.  Persisted index
+#: postings and statistics are keyed on it, so a file written by an earlier
+#: version reopens without a rebuild only while it stays put: the mutation
+#: text each insert folds in renders the row as ``(name, value)`` pairs
+#: (``Tuple.items()``), whatever the row stores internally.
+PINNED_IMDB_FINGERPRINTS = {
+    "memory": "c374837c5e7dbad690f4d5eceda4e87b",
+    "sqlite": "bf13f833af83cb38c689f9d1e5bef895",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(PINNED_IMDB_FINGERPRINTS))
+def test_default_imdb_fingerprint_is_pinned(backend):
+    from repro.datasets.imdb import build_imdb
+
+    store = build_imdb(backend=backend)
+    try:
+        assert store.content_fingerprint() == PINNED_IMDB_FINGERPRINTS[backend]
+    finally:
+        store.close()

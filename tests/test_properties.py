@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -850,3 +851,66 @@ class TestRelationLookupAgainstScan:
                     value,
                 )
         assert len(relation._value_index["indexed"]) == index_size
+
+
+# -- the stored row: values plus one shared column layout ---------------------
+
+#: Cell values of every kind a row stores; keys reuse the lookup spellings,
+#: so ``3``/``3.0`` and ``1``/``True`` both occur (and collide as keys).
+ROW_VALUES = st.one_of(
+    st.none(),
+    st.integers(-3, 6),
+    st.sampled_from([True, False, 0.5, 2.25, -1.0]),
+    st.integers(-3, 6).map(float),
+    st.text(alphabet="ab3 é", max_size=4),
+)
+
+
+class TestRowContract:
+    @given(
+        keys=st.lists(
+            st.one_of(LOOKUP_KEYS, st.just(True)), unique_by=lambda key: key, max_size=6
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_keep_the_pair_semantics_on_every_backend(self, keys, data):
+        """``get``/``[]``/``as_dict``/``items`` answer what a row of
+        ``(name, value)`` pairs answered (first match; ``KeyError`` or the
+        default when absent), ``items()`` renders that pair tuple's exact
+        ``repr`` (the mutation text the content fingerprint hashes), and the
+        memory row equals — with an equal hash — the row SQLite decodes."""
+        from repro.db.backends import create_backend
+        from repro.db.backends.base import normalize_value
+        from repro.db.schema import Attribute, Schema, Table
+
+        schema = Schema()
+        schema.add_table(Table("t", [Attribute("a"), Attribute("b", textual=False)]))
+        names = schema.table("t").attribute_names
+        memory = create_backend("memory", schema)
+        sqlite = create_backend("sqlite", schema)
+        try:
+            expected = {}
+            for key in keys:
+                row = {"id": key, "a": data.draw(ROW_VALUES), "b": data.draw(ROW_VALUES)}
+                memory.insert("t", row)
+                sqlite.insert("t", row)
+                expected[normalize_value(key)] = tuple(
+                    (name, normalize_value(row[name])) for name in names
+                )
+            decoded = {tup.key: tup for tup in sqlite.relation("t").scan()}
+            for key, pairs in expected.items():
+                stored = memory.relation("t").get(key)
+                for tup in (stored, decoded[key]):
+                    assert repr(tup.items()) == repr(pairs)
+                    assert tup.as_dict() == dict(pairs)
+                    for name, value in pairs:
+                        assert repr(tup[name]) == repr(value)
+                        assert repr(tup.get(name, "default")) == repr(value)
+                    assert tup.get("missing") is None
+                    assert tup.get("missing", 7) == 7
+                    with pytest.raises(KeyError):
+                        tup["missing"]
+                assert stored == decoded[key] and hash(stored) == hash(decoded[key])
+        finally:
+            sqlite.close()

@@ -464,7 +464,7 @@ class TestWALMode:
             for row_source in (build_mini_db("memory"),):
                 for table in ("actor", "movie", "acts"):
                     for tup in row_source.relation(table).scan():
-                        db.insert(table, dict(tup.values))
+                        db.insert(table, tup.as_dict())
             db.build_indexes()
             assert db._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
             for text in ("hanks 2001", "london", "2001"):
