@@ -24,6 +24,10 @@ lane loudly instead of shipping as a slower table:
   **no** ``Interpretation`` at all: a cache-enabled engine serves the ranked
   space of a repeated keyword tuple from its memo instead of re-enumerating
   and re-ranking it (the same count, so a slow runner cannot flake it).
+* **Bulk ingest.** A fresh store build must decode **no** stored row into a
+  ``Tuple`` and read each table exactly once: the loader writes rows without
+  building them, and the inverted index and the statistics catalog share
+  one ``value_rows()`` scan per relation (counts again).
 
 Run with ``-s`` to see the tables:
 
@@ -35,7 +39,10 @@ from __future__ import annotations
 import gc
 import os
 import time
+from collections import Counter
 from contextlib import contextmanager
+
+import pytest
 
 from repro.core.topk import TopKExecutor
 from repro.datasets.imdb import build_imdb, imdb_schema
@@ -474,3 +481,38 @@ def test_bench_engine_repeated_query_is_not_enumerated_again(monkeypatch):
         f"on pass 1, 0 on passes 2-3; memo {memo.hits} hits / {memo.misses} misses, "
         f"{memo.resident}/{memo.budget} interpretations resident"
     )
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "sqlite-sharded"])
+def test_bench_engine_fresh_build_decodes_no_row(backend, monkeypatch, tmp_path):
+    """One-pass bulk ingest, as counts: a fresh x1 IMDB build on a file
+    calls ``SQLiteRelation._to_tuple`` zero times, scans every table once
+    (``value_rows``, which ``scan()`` also reads through) and leaves no
+    decoded row alive."""
+    from repro.db.backends.sqlite import SQLiteRelation
+
+    decoded = [0]
+    scans: Counter[str] = Counter()
+    to_tuple, value_rows = SQLiteRelation._to_tuple, SQLiteRelation.value_rows
+
+    def counting_to_tuple(self, row, offset=0):
+        decoded[0] += 1
+        return to_tuple(self, row, offset)
+
+    def counting_value_rows(self):
+        scans[self.table.name] += 1
+        return value_rows(self)
+
+    monkeypatch.setattr(SQLiteRelation, "_to_tuple", counting_to_tuple)
+    monkeypatch.setattr(SQLiteRelation, "value_rows", counting_value_rows)
+    shards = 3 if backend == "sqlite-sharded" else None
+    db = build_imdb(backend=backend, db_path=tmp_path / "imdb.sqlite", shards=shards)
+    assert decoded[0] == 0
+    assert scans == Counter({name: 1 for name in db.schema.table_names})
+    assert db.decoded_rows_alive() == 0
+    rows = db.total_tuples()
+    db.close()
+
+    print()
+    print(f"{backend}: {rows} rows loaded, {sum(scans.values())} table scans, "
+          f"{decoded[0]} rows decoded")

@@ -22,9 +22,11 @@ import random
 from dataclasses import dataclass
 
 from pathlib import Path
+from typing import Iterator
 
 from repro.datasets import _store, names
 from repro.db.backends import StorageBackend, create_backend
+from repro.db.backends.base import LoadRow
 from repro.db.schema import Attribute, Schema, Table
 from repro.freeq.ontology import SchemaOntology, build_type_domain_ontology
 
@@ -62,6 +64,44 @@ class FreebaseInstance:
     database: StorageBackend
     ontology: SchemaOntology
     domains: list[str]
+
+
+def _freebase_rows(
+    rng: random.Random,
+    domains: list[str],
+    rows_per_entity_table: int,
+    half: int,
+    links_per_table: int,
+) -> Iterator[LoadRow]:
+    """The instance's ``(table, row)`` pairs, generated as they are loaded."""
+    for domain in domains:
+        person_ids = list(range(rows_per_entity_table))
+        for i in person_ids:
+            name = f"{rng.choice(names.FIRST_NAMES)} {rng.choice(names.SURNAMES)}"
+            yield f"{domain}_person", {"id": i, "name": name}
+        work_ids = list(range(rows_per_entity_table))
+        for i in work_ids:
+            title = " ".join(rng.sample(names.TITLE_WORDS, rng.choice([1, 2])))
+            yield f"{domain}_work", {"id": i, "title": title}
+        org_ids = list(range(half))
+        for i in org_ids:
+            org_name = f"{rng.choice(names.COMPANY_WORDS)} {rng.choice(names.COMPANY_WORDS)}"
+            yield f"{domain}_org", {"id": i, "name": org_name}
+        place_ids = list(range(half))
+        for i in place_ids:
+            yield f"{domain}_place", {"id": i, "name": rng.choice(names.PLACES)}
+        for i in range(links_per_table):
+            yield f"{domain}_person_work", {
+                "id": i,
+                "person_id": rng.choice(person_ids),
+                "work_id": rng.choice(work_ids),
+            }
+            yield f"{domain}_work_org", {
+                "id": i, "work_id": rng.choice(work_ids), "org_id": rng.choice(org_ids)
+            }
+            yield f"{domain}_org_place", {
+                "id": i, "org_id": rng.choice(org_ids), "place_id": rng.choice(place_ids)
+            }
 
 
 def build_freebase(
@@ -136,39 +176,11 @@ def build_freebase(
         for domain in domains
         for suffix, count in per_domain.items()
     }
-    reused = _store.try_reuse(db, db_path, "Freebase", fp, expected)
-    domains_to_fill = [] if reused else domains
-    for domain in domains_to_fill:
-        person_ids = list(range(rows_per_entity_table))
-        for i in person_ids:
-            name = f"{rng.choice(names.FIRST_NAMES)} {rng.choice(names.SURNAMES)}"
-            db.insert(f"{domain}_person", {"id": i, "name": name})
-        work_ids = list(range(rows_per_entity_table))
-        for i in work_ids:
-            title = " ".join(rng.sample(names.TITLE_WORDS, rng.choice([1, 2])))
-            db.insert(f"{domain}_work", {"id": i, "title": title})
-        org_ids = list(range(half))
-        for i in org_ids:
-            org_name = f"{rng.choice(names.COMPANY_WORDS)} {rng.choice(names.COMPANY_WORDS)}"
-            db.insert(f"{domain}_org", {"id": i, "name": org_name})
-        place_ids = list(range(half))
-        for i in place_ids:
-            db.insert(f"{domain}_place", {"id": i, "name": rng.choice(names.PLACES)})
-        for i in range(links_per_table):
-            db.insert(
-                f"{domain}_person_work",
-                {"id": i, "person_id": rng.choice(person_ids), "work_id": rng.choice(work_ids)},
-            )
-            db.insert(
-                f"{domain}_work_org",
-                {"id": i, "work_id": rng.choice(work_ids), "org_id": rng.choice(org_ids)},
-            )
-            db.insert(
-                f"{domain}_org_place",
-                {"id": i, "org_id": rng.choice(org_ids), "place_id": rng.choice(place_ids)},
-            )
-
-    if not reused:  # try_reuse already built the index over the stored rows
+    if not _store.try_reuse(db, db_path, "Freebase", fp, expected):
+        # (On reuse try_reuse already built the index over the stored rows.)
+        db.load(
+            _freebase_rows(rng, domains, rows_per_entity_table, half, links_per_table)
+        )
         # Fingerprint first: build_indexes() persists index postings keyed
         # on the content fingerprint, which must already see the dataset
         # identity.

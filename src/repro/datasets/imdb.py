@@ -21,9 +21,11 @@ from __future__ import annotations
 import random
 
 from pathlib import Path
+from typing import Iterator
 
 from repro.datasets import _store, names
 from repro.db.backends import StorageBackend, create_backend
+from repro.db.backends.base import LoadRow
 from repro.db.schema import Attribute, Schema, Table
 
 
@@ -84,6 +86,55 @@ def _bio(rng: random.Random) -> str:
     return " ".join(rng.choice(vocabulary) for _ in range(5))
 
 
+def _imdb_rows(
+    rng: random.Random,
+    n_movies: int,
+    n_actors: int,
+    n_directors: int,
+    n_companies: int,
+    acts_per_movie: int,
+) -> Iterator[LoadRow]:
+    """The instance's ``(table, row)`` pairs, generated as they are loaded."""
+    actor_ids = list(range(n_actors))
+    for i in actor_ids:
+        yield "actor", {"id": i, "name": _person_name(rng), "bio": _bio(rng)}
+    director_ids = list(range(n_directors))
+    for i in director_ids:
+        yield "director", {"id": i, "name": _person_name(rng), "bio": _bio(rng)}
+    company_ids = list(range(n_companies))
+    for i in company_ids:
+        name = f"{rng.choice(names.COMPANY_WORDS)} {rng.choice(names.COMPANY_WORDS)}"
+        yield "company", {"id": i, "name": name, "location": rng.choice(names.PLACES)}
+
+    link_id = 0
+    for i in range(n_movies):
+        year = rng.randint(1970, 2012)
+        yield "movie", {
+            "id": i,
+            "title": _movie_title(rng),
+            "year": str(year),
+            "plot": _plot(rng),
+            "tagline": " ".join(rng.sample(names.TITLE_WORDS, 3)),
+        }
+        cast = rng.sample(actor_ids, min(acts_per_movie, len(actor_ids)))
+        for actor_id in cast:
+            yield "acts", {
+                "id": link_id,
+                "actor_id": actor_id,
+                "movie_id": i,
+                "role": rng.choice(names.ROLE_WORDS),
+            }
+            link_id += 1
+        yield "directs", {
+            "id": link_id, "director_id": rng.choice(director_ids), "movie_id": i
+        }
+        link_id += 1
+        yield "produced", {
+            "id": link_id, "company_id": rng.choice(company_ids), "movie_id": i
+        }
+        link_id += 1
+
+
 def build_imdb(
     seed: int = 7,
     n_movies: int = 150,
@@ -130,57 +181,11 @@ def build_imdb(
     if _store.try_reuse(db, db_path, "IMDB", fp, expected):
         return db
 
-    actor_ids = []
-    for i in range(n_actors):
-        tup = db.insert("actor", {"id": i, "name": _person_name(rng), "bio": _bio(rng)})
-        actor_ids.append(tup.key)
-    director_ids = []
-    for i in range(n_directors):
-        tup = db.insert("director", {"id": i, "name": _person_name(rng), "bio": _bio(rng)})
-        director_ids.append(tup.key)
-    company_ids = []
-    for i in range(n_companies):
-        name = f"{rng.choice(names.COMPANY_WORDS)} {rng.choice(names.COMPANY_WORDS)}"
-        tup = db.insert(
-            "company", {"id": i, "name": name, "location": rng.choice(names.PLACES)}
+    db.load(
+        _imdb_rows(
+            rng, n_movies, n_actors, n_directors, n_companies, acts_per_movie
         )
-        company_ids.append(tup.key)
-
-    link_id = 0
-    for i in range(n_movies):
-        year = rng.randint(1970, 2012)
-        db.insert(
-            "movie",
-            {
-                "id": i,
-                "title": _movie_title(rng),
-                "year": str(year),
-                "plot": _plot(rng),
-                "tagline": " ".join(rng.sample(names.TITLE_WORDS, 3)),
-            },
-        )
-        cast = rng.sample(actor_ids, min(acts_per_movie, len(actor_ids)))
-        for actor_id in cast:
-            db.insert(
-                "acts",
-                {
-                    "id": link_id,
-                    "actor_id": actor_id,
-                    "movie_id": i,
-                    "role": rng.choice(names.ROLE_WORDS),
-                },
-            )
-            link_id += 1
-        db.insert(
-            "directs",
-            {"id": link_id, "director_id": rng.choice(director_ids), "movie_id": i},
-        )
-        link_id += 1
-        db.insert(
-            "produced",
-            {"id": link_id, "company_id": rng.choice(company_ids), "movie_id": i},
-        )
-        link_id += 1
+    )
 
     # Fingerprint first: build_indexes() persists index postings keyed on
     # the content fingerprint, which must already see the dataset identity.

@@ -19,9 +19,11 @@ from __future__ import annotations
 import random
 
 from pathlib import Path
+from typing import Iterator
 
 from repro.datasets import _store, names
 from repro.db.backends import StorageBackend, create_backend
+from repro.db.backends.base import LoadRow
 from repro.db.schema import Attribute, Schema, Table
 
 
@@ -41,6 +43,44 @@ def lyrics_schema() -> Schema:
     schema.link("album_song", "album")
     schema.link("album_song", "song")
     return schema
+
+
+def _lyrics_rows(
+    rng: random.Random, n_artists: int, albums_per_artist: int, songs_per_album: int
+) -> Iterator[LoadRow]:
+    """The instance's ``(table, row)`` pairs, generated as they are loaded."""
+    link_id = 0
+    album_id = 0
+    song_id = 0
+    for artist_id in range(n_artists):
+        # A third of stage names use title-word surnames ("Joss Stone",
+        # "Summer") so artist/song-title interpretations genuinely collide.
+        if rng.random() < 0.35:
+            surname = rng.choice(names.TITLE_WORDS)
+        else:
+            surname = rng.choice(names.SURNAMES)
+        name = f"{rng.choice(names.FIRST_NAMES)} {surname}"
+        yield "artist", {"id": artist_id, "name": name}
+        for _ in range(albums_per_artist):
+            title = " ".join(rng.sample(names.TITLE_WORDS, rng.choice([1, 2])))
+            yield "album", {
+                "id": album_id, "title": title, "year": str(rng.randint(1980, 2012))
+            }
+            yield "artist_album", {
+                "id": link_id, "artist_id": artist_id, "album_id": album_id
+            }
+            link_id += 1
+            for _ in range(songs_per_album):
+                song_title = " ".join(rng.sample(names.TITLE_WORDS, rng.choice([1, 2])))
+                lyric_pool = names.TITLE_WORDS + names.SURNAMES + names.PLACES
+                words = " ".join(rng.choice(lyric_pool) for _ in range(8))
+                yield "song", {"id": song_id, "title": song_title, "words": words}
+                yield "album_song", {
+                    "id": link_id, "album_id": album_id, "song_id": song_id
+                }
+                link_id += 1
+                song_id += 1
+            album_id += 1
 
 
 def build_lyrics(
@@ -78,43 +118,7 @@ def build_lyrics(
     if _store.try_reuse(db, db_path, "Lyrics", fp, expected):
         return db
 
-    link_id = 0
-    album_id = 0
-    song_id = 0
-    for artist_id in range(n_artists):
-        # A third of stage names use title-word surnames ("Joss Stone",
-        # "Summer") so artist/song-title interpretations genuinely collide.
-        if rng.random() < 0.35:
-            surname = rng.choice(names.TITLE_WORDS)
-        else:
-            surname = rng.choice(names.SURNAMES)
-        name = f"{rng.choice(names.FIRST_NAMES)} {surname}"
-        db.insert("artist", {"id": artist_id, "name": name})
-        for _ in range(albums_per_artist):
-            title = " ".join(rng.sample(names.TITLE_WORDS, rng.choice([1, 2])))
-            db.insert(
-                "album",
-                {"id": album_id, "title": title, "year": str(rng.randint(1980, 2012))},
-            )
-            db.insert(
-                "artist_album",
-                {"id": link_id, "artist_id": artist_id, "album_id": album_id},
-            )
-            link_id += 1
-            for _ in range(songs_per_album):
-                song_title = " ".join(rng.sample(names.TITLE_WORDS, rng.choice([1, 2])))
-                lyric_pool = names.TITLE_WORDS + names.SURNAMES + names.PLACES
-                words = " ".join(rng.choice(lyric_pool) for _ in range(8))
-                db.insert(
-                    "song", {"id": song_id, "title": song_title, "words": words}
-                )
-                db.insert(
-                    "album_song",
-                    {"id": link_id, "album_id": album_id, "song_id": song_id},
-                )
-                link_id += 1
-                song_id += 1
-            album_id += 1
+    db.load(_lyrics_rows(rng, n_artists, albums_per_artist, songs_per_album))
 
     # Fingerprint first: build_indexes() persists index postings keyed on
     # the content fingerprint, which must already see the dataset identity.

@@ -7,7 +7,7 @@ implicitly programmed against when there was only the in-memory engine:
 * a :class:`~repro.db.schema.Schema` plus per-table *relations* that can be
   scanned, point-looked-up by primary key and exact-matched on an attribute,
 * row insertion that keeps a live :class:`~repro.db.index.InvertedIndex`
-  consistent,
+  consistent, one row (``insert``) or a stream of them (``load``),
 * a-priori index construction (``build_indexes``), and
 * execution of a *join path with keyword selections* — the SQL statement a
   candidate network corresponds to (Section 2.2.6) — with an optional LIMIT
@@ -156,6 +156,10 @@ class StreamedExecution:
     rows_short_circuited: int = 0
 
 
+#: One row of a :meth:`StorageBackend.load` stream: ``(table name, row)``.
+LoadRow = tuple[str, dict[str, Any]]
+
+
 def normalize_value(value: Any) -> Any:
     """Coerce a cell value to its storage-normal form, identically everywhere.
 
@@ -167,6 +171,15 @@ def normalize_value(value: Any) -> Any:
     if isinstance(value, bool):
         return int(value)
     return value
+
+
+def row_event(
+    table_name: str, key: Any, layout: Iterable[str], values: Sequence[Any]
+) -> str:
+    """The mutation-digest event of one stored row (see
+    :meth:`StorageBackend._fold_mutation`): ``repr`` of its ``(name, value)``
+    pairs, i.e. of ``Tuple.items()``."""
+    return f"row|{table_name}|{key!r}|{tuple(zip(layout, values))!r}"
 
 
 @runtime_checkable
@@ -188,6 +201,8 @@ class RelationView(Protocol):
     def get(self, key: Any) -> Tuple | None: ...
 
     def lookup(self, attribute: str, value: Any) -> list[Tuple]: ...
+
+    def value_rows(self) -> Sequence[tuple[Any, ...]]: ...
 
     def __len__(self) -> int: ...
 
@@ -291,12 +306,23 @@ class StorageBackend(abc.ABC):
         tup = self.relation(table_name).insert(
             {name: normalize_value(value) for name, value in row.items()}
         )
-        self._fold_mutation(f"row|{table_name}|{tup.key!r}|{tup.items()!r}")
+        self._fold_mutation(row_event(table_name, tup.key, tup.layout, tup.values))
         if self.index is not None:
             self.index.add_tuple(self.schema.table(table_name), tup)
         if self._statistics is not None:
             self._statistics.observe_insert(self, table_name, tup)
         return tup
+
+    def load(self, rows: Iterable[LoadRow]) -> list[Any]:
+        """Store a stream of ``(table name, row)`` pairs; their primary keys.
+
+        Exactly ``insert`` once per row, in order: the same stored rows,
+        auto-assigned keys and mutation digest, and on a bad row the same
+        exception after the same prefix is stored.  This default is that
+        loop; the SQLite backends batch it (see ``SQLiteBackend.load``).
+        ``rows`` is consumed lazily, so a builder need not hold its dataset.
+        """
+        return [self.insert(table_name, row).key for table_name, row in rows]
 
     def add_table(self, table: Table) -> RelationView:
         """Add a table to the schema and create its storage.
@@ -379,7 +405,12 @@ class StorageBackend(abc.ABC):
         return nonce
 
     def _fold_mutation(self, event: str) -> None:
-        """Extend the content digest chain with one mutation event.
+        """Extend the content digest chain with one mutation event (see
+        :meth:`_fold_mutations`)."""
+        self._fold_mutations((event,))
+
+    def _fold_mutations(self, events: Iterable[str]) -> None:
+        """Extend the content digest chain with mutation events, in order.
 
         A chain hash (not a running hasher) so persistent backends can store
         the current hex value and resume the chain after a reopen.  Two
@@ -388,9 +419,10 @@ class StorageBackend(abc.ABC):
         cache entries; stores that diverged, even with equal row counts, do
         not.
         """
-        self._content_digest = hashlib.sha256(
-            (self._content_digest + event).encode("utf-8")
-        ).hexdigest()
+        digest = self._content_digest
+        for event in events:
+            digest = hashlib.sha256((digest + event).encode("utf-8")).hexdigest()
+        self._content_digest = digest
         self._content_fingerprint = None
 
     def content_fingerprint(self) -> str:
@@ -439,15 +471,17 @@ class StorageBackend(abc.ABC):
 
     # -- data loading (shared) ----------------------------------------------
 
-    def insert_many(self, table_name: str, rows: Iterable[dict[str, Any]]) -> list[Tuple]:
-        return [self.insert(table_name, row) for row in rows]
+    def insert_many(self, table_name: str, rows: Iterable[dict[str, Any]]) -> list[Any]:
+        """:meth:`load` of rows of one table; their primary keys."""
+        return self.load((table_name, row) for row in rows)
 
     def copy_into(self, other: "StorageBackend") -> "StorageBackend":
         """Bulk-copy every stored row into ``other`` (same schema assumed)."""
-        for table in self.schema:
-            other.insert_many(
-                table.name, (tup.as_dict() for tup in self.relation(table.name))
-            )
+        other.load(
+            (table.name, tup.as_dict())
+            for table in self.schema
+            for tup in self.relation(table.name)
+        )
         return other
 
     # -- indexing (shared) ---------------------------------------------------
@@ -455,17 +489,30 @@ class StorageBackend(abc.ABC):
     def build_indexes(self) -> InvertedIndex:
         """Build the inverted index and exact-match join indexes a-priori.
 
-        Also collects the planner-statistics catalog in the same pass budget
-        (one extra scan per relation) — persistent backends that reload a
+        Also collects the planner-statistics catalog from the same scan:
+        each relation's ``value_rows()`` is read once and fed to both, so no
+        row is decoded into a ``Tuple`` — persistent backends that reload a
         persisted index reload persisted statistics instead of calling this.
         """
+        from repro.db.stats import StatisticsCatalog
+
+        self._create_join_indexes()
+        index = InvertedIndex(self.tokenizer)
+        statistics = StatisticsCatalog(self.schema)
+        for table in self.schema:
+            rows = self.relation(table.name).value_rows()
+            index.add_rows(table, rows)
+            statistics.collect_table(table.name, rows)
+        self.index = index
+        self._statistics = statistics
+        return index
+
+    def _create_join_indexes(self) -> None:
+        """Exact-match indexes on every foreign-key endpoint but a primary key."""
         for fk in self.schema.foreign_keys:
             self.relation(fk.source).create_index(fk.source_attr)
             if fk.target_attr != self.schema.table(fk.target).primary_key:
                 self.relation(fk.target).create_index(fk.target_attr)
-        self.index = InvertedIndex(self.tokenizer).build(self)
-        self._collect_statistics()
-        return self.index
 
     def require_index(self) -> InvertedIndex:
         if self.index is None:

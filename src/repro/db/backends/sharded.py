@@ -37,9 +37,9 @@ insert-time store format and nothing else — no read routes by it.
 
 Insertion order — what the in-memory engine's scans and the unsharded
 backend's ``rowid`` provide — is preserved by an explicit ``_rowseq``
-column every partition carries: a store-global monotone sequence assigned at
-insert time, used for scans and as the order term of an unselected first
-slot.
+column every partition carries: a per-table monotone sequence (each table
+counts its own rows from 0, like ``rowid``) assigned at insert time, used
+for scans and as the order term of an unselected first slot.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ from repro.db.errors import DatabaseError
 from repro.db.schema import Schema, Table
 from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 
-#: The hidden per-partition column carrying the store-global insertion order.
+#: The hidden per-partition column carrying its table's insertion order
+#: (one sequence per table, across all of the table's partitions).
 ROWSEQ_COLUMN = "_rowseq"
 
 #: Plan statements use ``WITH ... AS MATERIALIZED`` (SQLite 3.35, 2021).
@@ -108,8 +109,8 @@ class ShardedSQLiteRelation(SQLiteRelation):
         self._shards = backend.shards
         self._shard_dialect: ShardedSQLiteDialect = backend.dialect
         super().__init__(backend, table)
-        #: Next global insertion-sequence value (lazy: resumes the stored
-        #: maximum on a reopened store).
+        #: Next insertion-sequence value of this table, shared by its
+        #: partitions (lazy: resumes the stored maximum on a reopened store).
         self._next_rowseq: int | None = None
 
     def _prepare_point_statements(self) -> None:
@@ -142,10 +143,22 @@ class ShardedSQLiteRelation(SQLiteRelation):
         self._next_rowseq += 1
         return value
 
-    def _store_row(self, key: Any, cells: list[Any]) -> None:
+    def _insert_statement(
+        self, key: Any, values: tuple[Any, ...]
+    ) -> tuple[str, Sequence[Any]]:
+        """The INSERT of the key's partition, with the next ``_rowseq``."""
         shard = shard_of_key(key, self._shards)
-        self._conn.execute(self._partition_inserts[shard], [*cells, self._take_rowseq()])
+        return self._partition_inserts[shard], (*values, self._take_rowseq())
+
+    def _rows_stored(self, count: int) -> None:
+        super()._rows_stored(count)
         self._backend._table_counts.pop(self.table.name, None)
+
+    def _sequence_mark(self) -> Any:
+        return self._next_rowseq
+
+    def _rewind(self, mark: Any) -> None:
+        self._next_rowseq = mark
 
     def _index_ddl(self, attribute: str) -> list[str]:
         dialect: ShardedSQLiteDialect = self._backend.dialect

@@ -52,18 +52,21 @@ import sqlite3
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.backends import sql as sqlc
 from repro.db.backends.base import (
+    LoadRow,
     PathSpec,
     RowStream,
     SelectionsByPosition,
     StorageBackend,
     StreamedExecution,
     normalize_value,
+    row_event,
 )
 from repro.db.backends.sql import (
     CompiledStatement,
@@ -349,7 +352,7 @@ class SQLiteRelation:
 
         Split out because the INSERT targets one *physical* table: relations
         that route rows (the sharded partition relation) override this
-        together with :meth:`_store_row`, so no dialect ever holds a
+        together with :meth:`_insert_statement`, so no dialect ever holds a
         statement it cannot execute.
         """
         self._insert_sql = sqlc.insert_sql(self._dialect, self.table)
@@ -359,18 +362,35 @@ class SQLiteRelation:
 
     def insert(self, row: dict[str, Any]) -> Tuple:
         """Insert a row; unknown attributes are rejected, missing ones are None."""
+        key, values = self._prepare(row)
+        self._store(key, values)
+        self._rows_stored(1)
+        return Tuple(self.table.name, key, values, self._layout)
+
+    def _prepare(
+        self, row: dict[str, Any], pending: set[Any] = frozenset()
+    ) -> tuple[Any, tuple[Any, ...]]:
+        """``(key, values)`` of a row about to be stored: attributes checked,
+        cells normalized, a missing key auto-assigned past the stored rows
+        and the ``pending`` keys a bulk load has not written yet."""
+        layout = self._layout
         for name in row:
-            if not self.table.has_attribute(name):
+            if name not in layout:
                 raise UnknownAttributeError(self.table.name, name)
         key = _normalize(row.get(self._pk))
         if key is None:
-            key = self._next_key()
+            key = self._next_key(pending)
         values = tuple(
             _normalize(row.get(name)) if name != self._pk else key
             for name in self._columns
         )
+        return key, values
+
+    def _store(self, key: Any, values: tuple[Any, ...]) -> None:
+        """Write one prepared row, with sqlite3 errors mapped to the
+        package's own."""
         try:
-            self._store_row(key, list(values))
+            self._conn.execute(*self._insert_statement(key, values))
         except sqlite3.IntegrityError:
             raise IntegrityError(
                 f"duplicate primary key {key!r} in table {self.table.name!r}"
@@ -381,23 +401,40 @@ class SQLiteRelation:
             raise DatabaseError(
                 f"cannot store row in table {self.table.name!r}: {exc}"
             ) from None
+
+    def _insert_statement(
+        self, key: Any, values: tuple[Any, ...]
+    ) -> tuple[str, Sequence[Any]]:
+        """``(INSERT text, parameters)`` storing one prepared row; a bulk load
+        groups its rows by the text (the sharded override routes the row to
+        its key's partition)."""
+        return self._insert_sql, values
+
+    def _rows_stored(self, count: int) -> None:
+        """Bookkeeping after ``count`` rows of this table were written."""
         if self._row_count is not None:
-            self._row_count += 1
-        return Tuple(self.table.name, key, values, self._layout)
+            self._row_count += count
 
-    def _store_row(self, key: Any, cells: list[Any]) -> None:
-        """Physically insert one normalized row (the sharded override routes
-        it to the key's partition)."""
-        self._conn.execute(self._insert_sql, cells)
+    def _sequence_mark(self) -> Any:
+        """The insertion-sequence state a rolled-back write must restore
+        (none here: ``rowid`` is SQLite's own)."""
+        return None
 
-    def _next_key(self) -> int:
+    def _rewind(self, mark: Any) -> None:
+        """Restore a :meth:`_sequence_mark`."""
+
+    def _next_key(self, pending: set[Any] = frozenset()) -> int:
         """Auto-assign a key the way the in-memory Relation does."""
         if self._row_count is None:
             self._row_count = len(self)
-        key = self._row_count
-        while self.get(key) is not None:
+        key = self._row_count + len(pending)
+        while key in pending or self._is_stored(key):
             key += 1
         return key
+
+    def _is_stored(self, key: Any) -> bool:
+        with self._backend._lease_read_connection() as conn:
+            return conn.execute(self._get_sql, (key,)).fetchone() is not None
 
     def create_index(self, attribute: str) -> None:
         """Build an exact-match index on ``attribute`` (CREATE INDEX)."""
@@ -444,10 +481,13 @@ class SQLiteRelation:
         return matches
 
     def scan(self) -> Iterator[Tuple]:
-        with self._backend._lease_read_connection() as conn:
-            rows = conn.execute(self._scan_sql).fetchall()
-        for row in rows:
+        for row in self.value_rows():
             yield self._to_tuple(row)
+
+    def value_rows(self) -> list[tuple[Any, ...]]:
+        """Every stored row as its cells, in scan order, decoding nothing."""
+        with self._backend._lease_read_connection() as conn:
+            return conn.execute(self._scan_sql).fetchall()
 
     def keys(self) -> Iterable[Any]:
         with self._backend._lease_read_connection() as conn:
@@ -469,8 +509,9 @@ class SQLiteBackend(StorageBackend):
     """Storage backend persisting rows in a SQLite database.
 
     Durability: bulk loading runs in one transaction committed by
-    ``build_indexes()``; inserts after the index build commit immediately;
-    ``commit()`` / ``close()`` (or the context manager) flush anything else.
+    ``build_indexes()``; after the index build each ``insert`` commits, and
+    each ``load`` commits once for all its rows; ``commit()`` / ``close()``
+    (or the context manager) flush anything else.
     """
 
     name = "sqlite"
@@ -836,19 +877,122 @@ class SQLiteBackend(StorageBackend):
     def insert(self, table_name: str, row: dict[str, Any]) -> Tuple:
         with self._lock:
             tup = super().insert(table_name, row)
-            if self.index is not None:
-                self._index_dirty = True
-                if self._statistics is not None:
-                    # The base insert already folded the tuple into the
-                    # catalog; the *stored* copy is now stale.
-                    self._stats_dirty = True
-                # Post-build inserts are rare and interactive: make each one
-                # (and the advanced mutation digest) durable immediately.
-                # Bulk loading (before build_indexes()) stays in one
-                # transaction and is committed by build_indexes().
-                self._persist_content_digest()
-                self._conn.commit()
+            self._commit_live_write()
         return tup
+
+    def _commit_live_write(self) -> None:
+        """After a post-build write: mark the stored index and statistics
+        stale and make the rows (and the advanced mutation digest) durable.
+
+        Bulk loading (before ``build_indexes()``) stays in one transaction
+        and is committed by ``build_indexes()``.
+        """
+        if self.index is None:
+            return
+        self._index_dirty = True
+        if self._statistics is not None:
+            # The base insert already folded the rows into the catalog;
+            # the *stored* copy is now stale.
+            self._stats_dirty = True
+        self._persist_content_digest()
+        self._conn.commit()
+
+    #: Rows a bulk :meth:`load` prepares before writing them: the most it
+    #: holds at once.
+    LOAD_CHUNK_ROWS = 2048
+
+    def load(self, rows: Iterable[LoadRow]) -> list[Any]:
+        """Store ``(table name, row)`` pairs exactly as ``insert`` would.
+
+        Before ``build_indexes()`` (nothing live to maintain) rows are
+        prepared — checked, normalized, keyed, digested — in chunks of
+        :attr:`LOAD_CHUNK_ROWS`, and each chunk is written with one
+        ``executemany`` per INSERT statement (per table; per partition on
+        a sharded store).  Grouping by table moves no row: ``rowid`` and
+        ``_rowseq`` are per-table sequences and each table's rows keep
+        their stream order.  No ``Tuple`` is built and nothing commits —
+        ``build_indexes()`` does, as after per-row inserts.
+
+        With a live index or statistics catalog every row is observed as it
+        is stored (a catalog's distinct counts probe the stored rows), so
+        rows go in one at a time; the whole load is still one transaction
+        with one commit, reached even when a row fails — the rows before it
+        stay stored and durable.
+        """
+        with self._lock:
+            if self.index is not None or self._statistics is not None:
+                keys: list[Any] = []
+                try:
+                    for table_name, row in rows:
+                        keys.append(StorageBackend.insert(self, table_name, row).key)
+                finally:
+                    if keys:
+                        self._commit_live_write()
+                return keys
+            keys = []
+            chunk: list[tuple[SQLiteRelation, Any, tuple[Any, ...]]] = []
+            pending: dict[SQLiteRelation, set[Any]] = {}
+            try:
+                for table_name, row in rows:
+                    relation = self.relation(table_name)
+                    unwritten = pending.setdefault(relation, set())
+                    key, values = relation._prepare(row, unwritten)
+                    unwritten.add(key)
+                    chunk.append((relation, key, values))
+                    keys.append(key)
+                    if len(chunk) == self.LOAD_CHUNK_ROWS:
+                        full, chunk = chunk, []
+                        pending.clear()
+                        self._write_chunk(full)
+            finally:
+                # Also on a bad row: the rows before it are stored.
+                self._write_chunk(chunk)
+            return keys
+
+    def _write_chunk(
+        self, chunk: list[tuple[SQLiteRelation, Any, tuple[Any, ...]]]
+    ) -> None:
+        """Write prepared rows, one ``executemany`` per INSERT statement.
+
+        Inside a savepoint: when some row cannot be stored (a duplicate
+        key, an unbindable value — whatever the error) the chunk is undone
+        and written again row by row, so the error surfaces at that row with
+        exactly the rows before it stored, as per-row inserts leave them.
+        """
+        if not chunk:
+            return
+        conn = self._conn
+        relations = {relation for relation, _key, _values in chunk}
+        marks = [(relation, relation._sequence_mark()) for relation in relations]
+        if not conn.in_transaction:
+            conn.execute("BEGIN")
+        conn.execute("SAVEPOINT repro_load")
+        try:
+            statements: dict[str, list[Sequence[Any]]] = {}
+            for relation, key, values in chunk:
+                text, parameters = relation._insert_statement(key, values)
+                statements.setdefault(text, []).append(parameters)
+            for text, batch in statements.items():
+                conn.executemany(text, batch)
+        except Exception:
+            conn.execute("ROLLBACK TO repro_load")
+            conn.execute("RELEASE repro_load")
+            for relation, mark in marks:
+                relation._rewind(mark)
+            for relation, key, values in chunk:
+                relation._store(key, values)
+                relation._rows_stored(1)
+                self._fold_mutation(
+                    row_event(relation.table.name, key, relation._layout, values)
+                )
+            return
+        conn.execute("RELEASE repro_load")
+        for relation, count in Counter(relation for relation, _k, _v in chunk).items():
+            relation._rows_stored(count)
+        self._fold_mutations(
+            row_event(relation.table.name, key, relation._layout, values)
+            for relation, key, values in chunk
+        )
 
     def add_table(self, table: Table):
         relation = super().add_table(table)
@@ -863,10 +1007,7 @@ class SQLiteBackend(StorageBackend):
             # Fast cold open: exact-match join indexes are CREATE INDEX IF
             # NOT EXISTS (no-ops on a reopened store), postings come from the
             # side tables — no table scan, no re-tokenization.
-            for fk in self.schema.foreign_keys:
-                self.relation(fk.source).create_index(fk.source_attr)
-                if fk.target_attr != self.schema.table(fk.target).primary_key:
-                    self.relation(fk.target).create_index(fk.target_attr)
+            self._create_join_indexes()
             self.index = loaded
             self._index_dirty = False
             restored = self._load_persisted_stats()

@@ -75,21 +75,32 @@ class InvertedIndex:
 
         ``database`` is any :class:`~repro.db.backends.base.StorageBackend`
         (the in-memory engine, SQLite, ...): construction only relies on the
-        backend contract — schema iteration and per-table relation scans.
+        backend contract — schema iteration and one ``value_rows()`` scan
+        per relation.
         """
         for table in database.schema:
-            self._table_tuple_counts[table.name] = len(database.relation(table.name))
-            for term in self.tokenizer.tokens(table.name):
-                self._schema_terms[term].add(table.name)
-            textual = [a.name for a in table.textual_attributes()]
-            relation = database.relation(table.name)
-            for tup in relation:
-                for attr_name in textual:
-                    value = tup.get(attr_name)
-                    if value is None:
-                        continue
-                    self._index_cell(table.name, attr_name, tup.key, str(value))
+            self.add_rows(table, database.relation(table.name).value_rows())
         return self
+
+    def add_rows(self, table, rows: Sequence[tuple[Any, ...]]) -> None:
+        """Index one table's stored rows, given as value tuples.
+
+        ``rows`` are cells in table-attribute order (what
+        ``RelationView.value_rows()`` returns), so building needs no decoded
+        :class:`~repro.db.table.Tuple`.  Registers the table's schema terms
+        and adds ``len(rows)`` to its tuple count.
+        """
+        self.register_table(table)
+        self._table_tuple_counts[table.name] += len(rows)
+        names = table.attribute_names
+        key_at = names.index(table.primary_key)
+        textual = [(names.index(a.name), a.name) for a in table.textual_attributes()]
+        for row in rows:
+            key = row[key_at]
+            for position, attr_name in textual:
+                value = row[position]
+                if value is not None:
+                    self._index_cell(table.name, attr_name, key, str(value))
 
     def register_table(self, table, relation=None) -> None:
         """Register a table added after :meth:`build`.
@@ -105,8 +116,7 @@ class InvertedIndex:
         for term in self.tokenizer.tokens(table.name):
             self._schema_terms[term].add(table.name)
         if relation is not None:
-            for tup in relation:
-                self.add_tuple(table, tup)
+            self.add_rows(table, relation.value_rows())
 
     def add_tuple(self, table, tup) -> None:
         """Incrementally index one freshly inserted tuple.

@@ -1,19 +1,20 @@
 """Planner statistics: the catalog of per-relation row counts.
 
 A :class:`StatisticsCatalog` holds per-relation row counts and
-per-attribute distinct-value counts, collected in one pass at index-build
-time, incrementally maintained on insert, and persisted by the SQLite
-backends in ``_repro_stats_*`` side tables keyed by the content fingerprint
-(``repro stats`` prints it).  The planner reads one number from it: the
-sharded backend seeds an unfiltered slot's semi-join chain by its row count.
-No join order and no row estimate is derived from it — single-file plans
-compile in path order and SQLite's planner orders the joins.
+per-attribute distinct-value counts, collected at index-build time from the
+scan the inverted index reads, incrementally maintained on insert, and
+persisted by the SQLite backends in ``_repro_stats_*`` side tables keyed by
+the content fingerprint (``repro stats`` prints it).  The planner reads one
+number from it: the sharded backend seeds an unfiltered slot's semi-join
+chain by its row count.  No join order and no row estimate is derived from
+it — single-file plans compile in path order and SQLite's planner orders
+the joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.backends.base import StorageBackend
@@ -70,28 +71,30 @@ class StatisticsCatalog:
 
     @classmethod
     def collect(cls, backend: "StorageBackend") -> "StatisticsCatalog":
-        """One scan per relation, counting all tracked attributes together."""
+        """One ``value_rows()`` scan per relation."""
         catalog = cls(backend.schema)
         for table_name in backend.schema.table_names:
-            relation = backend.relation(table_name)
-            tracked = tracked_attributes(backend.schema, table_name)
-            counters: dict[str, dict[str, int]] = {attr: {} for attr in tracked}
-            rows = 0
-            for tup in relation:
-                rows += 1
-                for attr in tracked:
-                    seen = counters[attr]
-                    value = repr(tup.get(attr))
-                    seen[value] = seen.get(value, 0) + 1
-            stats = TableStatistics(rows=rows)
-            for attr in tracked:
-                seen = counters[attr]
-                stats.attributes[attr] = AttributeStatistics(
-                    distinct=len(seen),
-                    max_frequency=max(seen.values(), default=0),
-                )
-            catalog.tables[table_name] = stats
+            catalog.collect_table(
+                table_name, backend.relation(table_name).value_rows()
+            )
         return catalog
+
+    def collect_table(self, table_name: str, rows: Sequence[tuple[Any, ...]]) -> None:
+        """(Re)count one table from its stored rows, given as value tuples
+        in table-attribute order, all tracked attributes together."""
+        names = self.schema.table(table_name).attribute_names
+        stats = TableStatistics(rows=len(rows))
+        for attr in tracked_attributes(self.schema, table_name):
+            position = names.index(attr)
+            seen: dict[str, int] = {}
+            for row in rows:
+                value = repr(row[position])
+                seen[value] = seen.get(value, 0) + 1
+            stats.attributes[attr] = AttributeStatistics(
+                distinct=len(seen),
+                max_frequency=max(seen.values(), default=0),
+            )
+        self.tables[table_name] = stats
 
     def observe_insert(self, backend: "StorageBackend", table_name: str, tup: Any) -> None:
         """Incrementally fold one just-inserted tuple into the catalog.

@@ -139,6 +139,10 @@ class Relation:
     def scan(self) -> Iterator[Tuple]:
         return iter(self._rows.values())
 
+    def value_rows(self) -> list[tuple[Any, ...]]:
+        """Every row's ``values``, in scan order (no ``Tuple`` handed out)."""
+        return [tup.values for tup in self._rows.values()]
+
     def keys(self) -> Iterable[Any]:
         return self._rows.keys()
 

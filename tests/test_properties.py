@@ -914,3 +914,133 @@ class TestRowContract:
                 assert stored == decoded[key] and hash(stored) == hash(decoded[key])
         finally:
             sqlite.close()
+
+
+# -- bulk load: ``load`` is ``insert`` once per row -------------------------------
+
+#: Keys a load stream spells: absent (auto-assigned), colliding numerics
+#: (``1``/``1.0``/``True``) and a string.
+LOAD_KEYS = st.one_of(st.none(), st.integers(0, 5), st.sampled_from([1.0, True, "k"]))
+#: Cells: every kind a row stores, index words, integers SQLite cannot bind
+#: and non-finite floats.
+LOAD_CELLS = st.one_of(
+    ROW_VALUES,
+    st.sampled_from(["ann bob", "bob cid", "ann"]),
+    st.integers(2**63, 2**64),
+    st.floats(),
+)
+#: Attributes a row of each table may set (``ghost`` is no table).
+LOAD_ATTRIBUTES = {"a": ("name", "flag"), "b": ("title", "a_id"), "ghost": ("name",)}
+
+
+@st.composite
+def load_streams(draw):
+    """A mixed-table ``(table, row)`` stream with auto-keys, duplicate keys,
+    bool/float/None cells, unknown attributes and the odd unknown table."""
+    stream = []
+    for _ in range(draw(st.integers(0, 12))):
+        table = draw(st.sampled_from(["a"] * 5 + ["b"] * 5 + ["ghost"]))
+        row = {}
+        key = draw(LOAD_KEYS)
+        if key is not None or draw(st.booleans()):
+            row["id"] = key
+        for attribute in LOAD_ATTRIBUTES[table]:
+            if draw(st.booleans()):
+                row[attribute] = draw(LOAD_CELLS)
+        if draw(st.integers(0, 15)) == 0:
+            row["bogus"] = 1
+        stream.append((table, row))
+    return stream
+
+
+def _load_store(backend: str):
+    from repro.db.backends import create_backend
+    from repro.db.schema import Attribute, Schema, Table
+
+    schema = Schema()
+    schema.add_table(
+        Table("a", [Attribute("name"), Attribute("flag"), Attribute("id", textual=False)])
+    )
+    schema.add_table(Table("b", [Attribute("title"), Attribute("id", textual=False)]))
+    schema.link("b", "a")
+    db = create_backend(backend, schema)
+    # One seed identity for both stores, so fingerprints compare digests.
+    db.set_metadata("dataset_fingerprint:load", "load")
+    return db
+
+
+def _insert_each(db, stream):
+    """Per-row ``insert``: the keys, or the first error (after its prefix)."""
+    keys = []
+    for table, row in stream:
+        try:
+            keys.append(db.insert(table, row).key)
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            return None, (type(exc), str(exc))
+    return keys, None
+
+
+def _load_all(db, stream):
+    try:
+        return db.load(pair for pair in stream), None
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return None, (type(exc), str(exc))
+
+
+def _insertion_sequence(db, table: str) -> list[int]:
+    """The stored ``rowid`` (``_rowseq`` per partition when sharded) values."""
+    if db.name == "sqlite":
+        sources = [db.dialect.table_source(table)]
+        column = "rowid"
+    else:
+        sources = [db.dialect.partition_source(table, s) for s in range(db.shards)]
+        column = "_rowseq"
+    return [
+        [row[0] for row in db._conn.execute(f"SELECT {column} FROM {source} ORDER BY 1")]
+        for source in sources
+    ]
+
+
+def _observable(db):
+    state = {
+        "fingerprint": db.content_fingerprint(),
+        "rows": [
+            repr((name, tup.key, tup.values))
+            for name in db.schema.table_names
+            for tup in db.relation(name)
+        ],
+    }
+    if db.name != "memory":
+        state["sequence"] = {
+            name: _insertion_sequence(db, name) for name in db.schema.table_names
+        }
+    if db.index is not None:
+        state["index"] = db.index.stats_snapshot()
+        state["statistics"] = db.statistics_catalog().export_state()
+    return state
+
+
+class TestLoadProperties:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite", "sqlite-sharded"])
+    @given(load_streams(), load_streams(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_load_is_insert_once_per_row(self, backend, before, after, chunk_rows):
+        """The same keys or error, stored rows (scan order, ``rowid`` or
+        ``_rowseq`` and partition), content fingerprint, index and
+        statistics as per-row inserts — for a bulk
+        load in chunks of ``chunk_rows`` and, after ``build_indexes()``, for
+        a load the live index and catalog observe."""
+        reference, subject = _load_store(backend), _load_store(backend)
+        if hasattr(subject, "LOAD_CHUNK_ROWS"):
+            subject.LOAD_CHUNK_ROWS = chunk_rows
+        try:
+            for stream in (before, after):
+                assert _load_all(subject, stream) == _insert_each(reference, stream)
+                assert _observable(subject) == _observable(reference)
+                if subject.index is None:
+                    reference.build_indexes()
+                    subject.build_indexes()
+                    assert _observable(subject) == _observable(reference)
+        finally:
+            reference.close()
+            subject.close()

@@ -120,6 +120,45 @@ class TestShardedRelations:
         assert db.selection_keys("actor", [("name", ("hanks",))]) == {1, 2, 9}
 
 
+def _rowseqs(db, table: str) -> list[int]:
+    """Every stored ``_rowseq`` of one table, across its partitions, sorted."""
+    found: list[int] = []
+    for shard in range(db.shards):
+        source = db.dialect.partition_source(table, shard)
+        found.extend(
+            row[0] for row in db._conn.execute(f"SELECT _rowseq FROM {source}")
+        )
+    return sorted(found)
+
+
+class TestPerTableRowseq:
+    """``_rowseq`` is one sequence per table, not one per store."""
+
+    def test_interleaved_inserts_number_each_table_from_zero(self, tmp_path):
+        path = tmp_path / "seq.sqlite"
+        db = create_backend("sqlite-sharded", mini_schema(), path=path, shards=3)
+        for i in range(5):
+            db.insert("actor", {"id": i, "name": f"actor {i}"})
+            db.insert("movie", {"id": i, "title": f"movie {i}", "year": "2001"})
+        assert _rowseqs(db, "actor") == list(range(5))
+        assert _rowseqs(db, "movie") == list(range(5))
+        db.close()
+
+        reopened = create_backend("sqlite-sharded", mini_schema(), path=path, shards=3)
+        reopened.insert("movie", {"id": 10, "title": "later", "year": "2002"})
+        reopened.insert("actor", {"id": 10, "name": "later"})
+        reopened.insert("movie", {"id": 11, "title": "later still", "year": "2003"})
+        assert _rowseqs(reopened, "actor") == list(range(6))
+        assert _rowseqs(reopened, "movie") == list(range(7))
+        assert [t.key for t in reopened.relation("movie")] == [0, 1, 2, 3, 4, 10, 11]
+        reopened.close()
+
+    def test_a_built_dataset_numbers_each_table_from_zero(self):
+        db = build_imdb(backend="sqlite-sharded", shards=3)
+        assert _rowseqs(db, "movie") == list(range(150))
+        assert _rowseqs(db, "acts") == list(range(450))
+
+
 class TestShardedExecution:
     """One statement per plan over partitions: same rows, same counts."""
 
