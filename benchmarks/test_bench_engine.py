@@ -24,6 +24,9 @@ lane loudly instead of shipping as a slower table:
   **no** ``Interpretation`` at all: a cache-enabled engine serves the ranked
   space of a repeated keyword tuple from its memo instead of re-enumerating
   and re-ranking it (the same count, so a slow runner cannot flake it).
+* **Back-half memo.** Answering it a second time must build **no**
+  ``StructuredQuery`` and no result-cache key: each memo'd interpretation
+  keeps the query (and its key) it built the first time (counts again).
 * **Bulk ingest.** A fresh store build must decode **no** stored row into a
   ``Tuple`` and read each table exactly once: the loader writes rows without
   building them, and the inverted index and the statistics catalog share
@@ -391,19 +394,24 @@ def test_bench_engine_seed_slot_is_the_smallest_post_filter_slot(tmp_path):
     print(format_table(["query", "executed plans", "seeded past t0"], per_query))
 
 
+def _count_calls(monkeypatch, owner: type, name: str) -> list[int]:
+    """A one-cell counter of calls to ``owner.name`` from now on."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def _count_constructions(monkeypatch) -> list[int]:
     """A one-cell counter of every ``Interpretation`` constructed from now on."""
     from repro.core.interpretation import Interpretation
 
-    constructed = [0]
-    original_init = Interpretation.__init__
-
-    def counting_init(self, *args, **kwargs):
-        constructed[0] += 1
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Interpretation, "__init__", counting_init)
-    return constructed
+    return _count_calls(monkeypatch, Interpretation, "__init__")
 
 
 def test_bench_engine_enumeration_constructs_only_what_it_returns(monkeypatch):
@@ -441,6 +449,15 @@ def test_bench_engine_enumeration_constructs_only_what_it_returns(monkeypatch):
     print(f"{len(texts)} queries: {kept} interpretations, {constructed[0]} constructed")
 
 
+def _memo_workload(engine: QueryEngine) -> list[str]:
+    """The repeated-text workload: the fixed queries plus 40 bundled ones."""
+    from repro.datasets.workload import imdb_workload
+
+    return list(dict.fromkeys(QUERIES + [
+        str(item.query) for item in imdb_workload(engine.backend, n_queries=40, seed=3)
+    ]))
+
+
 def test_bench_engine_repeated_query_is_not_enumerated_again(monkeypatch):
     """Front-half memo: the second answer to a text constructs nothing.
 
@@ -449,14 +466,10 @@ def test_bench_engine_repeated_query_is_not_enumerated_again(monkeypatch):
     **zero** ``Interpretation`` objects, return the same ranked spaces and
     rows, and are all memo hits.  A count, not a timing.
     """
-    from repro.datasets.workload import imdb_workload
-
     ResultCache.clear_process_cache()
     engine = QueryEngine(build_imdb(**BUILD_KWARGS))
     constructed = _count_constructions(monkeypatch)
-    texts = list(dict.fromkeys(QUERIES + [
-        str(item.query) for item in imdb_workload(engine.backend, n_queries=40, seed=3)
-    ]))
+    texts = _memo_workload(engine)
     first = [engine.run(text) for text in texts]
     spaces = sum(len(context.interpretations) for context in first)
     assert constructed[0] == spaces > len(texts)
@@ -480,6 +493,44 @@ def test_bench_engine_repeated_query_is_not_enumerated_again(monkeypatch):
         f"{len(texts)} queries x 3 passes: {spaces} interpretations constructed "
         f"on pass 1, 0 on passes 2-3; memo {memo.hits} hits / {memo.misses} misses, "
         f"{memo.resident}/{memo.budget} interpretations resident"
+    )
+
+
+def test_bench_engine_repeated_query_rebuilds_no_structured_query(monkeypatch):
+    """Back-half memo: the second answer to a text builds no query or key.
+
+    Over the same workload as the front-half guard, pass one builds the
+    ``StructuredQuery`` and the cache key of each interpretation it looks up;
+    passes two and three reuse the memo'd interpretations and build **zero**
+    of either (``Interpretation._build_structured_query`` and
+    ``StructuredQuery._build_cache_key`` are never entered), with the same
+    ranked spaces and rows.  A count, not a timing.
+    """
+    from repro.core.interpretation import Interpretation
+    from repro.core.query import StructuredQuery
+
+    ResultCache.clear_process_cache()
+    engine = QueryEngine(build_imdb(**BUILD_KWARGS))
+    built = _count_calls(monkeypatch, Interpretation, "_build_structured_query")
+    keyed = _count_calls(monkeypatch, StructuredQuery, "_build_cache_key")
+    texts = _memo_workload(engine)
+    first = [engine.run(text) for text in texts]
+    cold = (built[0], keyed[0])
+    assert min(cold) > 0
+    for _pass in range(2):
+        for text, before in zip(texts, first):
+            warm = engine.run(text)
+            assert warm.ranked == before.ranked
+            assert warm.results == before.results
+    assert (built[0], keyed[0]) == cold, (
+        f"passes 2-3 rebuilt {built[0] - cold[0]} structured queries and "
+        f"{keyed[0] - cold[1]} cache keys"
+    )
+
+    print()
+    print(
+        f"{len(texts)} queries x 3 passes: {cold[0]} structured queries and "
+        f"{cold[1]} cache keys built on pass 1, 0 on passes 2-3"
     )
 
 

@@ -117,6 +117,13 @@ class Interpretation:
     _atoms: frozenset[Atom] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Memo slot of :meth:`to_structured_query`.  Memo'd interpretations are
+    #: shared across requests, so the query (and the cache key it memoises)
+    #: is built once per interpretation; both depend on template and
+    #: assignment only, never on store content.
+    _structured: StructuredQuery | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -185,6 +192,13 @@ class Interpretation:
 
     def to_structured_query(self) -> StructuredQuery:
         """Materialize the relational-algebra expression (Def. 3.5.2)."""
+        query = self._structured
+        if query is None:
+            query = self._build_structured_query()
+            object.__setattr__(self, "_structured", query)
+        return query
+
+    def _build_structured_query(self) -> StructuredQuery:
         selections: dict[int, dict[str, list[str]]] = {}
         aggregate: tuple[str, int] | None = None
         for atom, slot in self.assignment:

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 SelectionMap = dict[int, tuple[tuple[str, tuple[str, ...]], ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuredQuery:
     """An executable relational-algebra expression.
 
@@ -36,6 +36,10 @@ class StructuredQuery:
     #: Optional aggregation: ``(operator, slot)`` — currently COUNT over the
     #: distinct tuples of one template slot (analytical queries, §2.2.7).
     aggregate: tuple[str, int] | None = None
+    #: Memo slot of :meth:`cache_key` (no part of ``==`` or ``repr``).
+    _cache_key: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -119,14 +123,13 @@ class StructuredQuery:
         the key canonical for hand-built queries too.
 
         The string is built once per instance: a cache miss asks for it
-        twice (``get``, then ``put``).
+        twice (``get``, then ``put``), and an interpretation hands out one
+        instance for its lifetime, so a repeated request builds it no more.
         """
-        key = self.__dict__.get("_cache_key")
+        key = self._cache_key
         if key is None:
             key = self._build_cache_key()
-            # Frozen dataclass: memoise past ``__setattr__`` (not a field, so
-            # equality and repr are untouched).
-            self.__dict__["_cache_key"] = key
+            object.__setattr__(self, "_cache_key", key)
         return key
 
     def _build_cache_key(self) -> str:

@@ -156,18 +156,31 @@ class TopKExecutor:
 
         The single definition of the result order — dedup on row identity
         across interpretations, then the ``(-score, rank, row identity)``
-        total order.
+        total order.  Only this interpretation's fresh rows are sorted: when
+        they all order after the pool's last result (a lower score, or an
+        equal score and a higher rank) appending them keeps the pool sorted;
+        otherwise (an out-of-order ranked list) the whole pool is re-sorted.
         """
         self.statistics.rows_materialized += len(rows)
+        fresh: list[tuple[tuple, tuple]] = []
         for row in rows:
             uids = tuple(t.uid for t in row)
             if uids in seen_rows:
                 continue  # union semantics across interpretations
             seen_rows.add(uids)
-            results.append(
-                TopKResult(score=score, interpretation_rank=rank, row=row)
+            fresh.append((uids, row))
+        fresh.sort(key=lambda pair: pair[0])
+        in_order = not results or score < results[-1].score or (
+            score == results[-1].score and rank > results[-1].interpretation_rank
+        )
+        results.extend(
+            TopKResult(score=score, interpretation_rank=rank, row=row)
+            for _uids, row in fresh
+        )
+        if not in_order:
+            results.sort(
+                key=lambda r: (-r.score, r.interpretation_rank, r.row_uids())
             )
-        results.sort(key=lambda r: (-r.score, r.interpretation_rank, r.row_uids()))
 
     def _run(
         self,

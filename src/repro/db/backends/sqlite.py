@@ -301,6 +301,12 @@ class _ReadConnectionPool:
 _normalize = normalize_value
 
 
+def _json_key_type(kind: type) -> bool:
+    """Whether keys of type ``kind`` survive a JSON round trip (int/str
+    primary keys do; bool would come back as int, float keys may not)."""
+    return issubclass(kind, (int, str)) and not issubclass(kind, bool)
+
+
 class _RowRef(weakref.ref):
     """Weak reference to a decoded row that remembers its primary key."""
 
@@ -1102,18 +1108,13 @@ class SQLiteBackend(StorageBackend):
         """
         state = index.export_state()
         schema_key = self._schema_key()
-        try:
-            posting_rows = [
+        posting_rows = []
+        for term, tbl, attr, occurrences, keys in state["postings"]:
+            if not all(map(_json_key_type, set(map(type, keys)))):
+                return  # a JSON round trip would change the key type
+            posting_rows.append(
                 (schema_key, term, tbl, attr, occurrences, json.dumps(keys))
-                for term, tbl, attr, occurrences, keys in state["postings"]
-            ]
-        except (TypeError, ValueError):
-            return
-        if any(
-            not all(isinstance(k, (int, str)) and not isinstance(k, bool) for k in keys)
-            for _t, _tb, _a, _o, keys in state["postings"]
-        ):
-            return  # a JSON round trip would change the key type
+            )
         meta = dict(self._index_signature(), alpha=repr(index.alpha))
         with self._lock:  # delete+insert must not interleave with a sibling's
             try:

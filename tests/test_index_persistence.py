@@ -100,6 +100,30 @@ class TestPersistedPostings:
         raw.close()
         assert not any(name.startswith("_repro_index_") for name in tables)
 
+    @pytest.mark.parametrize(
+        "key, saved", [(7, "[1, 7]"), ("7", '["7", 1]'), (1.5, None), (True, None)]
+    )
+    def test_only_json_stable_keys_are_saved(self, tmp_path, key, saved):
+        """Postings are saved only when every key survives a JSON round trip
+        (int or str, not bool); one odd key in the last posting skips the
+        whole save, leaving the side tables as they were."""
+        db = SQLiteBackend(mini_schema(), path=tmp_path / "keys.sqlite")
+        db.insert("actor", {"id": 1, "name": "tom hanks"})
+        index = db.build_indexes()
+        state = index.export_state()
+        term, table, attribute, occurrences, keys = state["postings"][-1]
+        state["postings"][-1] = (term, table, attribute, occurrences, keys + [key])
+        db._save_persisted_index(
+            InvertedIndex.restore(state, tokenizer=index.tokenizer, alpha=index.alpha)
+        )
+        stored = dict(
+            db._conn.execute(
+                "SELECT term, keys FROM _repro_index_postings WHERE term = ?", (term,)
+            )
+        )
+        assert stored[term] == (saved or "[1]")
+        db.close()
+
     def test_stale_fingerprint_forces_rebuild(self, populated_path):
         raw = sqlite3.connect(populated_path)
         raw.execute(

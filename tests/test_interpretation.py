@@ -1,5 +1,8 @@
 """Unit tests for repro.core.interpretation (Defs. 3.5.3-3.5.7)."""
 
+import dataclasses
+import threading
+
 import pytest
 
 from repro.core.interpretation import Interpretation, TableAtom, ValueAtom, atoms_subsume
@@ -124,6 +127,57 @@ class TestExecutionBridge:
         sq = interp.to_structured_query()
         assert sq.selections[0] == (("name", ("tom", "hanks")),)
         assert sq.selections[2] == (("year", ("2001",)),)
+
+    def test_structured_query_slot_is_a_pure_memo(
+        self, actor_movie_template, hanks_2001
+    ):
+        """The query is built once and kept, outside ``==``, ``hash`` and
+        ``repr``; ``dataclasses.replace`` starts with an empty slot."""
+        interp = make_interp(hanks_2001, actor_movie_template)
+        twin = make_interp(hanks_2001, actor_movie_template)
+        identity = (hash(interp), repr(interp))
+        query = interp.to_structured_query()
+        assert interp.to_structured_query() is query
+        assert (hash(interp), repr(interp)) == identity
+        assert interp == twin and hash(twin) == identity[0]
+        assert repr(twin) == identity[1]
+        copy = dataclasses.replace(interp)
+        assert copy._structured is None
+        assert copy == interp
+        assert copy.to_structured_query() == query
+        assert copy.to_structured_query().cache_key() == query.cache_key()
+
+    def test_racing_first_builds_agree(
+        self, actor_movie_template, hanks_2001, monkeypatch
+    ):
+        """Threads that all build the query at once get equal queries and
+        equal cache keys, and the slot keeps one of them."""
+        interp = make_interp(hanks_2001, actor_movie_template)
+        workers = 4
+        barrier = threading.Barrier(workers, timeout=10)
+        build = Interpretation._build_structured_query
+
+        def racing_build(self):
+            barrier.wait()  # every thread is past the empty-slot check
+            return build(self)
+
+        monkeypatch.setattr(Interpretation, "_build_structured_query", racing_build)
+        got = [None] * workers
+
+        def first_use(i):
+            query = interp.to_structured_query()
+            got[i] = (query, query.cache_key())
+
+        threads = [threading.Thread(target=first_use, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        queries = [query for query, _key in got]
+        assert all(query == queries[0] for query in queries)
+        assert len({key for _query, key in got}) == 1
+        assert any(interp.to_structured_query() is query for query in queries)
 
     def test_execute(self, mini_db, actor_movie_template, hanks_2001):
         interp = make_interp(hanks_2001, actor_movie_template)

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from repro.core.interpretation import ValueAtom
 from repro.core.keywords import Keyword
 from repro.core.probability import entropy, normalize
+from repro.core.topk import TopKExecutor, TopKResult
+from repro.db.backends.base import RowStream, StreamedExecution
+from repro.db.table import Tuple
 from repro.db.tokenizer import Tokenizer, tokenize
 from repro.divq.metrics import alpha_ndcg_w, ws_recall
 from repro.divq.similarity import jaccard_atoms
@@ -1044,3 +1047,87 @@ class TestLoadProperties:
         finally:
             reference.close()
             subject.close()
+
+
+# -- top-k merge order ----------------------------------------------------------
+
+
+class _FullSortExecutor(TopKExecutor):
+    """The reference merge: append every fresh row, then sort the whole pool."""
+
+    def _merge_rows(self, results, seen_rows, rows, score, rank):
+        self.statistics.rows_materialized += len(rows)
+        for row in rows:
+            uids = tuple(t.uid for t in row)
+            if uids in seen_rows:
+                continue
+            seen_rows.add(uids)
+            results.append(TopKResult(score=score, interpretation_rank=rank, row=row))
+        results.sort(key=lambda r: (-r.score, r.interpretation_rank, r.row_uids()))
+
+
+class _Scripted:
+    """A stand-in interpretation whose execution yields scripted rows; it is
+    its own structured query and path spec."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def to_structured_query(self):
+        return self
+
+    def path_spec(self):
+        return self.rows
+
+
+class _ScriptedBackend:
+    def execute_paths_streamed(self, specs, limit=None):
+        (rows,) = specs
+        return StreamedExecution(
+            stream=RowStream(iter([(0, row) for row in rows])), statements=1
+        )
+
+
+def _cell(table: str, key: int) -> Tuple:
+    return Tuple(table, key, (key,), {"id": 0})
+
+
+#: Rows of one or two cells over a few keys, so one row recurs within an
+#: interpretation and across several.
+MERGE_ROWS = st.lists(
+    st.lists(
+        st.builds(_cell, st.sampled_from(["a", "b"]), st.integers(0, 3)),
+        min_size=1,
+        max_size=2,
+    ).map(tuple),
+    max_size=5,
+)
+
+
+@st.composite
+def merge_rankings(draw):
+    """Ranked row lists: scores from a small set (equal scores across ranks),
+    sorted decreasing or not (out-of-order lists)."""
+    scores = draw(st.lists(st.sampled_from([0.1, 0.25, 0.5, 1.0]), max_size=6))
+    if draw(st.booleans()):
+        scores.sort(reverse=True)
+    return [(draw(MERGE_ROWS), score) for score in scores]
+
+
+class TestTopKMergeOrder:
+    @pytest.mark.parametrize("strategy", ["execute", "execute_naive"])
+    @given(merge_rankings(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_equals_full_sort(self, strategy, ranking, data):
+        """Sorting only each interpretation's fresh rows gives the results
+        and statistics of a full re-sort after every interpretation, for
+        every k from 0 to the number of rows."""
+        ranked = [(_Scripted(rows), score) for rows, score in ranking]
+        total = sum(len(rows) for rows, _score in ranking)
+        k = data.draw(st.integers(0, total + 1), label="k")
+        subject = TopKExecutor(_ScriptedBackend())
+        reference = _FullSortExecutor(_ScriptedBackend())
+        got = getattr(subject, strategy)(ranked, k)
+        want = getattr(reference, strategy)(ranked, k)
+        assert got == want
+        assert subject.statistics == reference.statistics
