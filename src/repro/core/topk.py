@@ -46,9 +46,12 @@ class TopKStatistics:
     ``interpretations_executed`` counts *actual* interpretation executions: an
     interpretation whose rows come out of the result cache costs no execution
     and shows up in ``cache_hits`` instead.  ``sql_statements`` counts the
-    physical statements those executions needed, as reported by the backend:
-    none for a provably-empty selection, one per interpretation otherwise —
-    on a sharded store too.
+    physical statements those executions needed, as reported by the backend,
+    and ``proved_empty`` the executions the backend proved empty before
+    planning them: on the SQL backends — a sharded store too — every
+    executed interpretation is exactly one of the two, so ``sql_statements
+    == interpretations_executed - proved_empty``; the memory backend proves
+    nothing and counts one statement per execution.
     """
 
     interpretations_executed: int = 0
@@ -58,6 +61,8 @@ class TopKStatistics:
     cache_misses: int = 0
     #: Physical query statements issued against the backend.
     sql_statements: int = 0
+    #: Executed interpretations the backend proved empty: no plan, no SQL.
+    proved_empty: int = 0
     #: Rows consumed from backend streams.
     rows_streamed: int = 0
     #: Rows the backend had already produced (prefetched into a cursor chunk
@@ -91,6 +96,7 @@ class TopKStatistics:
         position 0 and move to the interpretation's 1-based ``rank``.
         """
         self.sql_statements += executed.statements
+        self.proved_empty += executed.proved_empty
         self.rows_short_circuited += executed.rows_short_circuited
         for per_spec, per_rank in (
             (executed.fallbacks, self.fallback_reasons),

@@ -27,8 +27,10 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+import threading
 import uuid
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 from typing import (
     Any,
     ClassVar,
@@ -80,7 +82,9 @@ class BatchedExecution:
     the storage shard their seed-slot tuple is stored in (empty on unsharded
     backends).  ``scatter_slots`` names the join slot each spec's statement
     seeds its semi-join chain at (sharding backends with a seed-slot
-    chooser; empty elsewhere).
+    chooser; empty elsewhere).  ``proved_empty`` counts the specs the
+    backend proved empty before planning them (no plan, no statement; see
+    :meth:`StorageBackend.proves_empty`).
     """
 
     rows: list[list[tuple[Tuple, ...]]]
@@ -89,6 +93,7 @@ class BatchedExecution:
     fallbacks: dict[int, str] = field(default_factory=dict)
     shard_rows: dict[int, int] = field(default_factory=dict)
     scatter_slots: dict[int, str] = field(default_factory=dict)
+    proved_empty: int = 0
 
 
 class RowStream:
@@ -144,7 +149,9 @@ class StreamedExecution:
     ``rows_short_circuited`` counts rows the backend had already produced
     (materialized by a fallback, or prefetched into a cursor chunk) when the
     consumer closed the stream — so read them after the stream is exhausted
-    or closed, not before.
+    or closed, not before.  ``proved_empty`` is settled when the call
+    returns: the specs that will get no statement because their result is
+    provably empty.
     """
 
     stream: RowStream = field(default_factory=lambda: RowStream(iter(())))
@@ -154,6 +161,7 @@ class StreamedExecution:
     shard_rows: dict[int, int] = field(default_factory=dict)
     scatter_slots: dict[int, str] = field(default_factory=dict)
     rows_short_circuited: int = 0
+    proved_empty: int = 0
 
 
 #: One row of a :meth:`StorageBackend.load` stream: ``(table name, row)``.
@@ -180,6 +188,132 @@ def row_event(
     :meth:`StorageBackend._fold_mutation`): ``repr`` of its ``(name, value)``
     pairs, i.e. of ``Tuple.items()``."""
     return f"row|{table_name}|{key!r}|{tuple(zip(layout, values))!r}"
+
+
+class ForeignKeyMaps:
+    """What :meth:`StorageBackend.proves_empty` reads: two maps per
+    foreign-key column.
+
+    A column is a foreign-key endpoint ``(table, attribute)`` other than its
+    table's primary key (a primary-key endpoint needs no map: the key is the
+    value).  ``values[column]`` maps each row's primary key to the column's
+    value, ``holders[column]`` maps each value to the tuple of primary keys
+    holding it.  A ``None`` cell is in neither, because NULL never joins.
+    Values keep their Python equality, which is SQLite's on untyped
+    columns: ``5`` finds ``5.0`` and not ``'5'``.
+    """
+
+    __slots__ = ("columns", "values", "holders")
+
+    def __init__(self, schema: Schema):
+        #: Table name -> its mapped attributes.
+        self.columns: dict[str, list[str]] = {}
+        for fk in schema.foreign_keys:
+            for table_name, attribute in (
+                (fk.source, fk.source_attr),
+                (fk.target, fk.target_attr),
+            ):
+                mapped = self.columns.setdefault(table_name, [])
+                if (
+                    attribute != schema.table(table_name).primary_key
+                    and attribute not in mapped
+                ):
+                    mapped.append(attribute)
+        self.values: dict[tuple[str, str], dict[Any, Any]] = {}
+        self.holders: dict[tuple[str, str], dict[Any, tuple[Any, ...]]] = {}
+
+    @classmethod
+    def scan(cls, backend: "StorageBackend") -> "ForeignKeyMaps":
+        """The maps of every stored row, one ``value_rows()`` read of each
+        table that has a mapped column."""
+        maps = cls(backend.schema)
+        for table in backend.schema:
+            if maps.columns.get(table.name):
+                maps.add_rows(table, backend.relation(table.name).value_rows())
+        return maps
+
+    def add_rows(self, table: Table, rows: Sequence[tuple[Any, ...]]) -> None:
+        """Map the mapped columns of one table's rows (cells in attribute
+        order, as ``value_rows()`` returns them)."""
+        names = table.attribute_names
+        key_at = names.index(table.primary_key)
+        for attribute in self.columns.get(table.name, ()):
+            value_at = names.index(attribute)
+            values: dict[Any, Any] = {}
+            grouped: dict[Any, list[Any]] = {}
+            for row in rows:
+                value = row[value_at]
+                if value is None:
+                    continue
+                key = row[key_at]
+                values[key] = value
+                grouped.setdefault(value, []).append(key)
+            self.values[table.name, attribute] = values
+            self.holders[table.name, attribute] = {
+                value: tuple(keys) for value, keys in grouped.items()
+            }
+
+    def _hop(
+        self,
+        schema: Schema,
+        keys: set[Any],
+        table_name: str,
+        next_table: str,
+        edge: ForeignKey,
+    ) -> set[Any] | None:
+        """The keys of ``next_table`` that join one of ``keys`` of
+        ``table_name`` over ``edge`` — a superset of them where a value
+        dangles (it stays in the set); ``None`` where a column is unmapped."""
+        bound, probe = StorageBackend._edge_attrs(edge, table_name, next_table)
+        values = keys
+        if bound != schema.table(table_name).primary_key:
+            by_key = self.values.get((table_name, bound))
+            if by_key is None:
+                return None
+            values = set(map(by_key.get, keys))
+            values.discard(None)  # a key without a value joins nothing
+        if probe == schema.table(next_table).primary_key:
+            return values
+        by_value = self.holders.get((next_table, probe))
+        if by_value is None:
+            return None
+        return set(chain.from_iterable(map(by_value.get, values, repeat(()))))
+
+    def proves_empty(
+        self,
+        schema: Schema,
+        path: Sequence[str],
+        edges: Sequence[ForeignKey],
+        key_filters: dict[int, set[Any]],
+    ) -> bool:
+        """True when no network of the path passes every key filter.
+
+        A forward semi-join from the smallest key set toward the farthest
+        filtered position on each side, intersecting with every key set it
+        meets.  Each hop may only over-approximate the keys that join, so
+        an empty set is a proof; a non-empty one proves nothing.
+        """
+        positions = sorted(key_filters)
+        start = min(positions, key=lambda position: len(key_filters[position]))
+        for stop, step in ((positions[-1], 1), (positions[0], -1)):
+            keys = key_filters[start]
+            for position in range(start, stop, step):
+                following = position + step
+                reached = self._hop(
+                    schema,
+                    keys,
+                    path[position],
+                    path[following],
+                    edges[min(position, following)],
+                )
+                if reached is None:
+                    return False
+                keys = reached
+                if following in key_filters:
+                    keys = keys & key_filters[following]
+                if not keys:
+                    return True
+        return False
 
 
 @runtime_checkable
@@ -229,11 +363,25 @@ class StorageBackend(abc.ABC):
     #: True when the backend accepts a ``read_pool_size`` reader-connection
     #: cap (the ``create_backend``/CLI ``--read-pool-size`` gate).
     supports_read_pool: ClassVar[bool] = False
+    #: True when the backend keeps :class:`ForeignKeyMaps` and skips the
+    #: paths :meth:`proves_empty` proves empty.  The SQL backends do; the
+    #: memory backend stays the independent row oracle and keeps none.
+    proves_empty_paths: ClassVar[bool] = False
 
     def __init__(self, schema: Schema, tokenizer: Tokenizer = DEFAULT_TOKENIZER):
         self.schema = schema
         self.tokenizer = tokenizer
         self.index: InvertedIndex | None = None
+        #: The emptiness proof's maps: built by :meth:`build_indexes`' scan
+        #: or on first use, dropped by every mutation (see
+        #: :meth:`_foreign_key_maps`).
+        self._fk_maps: ForeignKeyMaps | None = None
+        #: Bumped whenever the maps are dropped, so a lazy build that raced a
+        #: mutation is not kept.
+        self._fk_maps_generation = 0
+        #: Held while the maps are built lazily (the SQLite backends use
+        #: their file lock, which every backend-level write holds too).
+        self._fk_maps_lock: threading.RLock = threading.RLock()
         self._metadata: dict[str, str] = {}
         self._content_fingerprint: str | None = None
         #: Chained digest over every row this instance inserted (see
@@ -424,6 +572,7 @@ class StorageBackend(abc.ABC):
             digest = hashlib.sha256((digest + event).encode("utf-8")).hexdigest()
         self._content_digest = digest
         self._content_fingerprint = None
+        self._drop_foreign_key_maps()
 
     def content_fingerprint(self) -> str:
         """Digest identifying the current stored content.
@@ -489,22 +638,28 @@ class StorageBackend(abc.ABC):
     def build_indexes(self) -> InvertedIndex:
         """Build the inverted index and exact-match join indexes a-priori.
 
-        Also collects the planner-statistics catalog from the same scan:
-        each relation's ``value_rows()`` is read once and fed to both, so no
-        row is decoded into a ``Tuple`` — persistent backends that reload a
-        persisted index reload persisted statistics instead of calling this.
+        Also collects the planner-statistics catalog (and, on backends that
+        prove paths empty, the :class:`ForeignKeyMaps`) from the same scan:
+        each relation's ``value_rows()`` is read once and fed to all of
+        them, so no row is decoded into a ``Tuple`` — persistent backends
+        that reload a persisted index reload persisted statistics instead of
+        calling this, and build the maps on first use.
         """
         from repro.db.stats import StatisticsCatalog
 
         self._create_join_indexes()
         index = InvertedIndex(self.tokenizer)
         statistics = StatisticsCatalog(self.schema)
+        maps = ForeignKeyMaps(self.schema) if self.proves_empty_paths else None
         for table in self.schema:
             rows = self.relation(table.name).value_rows()
             index.add_rows(table, rows)
             statistics.collect_table(table.name, rows)
+            if maps is not None:
+                maps.add_rows(table, rows)
         self.index = index
         self._statistics = statistics
+        self._fk_maps = maps
         return index
 
     def _create_join_indexes(self) -> None:
@@ -615,6 +770,54 @@ class StorageBackend(abc.ABC):
                 return None
             key_filters[position] = keys
         return key_filters
+
+    # -- the emptiness proof --------------------------------------------------
+
+    def _drop_foreign_key_maps(self) -> None:
+        """Forget the maps after a mutation; the next proof rebuilds them."""
+        self._fk_maps_generation += 1
+        self._fk_maps = None
+
+    def _foreign_key_maps(self) -> ForeignKeyMaps | None:
+        """The current maps, built from the stored rows on first use.
+
+        The build holds :attr:`_fk_maps_lock`, and maps that a mutation
+        outran while they were built are used by no proof.  Neither the
+        build nor a proof writes anything to the store.
+        """
+        maps = self._fk_maps
+        if maps is not None:
+            return maps
+        with self._fk_maps_lock:
+            maps = self._fk_maps
+            if maps is None:
+                generation = self._fk_maps_generation
+                maps = ForeignKeyMaps.scan(self)
+                if generation != self._fk_maps_generation:
+                    return None
+                self._fk_maps = maps
+        return maps
+
+    def proves_empty(
+        self,
+        path: Sequence[str],
+        edges: Sequence[ForeignKey],
+        key_filters: dict[int, set[Any]],
+    ) -> bool:
+        """True when the path's resolved key filters provably select nothing.
+
+        Only a path with at least two filtered positions can be proved
+        empty by its joins (see :meth:`ForeignKeyMaps.proves_empty`); one
+        whose selection matched nothing is already ``None`` out of
+        :meth:`resolve_key_filters`.  ``False`` proves nothing — always on
+        a backend without :attr:`proves_empty_paths`.
+        """
+        if not self.proves_empty_paths or len(key_filters) < 2:
+            return False
+        maps = self._foreign_key_maps()
+        return maps is not None and maps.proves_empty(
+            self.schema, path, edges, key_filters
+        )
 
     def plan_path_spec(
         self,

@@ -417,9 +417,12 @@ class SQLiteRelation:
         return self._insert_sql, values
 
     def _rows_stored(self, count: int) -> None:
-        """Bookkeeping after ``count`` rows of this table were written."""
+        """Bookkeeping after ``count`` rows of this table were written
+        (also by a relation-level insert, which folds no mutation: the
+        emptiness proof's maps are dropped here too)."""
         if self._row_count is not None:
             self._row_count += count
+        self._backend._drop_foreign_key_maps()
 
     def _sequence_mark(self) -> Any:
         """The insertion-sequence state a rolled-back write must restore
@@ -523,6 +526,7 @@ class SQLiteBackend(StorageBackend):
     name = "sqlite"
     persistent = True
     supports_read_pool = True
+    proves_empty_paths = True
 
     #: Reader connections a file-backed store may hold when none is asked
     #: for explicitly.  Sized for the default server worker count.
@@ -558,6 +562,7 @@ class SQLiteBackend(StorageBackend):
         self._relations: dict[str, SQLiteRelation] = {}
         self._closed = False
         self._lock = _acquire_lock_for(self.path, self)
+        self._fk_maps_lock = self._lock
         try:
             # ``check_same_thread=False`` + the per-file lock: the server
             # shares one backend across its worker threads, with every
@@ -1284,7 +1289,8 @@ class SQLiteBackend(StorageBackend):
 
         The whole candidate network becomes one SELECT: FK joins run inside
         SQLite, keyword selections become primary-key IN-predicates resolved
-        through the inverted index, and ``limit`` becomes SQL ``LIMIT``.
+        through the inverted index, and ``limit`` becomes SQL ``LIMIT``.  A
+        path :meth:`proves_empty` proves empty runs no statement at all.
         The list is a drained :meth:`_stream_plan` — the same cursor seam
         :meth:`execute_paths_streamed` runs solo plans through.
         """
@@ -1294,7 +1300,7 @@ class SQLiteBackend(StorageBackend):
             return []
 
         key_filters = self.resolve_key_filters(path, selections)
-        if key_filters is None:
+        if key_filters is None or self.proves_empty(path, edges, key_filters):
             return []
         plan = self._prepare_plan(sqlc.plan_path(path, edges, key_filters, limit))
         rows = self._stream_plan(plan, StreamedExecution())
@@ -1330,23 +1336,16 @@ class SQLiteBackend(StorageBackend):
 
     # -- join-path execution: the row stream --------------------------------
 
-    def _plan_specs(
+    def _resolve_specs(
         self,
         specs: Sequence[PathSpec],
-        execution: StreamedExecution,
         limit: int | None,
-    ) -> tuple[list[tuple[int, PathPlan]], list[tuple[int, PathPlan]]]:
-        """The planning front half of :meth:`execute_paths_streamed`.
-
-        Validates every spec, drops the provably-empty ones (they get no
-        plan, hence no rows and no SQL), splits the rest between solo plans
-        (budget fallbacks — the reason lands in ``execution.fallbacks`` —
-        plus the union-of-one case, which brings tagging overhead and no
-        statement saving) and the members of one shared ``UNION ALL``
-        statement.  Every returned plan has been through
-        :meth:`_prepare_plan`, with its seed-slot ``--explain`` label (sharded
-        only) filled into ``execution``.
-        """
+        execution: StreamedExecution,
+    ) -> list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]]:
+        """``(spec index, path, edges, key filters)`` of every spec that
+        needs planning: each is validated, and one whose selection matched
+        no key is dropped and counted in ``execution.proved_empty`` (no plan,
+        hence no rows and no SQL)."""
         resolved: list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]] = []
         for index, (path, edges, selections) in enumerate(specs):
             selections = selections or {}
@@ -1355,8 +1354,38 @@ class SQLiteBackend(StorageBackend):
                 continue
             key_filters = self.resolve_key_filters(path, selections)
             if key_filters is None:
-                continue  # provably empty, no SQL at all
+                execution.proved_empty += 1
+                continue
             resolved.append((index, path, edges, key_filters))
+        return resolved
+
+    def _plan_specs(
+        self,
+        specs: Sequence[PathSpec],
+        execution: StreamedExecution,
+        limit: int | None,
+    ) -> tuple[list[tuple[int, PathPlan]], list[tuple[int, PathPlan]]]:
+        """Every spec :meth:`_resolve_specs` keeps, planned by
+        :meth:`_plan_resolved` — the join proof is not applied here."""
+        return self._plan_resolved(
+            self._resolve_specs(specs, limit, execution), execution, limit
+        )
+
+    def _plan_resolved(
+        self,
+        resolved: list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]],
+        execution: StreamedExecution,
+        limit: int | None,
+    ) -> tuple[list[tuple[int, PathPlan]], list[tuple[int, PathPlan]]]:
+        """The planning half of :meth:`execute_paths_streamed`.
+
+        Splits resolved specs between solo plans (budget fallbacks — the
+        reason lands in ``execution.fallbacks`` — plus the union-of-one
+        case, which brings tagging overhead and no statement saving) and the
+        members of one shared ``UNION ALL`` statement.  Every returned plan
+        has been through :meth:`_prepare_plan`, with its seed-slot
+        ``--explain`` label (sharded only) filled into ``execution``.
+        """
         batch = sqlc.plan_batch(resolved, limit)
         solo: list[tuple[int, PathPlan]] = []
         for index, solo_plan, reason in batch.fallbacks:
@@ -1391,7 +1420,9 @@ class SQLiteBackend(StorageBackend):
 
         Planning (:func:`repro.db.backends.sql.plan_batch`) decides which
         specs share one tagged ``UNION ALL`` statement: specs whose
-        selections are provably empty never reach SQL, and specs whose
+        selections match no key, or whose joins :meth:`proves_empty` proves
+        empty, get no plan and never reach SQL (``proved_empty`` counts
+        them), and specs whose
         inline-key footprint exceeds the statement's parameter budget fall
         back to their own plan — the reason travels back on ``fallbacks`` so
         ``--explain`` can show it.  Planning is eager, but nothing executes
@@ -1403,7 +1434,14 @@ class SQLiteBackend(StorageBackend):
         Spec order is the stream order.
         """
         execution = StreamedExecution()
-        solo, members = self._plan_specs(specs, execution, limit)
+        resolved = []
+        for spec in self._resolve_specs(specs, limit, execution):
+            _index, path, edges, key_filters = spec
+            if self.proves_empty(path, edges, key_filters):
+                execution.proved_empty += 1
+            else:
+                resolved.append(spec)
+        solo, members = self._plan_resolved(resolved, execution, limit)
         solo_plans = dict(solo)
         member_indexes = {index for index, _plan in members}
 

@@ -96,7 +96,10 @@ class EngineContext:
             f"{stats.interpretations_executed} executed"
             + (", stopped early" if stats.stopped_early else "")
         )
-        lines.append(f"  sql statements: {stats.sql_statements}")
+        lines.append(
+            f"  sql statements: {stats.sql_statements}, "
+            f"{stats.proved_empty} proved empty (no SQL)"
+        )
         lines.append(
             f"  streaming: {stats.rows_streamed} row(s) streamed, "
             f"{stats.rows_short_circuited} short-circuited"

@@ -51,8 +51,10 @@ def test_a_plan_is_one_statement_one_lease_one_cursor(
     monkeypatch.setattr(db, "_iter_cursor", recording)
     pool = db._reader_pool()
     assert (pool is not None) == on_file
-    executed = 0
-    for query_text in QUERIES:
+    executed = proved = 0
+    # "london 2004": jack london acted only in a 2001 movie, so the path
+    # through acts is proved empty and gets no statement, lease or cursor.
+    for query_text in (*QUERIES, "london 2004"):
         for spec in _specs(reference, query_text):
             leases = pool.leases if on_file else 0
             del cursors[:]
@@ -60,12 +62,14 @@ def test_a_plan_is_one_statement_one_lease_one_cursor(
             with execution.stream as stream:
                 rows = [network for _index, network in stream]
             assert rows == reference.execute_path(*spec, limit=10)
-            assert execution.statements == 1
-            assert cursors == [threading.get_ident()]
+            assert execution.statements == 1 - execution.proved_empty
+            assert cursors == [threading.get_ident()] * execution.statements
             if on_file:
-                assert pool.leases - leases == 1
+                assert pool.leases - leases == execution.statements
             executed += 1
+            proved += execution.proved_empty
     assert executed >= 6
+    assert proved >= 1
     if on_file:
         assert pool.size == (read_pool_size or db.DEFAULT_READ_POOL_SIZE)
         assert pool.peak_concurrency == 1 and pool.waits == 0

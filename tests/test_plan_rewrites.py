@@ -321,27 +321,42 @@ class TestExplainSurface:
             db_path=tmp_path / "explain.sqlite",
             config=EngineConfig(cache_results=False),
         )
-        lines = engine.run("hanks 2001", explain=True).explain_lines()
+        lines = engine.run("london 2001", explain=True).explain_lines()
         seed = "t2 (movie, 1 selection keys) [cost-chosen over default t0]"
-        assert f"  scatter slot #3: {seed}" in lines
+        assert f"  scatter slot #1: {seed}" in lines
+        # Six of the seven interpretations are proved empty: no plan, so no
+        # seed slot to name.
+        assert "  sql statements: 1, 6 proved empty (no SQL)" in lines
+        assert not any(line.startswith("  scatter slot #2") for line in lines)
         assert not any("estimated" in line or "plan #" in line for line in lines)
         engine.backend.close()
 
     @pytest.mark.parametrize(
-        "backend_name, statements",
-        [("memory", 4), ("sqlite", 3), ("sqlite-sharded", 3)],
+        "backend_name, statements, proved_empty",
+        [("memory", 4, 0), ("sqlite", 0, 4), ("sqlite-sharded", 0, 4)],
     )
-    def test_no_backend_prints_estimates_or_plan_choices(self, backend_name, statements):
+    def test_no_backend_prints_estimates_or_plan_choices(
+        self, backend_name, statements, proved_empty
+    ):
         """Plans compile in path order with no cost pass, so no backend has
         an estimate or a join-order choice to report; the statement count
-        is the sharded store's and the single file's alike."""
+        is the sharded store's and the single file's alike.  On both, every
+        interpretation of "hanks 2001" is proved empty (one matches no key,
+        three cannot join), where the memory backend, which proves nothing,
+        runs all four."""
         engine = QueryEngine.for_dataset(
             "imdb", backend=backend_name, config=EngineConfig(cache_results=False)
         )
         context = engine.run("hanks 2001", explain=True)
         lines = context.explain_lines()
-        assert context.executor_statistics.interpretations_executed == 4
-        assert f"  sql statements: {statements}" in lines
+        stats = context.executor_statistics
+        assert stats.interpretations_executed == 4
+        assert (stats.sql_statements, stats.proved_empty) == (statements, proved_empty)
+        assert stats.sql_statements == stats.interpretations_executed - stats.proved_empty
+        assert (
+            f"  sql statements: {statements}, {proved_empty} proved empty (no SQL)"
+            in lines
+        )
         assert not any("estimated" in line or "plan #" in line for line in lines)
         engine.backend.close()
 

@@ -457,14 +457,16 @@ class TestShardedEngineParity:
             db_path=tmp_path / "store.sqlite",
         )
         lines = engine.run("london", k=5, explain=True).explain_lines()
+        assert "  sql statements: 1, 0 proved empty (no SQL)" in lines
         assert (
             "  read pool: 1 lease(s), 0 wait(s), peak 1 concurrent (size 4)" in lines
         )
         engine.backend.close()
 
     def test_one_statement_per_executed_interpretation(self):
-        """At most one statement per executed interpretation (a provably
-        empty one costs none), where the memory reference pays exactly one."""
+        """One statement per executed interpretation that is not proved
+        empty (a proved-empty one costs none), where the memory reference,
+        which proves nothing, pays exactly one each."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
@@ -477,10 +479,15 @@ class TestShardedEngineParity:
         stats = engine.run("hanks 2001", k=5).executor_statistics
         sequential = reference.run("hanks 2001", k=5).executor_statistics
         assert stats.interpretations_executed >= 3
-        assert 0 < stats.sql_statements <= stats.interpretations_executed
+        assert stats.sql_statements == (
+            stats.interpretations_executed - stats.proved_empty
+        )
+        assert stats.proved_empty == 4  # no interpretation of it can join
         # One seed-slot line per planned interpretation, none for more.
+        assert len(stats.scatter_slots) == stats.sql_statements
         assert set(stats.scatter_slots) <= set(stats.attribution)
         assert sequential.sql_statements == sequential.interpretations_executed
+        assert sequential.proved_empty == 0
         assert stats.interpretations_executed == sequential.interpretations_executed
 
     def test_executes_exactly_the_sequential_interpretations(self):

@@ -106,6 +106,9 @@ def test_no_reader_is_leased_past_the_stop(backend, tmp_path):
         stats = context.executor_statistics
         assert stats.stopped_early
         assert 1 < stats.interpretations_executed < len(context.ranked)
+        assert stats.sql_statements == (
+            stats.interpretations_executed - stats.proved_empty
+        )
         assert stats.read_pool["leases"] == stats.sql_statements > 0
     finally:
         engine.backend.close()
