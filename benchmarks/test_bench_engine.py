@@ -53,10 +53,16 @@ from repro.db.backends.base import StreamedExecution
 from repro.db.backends.sqlite import SQLiteBackend
 from repro.engine import EngineConfig, QueryEngine, ResultCache
 from repro.experiments.reporting import format_table
+from tests.conftest import plan_specs
 
 QUERIES = ["hanks 2001", "london", "stone hill", "summer"]
 BUILD_KWARGS = dict(seed=7, n_movies=150, n_actors=90)
 REPEATS = 3
+#: Distinct statement texts the replay of
+#: :func:`test_bench_engine_backend_sees_only_executed_interpretations`
+#: runs at most, per backend: what the emptiness proof leaves of the 69
+#: and 21 texts of every plan.
+STATEMENT_TEXTS = {"sqlite": 53, "sqlite-sharded": 17}
 
 
 @contextmanager
@@ -180,12 +186,18 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
     prepares in about a tenth of that, its key lists pad to a power of two
     and its joins compile in path order, so it must compile at most 0.4
     texts per plan (0.72 when every key was its own ``?``, 0.41 while joins
-    were still reordered by estimated slot size).  The share is taken over
-    the plan of every executed interpretation that matches a key
-    (``_plan_specs``, which does not apply the join proof), because the
-    paths the proof skips are mostly repeats of a few long shapes: over the
-    statements actually issued the single file reads 53 / 132 = 0.402, for
-    69 / 178 = 0.388 before the proof.  Every issued text is one of them.
+    were still reordered by estimated slot size).  That share is taken over
+    the plan of every executed interpretation that matches a key, the
+    emptiness proof's skipped paths included — the population these bounds
+    were set on, when every such plan ran as a statement (69 / 178 single
+    file, 21 / 178 sharded).  The texts of the statements that run are
+    gated as a count: every one is among those plans' texts, and there are
+    at most :data:`STATEMENT_TEXTS` of them, the number the proof leaves
+    (53 of the single file's 69, 17 of the sharded 21), so a compiler that
+    lets key sets into the text, or a proof that stops skipping, fails it.
+    Over the statements that run the share reads 53 / 132 = 0.402 on the
+    single file, above the 0.4 bound: the proof shrank the denominator, not
+    the compiler its texts.
     """
     from repro.datasets.workload import imdb_workload
     from repro.db.backends.sharded import ShardedSQLiteBackend
@@ -218,7 +230,7 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
 
         def spy(specs, limit=None):
             handed.append(len(specs))
-            solo, members = db._plan_specs(specs, StreamedExecution(), limit)
+            solo, members = plan_specs(db, specs, StreamedExecution(), limit)
             planned_texts.extend(
                 db.compiler.compile_path(plan).sql for _index, plan in solo
             )
@@ -270,6 +282,10 @@ def test_bench_engine_backend_sees_only_executed_interpretations(tmp_path):
         db.close()
         assert sum(handed) == executed_total > 0
         assert set(texts) <= set(planned_texts)
+        assert len(set(texts)) <= STATEMENT_TEXTS[backend], (
+            f"{len(set(texts))} distinct texts in {len(texts)} {backend} "
+            f"statements"
+        )
         distinct_share = len(set(planned_texts)) / len(planned_texts)
         bound = 0.25 if fan_out > 1 else 0.4
         assert distinct_share <= bound, (
@@ -703,8 +719,8 @@ def test_bench_engine_foreign_key_maps_stay_small():
         seed=7, n_movies=1500, n_actors=900, n_directors=300, n_companies=200,
         backend="sqlite",
     )
-    maps = db._fk_maps
-    assert maps is not None
+    assert db._fk_maps is not None
+    _generation, maps = db._fk_maps
     seen: set[int] = set()
     size = _deep_bytes(maps.values, seen) + _deep_bytes(maps.holders, seen)
     columns = sorted(maps.values)

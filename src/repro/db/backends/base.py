@@ -27,7 +27,6 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
-import threading
 import uuid
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
@@ -84,7 +83,7 @@ class BatchedExecution:
     seeds its semi-join chain at (sharding backends with a seed-slot
     chooser; empty elsewhere).  ``proved_empty`` counts the specs the
     backend proved empty before planning them (no plan, no statement; see
-    :meth:`StorageBackend.proves_empty`).
+    :class:`ForeignKeyMaps`).
     """
 
     rows: list[list[tuple[Tuple, ...]]]
@@ -191,7 +190,7 @@ def row_event(
 
 
 class ForeignKeyMaps:
-    """What :meth:`StorageBackend.proves_empty` reads: two maps per
+    """The SQL backends' emptiness proof and what it reads: two maps per
     foreign-key column.
 
     A column is a foreign-key endpoint ``(table, attribute)`` other than its
@@ -363,25 +362,11 @@ class StorageBackend(abc.ABC):
     #: True when the backend accepts a ``read_pool_size`` reader-connection
     #: cap (the ``create_backend``/CLI ``--read-pool-size`` gate).
     supports_read_pool: ClassVar[bool] = False
-    #: True when the backend keeps :class:`ForeignKeyMaps` and skips the
-    #: paths :meth:`proves_empty` proves empty.  The SQL backends do; the
-    #: memory backend stays the independent row oracle and keeps none.
-    proves_empty_paths: ClassVar[bool] = False
 
     def __init__(self, schema: Schema, tokenizer: Tokenizer = DEFAULT_TOKENIZER):
         self.schema = schema
         self.tokenizer = tokenizer
         self.index: InvertedIndex | None = None
-        #: The emptiness proof's maps: built by :meth:`build_indexes`' scan
-        #: or on first use, dropped by every mutation (see
-        #: :meth:`_foreign_key_maps`).
-        self._fk_maps: ForeignKeyMaps | None = None
-        #: Bumped whenever the maps are dropped, so a lazy build that raced a
-        #: mutation is not kept.
-        self._fk_maps_generation = 0
-        #: Held while the maps are built lazily (the SQLite backends use
-        #: their file lock, which every backend-level write holds too).
-        self._fk_maps_lock: threading.RLock = threading.RLock()
         self._metadata: dict[str, str] = {}
         self._content_fingerprint: str | None = None
         #: Chained digest over every row this instance inserted (see
@@ -572,7 +557,6 @@ class StorageBackend(abc.ABC):
             digest = hashlib.sha256((digest + event).encode("utf-8")).hexdigest()
         self._content_digest = digest
         self._content_fingerprint = None
-        self._drop_foreign_key_maps()
 
     def content_fingerprint(self) -> str:
         """Digest identifying the current stored content.
@@ -638,29 +622,29 @@ class StorageBackend(abc.ABC):
     def build_indexes(self) -> InvertedIndex:
         """Build the inverted index and exact-match join indexes a-priori.
 
-        Also collects the planner-statistics catalog (and, on backends that
-        prove paths empty, the :class:`ForeignKeyMaps`) from the same scan:
-        each relation's ``value_rows()`` is read once and fed to all of
-        them, so no row is decoded into a ``Tuple`` — persistent backends
-        that reload a persisted index reload persisted statistics instead of
-        calling this, and build the maps on first use.
+        Also collects the planner-statistics catalog from the same scan:
+        each relation's ``value_rows()`` is read once and fed to both (and to
+        :meth:`_scanned`), so no row is decoded into a ``Tuple`` —
+        persistent backends that reload a persisted index reload persisted
+        statistics instead of calling this.
         """
         from repro.db.stats import StatisticsCatalog
 
         self._create_join_indexes()
         index = InvertedIndex(self.tokenizer)
         statistics = StatisticsCatalog(self.schema)
-        maps = ForeignKeyMaps(self.schema) if self.proves_empty_paths else None
         for table in self.schema:
             rows = self.relation(table.name).value_rows()
             index.add_rows(table, rows)
             statistics.collect_table(table.name, rows)
-            if maps is not None:
-                maps.add_rows(table, rows)
+            self._scanned(table, rows)
         self.index = index
         self._statistics = statistics
-        self._fk_maps = maps
         return index
+
+    def _scanned(self, table: Table, rows: Sequence[tuple[Any, ...]]) -> None:
+        """Hook: one table's rows as :meth:`build_indexes`' one scan reads
+        them (the SQLite backends feed their :class:`ForeignKeyMaps`)."""
 
     def _create_join_indexes(self) -> None:
         """Exact-match indexes on every foreign-key endpoint but a primary key."""
@@ -770,54 +754,6 @@ class StorageBackend(abc.ABC):
                 return None
             key_filters[position] = keys
         return key_filters
-
-    # -- the emptiness proof --------------------------------------------------
-
-    def _drop_foreign_key_maps(self) -> None:
-        """Forget the maps after a mutation; the next proof rebuilds them."""
-        self._fk_maps_generation += 1
-        self._fk_maps = None
-
-    def _foreign_key_maps(self) -> ForeignKeyMaps | None:
-        """The current maps, built from the stored rows on first use.
-
-        The build holds :attr:`_fk_maps_lock`, and maps that a mutation
-        outran while they were built are used by no proof.  Neither the
-        build nor a proof writes anything to the store.
-        """
-        maps = self._fk_maps
-        if maps is not None:
-            return maps
-        with self._fk_maps_lock:
-            maps = self._fk_maps
-            if maps is None:
-                generation = self._fk_maps_generation
-                maps = ForeignKeyMaps.scan(self)
-                if generation != self._fk_maps_generation:
-                    return None
-                self._fk_maps = maps
-        return maps
-
-    def proves_empty(
-        self,
-        path: Sequence[str],
-        edges: Sequence[ForeignKey],
-        key_filters: dict[int, set[Any]],
-    ) -> bool:
-        """True when the path's resolved key filters provably select nothing.
-
-        Only a path with at least two filtered positions can be proved
-        empty by its joins (see :meth:`ForeignKeyMaps.proves_empty`); one
-        whose selection matched nothing is already ``None`` out of
-        :meth:`resolve_key_filters`.  ``False`` proves nothing — always on
-        a backend without :attr:`proves_empty_paths`.
-        """
-        if not self.proves_empty_paths or len(key_filters) < 2:
-            return False
-        maps = self._foreign_key_maps()
-        return maps is not None and maps.proves_empty(
-            self.schema, path, edges, key_filters
-        )
 
     def plan_path_spec(
         self,

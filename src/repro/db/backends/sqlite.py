@@ -59,6 +59,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.backends import sql as sqlc
 from repro.db.backends.base import (
+    ForeignKeyMaps,
     LoadRow,
     PathSpec,
     RowStream,
@@ -86,6 +87,9 @@ from repro.db.schema import ForeignKey, Schema, Table
 from repro.db.table import Tuple, column_layout
 from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 
+#: ``(spec index, path, edges, key filters)``: a spec whose selections
+#: resolved to primary-key sets, ready for planning.
+ResolvedSpec = tuple[int, Sequence[str], Sequence[ForeignKey], dict[int, set[Any]]]
 
 #: One serialization lock per database *file*, shared by every backend
 #: instance (and hence every engine) opened on that file in this process.
@@ -97,7 +101,10 @@ from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 #: busy_timeout`` covers contention from other processes.  Entries are
 #: refcounted and dropped when the last backend on a path closes, so
 #: long-lived processes opening many distinct files don't accumulate locks.
-_FILE_LOCKS: dict[str, tuple[threading.RLock, int]] = {}
+#: Next to each lock sits the file's row-write generation (a one-element
+#: list every instance on the path shares): each row write through any of
+#: them bumps it, so the emptiness proof's maps notice a sibling's writes.
+_FILE_LOCKS: dict[str, tuple[threading.RLock, int, list[int]]] = {}
 _FILE_LOCKS_GUARD = threading.Lock()
 
 
@@ -113,23 +120,26 @@ def _acquire_lock_for(path: str, instance: Any | None = None) -> threading.RLock
     silently stop serializing the moment a second call site appeared (the
     read pool's lazy init, a subclass hook).  The lock is therefore cached
     on the owning ``instance``: repeated acquisition for one backend
-    returns the same object.  Pinned by ``tests/test_read_pool.py``.
+    returns the same object.  Pinned by ``tests/test_read_pool.py``.  The
+    file's row-write generation is cached beside it, as
+    ``instance._row_writes``.
     """
     if instance is not None:
         cached = getattr(instance, "_acquired_lock", None)
         if cached is not None:
             return cached
     if path == ":memory:":
-        lock = threading.RLock()
+        lock, row_writes = threading.RLock(), [0]
     else:
         resolved = os.path.abspath(path)
         with _FILE_LOCKS_GUARD:
-            lock, refs = _FILE_LOCKS.get(resolved, (None, 0))
+            lock, refs, row_writes = _FILE_LOCKS.get(resolved, (None, 0, [0]))
             if lock is None:
                 lock = threading.RLock()
-            _FILE_LOCKS[resolved] = (lock, refs + 1)
+            _FILE_LOCKS[resolved] = (lock, refs + 1, row_writes)
     if instance is not None:
         instance._acquired_lock = lock
+        instance._row_writes = row_writes
     return lock
 
 
@@ -142,11 +152,11 @@ def _release_lock_for(path: str) -> None:
         entry = _FILE_LOCKS.get(resolved)
         if entry is None:
             return
-        lock, refs = entry
+        lock, refs, row_writes = entry
         if refs <= 1:
             del _FILE_LOCKS[resolved]
         else:
-            _FILE_LOCKS[resolved] = (lock, refs - 1)
+            _FILE_LOCKS[resolved] = (lock, refs - 1, row_writes)
 
 
 class _LockedConnection:
@@ -526,7 +536,6 @@ class SQLiteBackend(StorageBackend):
     name = "sqlite"
     persistent = True
     supports_read_pool = True
-    proves_empty_paths = True
 
     #: Reader connections a file-backed store may hold when none is asked
     #: for explicitly.  Sized for the default server worker count.
@@ -562,7 +571,13 @@ class SQLiteBackend(StorageBackend):
         self._relations: dict[str, SQLiteRelation] = {}
         self._closed = False
         self._lock = _acquire_lock_for(self.path, self)
-        self._fk_maps_lock = self._lock
+        #: ``(row-write generation, maps)`` of the emptiness proof: built by
+        #: :meth:`build_indexes`' scan or on first use, trusted only while
+        #: the file's generation (:data:`_FILE_LOCKS`) is unchanged.
+        self._fk_maps: tuple[int, ForeignKeyMaps] | None = None
+        #: The maps :meth:`build_indexes`' scan is filling (see
+        #: :meth:`_scanned`).
+        self._scan_maps: ForeignKeyMaps | None = None
         try:
             # ``check_same_thread=False`` + the per-file lock: the server
             # shares one backend across its worker threads, with every
@@ -1034,12 +1049,76 @@ class SQLiteBackend(StorageBackend):
                     self._save_persisted_stats()
             self._conn.commit()
             return self.index
-        index = super().build_indexes()  # also collects planner statistics
+        generation = self._row_writes[0]
+        self._scan_maps = maps = ForeignKeyMaps(self.schema)
+        try:
+            index = super().build_indexes()  # also collects planner statistics
+        finally:
+            self._scan_maps = None
+        self._fk_maps = (generation, maps)
         if self.persist_index:
             self._save_persisted_index(index)
             self._save_persisted_stats()
         self._conn.commit()  # durability checkpoint after bulk loading
         return index
+
+    def _scanned(self, table: Table, rows: Sequence[tuple[Any, ...]]) -> None:
+        self._scan_maps.add_rows(table, rows)
+
+    # -- the emptiness proof --------------------------------------------------
+
+    def _fold_mutations(self, events: Iterable[str]) -> None:
+        super()._fold_mutations(events)
+        self._drop_foreign_key_maps()
+
+    def _drop_foreign_key_maps(self) -> None:
+        """After a row write: bump the file's row-write generation, which
+        every instance on the file reads before it trusts its maps."""
+        self._row_writes[0] += 1
+        self._fk_maps = None
+
+    def _foreign_key_maps(self) -> ForeignKeyMaps | None:
+        """The current maps, built from the stored rows on first use.
+
+        The build holds the file lock, which every backend-level write
+        holds too, and maps a write outran while they were built are used
+        by no proof.  Neither the build nor a proof writes to the store.
+        Writes from other processes are not seen (as by the inverted
+        index).
+        """
+        cached = self._fk_maps
+        if cached is not None and cached[0] == self._row_writes[0]:
+            return cached[1]
+        with self._lock:
+            generation = self._row_writes[0]
+            cached = self._fk_maps
+            if cached is not None and cached[0] == generation:
+                return cached[1]
+            maps = ForeignKeyMaps.scan(self)
+            if generation != self._row_writes[0]:
+                return None
+            self._fk_maps = (generation, maps)
+        return maps
+
+    def proves_empty(
+        self,
+        path: Sequence[str],
+        edges: Sequence[ForeignKey],
+        key_filters: dict[int, set[Any]],
+    ) -> bool:
+        """True when the path's resolved key filters provably select nothing.
+
+        Only a path with at least two filtered positions can be proved
+        empty by its joins (see :meth:`ForeignKeyMaps.proves_empty`); one
+        whose selection matched nothing is already ``None`` out of
+        :meth:`resolve_key_filters`.  ``False`` proves nothing.
+        """
+        if len(key_filters) < 2:
+            return False
+        maps = self._foreign_key_maps()
+        return maps is not None and maps.proves_empty(
+            self.schema, path, edges, key_filters
+        )
 
     # -- inverted-index persistence ----------------------------------------
 
@@ -1294,16 +1373,15 @@ class SQLiteBackend(StorageBackend):
         The list is a drained :meth:`_stream_plan` — the same cursor seam
         :meth:`execute_paths_streamed` runs solo plans through.
         """
-        selections = selections or {}
-        self._validate_path(path, edges, selections, limit)
-        if limit == 0:
+        execution = StreamedExecution()
+        resolved, _proved = self._resolve_specs(
+            [(path, edges, selections)], limit, execution
+        )
+        if not resolved:
             return []
-
-        key_filters = self.resolve_key_filters(path, selections)
-        if key_filters is None or self.proves_empty(path, edges, key_filters):
-            return []
+        key_filters = resolved[0][3]
         plan = self._prepare_plan(sqlc.plan_path(path, edges, key_filters, limit))
-        rows = self._stream_plan(plan, StreamedExecution())
+        rows = self._stream_plan(plan, execution)
         try:
             return list(rows)
         finally:
@@ -1341,12 +1419,14 @@ class SQLiteBackend(StorageBackend):
         specs: Sequence[PathSpec],
         limit: int | None,
         execution: StreamedExecution,
-    ) -> list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]]:
-        """``(spec index, path, edges, key filters)`` of every spec that
-        needs planning: each is validated, and one whose selection matched
-        no key is dropped and counted in ``execution.proved_empty`` (no plan,
-        hence no rows and no SQL)."""
-        resolved: list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]] = []
+    ) -> tuple[list[ResolvedSpec], list[ResolvedSpec]]:
+        """``(to plan, proved empty by joins)``: the ``(spec index, path,
+        edges, key filters)`` of every validated spec whose selection
+        matched a key, split by :meth:`proves_empty`.  A spec that matched
+        no key is in neither.  Both kinds of empty spec get no plan, hence
+        no rows and no SQL, and ``execution.proved_empty`` counts them."""
+        resolved: list[ResolvedSpec] = []
+        proved: list[ResolvedSpec] = []
         for index, (path, edges, selections) in enumerate(specs):
             selections = selections or {}
             self._validate_path(path, edges, selections, limit)
@@ -1356,24 +1436,17 @@ class SQLiteBackend(StorageBackend):
             if key_filters is None:
                 execution.proved_empty += 1
                 continue
-            resolved.append((index, path, edges, key_filters))
-        return resolved
-
-    def _plan_specs(
-        self,
-        specs: Sequence[PathSpec],
-        execution: StreamedExecution,
-        limit: int | None,
-    ) -> tuple[list[tuple[int, PathPlan]], list[tuple[int, PathPlan]]]:
-        """Every spec :meth:`_resolve_specs` keeps, planned by
-        :meth:`_plan_resolved` — the join proof is not applied here."""
-        return self._plan_resolved(
-            self._resolve_specs(specs, limit, execution), execution, limit
-        )
+            spec = (index, path, edges, key_filters)
+            if self.proves_empty(path, edges, key_filters):
+                execution.proved_empty += 1
+                proved.append(spec)
+            else:
+                resolved.append(spec)
+        return resolved, proved
 
     def _plan_resolved(
         self,
-        resolved: list[tuple[int, Sequence[str], Sequence[ForeignKey], dict]],
+        resolved: list[ResolvedSpec],
         execution: StreamedExecution,
         limit: int | None,
     ) -> tuple[list[tuple[int, PathPlan]], list[tuple[int, PathPlan]]]:
@@ -1434,13 +1507,7 @@ class SQLiteBackend(StorageBackend):
         Spec order is the stream order.
         """
         execution = StreamedExecution()
-        resolved = []
-        for spec in self._resolve_specs(specs, limit, execution):
-            _index, path, edges, key_filters = spec
-            if self.proves_empty(path, edges, key_filters):
-                execution.proved_empty += 1
-            else:
-                resolved.append(spec)
+        resolved, _proved = self._resolve_specs(specs, limit, execution)
         solo, members = self._plan_resolved(resolved, execution, limit)
         solo_plans = dict(solo)
         member_indexes = {index for index, _plan in members}

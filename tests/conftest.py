@@ -81,6 +81,15 @@ def drain_plan(db, plan) -> list:
         rows.close()
 
 
+def plan_specs(db, specs, execution, limit) -> tuple[list, list]:
+    """``(solo plans, union members)`` a SQL backend plans for ``specs``,
+    with the specs its emptiness proof skips planned too: every spec whose
+    selection matches a key, as the recorded planner digests were taken."""
+    resolved, proved = db._resolve_specs(specs, limit, execution)
+    every = sorted([*resolved, *proved], key=lambda spec: spec[0])
+    return db._plan_resolved(every, execution, limit)
+
+
 @pytest.fixture
 def mini_db() -> Database:
     return build_mini_db()

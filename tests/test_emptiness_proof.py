@@ -1,6 +1,6 @@
 """The emptiness proof of the SQL backends, checked against two oracles.
 
-``StorageBackend.proves_empty`` lets a path whose key filters cannot join
+``SQLiteBackend.proves_empty`` lets a path whose key filters cannot join
 skip SQL altogether, so a wrong proof would silently drop rows.  On
 generated foreign-key schemas — chains of entity tables joined directly,
 through a link table, or on a non-key column; keys and foreign-key values
@@ -13,7 +13,8 @@ both slots filtered the proof is exact, so there "proved empty" must also
 follow from "no row".  Mutation tests pin that ``insert``, ``load`` and
 ``add_table`` drop the maps: after an ``insert`` or ``load`` the path the
 proof skipped is seen again by ``engine.run`` and ``has_results``, and
-after an ``add_table`` the added table's stored rows join.
+after an ``add_table`` the added table's stored rows join.  A write
+through a second backend instance on the same file drops them too.
 """
 
 from __future__ import annotations
@@ -312,9 +313,34 @@ def test_add_table_drops_the_maps_and_its_stored_rows_join(backend, tmp_path):
     db.close()
 
 
+@pytest.mark.parametrize("backend", ["sqlite", "sqlite-sharded"])
+def test_a_sibling_instance_write_makes_a_proved_empty_path_visible(
+    backend, tmp_path
+):
+    """Two backends on one file in one process: the link row the second
+    one inserts reaches the first one's ``has_results`` and ``engine.run``,
+    although the first one's own maps saw no write."""
+    store = tmp_path / "store.sqlite"
+    build_mini_db(backend, db_path=store).close()
+    reader = create_backend(backend, mini_schema(), path=store)
+    reader.build_indexes()
+    writer = create_backend(backend, mini_schema(), path=store)
+    writer.build_indexes()
+    engine = QueryEngine(reader, config=EngineConfig(cache_results=False))
+    path, edges, selections = _path(reader)
+    assert reader.proves_empty(path, edges, reader.resolve_key_filters(path, selections))
+    assert not reader.has_results(path, edges, selections)
+    assert _london_in_2004(engine) == []
+    writer.insert("acts", NEW_LINK)
+    assert reader.has_results(path, edges, selections)
+    assert _london_in_2004(engine)
+    writer.close()
+    reader.close()
+
+
 def test_the_memory_backend_keeps_no_maps_and_proves_nothing():
     db = build_mini_db("memory")
     path, edges, selections = _path(db)
     assert db.execute_path(path, edges, selections) == []
-    assert not db.proves_empty(path, edges, db.resolve_key_filters(path, selections))
-    assert db._fk_maps is None
+    assert not hasattr(db, "proves_empty")
+    assert not hasattr(db, "_fk_maps")

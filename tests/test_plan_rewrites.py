@@ -24,7 +24,7 @@ from repro.db.backends.base import StreamedExecution
 from repro.db.backends.sql import plan_batch
 from repro.engine.context import EngineConfig
 from repro.engine.engine import QueryEngine
-from tests.conftest import build_mini_db, drain_plan
+from tests.conftest import build_mini_db, drain_plan, plan_specs
 
 QUERIES = ["hanks 2001", "london", "hanks", "2001", "stone hill", "summer"]
 
@@ -192,7 +192,7 @@ class TestScatterPositionChoice:
             for interpretation, _p in engine.rank(text):
                 execution = StreamedExecution()
                 spec = interpretation.to_structured_query().path_spec()
-                solo, _members = store._plan_specs([spec], execution, 5000)
+                solo, _members = plan_specs(store, [spec], execution, 5000)
                 for _index, plan in solo:
                     seeds += plan.scatter_position != 0
                     digest.update(repr(plan.path).encode("utf-8"))
@@ -332,25 +332,32 @@ class TestExplainSurface:
         engine.backend.close()
 
     @pytest.mark.parametrize(
-        "backend_name, statements, proved_empty",
-        [("memory", 4, 0), ("sqlite", 0, 4), ("sqlite-sharded", 0, 4)],
+        "backend_name, query_text, statements, proved_empty",
+        [
+            ("memory", "london 2001", 7, 0),
+            ("sqlite", "london 2001", 1, 6),
+            ("sqlite-sharded", "london 2001", 1, 6),
+            ("memory", "hanks 2001", 4, 0),
+            ("sqlite", "hanks 2001", 0, 4),
+            ("sqlite-sharded", "hanks 2001", 0, 4),
+        ],
     )
     def test_no_backend_prints_estimates_or_plan_choices(
-        self, backend_name, statements, proved_empty
+        self, backend_name, query_text, statements, proved_empty
     ):
         """Plans compile in path order with no cost pass, so no backend has
         an estimate or a join-order choice to report; the statement count
-        is the sharded store's and the single file's alike.  On both, every
-        interpretation of "hanks 2001" is proved empty (one matches no key,
-        three cannot join), where the memory backend, which proves nothing,
-        runs all four."""
+        is the sharded store's and the single file's alike.  "london 2001"
+        plans one statement on both SQL backends, so the check sees a real
+        plan there; every interpretation of "hanks 2001" is proved empty on
+        both (one matches no key, three cannot join).  The memory backend,
+        which proves nothing, runs every interpretation."""
         engine = QueryEngine.for_dataset(
             "imdb", backend=backend_name, config=EngineConfig(cache_results=False)
         )
-        context = engine.run("hanks 2001", explain=True)
+        context = engine.run(query_text, explain=True)
         lines = context.explain_lines()
         stats = context.executor_statistics
-        assert stats.interpretations_executed == 4
         assert (stats.sql_statements, stats.proved_empty) == (statements, proved_empty)
         assert stats.sql_statements == stats.interpretations_executed - stats.proved_empty
         assert (

@@ -27,6 +27,7 @@ from repro.datasets.workload import workload_texts
 from repro.db.backends.base import StreamedExecution
 from repro.db.backends.sql import PlanCompiler, ShardedSQLiteDialect, SQLiteDialect
 from repro.engine import EngineConfig, QueryEngine
+from tests.conftest import plan_specs
 
 #: Stored as the key column of each flavour (a rowid alias refuses non-integers).
 KEY_FLAVOURS = {"plain": "", "ints": "INTEGER", "texts": "TEXT"}
@@ -126,7 +127,7 @@ def _workload_plans(db, dataset):
             for interpretation, _p in engine.rank(text)
         ]
         for limit in (5, None):
-            solo, members = db._plan_specs(specs, StreamedExecution(), limit)
+            solo, members = plan_specs(db, specs, StreamedExecution(), limit)
             plans.extend(plan for _index, plan in [*solo, *members])
     return plans
 

@@ -20,7 +20,7 @@ from repro.db.backends.sharded import shard_of_key
 from repro.db.errors import DatabaseError, IntegrityError
 from repro.engine import EngineConfig, QueryEngine, ResultCache
 from repro.db.backends.base import StreamedExecution
-from tests.conftest import build_mini_db, drain_plan, mini_schema
+from tests.conftest import build_mini_db, drain_plan, mini_schema, plan_specs
 
 QUERIES = ["hanks 2001", "london", "hanks", "2001", "stone hill", "summer"]
 
@@ -52,8 +52,9 @@ def _streamed(db, specs, pulls):
 
 
 def _prepared_plans(db, specs, limit):
-    """``(solo plans, union members)`` exactly as execution would plan them."""
-    return db._plan_specs(specs, StreamedExecution(), limit)
+    """``(solo plans, union members)`` as execution would plan them, with
+    the specs the emptiness proof skips planned too."""
+    return plan_specs(db, specs, StreamedExecution(), limit)
 
 
 class TestShardedRelations:
@@ -466,7 +467,9 @@ class TestShardedEngineParity:
     def test_one_statement_per_executed_interpretation(self):
         """One statement per executed interpretation that is not proved
         empty (a proved-empty one costs none), where the memory reference,
-        which proves nothing, pays exactly one each."""
+        which proves nothing, pays exactly one each.  "london 2001" still
+        runs a statement, so its seed slot is a real plan's; every
+        interpretation of "hanks 2001" is proved empty."""
         engine = QueryEngine.for_dataset(
             "imdb",
             backend="sqlite-sharded",
@@ -476,19 +479,26 @@ class TestShardedEngineParity:
         reference = QueryEngine.for_dataset(
             "imdb", backend="memory", config=EngineConfig(cache_results=False)
         )
-        stats = engine.run("hanks 2001", k=5).executor_statistics
-        sequential = reference.run("hanks 2001", k=5).executor_statistics
-        assert stats.interpretations_executed >= 3
-        assert stats.sql_statements == (
-            stats.interpretations_executed - stats.proved_empty
-        )
-        assert stats.proved_empty == 4  # no interpretation of it can join
-        # One seed-slot line per planned interpretation, none for more.
-        assert len(stats.scatter_slots) == stats.sql_statements
-        assert set(stats.scatter_slots) <= set(stats.attribution)
-        assert sequential.sql_statements == sequential.interpretations_executed
-        assert sequential.proved_empty == 0
-        assert stats.interpretations_executed == sequential.interpretations_executed
+        for query_text, statements, proved_empty in (
+            ("london 2001", 1, 6),
+            ("hanks 2001", 0, 4),
+        ):
+            stats = engine.run(query_text, k=5).executor_statistics
+            sequential = reference.run(query_text, k=5).executor_statistics
+            assert (stats.sql_statements, stats.proved_empty) == (
+                statements,
+                proved_empty,
+            ), query_text
+            assert stats.sql_statements == (
+                stats.interpretations_executed - stats.proved_empty
+            )
+            # One seed-slot line per planned interpretation, none for more.
+            assert len(stats.scatter_slots) == stats.sql_statements
+            assert set(stats.scatter_slots) <= set(stats.attribution)
+            assert sequential.sql_statements == sequential.interpretations_executed
+            assert sequential.proved_empty == 0
+            assert stats.interpretations_executed == sequential.interpretations_executed
+        engine.backend.close()
 
     def test_executes_exactly_the_sequential_interpretations(self):
         """The bound is checked before every interpretation, so the sharded
