@@ -26,7 +26,8 @@ And one check that a documented interface still exists:
 6. Every member named in the first column of the tables under
    ``## The contract`` in ``docs/architecture.md`` exists on
    ``StorageBackend`` or ``RelationView`` (``cached_result_get/put`` names
-   ``cached_result_get`` and ``cached_result_put``).
+   ``cached_result_get`` and ``cached_result_put``), and the rows tagged
+   *(abstract)* name exactly ``StorageBackend.__abstractmethods__``.
 
 Run as ``PYTHONPATH=src python scripts/lint_docs.py`` (CI runs it on every
 push, so the docs cannot drift from the code).
@@ -173,24 +174,33 @@ def check_http_route_coverage(http_doc_text: str, errors: list[str]) -> None:
             )
 
 
-def contract_members(architecture_text: str) -> list[str]:
-    """Member names in the first column of the contract tables, in order,
-    with ``prefix_a/b/c`` spelled out and argument lists dropped."""
+def contract_rows(architecture_text: str) -> list[tuple[list[str], str]]:
+    """``(member names, contract cell)`` of every contract table row, in
+    order, with ``prefix_a/b/c`` spelled out and argument lists dropped."""
     section = CONTRACT_RE.search(architecture_text)
-    names: list[str] = []
+    rows: list[tuple[list[str], str]] = []
     for line in section.group(1).splitlines() if section else []:
         cells = line.split("|")
         if not line.startswith("|") or len(cells) < 3:
             continue
+        names: list[str] = []
         for code in INLINE_CODE_RE.findall(cells[1]):
             first, *rest = code.split("(", 1)[0].strip().split("/")
             prefix = first.rsplit("_", 1)[0] + "_" if "_" in first else ""
             names += [first, *(prefix + suffix for suffix in rest)]
-    return names
+        rows.append((names, cells[2]))
+    return rows
+
+
+def contract_members(architecture_text: str) -> list[str]:
+    """Member names in the first column of the contract tables, in order."""
+    rows = contract_rows(architecture_text)
+    return [name for names, _contract in rows for name in names]
 
 
 def check_contract_members(architecture_text: str, errors: list[str]) -> None:
-    """Every member the contract tables name must exist on the interface."""
+    """Every member the contract tables name must exist on the interface,
+    and the *(abstract)* tags must name exactly the abstract methods."""
     from repro.db.backends.base import RelationView, StorageBackend
 
     for name in contract_members(architecture_text):
@@ -198,6 +208,21 @@ def check_contract_members(architecture_text: str, errors: list[str]) -> None:
             errors.append(
                 f"docs/architecture.md: the contract names a missing member: {name}"
             )
+    tagged = {
+        name
+        for names, contract in contract_rows(architecture_text)
+        if contract.strip().startswith("*(abstract)*")
+        for name in names
+    }
+    abstract = set(StorageBackend.__abstractmethods__)
+    for name in sorted(abstract - tagged):
+        errors.append(
+            f"docs/architecture.md: abstract member without an *(abstract)* tag: {name}"
+        )
+    for name in sorted(tagged - abstract):
+        errors.append(
+            f"docs/architecture.md: *(abstract)* tag on a concrete member: {name}"
+        )
 
 
 def main() -> int:

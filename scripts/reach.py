@@ -12,7 +12,9 @@ repository is pointed at:
 * every ``examples/*.py``;
 * the one-shot ``repro`` transcripts of README.md and docs/cli.md
   (``search`` ×6, ``construct``, ``diversify`` ×2, ``stats`` ×3,
-  ``report --chapter 3/4/5/6``) and one stdio ``serve`` exchange.
+  ``report --chapter 3/4/5/6``), one stdio ``serve`` exchange and one
+  HTTP exchange (``GET /healthz``, ``POST /query``, ``GET /stats``) with an
+  in-process server on a free localhost port.
 
 Then it compiles every module under ``src/repro`` and prints, per module,
 the functions (``def`` and ``lambda``) no entry point entered, with their
@@ -23,15 +25,17 @@ deletion only if no test of behaviour that stays needs it and the thesis
 does not name it.  The serving set (``repro.net``, ``repro.server``,
 ``repro.engine``, ``repro.db.backends`` under concurrent TCP/HTTP load) is
 measured by ``benchmarks/layered/``, whose tracer enters it far more
-thoroughly than the one stdio exchange here does.
+thoroughly than the two exchanges here do.
 """
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import inspect
 import io
 import os
+import re
 import runpy
 import sys
 import tempfile
@@ -96,6 +100,40 @@ def _serve_stdio() -> None:
         main(["serve", "--dataset", "imdb"])
 
 
+def _serve_http() -> None:
+    from repro.net.http import HTTPQueryServer, encode_query_request
+    from repro.net.listener import TCPQueryServer, TCPServerConfig
+    from repro.server import QueryServer
+
+    requests = [
+        b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+        encode_query_request("london", dataset="imdb", k=3),
+        b"GET /stats HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    ]
+
+    async def exchange() -> None:
+        with QueryServer(max_workers=1) as pool:
+            core = TCPQueryServer(pool, TCPServerConfig(port=None))
+            await core.start()
+            front = HTTPQueryServer(core)
+            await front.start(port=0)
+            reader, writer = await asyncio.open_connection(*front.address)
+            try:
+                for raw in requests:
+                    writer.write(raw)
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    if not head.startswith(b"HTTP/1.1 200 "):
+                        raise RuntimeError(head.decode("ascii"))
+                    length = re.search(rb"Content-Length: (\d+)", head)
+                    await reader.readexactly(int(length.group(1)))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await core.drain()
+
+    asyncio.run(exchange())
+
+
 def entry_points(tmp: str):
     """``(label, run)`` for every probed entry point."""
     def run_all():
@@ -118,6 +156,7 @@ def entry_points(tmp: str):
 
         yield "repro " + " ".join(argv[:4]), transcript
     yield "repro serve (stdio)", _serve_stdio
+    yield "repro serve (http)", _serve_http
 
 
 def probe() -> set[tuple[str, int, str]]:

@@ -82,11 +82,6 @@ class StructuredQuery:
             self.template.path, self.template.edges, self._db_selections()
         )
 
-    def count(self, database: "StorageBackend") -> int:
-        return database.count_path(
-            self.template.path, self.template.edges, self._db_selections()
-        )
-
     def result_keys(
         self, database: "StorageBackend", limit: int | None = None
     ) -> set[tuple[str, Any]]:

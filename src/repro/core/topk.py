@@ -48,10 +48,10 @@ class TopKStatistics:
     and shows up in ``cache_hits`` instead.  ``sql_statements`` counts the
     physical statements those executions needed, as reported by the backend,
     and ``proved_empty`` the executions the backend proved empty before
-    planning them: on the SQL backends — a sharded store too — every
-    executed interpretation is exactly one of the two, so ``sql_statements
-    == interpretations_executed - proved_empty``; the memory backend proves
-    nothing and counts one statement per execution.
+    planning them: on every backend every executed interpretation is
+    exactly one of the two, so ``sql_statements == interpretations_executed
+    - proved_empty``.  A selection matching no key is proved empty
+    everywhere; only the SQL backends also prove joins empty.
     """
 
     interpretations_executed: int = 0

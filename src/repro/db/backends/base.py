@@ -13,12 +13,16 @@ implicitly programmed against when there was only the in-memory engine:
   candidate network corresponds to (Section 2.2.6) — with an optional LIMIT
   for top-k early termination.
 
-Backends differ only in *where rows live and who executes the joins*:
+A join path enters a backend one way: this class validates it, resolves its
+keyword selections to primary-key sets over the inverted index, drops it when
+:meth:`StorageBackend.proves_empty` (or a selection matching no key) shows it
+has no row, and plans it once as a :class:`~repro.db.backends.sql.PathPlan`.
+Backends differ only in *where rows live and how a plan is streamed*:
 :class:`~repro.db.backends.memory.MemoryBackend` keeps dict-backed relations
-and runs nested-loop joins in Python; :class:`~repro.db.backends.sqlite.
-SQLiteBackend` persists rows to a SQLite file and pushes joins, selections
-and LIMIT down to SQL.  Everything above this interface is backend-agnostic,
-so adding e.g. a Postgres backend is a one-file job (see
+and walks the plan's key sets with nested-loop joins in Python;
+:class:`~repro.db.backends.sqlite.SQLiteBackend` persists rows to a SQLite
+file and compiles the plan to one statement.  Everything above this interface
+is backend-agnostic, so adding e.g. a Postgres backend is a one-file job (see
 ``docs/architecture.md``).
 """
 
@@ -40,6 +44,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.db.backends.sql import PathPlan, edge_attrs, plan_path
 from repro.db.errors import UnknownTableError
 from repro.db.index import InvertedIndex
 from repro.db.schema import ForeignKey, Schema, Table
@@ -60,30 +65,17 @@ PathSpec = tuple[
     Sequence[str], Sequence["ForeignKey"], "SelectionsByPosition | None"
 ]
 
+#: A validated :data:`PathSpec` with its selections resolved to primary-key
+#: sets: ``(spec index, path, edges, key filters)``.
+ResolvedSpec = tuple[int, Sequence[str], Sequence[ForeignKey], dict[int, set[Any]]]
+
 
 @dataclass
 class BatchedExecution:
-    """The outcome of one :meth:`StorageBackend.execute_paths_batched` call.
-
-    A fully drained :class:`StreamedExecution`: ``rows[i]`` are the result
-    networks of ``specs[i]`` — identical to what a plain
-    ``execute_path(*specs[i], limit=limit)`` call returns — and every other
-    field is the stream's, read after the drain.
-    ``statements`` counts the physical query statements the backend issued to
-    serve the whole batch: a backend with real batching support serves many
-    specs per statement, the generic fallback issues one per spec.
-    ``batched_indexes`` names the spec positions that shared one statement —
-    introspection for tests and tooling into how the backend split the batch
-    (empty when no statement was shared).  ``fallbacks`` maps the spec
-    positions that *could not* share the statement to a human-readable
-    reason (e.g. the UNION ALL parameter budget overflowed) — surfaced by
-    the engine's ``--explain``.  ``shard_rows`` attributes returned rows to
-    the storage shard their seed-slot tuple is stored in (empty on unsharded
-    backends).  ``scatter_slots`` names the join slot each spec's statement
-    seeds its semi-join chain at (sharding backends with a seed-slot
-    chooser; empty elsewhere).  ``proved_empty`` counts the specs the
-    backend proved empty before planning them (no plan, no statement; see
-    :class:`ForeignKeyMaps`).
+    """The outcome of one :meth:`StorageBackend.execute_paths_batched` call:
+    a drained :class:`StreamedExecution`.  ``rows[i]`` are the networks of
+    ``specs[i]``, as ``execute_path(*specs[i], limit=limit)`` returns them;
+    every other field is the stream's, read after the drain.
     """
 
     rows: list[list[tuple[Tuple, ...]]]
@@ -141,16 +133,21 @@ class StreamedExecution:
     """The outcome of one :meth:`StorageBackend.execute_paths_streamed` call.
 
     The rows sit behind a :class:`RowStream` cursor (assigned by the backend
-    once its generator exists).  The bookkeeping fields fill in
-    *lazily* as the stream executes and is consumed — ``statements`` counts
-    only statements whose cursors were actually opened (an unconsumed stream
-    costs none), ``shard_rows`` attributes only delivered rows, and
-    ``rows_short_circuited`` counts rows the backend had already produced
-    (materialized by a fallback, or prefetched into a cursor chunk) when the
-    consumer closed the stream — so read them after the stream is exhausted
-    or closed, not before.  ``proved_empty`` is settled when the call
-    returns: the specs that will get no statement because their result is
-    provably empty.
+    once its generator exists).  The bookkeeping fields fill in *lazily* as
+    the stream executes and is consumed, so read them after the stream is
+    exhausted or closed: ``statements`` counts the physical statements whose
+    cursors actually opened (an unconsumed stream costs none; SQLite serves
+    many specs per ``UNION ALL`` statement, the base stream one per plan),
+    ``shard_rows`` attributes delivered rows to the shard their seed-slot
+    tuple is stored in (sharded backends only), and ``rows_short_circuited``
+    counts rows the backend had produced (joined by the memory backend, or
+    prefetched into a cursor chunk) when the consumer closed the stream.
+    The rest is settled when the call returns: ``batched_indexes`` names the
+    specs that share one statement, ``fallbacks`` maps the specs that could
+    not to a reason ``--explain`` prints, ``scatter_slots`` names the join
+    slot each spec's statement seeds its semi-join chain at (sharded only),
+    and ``proved_empty`` counts the specs that get no statement because
+    their result is provably empty.
     """
 
     stream: RowStream = field(default_factory=lambda: RowStream(iter(())))
@@ -263,7 +260,7 @@ class ForeignKeyMaps:
         """The keys of ``next_table`` that join one of ``keys`` of
         ``table_name`` over ``edge`` — a superset of them where a value
         dangles (it stays in the set); ``None`` where a column is unmapped."""
-        bound, probe = StorageBackend._edge_attrs(edge, table_name, next_table)
+        bound, probe = edge_attrs(edge, table_name, next_table)
         values = keys
         if bound != schema.table(table_name).primary_key:
             by_key = self.values.get((table_name, bound))
@@ -345,8 +342,9 @@ class RelationView(Protocol):
 class StorageBackend(abc.ABC):
     """Abstract base of every storage engine.
 
-    Subclasses implement row storage (:meth:`relation`, :meth:`insert`,
-    :meth:`add_table`) and join execution (:meth:`execute_path`); selection,
+    Subclasses implement row storage (:meth:`relation`,
+    :meth:`_create_storage`) and the execution of one planned join path
+    (:meth:`_stream_plan`); validation, selection resolution, planning,
     statistics and the derived conveniences are shared here so all backends
     agree on semantics by construction.
     """
@@ -403,31 +401,19 @@ class StorageBackend(abc.ABC):
         """Create (or attach to) the storage of one table."""
 
     @abc.abstractmethod
-    def execute_path(
-        self,
-        path: Sequence[str],
-        edges: Sequence[ForeignKey],
-        selections: SelectionsByPosition | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[Tuple, ...]]:
-        """Execute a join path and return joining networks of tuples.
+    def _stream_plan(
+        self, plan: PathPlan, execution: "StreamedExecution"
+    ) -> Iterator[tuple[Tuple, ...]]:
+        """Execute one plan: a closable iterator of its networks.
 
-        Parameters
-        ----------
-        path:
-            Table names, in join order.  ``len(path) == len(edges) + 1``.
-        edges:
-            ``edges[i]`` is the foreign key joining ``path[i]`` and
-            ``path[i+1]`` (in either direction).
-        selections:
-            Optional keyword selections per path position.
-        limit:
-            Stop once this many result rows are produced (top-k early
-            termination, Section 2.2.5).
-
-        Returns
-        -------
-        A list of tuples of :class:`Tuple`, aligned with ``path``.
+        Rows come out in the order every backend shares (the seed slot's
+        rows in insertion order, or by key ``repr`` when it has a key set;
+        every join probe's matches by key ``repr``; see
+        :meth:`~repro.db.backends.sql.PlanCompiler.order_terms`), kept to
+        every key set of the plan, inline or post, and cut at
+        ``plan.limit``.  Nothing runs before the first pull; the backend
+        adds its statements to ``execution.statements`` and the rows it
+        produced but never delivered to ``execution.rows_short_circuited``.
         """
 
     def insert(self, table_name: str, row: dict[str, Any]) -> Tuple:
@@ -684,14 +670,6 @@ class StorageBackend(abc.ABC):
 
     # -- selection (shared) --------------------------------------------------
 
-    def select(self, table_name: str, selections: Sequence[Selection]) -> list[Tuple]:
-        """Tuples of one table satisfying *all* keyword containments."""
-        relation = self.relation(table_name)
-        if not selections:
-            return list(relation)
-        keys = self.selection_keys(table_name, selections)
-        return [t for t in (relation.get(k) for k in sorted(keys, key=repr)) if t is not None]
-
     def selection_keys(
         self, table_name: str, selections: Sequence[Selection]
     ) -> set[Any]:
@@ -762,16 +740,11 @@ class StorageBackend(abc.ABC):
         selections: SelectionsByPosition | None = None,
         limit: int | None = None,
     ):
-        """The :class:`~repro.db.backends.sql.PathPlan` one ``execute_path``
-        call would run under, *without executing anything*.
-
-        ``None`` means the result is provably empty (a selection matched no
-        keys).  Planning only needs the schema and the inverted index, so it
-        works on every backend.  Raises like :meth:`execute_path` on invalid
-        specs.
+        """The :class:`~repro.db.backends.sql.PathPlan` of one spec, *without
+        executing anything*; ``None`` when a selection matched no key
+        (:meth:`proves_empty` is not consulted).  Raises like
+        :meth:`execute_path` on invalid specs.
         """
-        from repro.db.backends.sql import plan_path
-
         selections = selections or {}
         self._validate_path(path, edges, selections, limit)
         key_filters = self.resolve_key_filters(path, selections)
@@ -779,18 +752,45 @@ class StorageBackend(abc.ABC):
             return None
         return plan_path(path, edges, key_filters, limit)
 
-    @staticmethod
-    def _edge_attrs(
-        edge: ForeignKey, current_table: str, next_table: str
-    ) -> tuple[str, str]:
-        """``(bound attr on current, probe attr on next)`` for one join hop."""
-        if edge.source == current_table and edge.target == next_table:
-            return edge.source_attr, edge.target_attr
-        if edge.source == next_table and edge.target == current_table:
-            return edge.target_attr, edge.source_attr
-        raise ValueError(
-            f"foreign key {edge} does not connect {current_table!r} and {next_table!r}"
-        )
+    def proves_empty(
+        self,
+        path: Sequence[str],
+        edges: Sequence[ForeignKey],
+        key_filters: dict[int, set[Any]],
+    ) -> bool:
+        """True when the resolved key filters provably join nothing.  The
+        base class proves nothing; the SQLite backends read their
+        :class:`ForeignKeyMaps`."""
+        return False
+
+    def _resolve_specs(
+        self,
+        specs: Sequence[PathSpec],
+        limit: int | None,
+        execution: "StreamedExecution",
+    ) -> tuple[list[ResolvedSpec], list[ResolvedSpec]]:
+        """``(to plan, proved empty)``: every validated spec whose selections
+        matched a key, resolved and split by :meth:`proves_empty`.  A spec
+        that matched no key is in neither list, nor is any under ``limit ==
+        0``; ``execution.proved_empty`` counts both kinds of empty spec."""
+        resolved: list[ResolvedSpec] = []
+        proved: list[ResolvedSpec] = []
+        for index, (path, edges, selections) in enumerate(specs):
+            selections = selections or {}
+            self._validate_path(path, edges, selections, limit)
+            if limit == 0:
+                continue
+            key_filters = self.resolve_key_filters(path, selections)
+            if key_filters is None:
+                execution.proved_empty += 1
+                continue
+            spec = (index, path, edges, key_filters)
+            if self.proves_empty(path, edges, key_filters):
+                execution.proved_empty += 1
+                proved.append(spec)
+            else:
+                resolved.append(spec)
+        return resolved, proved
 
     def execute_paths_streamed(
         self,
@@ -800,36 +800,30 @@ class StorageBackend(abc.ABC):
         """Execute several join paths as one :class:`RowStream` cursor.
 
         The single primitive through which rows leave a backend: pairs
-        stream in ascending spec order, rows within a spec identical
-        (content, order, truncation) to ``execute_path(*spec, limit=limit)``,
-        and ``limit`` applies *per spec*.  This generic fallback runs
-        :meth:`execute_path` lazily, **one spec per pull**: nothing executes
-        until the first row is wanted, and a spec the consumer never reaches
-        is never executed — a single-spec stream is exactly one sequential
-        ``execute_path`` call.  Rows of a started spec the consumer left
-        behind count as ``rows_short_circuited``.  Backends with real
-        cursors (SQLite) override this to batch specs per statement and
-        never materialize at all.
+        stream in ascending spec order, and ``limit`` applies *per spec*.
+        Every spec is validated, resolved (:meth:`_resolve_specs`) and
+        planned once before the call returns; a provably empty spec gets no
+        plan.  Nothing executes until the first row is wanted: each plan
+        goes through :meth:`_stream_plan` when the consumer reaches its
+        spec, so a spec the consumer never reaches is never executed.  The
+        SQLite backends override this to serve many specs through one
+        ``UNION ALL`` statement.
         """
-        specs = list(specs)
         execution = StreamedExecution()
+        resolved, _proved = self._resolve_specs(specs, limit, execution)
+        plans = [
+            (index, plan_path(path, edges, key_filters, limit))
+            for index, path, edges, key_filters in resolved
+        ]
 
         def generate() -> Iterator[tuple[int, tuple[Tuple, ...]]]:
-            produced = delivered = 0
-            try:
-                for index, (path, edges, selections) in enumerate(specs):
-                    rows = self.execute_path(path, edges, selections, limit=limit)
-                    execution.statements += 1
-                    produced += len(rows)
+            for index, plan in plans:
+                rows = self._stream_plan(plan, execution)
+                try:
                     for network in rows:
-                        # Count *before* yielding: a consumer that takes this
-                        # row and then closes leaves the generator suspended
-                        # at the yield, so a post-yield increment would book
-                        # the last delivered row as short-circuited.
-                        delivered += 1
                         yield index, network
-            finally:
-                execution.rows_short_circuited += produced - delivered
+                finally:
+                    rows.close()
 
         execution.stream = RowStream(generate())
         return execution
@@ -863,14 +857,18 @@ class StorageBackend(abc.ABC):
             },
         )
 
-    def count_path(
+    def execute_path(
         self,
         path: Sequence[str],
         edges: Sequence[ForeignKey],
         selections: SelectionsByPosition | None = None,
-    ) -> int:
-        """Number of result rows of a join path."""
-        return len(self.execute_path(path, edges, selections))
+        limit: int | None = None,
+    ) -> list[tuple[Tuple, ...]]:
+        """The networks of one join path: tuples of :class:`Tuple` aligned
+        with ``path``, ``edges[i]`` joining ``path[i]`` and ``path[i+1]``
+        (either direction), cut at ``limit`` (top-k early termination,
+        Section 2.2.5).  A drained one-spec :meth:`execute_paths_streamed`."""
+        return self.execute_paths_batched([(path, edges, selections)], limit).rows[0]
 
     def has_results(
         self,

@@ -8,11 +8,12 @@ reference every other backend is tested against.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Iterator
 
-from repro.db.backends.base import SelectionsByPosition, StorageBackend
+from repro.db.backends.base import StorageBackend, StreamedExecution
+from repro.db.backends.sql import PathPlan, edge_attrs
 from repro.db.errors import UnknownTableError
-from repro.db.schema import ForeignKey, Schema, Table
+from repro.db.schema import Schema, Table
 from repro.db.table import Relation, Tuple
 from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 
@@ -44,53 +45,68 @@ class MemoryBackend(StorageBackend):
 
     # -- join-path execution ---------------------------------------------------
 
-    def execute_path(
-        self,
-        path: Sequence[str],
-        edges: Sequence[ForeignKey],
-        selections: SelectionsByPosition | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[Tuple, ...]]:
-        """Nested-loop execution of a join path (see the base-class contract)."""
-        selections = selections or {}
-        self._validate_path(path, edges, selections, limit)
+    def _stream_plan(
+        self, plan: PathPlan, execution: StreamedExecution
+    ) -> Iterator[tuple[Tuple, ...]]:
+        """Nested-loop execution of one plan (see the base-class contract).
 
-        base = self.select(path[0], list(selections.get(0, ())))
-        partials: list[tuple[Tuple, ...]] = [(t,) for t in base]
-        for position in range(1, len(path)):
+        The seed slot's rows come in its key set's ``repr`` order (an inline
+        set is already in it), else in insertion order; each further slot is
+        one :meth:`_extend` kept to its key set.  The join runs whole at the
+        first pull, so rows an early close cuts off count as short-circuited.
+        """
+        execution.statements += 1
+        inline = dict(plan.inline_filters)
+        key_sets = dict(plan.post_filters)
+        seed = inline.pop(0, None) or sorted(key_sets.pop(0, ()), key=repr) or None
+        key_sets.update((slot, frozenset(keys)) for slot, keys in inline.items())
+        relation = self.relation(plan.path[0])
+        rows = relation if seed is None else filter(None, map(relation.get, seed))
+        partials = [(t,) for t in rows]
+        for slot in range(1, len(plan.path)):
             if not partials:
-                return []
-            edge = edges[position - 1]
-            next_table = path[position]
-            allowed_keys: set[Any] | None = None
-            position_selections = list(selections.get(position, ()))
-            if position_selections:
-                allowed_keys = self.selection_keys(next_table, position_selections)
-                if not allowed_keys:
-                    return []
-            partials = self._extend(partials, path[position - 1], next_table, edge, allowed_keys)
-        if limit is not None:
-            return partials[:limit]
-        return partials
+                break
+            partials = self._extend(partials, plan, slot, key_sets.get(slot))
+        partials = partials[: plan.limit]
+        delivered = 0
+        try:
+            for network in partials:
+                delivered += 1  # before the yield: a close lands there
+                yield network
+        finally:
+            execution.rows_short_circuited += len(partials) - delivered
 
     def _extend(
         self,
         partials: list[tuple[Tuple, ...]],
-        current_table: str,
-        next_table: str,
-        edge: ForeignKey,
-        allowed_keys: set[Any] | None,
+        plan: PathPlan,
+        slot: int,
+        keys: frozenset | None,
     ) -> list[tuple[Tuple, ...]]:
-        """Join each partial result with matching tuples of ``next_table``."""
-        relation = self.relation(next_table)
-        bound_attr, probe_attr = self._edge_attrs(edge, current_table, next_table)
+        """Join each partial result (there is at least one) with the
+        matching tuples of ``plan.path[slot]``, kept to ``keys`` when given,
+        in :meth:`Relation.lookup` order."""
+        edge = plan.edges[slot - 1]
+        bound_attr, probe_attr = edge_attrs(edge, *plan.path[slot - 1 : slot + 1])
+        relation = self.relation(plan.path[slot])
+        # Every partial ends in a row of one table: one shared layout.
+        column = partials[0][-1].layout.get(bound_attr)
+        if column is None:
+            return []
         results: list[tuple[Tuple, ...]] = []
+        if probe_attr == relation.table.primary_key:
+            get = relation.get  # at most one match: skip lookup's list
+            for partial in partials:
+                match = get(partial[-1].values[column])
+                if match is not None and (keys is None or match.key in keys):
+                    results.append(partial + (match,))
+            return results
+        lookup = relation.lookup
         for partial in partials:
-            bound_value = partial[-1].get(bound_attr)
+            bound_value = partial[-1].values[column]
             if bound_value is None:
                 continue
-            for match in relation.lookup(probe_attr, bound_value):
-                if allowed_keys is not None and match.key not in allowed_keys:
-                    continue
-                results.append(partial + (match,))
+            for match in lookup(probe_attr, bound_value):
+                if keys is None or match.key in keys:
+                    results.append(partial + (match,))
         return results

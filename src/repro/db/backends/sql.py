@@ -496,7 +496,7 @@ class PlanCompiler:
             sources = [dialect.table_source(name) for name in plan.path]
         lines = [f"FROM {sources[0]} AS t0"]
         for slot in range(1, len(plan.path)):
-            bound_attr, probe_attr = _edge_attrs(
+            bound_attr, probe_attr = edge_attrs(
                 plan.edges[slot - 1], plan.path[slot - 1], plan.path[slot]
             )
             lines.append(
@@ -539,7 +539,7 @@ class PlanCompiler:
             predicates: list[str] = []
             if slot != seed:
                 anchor = slot - 1 if slot > seed else slot + 1
-                bound_attr, probe_attr = _edge_attrs(
+                bound_attr, probe_attr = edge_attrs(
                     plan.edges[min(slot, anchor)], plan.path[anchor], table_name
                 )
                 predicates.append(
@@ -737,7 +737,7 @@ class PlanCompiler:
         return CompiledStatement(statement, tuple(params))
 
 
-def _edge_attrs(
+def edge_attrs(
     edge: ForeignKey, current_table: str, next_table: str
 ) -> tuple[str, str]:
     """``(bound attr on current, probe attr on next)`` for one join hop."""

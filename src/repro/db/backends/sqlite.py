@@ -62,8 +62,8 @@ from repro.db.backends.base import (
     ForeignKeyMaps,
     LoadRow,
     PathSpec,
+    ResolvedSpec,
     RowStream,
-    SelectionsByPosition,
     StorageBackend,
     StreamedExecution,
     normalize_value,
@@ -86,10 +86,6 @@ from repro.db.index import InvertedIndex
 from repro.db.schema import ForeignKey, Schema, Table
 from repro.db.table import Tuple, column_layout
 from repro.db.tokenizer import DEFAULT_TOKENIZER, Tokenizer
-
-#: ``(spec index, path, edges, key filters)``: a spec whose selections
-#: resolved to primary-key sets, ready for planning.
-ResolvedSpec = tuple[int, Sequence[str], Sequence[ForeignKey], dict[int, set[Any]]]
 
 #: One serialization lock per database *file*, shared by every backend
 #: instance (and hence every engine) opened on that file in this process.
@@ -1357,36 +1353,6 @@ class SQLiteBackend(StorageBackend):
 
     # -- join-path execution ---------------------------------------------------
 
-    def execute_path(
-        self,
-        path: Sequence[str],
-        edges: Sequence[ForeignKey],
-        selections: SelectionsByPosition | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[Tuple, ...]]:
-        """SQL pushdown execution of a join path (see the base-class contract).
-
-        The whole candidate network becomes one SELECT: FK joins run inside
-        SQLite, keyword selections become primary-key IN-predicates resolved
-        through the inverted index, and ``limit`` becomes SQL ``LIMIT``.  A
-        path :meth:`proves_empty` proves empty runs no statement at all.
-        The list is a drained :meth:`_stream_plan` — the same cursor seam
-        :meth:`execute_paths_streamed` runs solo plans through.
-        """
-        execution = StreamedExecution()
-        resolved, _proved = self._resolve_specs(
-            [(path, edges, selections)], limit, execution
-        )
-        if not resolved:
-            return []
-        key_filters = resolved[0][3]
-        plan = self._prepare_plan(sqlc.plan_path(path, edges, key_filters, limit))
-        rows = self._stream_plan(plan, execution)
-        try:
-            return list(rows)
-        finally:
-            rows.close()  # the read lease and cursor go back in this thread
-
     def _prepare_plan(self, plan: PathPlan) -> PathPlan:
         """Backend-physical plan adjustments before compilation: none on a
         single file, where the plan compiles in path order and SQLite's
@@ -1413,36 +1379,6 @@ class SQLiteBackend(StorageBackend):
         return tuple(network)
 
     # -- join-path execution: the row stream --------------------------------
-
-    def _resolve_specs(
-        self,
-        specs: Sequence[PathSpec],
-        limit: int | None,
-        execution: StreamedExecution,
-    ) -> tuple[list[ResolvedSpec], list[ResolvedSpec]]:
-        """``(to plan, proved empty by joins)``: the ``(spec index, path,
-        edges, key filters)`` of every validated spec whose selection
-        matched a key, split by :meth:`proves_empty`.  A spec that matched
-        no key is in neither.  Both kinds of empty spec get no plan, hence
-        no rows and no SQL, and ``execution.proved_empty`` counts them."""
-        resolved: list[ResolvedSpec] = []
-        proved: list[ResolvedSpec] = []
-        for index, (path, edges, selections) in enumerate(specs):
-            selections = selections or {}
-            self._validate_path(path, edges, selections, limit)
-            if limit == 0:
-                continue
-            key_filters = self.resolve_key_filters(path, selections)
-            if key_filters is None:
-                execution.proved_empty += 1
-                continue
-            spec = (index, path, edges, key_filters)
-            if self.proves_empty(path, edges, key_filters):
-                execution.proved_empty += 1
-                proved.append(spec)
-            else:
-                resolved.append(spec)
-        return resolved, proved
 
     def _plan_resolved(
         self,

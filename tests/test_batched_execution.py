@@ -220,8 +220,9 @@ class TestEnginePipelineParity:
         assert sum(stats.attribution.values()) == stats.rows_materialized
 
     def test_memory_engine_executes_one_spec_per_stream(self):
-        """The memory backend: one ``execute_path``, one statement per
-        executed interpretation — and no planner call."""
+        """The memory backend: one plan, one statement per executed
+        interpretation it cannot prove empty — and no ``plan_path_spec``
+        call."""
         engine = QueryEngine.for_dataset(
             "imdb", backend="memory", config=EngineConfig(cache_results=False)
         )
@@ -229,7 +230,8 @@ class TestEnginePipelineParity:
         engine.backend.plan_path_spec = lambda *a, **kw: planned.append(a)
         context = engine.run("hanks 2001", k=5)
         stats = context.executor_statistics
-        assert stats.sql_statements == stats.interpretations_executed > 1
+        assert stats.proved_empty == 1  # no 2001 movie has "hanks" in its plot
+        assert stats.sql_statements == stats.interpretations_executed - 1 > 1
         assert stats.rows_short_circuited == 0
         assert planned == []
 

@@ -35,22 +35,24 @@ class TestBasics:
 
 class TestSelect:
     def test_select_single_term(self, mini_db):
-        rows = mini_db.select("actor", [("name", ("hanks",))])
-        assert {t.key for t in rows} == {1, 2}
+        assert mini_db.selection_keys("actor", [("name", ("hanks",))]) == {1, 2}
 
     def test_select_conjunctive_terms(self, mini_db):
-        rows = mini_db.select("actor", [("name", ("tom", "hanks"))])
-        assert {t.key for t in rows} == {1}
+        assert mini_db.selection_keys("actor", [("name", ("tom", "hanks"))]) == {1}
 
     def test_select_no_match(self, mini_db):
-        assert mini_db.select("actor", [("name", ("zzz",))]) == []
+        assert mini_db.selection_keys("actor", [("name", ("zzz",))]) == set()
 
     def test_select_no_selections_scans(self, mini_db):
-        assert len(mini_db.select("actor", [])) == 3
+        # No selection keeps no key set: the slot scans its whole table.
+        assert mini_db.selection_keys("actor", []) == set()
+        assert len(mini_db.execute_path(["actor"], [])) == 3
 
     def test_select_multiple_attributes(self, mini_db):
-        rows = mini_db.select("movie", [("title", ("london",)), ("year", ("2001",))])
-        assert {t.key for t in rows} == {3}
+        keys = mini_db.selection_keys(
+            "movie", [("title", ("london",)), ("year", ("2001",))]
+        )
+        assert keys == {3}
 
 
 class TestExecutePath:
@@ -94,7 +96,7 @@ class TestExecutePath:
     def test_count_and_has_results(self, mini_db):
         path, edges = self._actor_movie(mini_db)
         sel = {0: [("name", ("london",))]}
-        assert mini_db.count_path(path, edges, sel) == 1
+        assert len(mini_db.execute_path(path, edges, sel)) == 1
         assert mini_db.has_results(path, edges, sel)
         assert not mini_db.has_results(path, edges, {0: [("name", ("zzz",))]})
 

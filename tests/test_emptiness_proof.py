@@ -6,14 +6,17 @@ generated foreign-key schemas — chains of entity tables joined directly,
 through a link table, or on a non-key column; keys and foreign-key values
 of every type SQLite compares (``int``, ``float``, ``str``), ``None`` and
 dangling values; keyword selections on any slot — every path the proof
-calls empty must have no row in the memory backend (which proves nothing)
-nor in a brute-force evaluator written here, which shares no code with the
-planner, the memory backend or the proof's maps.  On two-slot paths with
+calls empty must have no row in the memory backend (which proves no join
+empty) nor in a brute-force evaluator written here, which shares no code
+with the planner, the memory backend or the proof's maps.  On two-slot paths with
 both slots filtered the proof is exact, so there "proved empty" must also
-follow from "no row".  Mutation tests pin that ``insert``, ``load`` and
-``add_table`` drop the maps: after an ``insert`` or ``load`` the path the
-proof skipped is seen again by ``engine.run`` and ``has_results``, and
-after an ``add_table`` the added table's stored rows join.  A write
+follow from "no row".  On the same paths, under ``limit`` None, 0, 1 or 3
+and with every key set inlined or (one inline key per slot) post-filtered,
+the memory backend's plan walk must return sqlite's rows in sqlite's
+order.  Mutation tests pin that ``insert``, ``load`` and ``add_table`` drop
+the maps: after an ``insert`` or ``load`` the path the proof skipped is
+seen again by ``engine.run`` and ``has_results``, and after an
+``add_table`` the added table's stored rows join.  A write
 through a second backend instance on the same file drops them too.
 """
 
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.backends import create_backend
+from repro.db.backends import create_backend, sql as sqlc
 from repro.db.schema import Attribute, ForeignKey, Schema, Table
 from repro.engine import EngineConfig, QueryEngine
 from tests.conftest import build_mini_db, mini_schema
@@ -163,8 +166,18 @@ def key_tuples(networks) -> list[tuple]:
     return sorted(tuple(repr(t.key) for t in network) for network in networks)
 
 
-def test_proved_empty_paths_have_no_row_in_either_oracle():
+@pytest.mark.parametrize("max_inline_keys", [None, 1])
+def test_proved_empty_paths_have_no_row_in_either_oracle(max_inline_keys, monkeypatch):
+    """Besides the proof: memory's plan walk returns sqlite's rows in
+    sqlite's order under every ``limit``, and the evaluator's networks as a
+    set.  With one inline key per slot every larger key set is a post
+    filter, seed slot included, which memory must walk in key ``repr``
+    order as SQL sorts it."""
+    if max_inline_keys is not None:
+        monkeypatch.setattr(sqlc, "MAX_INLINE_KEYS", max_inline_keys)
     fired: list[int] = []
+    post_seeded: list[int] = []
+    str_keyed: list[int] = []
 
     @given(st.data())
     @settings(max_examples=250, deadline=None)
@@ -177,9 +190,19 @@ def test_proved_empty_paths_have_no_row_in_either_oracle():
                 db.load(rows)
                 db.build_indexes()
             for path, edges, selections in data.draw(walks(schema)):
+                limit = data.draw(st.sampled_from([None, 0, 1, 3]))
                 expected = brute_force_rows(sqlite, path, edges, selections)
-                assert key_tuples(memory.execute_path(path, edges, selections)) == expected
-                assert key_tuples(sqlite.execute_path(path, edges, selections)) == expected
+                walked = memory.execute_path(path, edges, selections, limit=limit)
+                assert repr(walked) == repr(
+                    sqlite.execute_path(path, edges, selections, limit=limit)
+                )
+                assert set(key_tuples(walked)) <= set(expected)
+                assert len(walked) == len(expected[:limit])
+                plan = memory.plan_path_spec(path, edges, selections)
+                if walked and plan.post_filters and plan.post_filters[0][0] == 0:
+                    post_seeded.append(len(plan.post_filters[0][1]))
+                if any(isinstance(t.key, str) for network in walked for t in network):
+                    str_keyed.append(len(walked))
                 filters = sqlite.resolve_key_filters(path, selections)
                 if filters is None:
                     continue
@@ -196,6 +219,9 @@ def test_proved_empty_paths_have_no_row_in_either_oracle():
     check()
     assert fired  # the proof fired: the property is not vacuous
     assert max(fired) >= 3  # on a path longer than one hop too
+    assert str_keyed  # rows keyed by str came back and were compared
+    if max_inline_keys == 1:
+        assert max(post_seeded) >= 2  # a post-filtered seed slot was walked
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "sqlite-sharded"])
@@ -342,5 +368,5 @@ def test_the_memory_backend_keeps_no_maps_and_proves_nothing():
     db = build_mini_db("memory")
     path, edges, selections = _path(db)
     assert db.execute_path(path, edges, selections) == []
-    assert not hasattr(db, "proves_empty")
+    assert not db.proves_empty(path, edges, db.resolve_key_filters(path, selections))
     assert not hasattr(db, "_fk_maps")

@@ -132,6 +132,31 @@ class TestContractMembers:
             "docs/architecture.md: the contract names a missing member: cached_result_flush",
         ]
 
+    def test_abstract_tags_name_exactly_the_abstract_methods(self):
+        """Both directions: an abstract method whose row lost its tag, and
+        a tag on a member the base class implements, are each reported."""
+        architecture = (REPO_ROOT / "docs" / "architecture.md").read_text(
+            encoding="utf-8"
+        )
+        untagged = architecture.replace(
+            "| `_stream_plan(plan, execution)` | *(abstract)* ",
+            "| `_stream_plan(plan, execution)` | ",
+            1,
+        )
+        mistagged = architecture.replace(
+            "| `execute_path(path, edges, selections, limit)` | *(shared)* ",
+            "| `execute_path(path, edges, selections, limit)` | *(abstract)* ",
+            1,
+        )
+        for text, error in (
+            (untagged, "abstract member without an *(abstract)* tag: _stream_plan"),
+            (mistagged, "*(abstract)* tag on a concrete member: execute_path"),
+        ):
+            assert text != architecture
+            errors: list[str] = []
+            linter.check_contract_members(text, errors)
+            assert errors == [f"docs/architecture.md: {error}"]
+
     def test_names_are_expanded_and_only_the_contract_section_counts(self):
         text = (
             "## The contract\n\n| Member | Contract |\n|---|---|\n"

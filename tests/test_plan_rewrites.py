@@ -334,10 +334,10 @@ class TestExplainSurface:
     @pytest.mark.parametrize(
         "backend_name, query_text, statements, proved_empty",
         [
-            ("memory", "london 2001", 7, 0),
+            ("memory", "london 2001", 4, 3),
             ("sqlite", "london 2001", 1, 6),
             ("sqlite-sharded", "london 2001", 1, 6),
-            ("memory", "hanks 2001", 4, 0),
+            ("memory", "hanks 2001", 3, 1),
             ("sqlite", "hanks 2001", 0, 4),
             ("sqlite-sharded", "hanks 2001", 0, 4),
         ],
@@ -350,8 +350,9 @@ class TestExplainSurface:
         is the sharded store's and the single file's alike.  "london 2001"
         plans one statement on both SQL backends, so the check sees a real
         plan there; every interpretation of "hanks 2001" is proved empty on
-        both (one matches no key, three cannot join).  The memory backend,
-        which proves nothing, runs every interpretation."""
+        both (one matches no key, three cannot join).  The memory backend
+        proves no join empty, so only the interpretations whose selections
+        match no key cost it nothing."""
         engine = QueryEngine.for_dataset(
             "imdb", backend=backend_name, config=EngineConfig(cache_results=False)
         )

@@ -31,7 +31,7 @@ class TestStructuredQuery:
 
     def test_count_and_has_results(self, mini_db):
         q = actor_movie_query(mini_db, {0: (("name", ("hanks",)),)})
-        assert q.count(mini_db) == 3
+        assert len(q.execute(mini_db)) == 3
         assert q.has_results(mini_db)
         empty = actor_movie_query(mini_db, {0: (("name", ("zzz",)),)})
         assert not empty.has_results(mini_db)

@@ -116,11 +116,17 @@ def test_entry_points_are_run_all_the_examples_the_transcripts_and_serve(tmp_pat
     labels = [label for label, _run in points]
     assert labels[0] == "run_all"
     assert labels[1 : 1 + len(examples)] == [f"examples/{p.name}" for p in examples]
-    assert len(points) == 1 + len(examples) + len(reach.TRANSCRIPTS) + 1
-    assert labels[-1] == "repro serve (stdio)"
-    transcripts = [run.__defaults__[0] for _label, run in points[1 + len(examples) : -1]]
+    assert len(points) == 1 + len(examples) + len(reach.TRANSCRIPTS) + 2
+    assert labels[-2:] == ["repro serve (stdio)", "repro serve (http)"]
+    transcripts = [run.__defaults__[0] for _label, run in points[1 + len(examples) : -2]]
     assert all("{tmp}" not in arg for argv in transcripts for arg in argv)
     assert [argv[0] for argv in transcripts] == [argv[0] for argv in reach.TRANSCRIPTS]
+
+
+def test_the_http_exchange_gets_200_to_every_request():
+    """``GET /healthz``, ``POST /query`` and ``GET /stats`` against an
+    in-process server; a non-200 answer raises."""
+    reach._serve_http()
 
 
 def test_probe_keeps_only_the_src_functions_an_entry_point_entered(monkeypatch):

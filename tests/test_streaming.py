@@ -106,8 +106,8 @@ class TestBackendStreamContract:
         # ...while the batched call on the same specs costs one.
         assert db.execute_paths_batched(specs, limit=10).statements == 1
 
-    def test_fallback_executes_one_spec_per_pull(self, monkeypatch):
-        """The generic fallback is lazy per spec: a spec the consumer never
+    def test_base_stream_executes_one_plan_per_pull(self, monkeypatch):
+        """The base stream is lazy per spec: a spec the consumer never
         reaches is never executed, and only the rows of a *started* spec the
         consumer left behind count as short-circuited."""
         db = build_mini_db("memory")
@@ -116,18 +116,20 @@ class TestBackendStreamContract:
         first = next(i for i, n in enumerate(per_spec) if n >= 2)
         assert first < len(specs) - 1  # something lies past the stop
         calls = []
-        execute_path = db.execute_path
-        monkeypatch.setattr(
-            db,
-            "execute_path",
-            lambda *a, **kw: calls.append(a) or execute_path(*a, **kw),
-        )
+        stream_plan = db._stream_plan
+
+        def recording(plan, execution):
+            calls.append(plan)  # runs at the plan's first pull
+            yield from stream_plan(plan, execution)
+
+        monkeypatch.setattr(db, "_stream_plan", recording)
         execution = db.execute_paths_streamed(specs, limit=10)
         assert calls == []  # nothing runs before the first pull
         assert next(execution.stream)[0] == first
         execution.stream.close()
-        assert len(calls) == first + 1
-        assert execution.statements == first + 1
+        planned = [db.plan_path_spec(*spec, limit=10) is not None for spec in specs]
+        assert len(calls) == execution.statements == sum(planned[: first + 1])
+        assert execution.proved_empty == planned.count(False)
         assert execution.stream.rows_delivered == 1
         assert execution.rows_short_circuited == per_spec[first] - 1
 
